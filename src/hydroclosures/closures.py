@@ -438,11 +438,17 @@ def _nth_root_fraction(x: Fraction, k: int) -> Fraction:
         raise ValueError("need a positive radicand")
 
     def iroot(v: int) -> int:
-        r = round(v ** (1.0 / k))
-        for c in (r - 1, r, r + 1):
-            if c > 0 and c ** k == v:
-                return c
-        raise ValueError(f"{v} is not a perfect {k}-th power")
+        # integer Newton iteration from 2^ceil(bits/k) >= v^(1/k): it
+        # decreases to floor(v^(1/k)) and stops there
+        r = 1 << -(-v.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + v // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+        if r ** k != v:
+            raise ValueError(f"{v} is not a perfect {k}-th power")
+        return r
 
     return Fraction(iroot(x.numerator), iroot(x.denominator))
 

@@ -1,14 +1,26 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a map from exponent tuples (one non-negative int per
-variable) to Fraction coefficients.  Zero coefficients are never stored,
-so equality of dictionaries is equality of polynomials, and an identity
-check is just "subtract and test for the empty map".  The zero polynomial
-is the empty map.
+A `MultiPoly` in `nvars` variables stores one positive common denominator
+and a dict from packed monomials to int numerators; the coefficient of a
+monomial is numerator/denominator.
 
-Terms are ordered graded-lexicographically (total degree first, then
-lexicographic on the exponent tuple, both descending) wherever an order
-matters: serialization, golden-file comparison and CLI output.
+Packed monomial: one Python int.  The total degree sits in the top field,
+with one 16-bit field per variable below it, variable 1 (`nu1`) most
+significant.  For nvars=2, x^a y^b packs to ((a+b) << 32) | (a << 16) | b.
+So multiplying two monomials is one integer add, and integer order is
+graded-lexicographic order (total degree first, then lexicographic on the
+exponent tuple), the order used wherever one matters: serialization,
+golden-file comparison and CLI output.  Total degree is capped at
+MAX_DEGREE = 65535, so no exponent field can carry into the next; an
+operation that would pass the cap raises ValueError.
+
+Zero numerators are never stored and the numerators are reduced against
+the denominator (gcd(den, *numerators) == 1, den == 1 for the zero
+polynomial).  The form is canonical, so equality of polynomials is
+equality of (nvars, denominator, numerator dict), and an identity check is
+just "subtract and test for the empty map".  `terms` presents a polynomial
+as a read-only {exponent tuple: Fraction} mapping.  Terms keep the order in
+which arithmetic first produced them, and `eval` visits them in that order.
 
 `RatFunc` is a thin exact rational-function layer (numerator/denominator
 pair) used for change-of-variables computations whose Jacobians are not
@@ -19,9 +31,11 @@ cross-multiplication, which only needs polynomial identity.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping as _MappingABC
 from fractions import Fraction
+from math import gcd, lcm
 from numbers import Rational
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 
 class _AnyDegree:
@@ -33,45 +47,100 @@ class _AnyDegree:
 
 ANY_DEGREE = _AnyDegree()
 
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+MAX_DEGREE = _MASK
 
-def _grlex_key(exps: tuple[int, ...]) -> tuple:
-    return (sum(exps), exps)
+
+def _pack(exps: tuple[int, ...]) -> int:
+    key = sum(exps)
+    for e in exps:
+        key = (key << _BITS) | e
+    return key
+
+
+def _unpack(key: int, nvars: int) -> tuple[int, ...]:
+    exps = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        exps[i] = key & _MASK
+        key >>= _BITS
+    return tuple(exps)
+
+
+class _Terms(_MappingABC):
+    """Read-only {exponent tuple: Fraction} view of a MultiPoly."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "MultiPoly"):
+        self._poly = poly
+
+    def __len__(self) -> int:
+        return len(self._poly._num)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        nvars = self._poly.nvars
+        return (_unpack(key, nvars) for key in self._poly._num)
+
+    def __getitem__(self, exps) -> Fraction:
+        p = self._poly
+        exps = tuple(exps)
+        if (len(exps) == p.nvars and all(isinstance(e, int) and e >= 0 for e in exps)
+                and sum(exps) <= MAX_DEGREE):
+            num = p._num.get(_pack(exps))
+            if num is not None:
+                return Fraction(num, p._den)
+        raise KeyError(exps)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class MultiPoly:
     """Immutable sparse polynomial in `nvars` variables over Fraction."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "_num", "_den")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Rational] | None = None):
-        object.__setattr__(self, "nvars", int(nvars))
-        clean: dict[tuple[int, ...], Fraction] = {}
+        nvars = int(nvars)
+        clean: dict[int, Fraction] = {}
         if terms:
             for exps, coef in terms.items():
                 exps = tuple(int(e) for e in exps)
-                if len(exps) != self.nvars:
-                    raise ValueError(f"exponent tuple {exps} does not match nvars={self.nvars}")
+                if len(exps) != nvars:
+                    raise ValueError(f"exponent tuple {exps} does not match nvars={nvars}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                c = clean.get(exps, Fraction(0)) + Fraction(coef)
+                if sum(exps) > MAX_DEGREE:
+                    raise ValueError(f"total degree of {exps} exceeds {MAX_DEGREE}")
+                key = _pack(exps)
+                c = clean.get(key, 0) + Fraction(coef)
                 if c:
-                    clean[exps] = c
-                elif exps in clean:
-                    del clean[exps]
-        object.__setattr__(self, "terms", clean)
+                    clean[key] = c
+                elif key in clean:
+                    del clean[key]
+        den = lcm(*(c.denominator for c in clean.values()))
+        _set_nvars(self, nvars)
+        _set_num(self, {k: c.numerator * (den // c.denominator) for k, c in clean.items()})
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        return _Terms(self)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars)
+        return _wrap(int(nvars), {}, 1)
 
     @classmethod
     def const(cls, nvars: int, value) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        c = Fraction(value)
+        return _wrap(int(nvars), {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
@@ -88,22 +157,23 @@ class MultiPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self._num.get(0, 0), self._den)
 
     def total_degree(self):
         """Max total degree of a term, or None for the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             return None
-        return max(sum(e) for e in self.terms)
+        return max(self._num) >> (_BITS * self.nvars)
 
     def homogeneous_degree(self):
         """Common total degree of all terms, None if mixed, ANY_DEGREE if zero."""
-        if not self.terms:
+        if not self._num:
             return ANY_DEGREE
-        degrees = {sum(e) for e in self.terms}
+        shift = _BITS * self.nvars
+        degrees = {k >> shift for k in self._num}
         if len(degrees) == 1:
             return degrees.pop()
         return None
@@ -119,39 +189,84 @@ class MultiPoly:
             return MultiPoly.const(self.nvars, other)
         return None
 
+    def _combine(self, q: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign*q; terms of self first, then the new ones of q."""
+        da, db = self._den, q._den
+        if da == db:
+            out = dict(self._num)
+            mb = sign
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, sign * (da // g)
+            da *= ma
+            out = {k: c * ma for k, c in self._num.items()}
+        get = out.get
+        for k, c in q._num.items():
+            out[k] = get(k, 0) + c * mb
+        return _make(self.nvars, {k: c for k, c in out.items() if c}, da)
+
     def __add__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, c in q.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return MultiPoly(self.nvars, out)
+        return self._combine(q, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _wrap(self.nvars, {k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        return self + (-q)
+        return self._combine(q, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _scale(self, n: int, d: int) -> "MultiPoly":
+        """self * n/d for ints n and d > 0."""
+        if not n:
+            return _wrap(self.nvars, {}, 1)
+        return _make(self.nvars, {k: v * n for k, v in self._num.items()}, self._den * d)
+
     def __mul__(self, other):
+        if isinstance(other, int):
+            return self._scale(other, 1)
+        if isinstance(other, Fraction):
+            return self._scale(other.numerator, other.denominator)
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in q.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.nvars, out)
+        a, b = self._num, q._num
+        if not a or not b:
+            return _wrap(self.nvars, {}, 1)
+        shift = _BITS * self.nvars
+        # the product of the grlex-leading monomials leads the product
+        degree = (max(a) + max(b)) >> shift
+        if degree > MAX_DEGREE:
+            raise ValueError(f"product of total degree {degree} exceeds {MAX_DEGREE}")
+        out: dict[int, int] = {}
+        get = out.get
+        b_items = list(b.items())
+        if q is self:
+            # square: pairs j > i once, doubled.  A product first appears at
+            # its least (i, j), which has i <= j, so the key order is that of
+            # the full double loop below.
+            for i, (k1, c1) in enumerate(b_items):
+                k = k1 + k1
+                out[k] = get(k, 0) + c1 * c1
+                c1 += c1
+                for k2, c2 in b_items[i + 1:]:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        else:
+            for k1, c1 in a.items():
+                for k2, c2 in b_items:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        return _make(self.nvars, {k: c for k, c in out.items() if c}, self._den * q._den)
 
     __rmul__ = __mul__
 
@@ -159,7 +274,8 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of polynomial by zero scalar")
-            return MultiPoly(self.nvars, {e: c / Fraction(other) for e, c in self.terms.items()})
+            c = 1 / Fraction(other)
+            return self._scale(c.numerator, c.denominator)
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -180,10 +296,11 @@ class MultiPoly:
             other = MultiPoly.const(self.nvars, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars == other.nvars and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self._den, frozenset(self._num.items())))
 
     # -- calculus and evaluation ---------------------------------------
 
@@ -191,13 +308,15 @@ class MultiPoly:
         """Exact partial derivative with respect to variable `var`."""
         if not 0 <= var < self.nvars:
             raise IndexError(f"variable index {var} out of range for nvars={self.nvars}")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[var]
+        shift = _BITS * (self.nvars - 1 - var)
+        # lowers the exponent field of `var` and the degree field by one
+        step = (1 << shift) + (1 << (_BITS * self.nvars))
+        out = {}
+        for k, c in self._num.items():
+            e = (k >> shift) & _MASK
             if e:
-                de = tuple(x - 1 if i == var else x for i, x in enumerate(exps))
-                out[de] = out.get(de, Fraction(0)) + c * e
-        return MultiPoly(self.nvars, out)
+                out[k - step] = c * e
+        return _make(self.nvars, out, self._den)
 
     def eval(self, values: Sequence):
         """Evaluate at `values` (Fractions, floats, MultiPoly, RatFunc...).
@@ -208,9 +327,10 @@ class MultiPoly:
         if len(values) != self.nvars:
             raise ValueError(f"expected {self.nvars} values, got {len(values)}")
         acc = None
-        for exps, coef in self.terms.items():
-            term = coef
-            for v, e in zip(values, exps):
+        nvars, den = self.nvars, self._den
+        for key, num in self._num.items():
+            term = Fraction(num, den)
+            for v, e in zip(values, _unpack(key, nvars)):
                 if e:
                     term = term * v ** e
             acc = term if acc is None else acc + term
@@ -224,7 +344,7 @@ class MultiPoly:
         if len(replacements) != self.nvars:
             raise ValueError(f"expected {self.nvars} replacement polynomials")
         if self.nvars == 0:
-            return MultiPoly(0, dict(self.terms))
+            return self
         target = {p.nvars for p in replacements}
         if len(target) != 1:
             raise ValueError("replacement polynomials disagree on variable count")
@@ -236,9 +356,7 @@ class MultiPoly:
 
     def compile_float(self):
         """Return a fast float evaluator f(values) usable with numpy arrays."""
-        compiled = [(float(c), exps) for exps, c in sorted(self.terms.items(),
-                                                          key=lambda kv: _grlex_key(kv[0]),
-                                                          reverse=True)]
+        compiled = [(float(c), exps) for exps, c in self.sorted_terms()]
 
         def evaluate(values):
             acc = 0.0
@@ -256,8 +374,11 @@ class MultiPoly:
 
     # -- serialization --------------------------------------------------
 
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """(exponents, coefficient) pairs in descending grlex order."""
+        nvars, den = self.nvars, self._den
+        return [(_unpack(key, nvars), Fraction(self._num[key], den))
+                for key in sorted(self._num, reverse=True)]
 
     def to_text(self, varnames: Sequence[str] | None = None) -> str:
         """Canonical text form: `coef * v1^e1*v2^e2` terms joined by ` + `."""
@@ -265,7 +386,7 @@ class MultiPoly:
             varnames = [f"v{i + 1}" for i in range(self.nvars)]
         if len(varnames) != self.nvars:
             raise ValueError("varnames length mismatch")
-        if not self.terms:
+        if not self._num:
             return "0"
         parts = []
         for exps, coef in self.sorted_terms():
@@ -287,26 +408,48 @@ class MultiPoly:
     @classmethod
     def parse(cls, text: str, nvars: int | None = None,
               varnames: Sequence[str] | None = None) -> "MultiPoly":
-        """Parse the to_text() format (tolerant about spacing and '-' signs)."""
+        """Parse the to_text() format.
+
+        Spacing is free, and a negative term may be written `- t` or `+ -t`.
+        Any other run of signs, a sign right after '*' and an empty factor
+        are rejected with ValueError rather than guessed at.
+        """
         name_to_idx = None
         if varnames is not None:
             name_to_idx = {n: i for i, n in enumerate(varnames)}
-        s = text.strip().replace("-", "+-")
-        raw_terms = [t.strip() for t in s.split("+")]
-        raw_terms = [t for t in raw_terms if t]
+        # chunk, sign, chunk, sign, ..., chunk
+        pieces = re.split(r"\s*([+-])\s*", text.strip())
+        raw_terms = []  # (negative, text of the term)
+        signs = ""
+        for i in range(0, len(pieces), 2):
+            raw = pieces[i]
+            if raw.endswith("*") and i + 1 < len(pieces):
+                raise ValueError(f"sign after '*' in term {raw + pieces[i + 1] + pieces[i + 2]!r}"
+                                 f" of {text!r}")
+            if raw:
+                if signs not in ("", "+", "-", "+-"):
+                    raise ValueError(f"doubled sign {signs!r} before term {raw!r} in {text!r}")
+                raw_terms.append((signs.endswith("-"), raw))
+                signs = ""
+            if i + 1 < len(pieces):
+                signs += pieces[i + 1]
+        if signs:
+            raise ValueError(f"{text!r} ends in a sign")
         parsed = []  # (coef, {idx_or_name: exp})
         max_index = 0
-        for raw in raw_terms:
-            coef = Fraction(1)
-            if raw.startswith("-"):
-                coef = -coef
-                raw = raw[1:].strip()
-            factors = [f.strip() for f in raw.replace("*", " ").split()]
+        for negative, raw in raw_terms:
+            coef = Fraction(-1 if negative else 1)
+            chunks = [c.strip() for c in raw.split("*")]
+            if not all(chunks):
+                raise ValueError(f"empty factor in term {raw!r} of {text!r}")
             powers: dict[object, int] = {}
-            for f in factors:
-                m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", f)
+            for f in (f for c in chunks for f in c.split()):
+                m = re.fullmatch(r"(\d+)(?:/(\d+))?", f)
                 if m:
-                    coef *= Fraction(int(m.group(1)), int(m.group(2) or 1))
+                    den = int(m.group(2) or 1)
+                    if not den:
+                        raise ValueError(f"zero denominator in {f!r} of {text!r}")
+                    coef *= Fraction(int(m.group(1)), den)
                     continue
                 m = re.fullmatch(r"([A-Za-z_]+\d*)(?:\^(\d+))?", f)
                 if not m:
@@ -336,6 +479,30 @@ class MultiPoly:
             e = tuple(exps)
             terms[e] = terms.get(e, Fraction(0)) + coef
         return cls(nvars, terms)
+
+
+_set_nvars = MultiPoly.nvars.__set__
+_set_num = MultiPoly._num.__set__
+_set_den = MultiPoly._den.__set__
+
+
+def _wrap(nvars: int, num: dict[int, int], den: int) -> MultiPoly:
+    """MultiPoly from zero-free numerators already reduced against den."""
+    p = object.__new__(MultiPoly)
+    _set_nvars(p, nvars)
+    _set_num(p, num)
+    _set_den(p, den)
+    return p
+
+
+def _make(nvars: int, num: dict[int, int], den: int) -> MultiPoly:
+    """MultiPoly from zero-free numerators over den > 0, reducing them."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {k: c // g for k, c in num.items()}
+    return _wrap(nvars, num, den)
 
 
 def poly_vars(nvars: int) -> list[MultiPoly]:

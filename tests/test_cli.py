@@ -60,6 +60,12 @@ def test_verify_bad_flags_exit_2(capsys):
                  "--heights", "1,1"]) == 2                # heights don't sum to 0
 
 
+@pytest.mark.parametrize("mu2", ["nu1*-2", "nu1 - -2", "nu1^2*nu2 + + nu2"])
+def test_verify_malformed_mu2_exit_2(capsys, mu2):
+    assert main(["verify", "--family", "generic", "--mu2", mu2]) == 2
+    assert "sign" in capsys.readouterr().err
+
+
 def test_closure_show_canonical_text(capsys):
     assert main(["closure", "show", "--family", "burby", "--level", "2",
                  "--nmax", "2"]) == 0

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from hydroclosures.closures import (BurbyClosure, ColdClosure,
+                                    _nth_root_fraction,
                                     FourFieldClosure, GenericClosure, Metric,
                                     MultiDeltaClosure, WaterbagClosure,
                                     burby_invert, burby_mu, burby_mu_closed,
@@ -179,6 +180,23 @@ def test_level_inversion_exact_round_trip():
                 nu[-1] = -nu[-1]
             mus = [c.mu(n).eval(nu) for n in range(1, m + 1)]
             assert c.invert(mus, exact=True) == tuple(nu)
+
+
+def test_nth_root_fraction_exact_beyond_float_range():
+    # 7^600 and 2^900 are both above 1e308, where a float root overflows
+    assert _nth_root_fraction(F(7 ** 600, 2 ** 900), 3) == F(7 ** 200, 2 ** 300)
+    with pytest.raises(ValueError, match="not a perfect 3-th power"):
+        _nth_root_fraction(F(7 ** 600 + 1, 2 ** 900), 3)
+    with pytest.raises(ValueError, match="not a perfect 3-th power"):
+        _nth_root_fraction(F(10 ** 400), 3)
+    for v in range(1, 200):
+        for k in (1, 2, 3, 5):
+            r = round(v ** (1 / k))
+            if r ** k == v:
+                assert _nth_root_fraction(F(v, 1), k) == r
+            else:
+                with pytest.raises(ValueError):
+                    _nth_root_fraction(F(v, 1), k)
 
 
 def test_level_inversion_float_accuracy():

@@ -157,3 +157,135 @@ def test_ratfunc_zero_denominator_rejected():
     x, y = poly_vars(2)
     with pytest.raises(ZeroDivisionError):
         RatFunc(x, MultiPoly.zero(2))
+
+
+@pytest.mark.parametrize("text, term", [
+    ("nu1*-2", "nu1*-2"),
+    ("nu1 * - 2", "nu1 *-2"),
+    ("nu1 - -2", "2"),
+    ("nu1 + + nu2", "nu2"),
+    ("-+nu1", "nu1"),
+])
+def test_parse_rejects_misplaced_signs(text, term):
+    with pytest.raises(ValueError, match="sign") as info:
+        MultiPoly.parse(text)
+    assert repr(term) in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["nu1**2", "*nu1", "nu1 +", "nu1 * 1/0"])
+def test_parse_rejects_malformed_terms(text):
+    with pytest.raises(ValueError):
+        MultiPoly.parse(text)
+
+
+def test_parse_accepts_both_negative_term_forms():
+    x, y = poly_vars(2)
+    expected = x - 2 * y
+    for text in ("nu1 - 2*nu2", "1 * nu1 + -2 * nu2", "-2 * nu2 + nu1", "+nu1 -2 nu2"):
+        assert MultiPoly.parse(text) == expected
+
+
+# -- differential test against sympy.Poly over QQ ---------------------------
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sympy, p: MultiPoly, gens):
+    coeffs = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+    return sympy.Poly.from_dict(coeffs, *gens, domain=sympy.QQ)
+
+
+def from_sympy(P, nvars: int) -> MultiPoly:
+    return MultiPoly(nvars, {e: Fraction(int(c.p), int(c.q)) for e, c in P.terms()})
+
+
+@st.composite
+def poly_pairs(draw):
+    nvars = draw(st.integers(1, 4))
+    return nvars, draw(polys(nvars=nvars, max_deg=3)), draw(polys(nvars=nvars, max_deg=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs(), st.integers(0, 3), st.integers(0, 3),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=9),
+                min_size=4, max_size=4))
+def test_matches_sympy_poly(sympy, pair, n, var, point):
+    nvars, a, b = pair
+    var %= nvars
+    point = point[:nvars]
+    gens = sympy.symbols(f"x1:{nvars + 1}")
+    A, B = to_sympy(sympy, a, gens), to_sympy(sympy, b, gens)
+    for ours, theirs in ((a + b, A + B), (a - b, A - B), (a * b, A * B), (a * a, A * A),
+                         (a ** n, A ** n), (a.diff(var), A.diff(gens[var]))):
+        assert ours == from_sympy(theirs, nvars)
+    value = A.eval({g: sympy.Rational(v.numerator, v.denominator) for g, v in zip(gens, point)})
+    assert a.eval(point) == Fraction(int(value.p), int(value.q))
+
+
+def test_sorted_terms_is_grlex_descending():
+    rng = random.Random(5)
+    for _ in range(200):
+        p = random_poly(rng, rng.randint(1, 4), max_deg=8, max_terms=12)
+        exps = [e for e, _ in p.sorted_terms()]
+        assert exps == sorted(p.terms, key=lambda e: (sum(e), e), reverse=True)
+
+
+def test_canonical_form_equal_objects_equal_hashes():
+    x, y = poly_vars(2)
+    routes = [(x / 2 + y / 3) * 6, 3 * x + 2 * y,
+              MultiPoly.parse("3 * nu1 + 2 * nu2"),
+              (x * Fraction(3, 4) + y / 2) / Fraction(1, 4),
+              (x + y) * (x - y) + 3 * x + 2 * y - x * x + y * y]
+    for p in routes:
+        assert p == routes[0]
+        assert hash(p) == hash(routes[0])
+    assert len(set(routes)) == 1
+    assert (x / 2 - x / 2) == MultiPoly.zero(2) and hash(x / 2 - x / 2) == hash(MultiPoly.zero(2))
+
+
+def test_degree_guard():
+    x = MultiPoly.monomial(1, (40000,))
+    with pytest.raises(ValueError, match="65535"):
+        x ** 2
+    with pytest.raises(ValueError, match="65535"):
+        x * MultiPoly.monomial(1, (25536,))
+    with pytest.raises(ValueError, match="65535"):
+        MultiPoly.monomial(2, (40000, 30000))
+    top = x * MultiPoly.monomial(1, (25535,))
+    assert top.total_degree() == 65535 and top.terms == {(65535,): 1}
+
+
+def test_terms_view_is_read_only_mapping():
+    x, y = poly_vars(2)
+    p = x / 3 + 2 * y + 1
+    assert len(p.terms) == 3
+    assert dict(p.terms) == {(1, 0): Fraction(1, 3), (0, 1): 2, (0, 0): 1}
+    assert p.terms[(1, 0)] == Fraction(1, 3) and (1, 1) not in p.terms
+    assert MultiPoly(2, p.terms) == p
+    with pytest.raises(TypeError):
+        p.terms[(1, 1)] = 1
+
+
+def reference_product_order(a: MultiPoly, b: MultiPoly) -> list:
+    """Exponents of a*b in the order the plain tuple double loop meets them."""
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(u + v for u, v in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return [e for e, c in out.items() if c]
+
+
+def test_term_order_is_double_loop_order():
+    # eval adds terms in this order, so float results depend on it
+    rng = random.Random(9)
+    for _ in range(300):
+        nvars = rng.randint(1, 3)
+        a = random_poly(rng, nvars, max_terms=8)
+        b = random_poly(rng, nvars, max_terms=8)
+        assert list((a * b).terms) == reference_product_order(a, b)
+        assert list((a * a).terms) == reference_product_order(a, a)
+        expected = list(a.terms) + [e for e in b.terms if e not in a.terms]
+        assert list((a + b).terms) == [e for e in expected if (a + b).terms.get(e)]
