@@ -217,7 +217,9 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
         for i in range(nv):
             for j in range(nv):
                 if g[i][j]:
-                    acc = acc + g[i][j] * gn[i] * gm[j]
+                    # the MultiPoly on the left skips Fraction.__mul__'s
+                    # NotImplemented round trip
+                    acc = acc + gn[i] * g[i][j] * gm[j]
         return acc
 
     for n in range(1, size + 1):

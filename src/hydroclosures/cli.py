@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -448,7 +449,15 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_compare)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        rc = args.fn(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`): drop the rest of the output
+        # quietly, including the flush at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

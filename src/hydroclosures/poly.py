@@ -127,6 +127,10 @@ class MultiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _wrap, not the raising __setattr__
+        return _wrap, (self.nvars, self._num, self._den)
+
     @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
         return _Terms(self)
@@ -536,6 +540,9 @@ class RatFunc:
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
+
+    def __reduce__(self):
+        return RatFunc, (self.num, self.den)
 
     @property
     def nvars(self) -> int:

@@ -4,7 +4,10 @@ multi-stream kinetic reference model.
 Fields live on a uniform periodic grid. Spatial derivatives are
 pseudo-spectral with a 2/3 dealiasing mask (default) or 2nd-order central
 differences. The electric field comes from the spectral Poisson solve
-with a neutralizing background and zero-mean gauge.
+with a neutralizing background and zero-mean gauge. Each `Grid` builds its
+spectral operators (wavenumbers, i*k, the dealiasing cut and k^2) once, on
+first use, and every derivative and field solve on that grid reuses them.
+Derivatives of several fields are taken in one batched call.
 
 Two time steppers:
 
@@ -25,8 +28,9 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+import weakref
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +54,11 @@ class WaveBreakError(SimulationError):
 # ---------------------------------------------------------------------------
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Grid:
     L: float
@@ -70,19 +79,42 @@ class Grid:
     def x(self) -> np.ndarray:
         return np.arange(self.nx) * self.dx
 
-    @property
+    # Spectral operators, computed once per grid (cached_property writes
+    # the instance __dict__ directly, so it works on the frozen dataclass).
+    # They are read-only because every caller shares them.
+
+    @cached_property
     def k(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.rfftfreq(self.nx, d=self.dx)
+        return _frozen(2.0 * np.pi * np.fft.rfftfreq(self.nx, d=self.dx))
+
+    @cached_property
+    def ik(self) -> np.ndarray:
+        """i*k, the spectral d/dx."""
+        return _frozen(1j * self.k)
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        """k^2 without the zero mode, the spectral -d^2/dx^2."""
+        return _frozen(self.k[1:] ** 2)
+
+    @cached_property
+    def cut(self) -> int:
+        """Last wavenumber index kept by the 2/3 dealiasing rule."""
+        return int((2.0 / 3.0) * (self.nx // 2))
 
     def deriv(self, f: np.ndarray) -> np.ndarray:
-        """d/dx with 2/3 dealiasing (spectral) or central differences."""
+        """d/dx along the last axis, with 2/3 dealiasing (spectral) or
+        central differences; a 2-D `f` is differentiated row by row."""
         if self.method == "fd2":
-            return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) / (2 * self.dx)
+            df = np.empty_like(f)
+            df[..., 1:-1] = f[..., 2:] - f[..., :-2]
+            df[..., 0] = f[..., 1] - f[..., -1]
+            df[..., -1] = f[..., 0] - f[..., -2]
+            df /= 2 * self.dx
+            return df
         fh = np.fft.rfft(f, axis=-1)
-        k = self.k
-        fh = fh * (1j * k)
-        cut = int((2.0 / 3.0) * (self.nx // 2))
-        fh[..., cut + 1:] = 0.0
+        fh = fh * self.ik
+        fh[..., self.cut + 1:] = 0.0
         return np.fft.irfft(fh, n=self.nx, axis=-1)
 
     def integral(self, f: np.ndarray) -> float:
@@ -133,29 +165,28 @@ class DiagnosticRecord:
 # ---------------------------------------------------------------------------
 
 
-def poisson_solve(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
-    """E with dE/dx = rho - n0, periodic, zero mean.
+def _field_solve(rho: np.ndarray, n0: float, grid: Grid, op: np.ndarray) -> np.ndarray:
+    """The zero-mean periodic field whose spectrum is rfft(rho - n0) / op,
+    with `op` given on the nonzero wavenumbers.
 
-    Requires neutrality mean(rho) = n0 to 1e-10 (otherwise no periodic E
-    exists)."""
+    Requires neutrality mean(rho) = n0 to 1e-10 (otherwise no periodic
+    field exists)."""
     if abs(float(np.mean(rho)) - n0) > 1e-10:
         raise SimulationError("neutrality violated: mean(rho) != n0")
     fh = np.fft.rfft(rho - n0)
-    k = grid.k
-    Eh = np.zeros_like(fh)
-    Eh[1:] = fh[1:] / (1j * k[1:])
-    return np.fft.irfft(Eh, n=grid.nx)
+    out = np.zeros_like(fh)
+    out[1:] = fh[1:] / op
+    return np.fft.irfft(out, n=grid.nx)
+
+
+def poisson_solve(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
+    """E with dE/dx = rho - n0, periodic, zero mean."""
+    return _field_solve(rho, n0, grid, grid.ik[1:])
 
 
 def electric_potential(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
     """phi with d^2phi/dx^2 = -(rho - n0), E = -dphi/dx, zero mean."""
-    if abs(float(np.mean(rho)) - n0) > 1e-10:
-        raise SimulationError("neutrality violated: mean(rho) != n0")
-    fh = np.fft.rfft(rho - n0)
-    k = grid.k
-    ph = np.zeros_like(fh)
-    ph[1:] = fh[1:] / k[1:] ** 2
-    return np.fft.irfft(ph, n=grid.nx)
+    return _field_solve(rho, n0, grid, grid.k2)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +197,10 @@ def electric_potential(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
 class _ClosureTables:
     """Per-closure compiled evaluators for mu_1, mu_2 and their gradients."""
 
-    # value keeps the closure alive so ids are never recycled mid-session
-    _cache: dict[int, tuple[ClosureFamily, "_ClosureTables"]] = {}
+    # An entry lives as long as its closure; the tables hold only floats
+    # and compiled evaluators, never the closure itself.
+    _cache: "weakref.WeakKeyDictionary[ClosureFamily, _ClosureTables]" = \
+        weakref.WeakKeyDictionary()
 
     def __init__(self, closure: ClosureFamily):
         nv = closure.nu_count
@@ -194,10 +227,10 @@ class _ClosureTables:
 
     @classmethod
     def of(cls, closure: ClosureFamily) -> "_ClosureTables":
-        key = id(closure)
-        if key not in cls._cache:
-            cls._cache[key] = (closure, cls(closure))
-        return cls._cache[key][1]
+        tables = cls._cache.get(closure)
+        if tables is None:
+            tables = cls._cache[closure] = cls(closure)
+        return tables
 
 
 def _check_state(state: FieldState):
@@ -231,19 +264,22 @@ def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid):
     mu2 = tab.mu2(nuv)
     phi = electric_potential(rho, state.n0, grid)
     dH_drho = 0.5 * u ** 2 + 1.5 * rho ** 2 * (mu2 - mu1 ** 2) + phi
-    drho = -grid.deriv(rho * u)
-    du = -grid.deriv(dH_drho)
+    nv = tab.nv
+    dH_dnu = np.array([0.5 * rho ** 3 * (tab.dmu2[l](nuv)
+                                         - 2.0 * mu1 * tab.dmu1[l](nuv))
+                       for l in range(nv)])
+    fluxes = [np.einsum("l,lx->x", tab.g[k], dH_dnu) / rho for k in range(nv)]
+    # one batched derivative of rho u, dH/drho, the nu_k and the fluxes
+    # g_kl (dH/dnu_l) / rho
+    d = grid.deriv(np.array([rho * u, dH_drho, *nu, *fluxes]))
+    du = -d[1]
     dnu = np.zeros_like(nu)
-    if tab.nv:
-        dH_dnu = np.array([0.5 * rho ** 3 * (tab.dmu2[l](nuv)
-                                             - 2.0 * mu1 * tab.dmu1[l](nuv))
-                           for l in range(tab.nv)])
-        dxnu = grid.deriv(nu)
+    if nv:
+        dxnu, dflux = d[2:2 + nv], d[2 + nv:]
         du = du + np.sum(dH_dnu * dxnu, axis=0) / rho
-        for k in range(tab.nv):
-            flux = np.einsum("l,lx->x", tab.g[k], dH_dnu) / rho
-            dnu[k] = -u * dxnu[k] - grid.deriv(flux) / rho
-    return drho, du, dnu
+        for k in range(nv):
+            dnu[k] = -u * dxnu[k] - dflux[k] / rho
+    return -d[0], du, dnu
 
 
 def rhs_streams(state: StreamState, grid: Grid):
@@ -269,15 +305,17 @@ def check_wave_breaking(state: StreamState, grid: Grid):
 # ---------------------------------------------------------------------------
 
 
+def _energy(state: FieldState, mu1, mu2, E, grid: Grid) -> float:
+    dens = state.rho * state.u ** 2 + state.rho ** 3 * (mu2 - mu1 ** 2) + E ** 2
+    return 0.5 * grid.integral(dens)
+
+
 def hamiltonian(state: FieldState, closure: ClosureFamily, grid: Grid) -> float:
     """H = (1/2) integral [rho u^2 + rho^3 (mu_2 - mu_1^2) + E^2] dx."""
     tab = _ClosureTables.of(closure)
     nuv = list(state.nu)
-    mu1 = tab.mu1(nuv)
-    mu2 = tab.mu2(nuv)
-    E = poisson_solve(state.rho, state.n0, grid)
-    dens = state.rho * state.u ** 2 + state.rho ** 3 * (mu2 - mu1 ** 2) + E ** 2
-    return 0.5 * grid.integral(dens)
+    return _energy(state, tab.mu1(nuv), tab.mu2(nuv),
+                   poisson_solve(state.rho, state.n0, grid), grid)
 
 
 def diagnostics(state: FieldState, closure: ClosureFamily, grid: Grid) -> DiagnosticRecord:
@@ -288,7 +326,7 @@ def diagnostics(state: FieldState, closure: ClosureFamily, grid: Grid) -> Diagno
     psi = state.u - state.rho * mu1
     return DiagnosticRecord(
         t=state.t,
-        H=hamiltonian(state, closure, grid),
+        H=_energy(state, mu1, tab.mu2(nuv), E, grid),
         C_mass=grid.integral(state.rho),
         C_psi=grid.integral(psi),
         C_nu=tuple(grid.integral(state.rho * state.nu[k]) for k in range(tab.nv)),
@@ -377,32 +415,32 @@ def _split_unpack(rho, psi, mtil, tab: _ClosureTables, n0, t) -> FieldState:
     return FieldState(rho, u, nu, n0, t)
 
 
-def _split_derivs(rho, psi, mtil, tab: _ClosureTables, n0, grid: Grid):
-    """Functional derivatives of H in the flat variables.
+def _split_derivs(rho, psi, mtil, tab: _ClosureTables, n0, grid: Grid,
+                  micro: bool = False) -> np.ndarray:
+    """Functional derivatives of H in the flat variables: the rows
+    (dH/dpsi, dH/drho) that drive the macro flow, or with `micro` the
+    rows dH/dmtil = Tinv dH/dm that drive the micro flows.
 
       dH/dpsi = rho u
-      dH/dm_k = rho u dmu1/dnu_k + (rho^2/2)(dmu2/dnu_k - 2 mu1 dmu1/dnu_k)
       dH/drho|psi,m = u^2/2 - rho u mu1 + (rho^2/2)(gamma_2 + mu_1^2) + phi
+      dH/dm_k = rho u dmu1/dnu_k + (rho^2/2)(dmu2/dnu_k - 2 mu1 dmu1/dnu_k)
     """
-    nv = tab.nv
-    m = tab.Tinv.T @ mtil if nv else mtil
+    m = tab.Tinv.T @ mtil if tab.nv else mtil
     nu = m / rho
     nuv = list(nu)
     mu1 = tab.mu1(nuv)
     u = psi + rho * mu1
+    if micro:
+        dH_m = []
+        for k in range(tab.nv):
+            dmu1 = tab.dmu1[k](nuv)
+            dH_m.append(rho * u * dmu1
+                        + 0.5 * rho ** 2 * (tab.dmu2[k](nuv) - 2.0 * mu1 * dmu1))
+        return tab.Tinv @ np.array(dH_m)
     phi = electric_potential(rho, n0, grid)
-    dH_psi = rho * u
     dH_rho = (0.5 * u ** 2 - rho * u * mu1
               + 0.5 * rho ** 2 * (tab.gamma2(nuv) + mu1 ** 2) + phi)
-    if nv:
-        dH_m = np.array([rho * u * tab.dmu1[k](nuv)
-                         + 0.5 * rho ** 2 * (tab.dmu2[k](nuv)
-                                             - 2.0 * mu1 * tab.dmu1[k](nuv))
-                         for k in range(nv)])
-        dH_mtil = tab.Tinv @ dH_m
-    else:
-        dH_mtil = mtil
-    return dH_rho, dH_psi, dH_mtil
+    return np.array([rho * u, dH_rho])
 
 
 def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
@@ -425,7 +463,7 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
         def rhs(y):
             mt = mtil.copy()
             mt[a] = y[0]
-            _, _, dH_mtil = _split_derivs(rho, psi, mt, tab, state.n0, grid)
+            dH_mtil = _split_derivs(rho, psi, mt, tab, state.n0, grid, micro=True)
             return [-tab.D[a] * grid.deriv(dH_mtil[a])]
 
         mtil[a] = _rk4([mtil[a]], rhs, h)[0]
@@ -434,9 +472,7 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
         nonlocal rho, psi
 
         def rhs(y):
-            dH_rho, dH_psi, _ = _split_derivs(y[0], y[1], mtil, tab,
-                                              state.n0, grid)
-            return [-grid.deriv(dH_psi), -grid.deriv(dH_rho)]
+            return -grid.deriv(_split_derivs(y[0], y[1], mtil, tab, state.n0, grid))
 
         rho, psi = _rk4([rho, psi], rhs, h)
 

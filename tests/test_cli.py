@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,3 +163,21 @@ def test_branch_flag(capsys):
                  "--branch", "minus"]) == 0
     with pytest.raises(SystemExit):
         main(["verify", "--family", "burby", "--branch", "sideways"])
+
+
+def test_verify_json_into_closed_pipe_exits_quietly():
+    # the read end is closed before the child starts, so its first write
+    # fails with EPIPE, as with `hydroclosures verify ... --json | head`
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hydroclosures.cli", "verify", "--family",
+             "burby", "--levels", "1..2", "--json"],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert proc.stderr == b""  # no BrokenPipeError traceback

@@ -1,5 +1,7 @@
 """Exact polynomial and rational-function arithmetic."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -289,3 +291,23 @@ def test_term_order_is_double_loop_order():
         assert list((a * a).terms) == reference_product_order(a, a)
         expected = list(a.terms) + [e for e in b.terms if e not in a.terms]
         assert list((a + b).terms) == [e for e in expected if (a + b).terms.get(e)]
+
+
+@pytest.mark.parametrize("roundtrip", [
+    copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_copy_and_pickle_round_trip(roundtrip):
+    x, y = poly_vars(2)
+    p = Fraction(3, 4) * x ** 2 * y - 5 * y + Fraction(1, 6)
+    q = x * y + 2
+    for obj in (p, MultiPoly.zero(2), RatFunc(p, q), RatFunc(p)):
+        back = roundtrip(obj)
+        assert type(back) is type(obj)
+        assert back == obj
+        if isinstance(obj, MultiPoly):  # RatFunc has no canonical form to hash
+            assert hash(back) == hash(obj)
+    back = roundtrip(p)
+    assert back.to_text() == p.to_text()
+    assert back * q == p * q  # the rebuilt object computes like the original
+    with pytest.raises(AttributeError):
+        back.nvars = 3

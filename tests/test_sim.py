@@ -1,6 +1,8 @@
 """Fluid solver, kinetic oracle, and conservation behavior."""
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from hydroclosures.closures import (BurbyClosure, ColdClosure,
                                     MultiDeltaClosure, multidelta_normal_map)
 from hydroclosures.moments import p_from_mu
 from hydroclosures.sim import (FieldState, Grid, SimulationError,
+                               _ClosureTables,
                                WaveBreakError, cfl_dt, check_wave_breaking,
                                diagnostics, hamiltonian, poisson_solve,
                                rhs_fluid, run_fluid, single_mode_state, step,
@@ -216,3 +219,31 @@ def test_hamiltonian_decomposition():
     kinetic = 0.5 * grid.integral(state.rho * state.u ** 2)
     assert abs(rec.H - kinetic - rec.field_energy) < 1e-14
     assert abs(hamiltonian(state, c, grid) - rec.H) < 1e-15
+
+
+def test_closure_tables_do_not_pin_the_closure():
+    grid = Grid(L=TWO_PI, nx=32)
+    c = BurbyClosure(2)
+    state = single_mode_state(grid, c, eps=1e-3, nu_base=[0.1, 0.4])
+    rhs_fluid(state, c, grid)
+    assert c in _ClosureTables._cache
+    before = len(_ClosureTables._cache)
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None
+    assert len(_ClosureTables._cache) == before - 1
+
+
+def test_grid_operators_built_once_and_read_only():
+    grid = Grid(L=TWO_PI, nx=32)
+    assert grid.k is grid.k and grid.ik is grid.ik and grid.k2 is grid.k2
+    assert grid.cut == 10
+    assert np.array_equal(grid.k2, grid.k[1:] ** 2)
+    with pytest.raises(ValueError):
+        grid.k[0] = 1.0
+    f = np.array([np.sin(2.0 * grid.x), np.cos(3.0 * grid.x)])
+    for g in (grid, Grid(L=TWO_PI, nx=32, method="fd2")):
+        d = g.deriv(f)  # rows are differentiated independently
+        assert np.array_equal(d[0], g.deriv(f[0]))
+        assert np.array_equal(d[1], g.deriv(f[1]))
