@@ -17,7 +17,7 @@ from .closures import (BurbyClosure, ClosureFamily, ColdClosure,
                        multidelta_normal_map, newton_invert, quadratic_mu1,
                        waterbag_gamma_rule, waterbag_inverse_map,
                        waterbag_metric, waterbag_mu, waterbag_normal_map,
-                       waterbag_psi, waterbag_s)
+                       waterbag_s)
 from .moments import (CenteredMoments, DensityError, alpha_beta_in_mu,
                       gamma_n, mu_from_p, p_from_mu, p_from_s, s_from_mu,
                       s_from_p)
@@ -40,7 +40,7 @@ __all__ = [
     "BurbyClosure", "FourFieldClosure", "GenericClosure", "ColdClosure",
     "multidelta_mu", "multidelta_normal_map", "multidelta_inverse_map",
     "waterbag_mu", "waterbag_s", "waterbag_metric", "waterbag_normal_map",
-    "waterbag_inverse_map", "waterbag_psi", "waterbag_gamma_rule",
+    "waterbag_inverse_map", "waterbag_gamma_rule",
     "burby_mu", "burby_mu_closed", "burby_invert", "quadratic_mu1",
     "generate_closure_from_mu2", "newton_invert", "equation_of_state",
     "fourfield_family",

@@ -19,9 +19,7 @@ import numpy as np
 from . import bracket, sim
 from .closures import (BurbyClosure, ClosureFamily, ColdClosure,
                        FourFieldClosure, GenericClosure, Metric,
-                       MultiDeltaClosure, WaterbagClosure, burby_invert,
-                       burby_mu, burby_mu_closed, equation_of_state,
-                       waterbag_s)
+                       MultiDeltaClosure, WaterbagClosure, equation_of_state)
 from .moments import alpha_beta_in_mu
 from .poly import MultiPoly
 
@@ -72,36 +70,45 @@ def _parse_fraction(s) -> Fraction:
     return Fraction(str(s))
 
 
+# the keys each family takes; the CLI drops the flags a family does not take
+_FAMILY_KEYS = {"cold": (), "multidelta": ("M",), "waterbag": ("heights",),
+                "burby": ("level", "branch"), "fourfield": ("kappa",),
+                "generic": ("mu2", "metric")}
+
+
 def closure_from_spec(spec: dict) -> ClosureFamily:
-    """Build a closure family from a config dict {'family': ..., params}."""
+    """Build a closure family from a config dict {'family': ..., params}.
+
+    Defaults: M = 2, level = 2 on branch 'plus', kappa = 0; waterbag needs
+    'heights' and generic needs 'mu2'. Unknown keys raise ValueError.
+    """
     spec = dict(spec)
     family = spec.pop("family", None)
+    if not isinstance(family, str) or family not in _FAMILY_KEYS:
+        raise ValueError(f"unknown closure family {family!r}")
+    _reject_unknown(spec, _FAMILY_KEYS[family], "closure")
     if family == "cold":
-        _reject_unknown(spec, (), "closure")
         return ColdClosure()
     if family == "multidelta":
-        _reject_unknown(spec, ("M",), "closure")
-        return MultiDeltaClosure(int(spec["M"]))
-    if family == "waterbag":
-        _reject_unknown(spec, ("heights",), "closure")
-        return WaterbagClosure([_parse_fraction(h) for h in spec["heights"]])
+        return MultiDeltaClosure(int(spec.get("M", 2)))
     if family == "burby":
-        _reject_unknown(spec, ("level", "branch"), "closure")
-        return BurbyClosure(int(spec["level"]), branch=spec.get("branch", "plus"))
+        return BurbyClosure(int(spec.get("level", 2)), branch=spec.get("branch", "plus"))
     if family == "fourfield":
-        _reject_unknown(spec, ("kappa",), "closure")
-        return FourFieldClosure(_parse_fraction(spec["kappa"]))
-    if family == "generic":
-        _reject_unknown(spec, ("mu2", "metric"), "closure")
-        mu2 = MultiPoly.parse(spec["mu2"])
-        metric = _metric_from_spec(spec.get("metric"), mu2.nvars)
-        if metric.dim < mu2.nvars:
-            raise ValueError("metric smaller than the variable count of mu2")
-        if metric.dim > mu2.nvars:
-            mu2 = MultiPoly.parse(spec["mu2"],
-                                  varnames=[f"nu{i + 1}" for i in range(metric.dim)])
-        return GenericClosure(mu2, metric)
-    raise ValueError(f"unknown closure family {family!r}")
+        return FourFieldClosure(_parse_fraction(spec.get("kappa", 0)))
+    if family == "waterbag":
+        if "heights" not in spec:
+            raise ValueError("waterbag closure needs 'heights'")
+        return WaterbagClosure([_parse_fraction(h) for h in spec["heights"]])
+    if "mu2" not in spec:
+        raise ValueError("generic closure needs 'mu2'")
+    mu2 = MultiPoly.parse(spec["mu2"])
+    metric = _metric_from_spec(spec.get("metric"), mu2.nvars)
+    if metric.dim < mu2.nvars:
+        raise ValueError("metric smaller than the variable count of mu2")
+    if metric.dim > mu2.nvars:
+        mu2 = MultiPoly.parse(spec["mu2"],
+                              varnames=[f"nu{i + 1}" for i in range(metric.dim)])
+    return GenericClosure(mu2, metric)
 
 
 def _metric_from_spec(text, nvars: int) -> Metric:
@@ -124,26 +131,16 @@ def _reject_unknown(d: dict, allowed, where: str):
         raise ValueError(f"unknown {where} keys: {sorted(extra)}")
 
 
-def _closure_from_args(args) -> ClosureFamily:
-    spec = {"family": args.family}
-    if args.family == "multidelta":
-        spec["M"] = args.M if args.M else (args.level or 2)
-    elif args.family == "waterbag":
-        if not args.heights:
-            raise ValueError("waterbag needs --heights")
-        spec["heights"] = args.heights.split(",")
-    elif args.family == "burby":
-        spec["level"] = args.level or 2
-        spec["branch"] = args.branch
-    elif args.family == "fourfield":
-        spec["kappa"] = args.kappa if args.kappa is not None else "0"
-    elif args.family == "generic":
-        if not args.mu2:
-            raise ValueError("generic needs --mu2")
-        spec["mu2"] = args.mu2
-        if args.metric:
-            spec["metric"] = args.metric
-    return closure_from_spec(spec)
+def _spec_from_args(args) -> dict:
+    """The closure spec of the family flags; --level doubles as the stream
+    count of multidelta, and flags the family does not take are ignored."""
+    flags = {"M": args.M if args.M is not None else args.level,
+             "level": args.level, "branch": args.branch, "kappa": args.kappa,
+             "heights": args.heights.split(",") if args.heights else None,
+             "mu2": args.mu2, "metric": args.metric}
+    return {"family": args.family,
+            **{k: flags[k] for k in _FAMILY_KEYS[args.family]
+               if flags[k] not in (None, "")}}
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +150,7 @@ def _closure_from_args(args) -> ClosureFamily:
 
 def _verify_one(closure: ClosureFamily, rep: Report):
     name = closure.name
-    size = closure.nu_count
-    if isinstance(closure, GenericClosure):
-        size = closure.nu_count + 2  # generated closures need off-column cells
-    fl = bracket.check_flatness(closure, size=size)
+    fl = bracket.check_flatness(closure, size=closure.flatness_size)
     detail = "; ".join(f"{c.name}: {c.residual}" for c in fl.failures()[:3])
     rep.add(f"{name}: flatness identities", fl.ok, detail)
     if closure.nu_count:
@@ -168,35 +162,8 @@ def _verify_one(closure: ClosureFamily, rep: Report):
             rep.add(f"{name}: metric nondegenerate (signature {sig})", True)
         except ValueError as e:
             rep.add(f"{name}: metric nondegenerate", False, str(e))
-    if isinstance(closure, WaterbagClosure):
-        L = closure.Lambda
-        ok = all(closure.gamma(n) ==
-                 MultiPoly.const(closure.nu_count, L ** n) - n * L * closure.mu(n - 1)
-                 for n in range(1, 2 * closure.N - 2))
-        rep.add(f"{name}: gamma_n = Lambda^n - n Lambda mu_(n-1)", ok)
-        ok = True
-        for n in range(2, 2 * closure.N - 2):
-            want = Fraction(1 + (-1) ** n,
-                            (n + 1) * 2 ** (n + 1) * closure.heights[-1] ** n)
-            ok = ok and waterbag_s(closure.heights, n).constant_term() == want
-        rep.add(f"{name}: S_n constant terms", ok)
-    if isinstance(closure, BurbyClosure):
-        m = closure.m
-        ok = all(burby_mu(m, n) == burby_mu_closed(m, n) for n in range(1, m + 1))
-        rep.add(f"{name}: recursion equals closed form", ok)
-        nu = [Fraction(k + 1, 2) * (-1) ** k for k in range(m)]
-        if closure.branch == "minus":
-            nu[-1] = -abs(nu[-1])
-        else:
-            nu[-1] = abs(nu[-1])
-        mus = [closure.mu(n).eval(nu) for n in range(1, m + 1)]
-        back = closure.invert([float(v) for v in mus])
-        err = max(abs(b - float(v)) / max(abs(float(v)), 1e-30)
-                  for b, v in zip(back, nu))
-        rep.add(f"{name}: inversion round trip", err < 1e-12, f"rel err {err:.2e}")
-    if closure.nu_count and not isinstance(closure, (WaterbagClosure, GenericClosure)):
-        ok = all(closure.gamma(n).is_zero for n in range(1, 5))
-        rep.add(f"{name}: homogeneous (gamma_n = 0)", ok)
+    for check, ok, detail in closure.identities():
+        rep.add(f"{name}: {check}", ok, detail)
 
 
 def cmd_verify(args) -> int:
@@ -205,9 +172,10 @@ def cmd_verify(args) -> int:
         if args.family == "burby" and args.levels:
             lo, hi = (int(v) for v in args.levels.split(".."))
             for m in range(lo, hi + 1):
-                _verify_one(BurbyClosure(m, branch=args.branch), rep)
+                _verify_one(closure_from_spec(
+                    {"family": "burby", "level": m, "branch": args.branch}), rep)
         else:
-            _verify_one(_closure_from_args(args), rep)
+            _verify_one(closure_from_spec(_spec_from_args(args)), rep)
     except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -221,7 +189,7 @@ def cmd_verify(args) -> int:
 
 def cmd_closure(args) -> int:
     try:
-        closure = _closure_from_args(args)
+        closure = closure_from_spec(_spec_from_args(args))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -245,11 +213,17 @@ def cmd_closure(args) -> int:
             print(f"recovered nu = {[round(v, 12) for v in back]}")
         return 0
     if args.action == "eos":
-        mu_obs = [float(v) for v in args.mu.split(",")]
-        closed = equation_of_state(closure, mu_obs)
-        if isinstance(closure, BurbyClosure):
+        try:
+            if not args.mu:
+                raise ValueError("eos needs --mu")
+            mu_obs = [float(v) for v in args.mu.split(",")]
             nu = closure.invert(mu_obs)
-            print(f"nu = {[round(float(v), 12) for v in nu]}")
+            # a Newton family starts at the solution it just found
+            closed = equation_of_state(closure, mu_obs, guess=nu)
+        except (ValueError, RuntimeError) as e:  # RuntimeError: Newton failed
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        print(f"nu = {[round(float(v), 12) for v in nu]}")
         print("closed moments:",
               [round(float(v), 12) for v in closed])
         return 0

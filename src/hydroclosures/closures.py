@@ -1,18 +1,18 @@
 """Closure families: explicit polynomial moment functions mu_n(nu).
 
-Each family packages
-  * the normal variables nu (with family-specific aliases),
-  * a constant symmetric metric g,
-  * the moment polynomials mu_n as exact MultiPoly objects (mu_0 = 1),
-  * the inhomogeneity measure gamma_n,
-and, where meaningful, the maps between physical variables (stream
-densities/velocities, contour velocities) and the normal variables.
+One engine, `ClosureFamily`, generates every family's moments mu_n
+(mu_0 = 1) and inhomogeneity measures gamma_n by one recurrence from the
+family's data: its normal variables nu, a constant symmetric metric g and
+a single cubic mu_2. A family adds only its parameters, the identities
+its verify suite checks and, where one exists, an explicit inversion.
 
 Families: multi-delta (M cold streams), waterbag (piecewise-constant
 distribution with fixed bag heights), the delta-derivative closure with
 its anti-triangular moment system and explicit inversion, the four-field
-closure with free parameter kappa, and a generic family generated from a
-single cubic mu_2 by recurrence.
+closure with free parameter kappa, the cold fluid, and a generic family
+given directly by mu_2 and g. The direct formulas for mu_n supply each
+family's mu_2 and serve as reference oracles; the maps between physical
+and normal variables are plain functions.
 """
 
 from __future__ import annotations
@@ -76,20 +76,31 @@ def quadratic_mu1(metric: Metric) -> MultiPoly:
 
 
 class ClosureFamily:
-    """Base class: caches mu_n / gamma_n and their compiled evaluators.
+    """One closure: normal variables, metric g and cubic mu_2, from which
 
-    Subclasses implement _mu(n) for n >= 1 and set name, nu_count,
-    nu_names and metric in __init__. Instances are immutable by
+      mu_1 = (1/2) nu . g^-1 nu,
+      mu_{n+1} = (1/(n+2)) [ grad mu_n . g . grad mu_2
+                             + 2 mu_1 gamma_n + n mu_{n-1} gamma_2 ]
+
+    generates every mu_n. gamma_rule, if given, is a callable
+    (n, mu) -> MultiPoly (mu being the moment accessor); by default
+    gamma_n is computed from the generated mu_n. mu_n, gamma_n and the
+    compiled evaluators are cached; instances are immutable by
     convention and safe to share.
     """
 
-    def __init__(self, name: str, nu_names: Sequence[str], metric: Metric):
+    def __init__(self, name: str, nu_names: Sequence[str], metric: Metric,
+                 mu2: MultiPoly, gamma_rule: Callable | None = None):
         self.name = name
         self.nu_names = tuple(nu_names)
         self.nu_count = len(self.nu_names)
         if metric.dim != self.nu_count:
             raise ValueError("metric dimension does not match variable count")
+        if mu2.nvars != self.nu_count:
+            raise ValueError("mu_2 variable count does not match the metric")
         self.metric = metric
+        self._mu2 = mu2
+        self._gamma_rule = gamma_rule
         self._mu_cache: dict[int, MultiPoly] = {}
         self._gamma_cache: dict[int, MultiPoly] = {}
         self._compiled: dict[int, Callable] = {}
@@ -98,6 +109,11 @@ class ClosureFamily:
     def N(self) -> int:
         """Total fluid-variable count (rho, u, nu_1..nu_{N-2})."""
         return self.nu_count + 2
+
+    @property
+    def flatness_size(self) -> int:
+        """Moment indices the verify suite checks flatness over."""
+        return self.nu_count
 
     def mu(self, n: int) -> MultiPoly:
         if n < 0:
@@ -109,12 +125,29 @@ class ClosureFamily:
         return self._mu_cache[n]
 
     def _mu(self, n: int) -> MultiPoly:
-        raise NotImplementedError
+        if n == 1:
+            return quadratic_mu1(self.metric)
+        if n == 2:
+            return self._mu2
+        g = self.metric.g
+        nv = self.nu_count
+        prev = self.mu(n - 1)
+        m2 = self.mu(2)
+        acc = MultiPoly.zero(nv)
+        for i in range(nv):
+            for j in range(nv):
+                if g[i][j]:
+                    acc = acc + g[i][j] * prev.diff(i) * m2.diff(j)
+        acc = acc + 2 * self.mu(1) * self.gamma(n - 1)
+        acc = acc + (n - 1) * self.mu(n - 2) * self.gamma(2)
+        return acc / (n + 1)
 
     def gamma(self, n: int) -> MultiPoly:
-        """(n+1) mu_n - nu . grad mu_n; zero for homogeneous families."""
+        """(n+1) mu_n - nu . grad mu_n (or the gamma rule); zero for
+        homogeneous families."""
         if n not in self._gamma_cache:
-            self._gamma_cache[n] = gamma_n(self.mu(n), n)
+            self._gamma_cache[n] = (gamma_n(self.mu(n), n) if self._gamma_rule is None
+                                    else self._gamma_rule(n, self.mu))
         return self._gamma_cache[n]
 
     def mu_value(self, n: int, nu_values):
@@ -122,6 +155,19 @@ class ClosureFamily:
         if n not in self._compiled:
             self._compiled[n] = self.mu(n).compile_float()
         return self._compiled[n](nu_values)
+
+    def identities(self) -> list[tuple[str, bool, str]]:
+        """The family's own (name, ok, detail) checks for the verify suite;
+        by default that the family is homogeneous."""
+        if not self.nu_count:
+            return []
+        return [("homogeneous (gamma_n = 0)",
+                 all(self.gamma(n).is_zero for n in range(1, 5)), "")]
+
+    def invert(self, mu_values: Sequence, guess: Sequence | None = None) -> tuple:
+        """Normal variables nu with mu_n(nu) = mu_values[n-1], n = 1..nu_count,
+        by damped Newton iteration from `guess`."""
+        return newton_invert(self, mu_values, guess=guess)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r} N={self.N}>"
@@ -160,10 +206,8 @@ class MultiDeltaClosure(ClosureFamily):
             raise ValueError("need at least one stream")
         self.M = M
         names = [f"xi{k}" for k in range(2, M + 1)] + [f"eta{k}" for k in range(2, M + 1)]
-        super().__init__(f"multidelta(M={M})", names, _offdiag_block_metric(M - 1))
-
-    def _mu(self, n: int) -> MultiPoly:
-        return multidelta_mu(self.M, n)
+        super().__init__(f"multidelta(M={M})", names, _offdiag_block_metric(M - 1),
+                         multidelta_mu(M, 2))
 
 
 def _any_true(x) -> bool:
@@ -307,14 +351,23 @@ class WaterbagClosure(ClosureFamily):
         a = _check_heights(heights)
         self.heights = a
         names = [f"nu{k}" for k in range(1, len(a) - 1)]
-        super().__init__(f"waterbag(N={len(a)})", names, waterbag_metric(a))
+        super().__init__(f"waterbag(N={len(a)})", names, waterbag_metric(a),
+                         waterbag_mu(a, 2))
 
     @property
     def Lambda(self) -> Fraction:
         return Fraction(-1, 2 * self.heights[-1])
 
-    def _mu(self, n: int) -> MultiPoly:
-        return waterbag_mu(self.heights, n)
+    def identities(self) -> list[tuple[str, bool, str]]:
+        L, a = self.Lambda, self.heights
+        span = range(1, 2 * self.N - 2)
+        gamma_ok = all(self.gamma(n) == MultiPoly.const(self.nu_count, L ** n)
+                       - n * L * self.mu(n - 1) for n in span)
+        s_ok = all(waterbag_s(a, n).constant_term()
+                   == Fraction(1 + (-1) ** n, (n + 1) * 2 ** (n + 1) * a[-1] ** n)
+                   for n in span[1:])
+        return [("gamma_n = Lambda^n - n Lambda mu_(n-1)", gamma_ok, ""),
+                ("S_n constant terms", s_ok, "")]
 
 
 def waterbag_normal_map(a: Sequence, v: Sequence):
@@ -355,12 +408,6 @@ def waterbag_inverse_map(a: Sequence, rho, u, nu: Sequence):
         heads.append(heads[-1] + (nu_full[l + 1] - nu_full[l]) / sigma[l])
     v1 = u + (rho / 2) * sum(a[k] * heads[k] ** 2 for k in range(1, N))
     return tuple(v1 + rho * heads[k] for k in range(N))
-
-
-def waterbag_psi(a: Sequence, v: Sequence):
-    """psi = v_N/2 + rho/(2 a_N) = -(1/(2a_N)) sum_{n<N} a_n v_n."""
-    a = _check_heights(a)
-    return -sum(ak * vk for ak, vk in zip(a[:-1], v[:-1])) / (2 * a[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +500,15 @@ def _nth_root_fraction(x: Fraction, k: int) -> Fraction:
     return Fraction(iroot(x.numerator), iroot(x.denominator))
 
 
+def _branch_sign(m: int, branch: str) -> int:
+    """+1 on the 'plus' branch, -1 on the 'minus' one (odd levels only)."""
+    if branch not in ("plus", "minus"):
+        raise ValueError("branch must be 'plus' or 'minus'")
+    if branch == "minus" and m % 2 == 0:
+        raise ValueError("the minus branch only applies to odd levels")
+    return -1 if branch == "minus" else 1
+
+
 def burby_invert(mu_values: Sequence, m: int, branch: str = "plus",
                  exact: bool = False) -> tuple:
     """Invert the anti-triangular system: values (mu_1..mu_m) -> (nu_1..nu_m).
@@ -465,14 +521,11 @@ def burby_invert(mu_values: Sequence, m: int, branch: str = "plus",
     With exact=True all inputs must be Fractions and (m+1)|mu_m| a perfect
     (m+1)-th power; the round trip is then exact.
     """
-    if branch not in ("plus", "minus"):
-        raise ValueError("branch must be 'plus' or 'minus'")
+    sign = _branch_sign(m, branch)
     mu_values = list(mu_values)
     if len(mu_values) != m:
         raise ValueError(f"expected {m} moment values")
-    if branch == "minus":
-        if m % 2 == 0:
-            raise ValueError("the minus branch only applies to odd levels")
+    if sign < 0:
         mu_values = [(-1) ** n * v for n, v in enumerate(mu_values, start=1)]
     mu_m = mu_values[-1]
     if mu_m == 0:
@@ -489,11 +542,14 @@ def burby_invert(mu_values: Sequence, m: int, branch: str = "plus",
         if mu_values[-1] < 0:
             nu_m = -nu_m
     else:
-        s = 1 if mu_m > 0 else -1
-        nu_m = s * (float((m + 1) * abs(mu_m))) ** (1.0 / (m + 1))
-    if branch == "minus":
-        # flipped system solved on the other sheet: take the negative root
-        nu_m = -nu_m
+        radic = float((m + 1) * abs(mu_m))
+        r = radic ** (1.0 / (m + 1))
+        # one Newton step: the float power can be an ulp off, and the
+        # back-substitution below amplifies that error
+        r -= (r ** (m + 1) - radic) / ((m + 1) * r ** m)
+        nu_m = r if mu_m > 0 else -r
+    # a flipped system is solved on the other sheet: take the negative root
+    nu_m *= sign
     nu = [None] * m
     nu[m - 1] = nu_m
     for n in range(m - 1, 0, -1):
@@ -513,33 +569,39 @@ def _antidiag_metric(m: int, sign: int = 1) -> Metric:
 class BurbyClosure(ClosureFamily):
     """Level-m anti-triangular closure; mu_n = 0 for n >= m+1.
 
-    branch='minus' (odd m only) is the sign-flipped copy with metric -g
-    and mu_n -> (-1)^n mu_n, covering negative leading moments.
+    branch='minus' (odd m only) is the sign-flipped copy with metric -g,
+    which turns the generated mu_n into (-1)^n mu_n and covers negative
+    leading moments.
     """
 
     def __init__(self, m: int, branch: str = "plus"):
         if m < 1:
             raise ValueError("level must be >= 1")
-        if branch not in ("plus", "minus"):
-            raise ValueError("branch must be 'plus' or 'minus'")
-        if branch == "minus" and m % 2 == 0:
-            raise ValueError("the minus branch only applies to odd levels")
         self.m = m
         self.branch = branch
+        self._sign = sign = _branch_sign(m, branch)
         names = [f"nu{k}" for k in range(1, m + 1)]
-        sign = -1 if branch == "minus" else 1
         super().__init__(f"burby(m={m})" + ("-" if sign < 0 else ""),
-                         names, _antidiag_metric(m, sign))
+                         names, _antidiag_metric(m, sign),
+                         burby_mu(m, 2) if m >= 2 else MultiPoly.zero(m))
 
-    def _mu(self, n: int) -> MultiPoly:
-        if n > self.m:
-            return MultiPoly.zero(self.m)
-        p = burby_mu(self.m, n)
-        if self.branch == "minus" and n % 2 == 1:
-            p = -p
-        return p
+    def identities(self) -> list[tuple[str, bool, str]]:
+        m, sign = self.m, self._sign
+        ok = all(burby_mu(m, n) == burby_mu_closed(m, n) == sign ** n * self.mu(n)
+                 for n in range(1, m + 1))
+        nu = [Fraction(k + 1, 2) * (-1) ** k for k in range(m)]
+        nu[-1] = sign * abs(nu[-1])
+        mus = [self.mu(n).eval(nu) for n in range(1, m + 1)]
+        back = self.invert([float(v) for v in mus])
+        err = max(abs(b - float(v)) / max(abs(float(v)), 1e-30)
+                  for b, v in zip(back, nu))
+        return [("recursion equals closed form", ok, ""),
+                ("inversion round trip", err < 1e-12, f"rel err {err:.2e}"),
+                *super().identities()]
 
-    def invert(self, mu_values: Sequence, exact: bool = False) -> tuple:
+    def invert(self, mu_values: Sequence, guess: Sequence | None = None,
+               exact: bool = False) -> tuple:
+        """Explicit inversion by `burby_invert`; `guess` is not needed."""
         return burby_invert(mu_values, self.m, branch=self.branch, exact=exact)
 
 
@@ -577,24 +639,15 @@ def fourfield_family(kappa) -> dict:
 
 
 class FourFieldClosure(ClosureFamily):
-    """N = 4 closure with free parameter kappa; mu_n for n >= 3 generated by
-    mu_{n+1} = (1/(n+2)) (dmu_n/dG2 dmu_2/dG3 + dmu_n/dG3 dmu_2/dG2)."""
+    """N = 4 closure with free parameter kappa, generated from
+    mu_2 = Gamma2^3 + kappa Gamma2 Gamma3^2 and the metric [[0, 1], [1, 0]]."""
 
     def __init__(self, kappa):
         self.kappa = Fraction(kappa)
-        super().__init__(f"fourfield(kappa={self.kappa})",
-                         ("Gamma2", "Gamma3"), _offdiag_block_metric(1))
-
-    def _mu(self, n: int) -> MultiPoly:
         g2 = MultiPoly.variable(2, 0)
         g3 = MultiPoly.variable(2, 1)
-        if n == 1:
-            return g2 * g3
-        if n == 2:
-            return g2 ** 3 + self.kappa * g2 * g3 ** 2
-        prev = self.mu(n - 1)
-        m2 = self.mu(2)
-        return (prev.diff(0) * m2.diff(1) + prev.diff(1) * m2.diff(0)) / (n + 1)
+        super().__init__(f"fourfield(kappa={self.kappa})", ("Gamma2", "Gamma3"),
+                         _offdiag_block_metric(1), g2 ** 3 + self.kappa * g2 * g3 ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -603,49 +656,25 @@ class FourFieldClosure(ClosureFamily):
 
 
 class GenericClosure(ClosureFamily):
-    """Closure generated from mu_2 by the recurrence
+    """A closure given directly by its cubic mu_2 and metric, in the
+    variables nu1..nu_k.
 
-      mu_{n+1} = (1/(n+2)) [ grad mu_n . g . grad mu_2
-                             + 2 mu_1 gamma_n + n mu_{n-1} gamma_2 ],
-
-    with mu_1 = (1/2) nu . g^-1 nu fixed by the metric.  gamma_rule, if
-    given, is a callable (n, mu) -> MultiPoly (mu being the moment
-    accessor); by default gamma_n is computed from the generated mu_n.
+    An arbitrary mu_2 is not known to be flat, so its verify suite checks
+    flatness over two indices beyond nu_count (the off-column cells) and
+    claims no family identities.
     """
 
     def __init__(self, mu2: MultiPoly, metric: Metric,
                  gamma_rule: Callable | None = None, name: str = "generic"):
         names = [f"nu{k}" for k in range(1, metric.dim + 1)]
-        super().__init__(name, names, metric)
-        if mu2.nvars != metric.dim:
-            raise ValueError("mu_2 variable count does not match the metric")
-        self._mu2 = mu2
-        self._gamma_rule = gamma_rule
+        super().__init__(name, names, metric, mu2, gamma_rule)
 
-    def gamma(self, n: int) -> MultiPoly:
-        if self._gamma_rule is not None:
-            if n not in self._gamma_cache:
-                self._gamma_cache[n] = self._gamma_rule(n, self.mu)
-            return self._gamma_cache[n]
-        return super().gamma(n)
+    @property
+    def flatness_size(self) -> int:
+        return self.nu_count + 2
 
-    def _mu(self, n: int) -> MultiPoly:
-        if n == 1:
-            return quadratic_mu1(self.metric)
-        if n == 2:
-            return self._mu2
-        g = self.metric.g
-        nv = self.nu_count
-        prev = self.mu(n - 1)
-        m2 = self.mu(2)
-        acc = MultiPoly.zero(nv)
-        for i in range(nv):
-            for j in range(nv):
-                if g[i][j]:
-                    acc = acc + g[i][j] * prev.diff(i) * m2.diff(j)
-        acc = acc + 2 * self.mu(1) * self.gamma(n - 1)
-        acc = acc + (n - 1) * self.mu(n - 2) * self.gamma(2)
-        return acc / (n + 1)
+    def identities(self) -> list[tuple[str, bool, str]]:
+        return []
 
 
 def waterbag_gamma_rule(Lambda) -> Callable:
@@ -676,10 +705,7 @@ class ColdClosure(ClosureFamily):
     """N = 2 cold fluid: no microscopic variables, all mu_n = 0 for n >= 1."""
 
     def __init__(self):
-        super().__init__("cold", (), Metric(()))
-
-    def _mu(self, n: int) -> MultiPoly:
-        return MultiPoly.zero(0)
+        super().__init__("cold", (), Metric(()), MultiPoly.zero(0))
 
 
 # ---------------------------------------------------------------------------
@@ -763,13 +789,10 @@ def equation_of_state(closure: ClosureFamily, mu_observed: Sequence,
     """Closure relation: from observed (mu_1..mu_{N-2}) to the closed
     moments (mu_{N-1}..mu_{2N-3}).
 
-    Inverts the normal-variable map (explicitly for the anti-triangular
-    family, by Newton elsewhere), then evaluates the higher polynomials.
+    Inverts the normal-variable map with the family's `invert` (explicit
+    for the anti-triangular family, Newton from `guess` elsewhere), then
+    evaluates the higher polynomials.
     """
     nv = closure.nu_count
-    if isinstance(closure, BurbyClosure):
-        nu = closure.invert(mu_observed)
-    else:
-        nu = newton_invert(closure, mu_observed, guess=guess)
-    nu = [float(v) for v in nu]
+    nu = [float(v) for v in closure.invert(mu_observed, guess=guess)]
     return tuple(closure.mu(n).eval(nu) for n in range(nv + 1, 2 * nv + 2))

@@ -25,16 +25,6 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0))
-                       for j in range(n)) for i in range(n))
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
-
-
 def is_symmetric(a: Matrix) -> bool:
     n = len(a)
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))

@@ -287,9 +287,8 @@ def rhs_streams(state: StreamState, grid: Grid):
     da_k/dt = -d_x(a_k v_k), dv_k/dt = -v_k d_x v_k + E."""
     rho = np.sum(state.a, axis=0)
     E = poisson_solve(rho, state.n0, grid)
-    da = -grid.deriv(state.a * state.v)
-    dv = -state.v * grid.deriv(state.v) + E
-    return da, dv
+    d_av, d_v = grid.deriv(np.stack((state.a * state.v, state.v)))
+    return -d_av, -state.v * d_v + E
 
 
 def check_wave_breaking(state: StreamState, grid: Grid):

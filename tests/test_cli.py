@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from hydroclosures.cli import main
+from hydroclosures.cli import closure_from_spec, main
 
 COLD_CONFIG = {
     "grid": {"L": 6.283185307179586, "nx": 64},
@@ -89,6 +89,51 @@ def test_closure_eos(capsys):
                  "--mu", "0.33,2.6666666666666665"]) == 0
     out = capsys.readouterr().out
     assert "closed moments" in out
+
+
+def test_closure_eos_prints_nu_for_newton_families(capsys):
+    assert main(["closure", "eos", "--family", "multidelta",
+                 "--mu", "0.36,0.324"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("nu = ") and "closed moments" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["burby", "--level", "2"],                    # no --mu
+    ["burby", "--level", "2", "--mu", "1"],       # one value for two variables
+    ["burby", "--level", "2", "--mu", "1,x"],     # not a number
+    ["burby", "--level", "3", "--mu", "1,1,-1"],  # negative leading moment, odd level
+    ["waterbag", "--heights", "1,1,-2", "--mu", "0.3"],  # mu_1 = -nu^2/4 <= 0
+], ids=["missing", "count", "not-a-number", "negative-odd", "no-solution"])
+def test_closure_eos_bad_input_exit_2(capsys, argv):
+    assert main(["closure", "eos", "--family", *argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_burby_level_8_round_trip(capsys):
+    # the float root of the leading moment was an ulp off at m = 8, and the
+    # back-substitution amplified that past the 1e-12 round-trip bound
+    assert main(["verify", "--family", "burby", "--level", "8"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_closure_from_spec_defaults_and_errors():
+    assert closure_from_spec({"family": "multidelta"}).name == "multidelta(M=2)"
+    assert closure_from_spec({"family": "burby"}).name == "burby(m=2)"
+    assert closure_from_spec({"family": "fourfield"}).name == "fourfield(kappa=0)"
+    for spec in ({"family": "waterbag"}, {"family": "generic"},
+                 {"family": "burby", "M": 2}, {"family": "cold", "level": 1},
+                 {"family": "quartic"}, {"family": ["burby"]}, {}):
+        with pytest.raises(ValueError):
+            closure_from_spec(spec)
+
+
+def test_family_flags_alias_and_ignored(capsys):
+    # --level is the stream count of multidelta; flags of other families
+    # are ignored rather than rejected
+    assert main(["closure", "show", "--family", "multidelta", "--level", "3",
+                 "--nmax", "1", "--kappa", "1/2", "--heights", "1,-1"]) == 0
+    assert capsys.readouterr().out == "mu_1 = 1 * xi2*eta2 + 1 * xi3*eta3\n"
 
 
 def test_simulate_artifacts_and_exit_code(tmp_path, capsys):

@@ -11,14 +11,14 @@ from hydroclosures.closures import (BurbyClosure, ColdClosure,
                                     FourFieldClosure, GenericClosure, Metric,
                                     MultiDeltaClosure, WaterbagClosure,
                                     burby_invert, burby_mu, burby_mu_closed,
-                                    equation_of_state,
+                                    equation_of_state, fourfield_family,
                                     generate_closure_from_mu2,
                                     multidelta_inverse_map, multidelta_mu,
                                     multidelta_normal_map, newton_invert,
                                     waterbag_gamma_rule, waterbag_inverse_map,
                                     waterbag_mu, waterbag_normal_map,
                                     waterbag_s)
-from hydroclosures.moments import s_from_mu
+from hydroclosures.moments import gamma_n, s_from_mu
 from hydroclosures.poly import MultiPoly, poly_vars
 
 F = Fraction
@@ -291,6 +291,52 @@ def test_generator_reproduces_families():
         gen = generate_closure_from_mu2(c.mu(2), c.metric)
         for n in range(1, 2 * c.nu_count + 2):
             assert gen[n - 1] == c.mu(n), (c.name, n)
+
+
+def _burby_direct(m, sign=1):
+    def mu(n):
+        if n > m:
+            return MultiPoly.zero(m)
+        assert burby_mu(m, n) == burby_mu_closed(m, n)
+        return sign ** n * burby_mu_closed(m, n)
+    return mu
+
+
+WATERBAG_ORACLE_HEIGHTS = {3: [F(1), F(1), F(-2)],
+                           5: [F(1), F(1), F(1), F(-1), F(-2)],
+                           6: [F(1), F(-3), F(3), F(1), F(-1), F(-1)]}
+
+# (closure, its mu_n by a direct formula independent of the mu_2 recurrence)
+ORACLE_CASES = {
+    "multidelta-M1": (lambda: MultiDeltaClosure(1), lambda n: multidelta_mu(1, n)),
+    "multidelta-M2": (lambda: MultiDeltaClosure(2), lambda n: multidelta_mu(2, n)),
+    "multidelta-M3": (lambda: MultiDeltaClosure(3), lambda n: multidelta_mu(3, n)),
+    "multidelta-M5": (lambda: MultiDeltaClosure(5), lambda n: multidelta_mu(5, n)),
+    "cold": (ColdClosure, lambda n: MultiPoly.zero(0)),
+    "fourfield-1/2": (lambda: FourFieldClosure(F(1, 2)),
+                      lambda n: fourfield_family(F(1, 2))["mu"][n - 1]),
+    "fourfield-0": (lambda: FourFieldClosure(F(0)),
+                    lambda n: fourfield_family(F(0))["mu"][n - 1]),
+    **{f"burby-m{m}": (lambda m=m: BurbyClosure(m), _burby_direct(m))
+       for m in (1, 2, 3, 6, 8)},
+    **{f"burby-m{m}-minus": (lambda m=m: BurbyClosure(m, branch="minus"),
+                             _burby_direct(m, -1))
+       for m in (1, 3, 7)},
+    **{f"waterbag-N{N}": (lambda a=a: WaterbagClosure(a), lambda n, a=a: waterbag_mu(a, n))
+       for N, a in WATERBAG_ORACLE_HEIGHTS.items()},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_generated_mu_and_gamma_equal_direct_formulas(case):
+    make, direct = ORACLE_CASES[case]
+    c = make()
+    # every index the bracket coefficients reference (the published
+    # four-field list stops at mu_5 = mu_{2 nv + 1})
+    for n in range(1, 2 * c.nu_count + 2):
+        want = direct(n)
+        assert c.mu(n) == want, (case, n)
+        assert c.gamma(n) == gamma_n(want, n), (case, n)
 
 
 def test_generator_reproduces_waterbag():
