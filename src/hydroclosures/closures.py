@@ -713,6 +713,20 @@ class ColdClosure(ClosureFamily):
 # ---------------------------------------------------------------------------
 
 
+def _newton_starts(scale: float, nv: int) -> list[list[float]]:
+    """The default Newton starts, all of magnitude `scale`: all positive
+    first, then alternating signs (+-+-..., then -+-+...), then all
+    negative; repeats are dropped."""
+    alt = [(-1.0) ** i for i in range(nv)]
+    signs = [[1.0] * nv, alt, [-s for s in alt], [-1.0] * nv]
+    starts = []
+    for row in signs:
+        x = [s * scale for s in row]
+        if x not in starts:
+            starts.append(x)
+    return starts
+
+
 def newton_invert(closure: ClosureFamily, mu_target: Sequence,
                   guess: Sequence | None = None,
                   tol: float = 1e-12, max_iter: int = 100) -> tuple:
@@ -721,7 +735,10 @@ def newton_invert(closure: ClosureFamily, mu_target: Sequence,
     The Jacobian is exact (polynomial differentiation); the step is halved
     until the residual norm decreases. Convergence is local: for families
     with several branches the caller should seed `guess` near the wanted
-    branch.
+    branch. Without a guess the iteration starts from [s] * nv with
+    s = |mu_2|^(1/3) (1e-3 when nv < 2 or mu_2 = 0) and, if that fails,
+    from the sign-flipped starts of `_newton_starts` in turn; the first
+    start's error is raised only when every start fails.
     """
     nv = closure.nu_count
     target = [float(v) for v in mu_target]
@@ -731,37 +748,43 @@ def newton_invert(closure: ClosureFamily, mu_target: Sequence,
     jac_polys = [[p.diff(k).compile_float() for k in range(nv)] for p in mus]
     funcs = [p.compile_float() for p in mus]
 
-    if guess is None:
-        scale = abs(target[1]) ** (1.0 / 3.0) if nv >= 2 and target[1] else 1e-3
-        x = [scale] * nv
-    else:
-        x = [float(v) for v in guess]
-
     def residual(pt):
         return [f(pt) - t for f, t in zip(funcs, target)]
 
     def norm(r):
         return max(abs(v) for v in r)
 
-    r = residual(x)
-    for _ in range(max_iter):
+    def solve(x):
+        r = residual(x)
+        for _ in range(max_iter):
+            if norm(r) < tol:
+                return tuple(x)
+            J = [[jac_polys[i][k](x) for k in range(nv)] for i in range(nv)]
+            step = _solve_float(J, [-v for v in r])
+            lam = 1.0
+            for _ in range(30):
+                x_new = [xi + lam * si for xi, si in zip(x, step)]
+                r_new = residual(x_new)
+                if norm(r_new) < norm(r):
+                    break
+                lam *= 0.5
+            else:
+                raise RuntimeError("Newton inversion stalled (no descent direction)")
+            x, r = x_new, r_new
         if norm(r) < tol:
             return tuple(x)
-        J = [[jac_polys[i][k](x) for k in range(nv)] for i in range(nv)]
-        step = _solve_float(J, [-v for v in r])
-        lam = 1.0
-        for _ in range(30):
-            x_new = [xi + lam * si for xi, si in zip(x, step)]
-            r_new = residual(x_new)
-            if norm(r_new) < norm(r):
-                break
-            lam *= 0.5
-        else:
-            raise RuntimeError("Newton inversion stalled (no descent direction)")
-        x, r = x_new, r_new
-    if norm(r) < tol:
-        return tuple(x)
-    raise RuntimeError(f"Newton inversion did not converge (residual {norm(r):.3e})")
+        raise RuntimeError(f"Newton inversion did not converge (residual {norm(r):.3e})")
+
+    if guess is not None:
+        return solve([float(v) for v in guess])
+    scale = abs(target[1]) ** (1.0 / 3.0) if nv >= 2 and target[1] else 1e-3
+    first = None
+    for x in _newton_starts(scale, nv):
+        try:
+            return solve(x)
+        except RuntimeError as e:
+            first = first or e
+    raise first
 
 
 def _solve_float(A: list[list[float]], b: list[float]) -> list[float]:

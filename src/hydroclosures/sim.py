@@ -8,6 +8,10 @@ with a neutralizing background and zero-mean gauge. Each `Grid` builds its
 spectral operators (wavenumbers, i*k, the dealiasing cut and k^2) once, on
 first use, and every derivative and field solve on that grid reuses them.
 Derivatives of several fields are taken in one batched call.
+The steppers fill their full-grid temporaries in place: the rk4 stage
+states share one set of buffers, and a split step makes one workspace that
+every stage of every sub-flow reuses. Micro flow a evaluates dH/dm_k only
+for the k with Tinv[a, k] != 0, the rows its own derivative reads.
 
 Two time steppers:
 
@@ -112,9 +116,10 @@ class Grid:
             df[..., -1] = f[..., 0] - f[..., -2]
             df /= 2 * self.dx
             return df
+        cut = self.cut + 1
         fh = np.fft.rfft(f, axis=-1)
-        fh = fh * self.ik
-        fh[..., self.cut + 1:] = 0.0
+        fh[..., :cut] *= self.ik[:cut]
+        fh[..., cut:] = 0.0
         return np.fft.irfft(fh, n=self.nx, axis=-1)
 
     def integral(self, f: np.ndarray) -> float:
@@ -174,9 +179,9 @@ def _field_solve(rho: np.ndarray, n0: float, grid: Grid, op: np.ndarray) -> np.n
     if abs(float(np.mean(rho)) - n0) > 1e-10:
         raise SimulationError("neutrality violated: mean(rho) != n0")
     fh = np.fft.rfft(rho - n0)
-    out = np.zeros_like(fh)
-    out[1:] = fh[1:] / op
-    return np.fft.irfft(out, n=grid.nx)
+    fh[0] = 0.0
+    fh[1:] /= op
+    return np.fft.irfft(fh, n=grid.nx)
 
 
 def poisson_solve(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
@@ -234,11 +239,15 @@ class _ClosureTables:
 
 
 def _check_state(state: FieldState):
-    if np.any(state.rho < RHO_FLOOR):
+    rho = state.rho
+    # one cheap pass per array; it fails exactly when one of the full tests
+    # below does (a NaN in rho makes min(rho) NaN), and they pick the message
+    if (rho.min() >= RHO_FLOOR and np.isfinite(rho.max())
+            and np.isfinite(state.u).all() and np.isfinite(state.nu).all()):
+        return
+    if np.any(rho < RHO_FLOOR):
         raise SimulationError(f"density fell below {RHO_FLOOR} at t={state.t}")
-    if not (np.all(np.isfinite(state.rho)) and np.all(np.isfinite(state.u))
-            and np.all(np.isfinite(state.nu))):
-        raise SimulationError(f"non-finite field values at t={state.t}")
+    raise SimulationError(f"non-finite field values at t={state.t}")
 
 
 # ---------------------------------------------------------------------------
@@ -259,27 +268,53 @@ def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid):
     _check_state(state)
     tab = _ClosureTables.of(closure)
     rho, u, nu = state.rho, state.u, state.nu
+    nv = tab.nv
     nuv = list(nu)
     mu1 = tab.mu1(nuv)
     mu2 = tab.mu2(nuv)
     phi = electric_potential(rho, state.n0, grid)
-    dH_drho = 0.5 * u ** 2 + 1.5 * rho ** 2 * (mu2 - mu1 ** 2) + phi
-    nv = tab.nv
-    dH_dnu = np.array([0.5 * rho ** 3 * (tab.dmu2[l](nuv)
-                                         - 2.0 * mu1 * tab.dmu1[l](nuv))
-                       for l in range(nv)])
-    fluxes = [np.einsum("l,lx->x", tab.g[k], dH_dnu) / rho for k in range(nv)]
-    # one batched derivative of rho u, dH/drho, the nu_k and the fluxes
-    # g_kl (dH/dnu_l) / rho
-    d = grid.deriv(np.array([rho * u, dH_drho, *nu, *fluxes]))
-    du = -d[1]
-    dnu = np.zeros_like(nu)
+    # the batched derivative input: rho u, dH/drho, the nu_k and the fluxes
+    # g_kl (dH/dnu_l) / rho, each written in place
+    X = np.empty((2 + 2 * nv, grid.nx))
+    rho_u, dH_drho, fluxes = X[0], X[1], X[2 + nv:]
+    np.multiply(rho, u, out=rho_u)
+    tmp = np.square(rho)
+    tmp *= 1.5
+    tmp *= np.subtract(mu2, np.square(mu1))
+    np.square(u, out=dH_drho)
+    dH_drho *= 0.5
+    dH_drho += tmp
+    dH_drho += phi
     if nv:
-        dxnu, dflux = d[2:2 + nv], d[2 + nv:]
-        du = du + np.sum(dH_dnu * dxnu, axis=0) / rho
+        X[2:2 + nv] = nu
+        # dH/dnu_l = (1/2 rho^3)(dmu2/dnu_l - (2 mu1) dmu1/dnu_l)
+        dH_dnu = np.empty((nv, grid.nx))
+        half_rho3 = np.power(rho, 3)
+        half_rho3 *= 0.5
+        two_mu1 = np.multiply(2.0, mu1)
+        for l in range(nv):
+            np.multiply(two_mu1, tab.dmu1[l](nuv), out=tmp)
+            np.subtract(tab.dmu2[l](nuv), tmp, out=dH_dnu[l])
+            dH_dnu[l] *= half_rho3
         for k in range(nv):
-            dnu[k] = -u * dxnu[k] - dflux[k] / rho
-    return -d[0], du, dnu
+            np.einsum("l,lx->x", tab.g[k], dH_dnu, out=fluxes[k])
+            fluxes[k] /= rho
+    # d holds d_x of X; its rows become (drho/dt, du/dt, dnu/dt) in place
+    d = grid.deriv(X)
+    drho, du, dxnu, dflux = d[0], d[1], d[2:2 + nv], d[2 + nv:]
+    np.negative(drho, out=drho)
+    np.negative(du, out=du)
+    if nv:
+        dH_dnu *= dxnu
+        force = np.sum(dH_dnu, axis=0)
+        force /= rho
+        du += force
+        neg_u = np.negative(u)
+        for k in range(nv):
+            dxnu[k] *= neg_u
+            dflux[k] /= rho
+            dxnu[k] -= dflux[k]
+    return drho, du, dxnu
 
 
 def rhs_streams(state: StreamState, grid: Grid):
@@ -362,26 +397,41 @@ def cfl_dt(state: FieldState, closure: ClosureFamily, grid: Grid,
 
 
 def _rk4(y: list[np.ndarray], rhs, dt: float) -> list[np.ndarray]:
+    """One classical rk4 step. The three stage states share one set of
+    buffers, and the update is accumulated in place in k1, so `rhs` must
+    return fresh arrays and keep no reference to its argument."""
+    stage = [np.empty_like(yi) for yi in y]
+
+    def at(k, h):
+        for s, yi, ki in zip(stage, y, k):  # s = yi + h*ki
+            np.multiply(h, ki, out=s)
+            s += yi
+        return stage
+
     k1 = rhs(y)
-    k2 = rhs([yi + 0.5 * dt * ki for yi, ki in zip(y, k1)])
-    k3 = rhs([yi + 0.5 * dt * ki for yi, ki in zip(y, k2)])
-    k4 = rhs([yi + dt * ki for yi, ki in zip(y, k3)])
-    return [yi + (dt / 6.0) * (a + 2 * b + 2 * c + d)
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    k2 = rhs(at(k1, 0.5 * dt))
+    k3 = rhs(at(k2, 0.5 * dt))
+    k4 = rhs(at(k3, dt))
+    out = []
+    for yi, a, b, c, d in zip(y, k1, k2, k3, k4):  # yi + (dt/6)(a + 2b + 2c + d)
+        b *= 2
+        a += b
+        c *= 2
+        a += c
+        a += d
+        a *= dt / 6.0
+        a += yi
+        out.append(a)
+    return out
 
 
 def step_rk4(state: FieldState, closure: ClosureFamily, grid: Grid,
              dt: float) -> FieldState:
     def rhs(y):
-        s = FieldState(y[0], y[1], np.array(y[2:]).reshape(state.nu.shape),
-                       state.n0, state.t)
-        dr, du, dn = rhs_fluid(s, closure, grid)
-        return [dr, du, *dn]
+        return rhs_fluid(FieldState(*y, state.n0, state.t), closure, grid)
 
-    out = _rk4([state.rho, state.u, *state.nu], rhs, dt)
-    new = FieldState(out[0], out[1],
-                     np.array(out[2:]).reshape(state.nu.shape),
-                     state.n0, state.t + dt)
+    rho, u, nu = _rk4([state.rho, state.u, state.nu], rhs, dt)
+    new = FieldState(rho, u, nu, state.n0, state.t + dt)
     _check_state(new)
     return new
 
@@ -414,32 +464,72 @@ def _split_unpack(rho, psi, mtil, tab: _ClosureTables, n0, t) -> FieldState:
     return FieldState(rho, u, nu, n0, t)
 
 
+class _SplitWork:
+    """The full-grid buffers of one split step. Every stage of every
+    sub-flow fills them in place; `step_split` makes one per step."""
+
+    def __init__(self, nv: int, nx: int):
+        self.mt = np.empty((nv, nx))        # mtil with the advanced row
+        self.m = np.empty((nv, nx))
+        self.nu = np.empty((nv, nx))
+        self.u = np.empty(nx)
+        self.two_mu1 = np.empty(nx)
+        self.half_rho2 = np.empty(nx)
+        self.tmp = np.empty(nx)
+        self.dH_m = np.empty((nv, nx))
+        self.dH_mtil = np.empty((nv, nx))
+        self.dH_flat = np.empty((2, nx))    # (dH/dpsi = rho u, dH/drho)
+
+
 def _split_derivs(rho, psi, mtil, tab: _ClosureTables, n0, grid: Grid,
-                  micro: bool = False) -> np.ndarray:
+                  work: _SplitWork, micro: int | None = None) -> np.ndarray:
     """Functional derivatives of H in the flat variables: the rows
-    (dH/dpsi, dH/drho) that drive the macro flow, or with `micro` the
-    rows dH/dmtil = Tinv dH/dm that drive the micro flows.
+    (dH/dpsi, dH/drho) that drive the macro flow, or with `micro` = a the
+    row dH/dmtil_a = (Tinv dH/dm)_a that drives micro flow a.
 
       dH/dpsi = rho u
       dH/drho|psi,m = u^2/2 - rho u mu1 + (rho^2/2)(gamma_2 + mu_1^2) + phi
       dH/dm_k = rho u dmu1/dnu_k + (rho^2/2)(dmu2/dnu_k - 2 mu1 dmu1/dnu_k)
+
+    The result is a view of `work`, valid until the next call. A micro row
+    evaluates dH/dm_k only where Tinv[a, k] != 0 and sets the other rows
+    to zero; the product stays the full Tinv @ dH/dm.
     """
-    m = tab.Tinv.T @ mtil if tab.nv else mtil
-    nu = m / rho
-    nuv = list(nu)
+    if tab.nv:
+        np.matmul(tab.Tinv.T, mtil, out=work.m)
+        np.divide(work.m, rho, out=work.nu)
+    nuv = list(work.nu)
     mu1 = tab.mu1(nuv)
-    u = psi + rho * mu1
-    if micro:
-        dH_m = []
-        for k in range(tab.nv):
+    u = np.multiply(rho, mu1, out=work.u)
+    u += psi
+    rho_u, dH_rho = work.dH_flat
+    np.multiply(rho, u, out=rho_u)
+    half_rho2 = np.square(rho, out=work.half_rho2)
+    half_rho2 *= 0.5
+    tmp = work.tmp
+    if micro is not None:
+        two_mu1 = np.multiply(2.0, mu1, out=work.two_mu1)
+        for k, row in enumerate(work.dH_m):
+            if tab.Tinv[micro, k] == 0.0:
+                row.fill(0.0)
+                continue
             dmu1 = tab.dmu1[k](nuv)
-            dH_m.append(rho * u * dmu1
-                        + 0.5 * rho ** 2 * (tab.dmu2[k](nuv) - 2.0 * mu1 * dmu1))
-        return tab.Tinv @ np.array(dH_m)
+            np.multiply(rho_u, dmu1, out=row)
+            np.multiply(two_mu1, dmu1, out=tmp)
+            np.subtract(tab.dmu2[k](nuv), tmp, out=tmp)
+            tmp *= half_rho2
+            row += tmp
+        return np.matmul(tab.Tinv, work.dH_m, out=work.dH_mtil)[micro]
     phi = electric_potential(rho, n0, grid)
-    dH_rho = (0.5 * u ** 2 - rho * u * mu1
-              + 0.5 * rho ** 2 * (tab.gamma2(nuv) + mu1 ** 2) + phi)
-    return np.array([rho * u, dH_rho])
+    np.square(u, out=dH_rho)
+    dH_rho *= 0.5
+    dH_rho -= np.multiply(rho_u, mu1, out=tmp)
+    np.square(mu1, out=tmp)
+    np.add(tab.gamma2(nuv), tmp, out=tmp)
+    tmp *= half_rho2
+    dH_rho += tmp
+    dH_rho += phi
+    return work.dH_flat
 
 
 def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
@@ -455,15 +545,16 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
     """
     tab = _ClosureTables.of(closure)
     rho, psi, mtil = _split_pack(state, tab)
+    work = _SplitWork(tab.nv, grid.nx)
 
     def flow_micro(a: int, h: float):
-        nonlocal mtil
-
         def rhs(y):
-            mt = mtil.copy()
-            mt[a] = y[0]
-            dH_mtil = _split_derivs(rho, psi, mt, tab, state.n0, grid, micro=True)
-            return [-tab.D[a] * grid.deriv(dH_mtil[a])]
+            work.mt[...] = mtil
+            work.mt[a] = y[0]
+            d = grid.deriv(_split_derivs(rho, psi, work.mt, tab, state.n0, grid,
+                                         work, micro=a))
+            d *= -tab.D[a]
+            return [d]
 
         mtil[a] = _rk4([mtil[a]], rhs, h)[0]
 
@@ -471,7 +562,8 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
         nonlocal rho, psi
 
         def rhs(y):
-            return -grid.deriv(_split_derivs(y[0], y[1], mtil, tab, state.n0, grid))
+            d = grid.deriv(_split_derivs(y[0], y[1], mtil, tab, state.n0, grid, work))
+            return np.negative(d, out=d)
 
         rho, psi = _rk4([rho, psi], rhs, h)
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hydroclosures.cli import closure_from_spec, main
@@ -96,6 +97,20 @@ def test_closure_eos_prints_nu_for_newton_families(capsys):
                  "--mu", "0.36,0.324"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("nu = ") and "closed moments" in out
+
+
+def test_closure_eos_retries_sign_flipped_newton_starts(capsys):
+    # the default start (1, 1) hits a singular Jacobian; (1, -1) converges
+    assert main(["closure", "eos", "--family", "multidelta", "--mu=-1,1"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("nu = ")
+    assert np.allclose(json.loads(first[len("nu = "):]), [1.0, -1.0], atol=1e-12)
+
+
+def test_closure_eos_no_solution_from_any_start(capsys):
+    # xi eta = 0 and xi eta^2 = 1 have no common solution
+    assert main(["closure", "eos", "--family", "multidelta", "--mu=0,1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [

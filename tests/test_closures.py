@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hydroclosures.closures import (BurbyClosure, ColdClosure,
-                                    _nth_root_fraction,
+                                    _newton_starts, _nth_root_fraction,
                                     FourFieldClosure, GenericClosure, Metric,
                                     MultiDeltaClosure, WaterbagClosure,
                                     burby_invert, burby_mu, burby_mu_closed,
@@ -377,6 +377,26 @@ def test_newton_invert_recovers_point():
     target = [c.mu_value(1, nu), c.mu_value(2, nu)]
     sol = newton_invert(c, target, guess=[0.7, -0.2])
     assert max(abs(s - w) for s, w in zip(sol, nu)) < 1e-12
+
+
+def test_newton_default_start_first_then_sign_flips():
+    assert _newton_starts(2.0, 3) == [[2.0, 2.0, 2.0], [2.0, -2.0, 2.0],
+                                      [-2.0, 2.0, -2.0], [-2.0, -2.0, -2.0]]
+    assert _newton_starts(0.5, 1) == [[0.5], [-0.5]]
+
+
+def test_newton_invert_retries_sign_flipped_starts():
+    # from (1, 1) the Jacobian of (xi eta, xi eta^2) is singular at once
+    c = MultiDeltaClosure(2)
+    sol = newton_invert(c, [-1.0, 1.0])
+    assert max(abs(s - w) for s, w in zip(sol, [1.0, -1.0])) < 1e-12
+    closed = equation_of_state(c, [-1.0, 1.0])
+    assert max(abs(v - c.mu_value(j, [1.0, -1.0]))
+               for j, v in enumerate(closed, start=3)) < 1e-12
+    with pytest.raises(RuntimeError, match="singular Jacobian"):
+        newton_invert(c, [-1.0, 1.0], guess=[1.0, 1.0])  # a guess is not retried
+    with pytest.raises(RuntimeError, match="did not converge"):
+        newton_invert(c, [0.0, 1.0])  # no solution: the first start's error
 
 
 def test_cold_closure():

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from hydroclosures.closures import (BurbyClosure, ColdClosure,
-                                    MultiDeltaClosure, multidelta_normal_map)
+                                    MultiDeltaClosure, WaterbagClosure,
+                                    multidelta_normal_map)
 from hydroclosures.moments import p_from_mu
-from hydroclosures.sim import (FieldState, Grid, SimulationError,
-                               _ClosureTables,
+from hydroclosures.sim import (RHO_FLOOR, FieldState, Grid, SimulationError,
+                               _check_state, _ClosureTables, _split_derivs,
+                               _SplitWork,
                                WaveBreakError, cfl_dt, check_wave_breaking,
                                diagnostics, hamiltonian, poisson_solve,
                                rhs_fluid, run_fluid, single_mode_state, step,
@@ -196,6 +198,84 @@ def test_density_floor_enforced():
     state.rho[0] = 0.0
     with pytest.raises(SimulationError):
         rhs_fluid(state, c, grid)
+
+
+@pytest.mark.parametrize("faults, message", [
+    ([("rho", 3, 0.5 * RHO_FLOOR)], "density fell below"),
+    ([("rho", 3, -np.inf)], "density fell below"),
+    ([("rho", 3, np.nan)], "non-finite field values"),
+    ([("rho", 3, np.inf)], "non-finite field values"),
+    ([("u", 5, np.nan)], "non-finite field values"),
+    ([("nu", (1, 7), np.inf)], "non-finite field values"),
+    # the density test comes first, whatever else is wrong
+    ([("u", 5, np.nan), ("rho", 9, 0.0)], "density fell below"),
+], ids=["rho-floor", "rho-minus-inf", "rho-nan", "rho-inf", "u-nan", "nu-inf",
+        "floor-before-nan"])
+def test_check_state_messages(faults, message):
+    grid = Grid(L=TWO_PI, nx=32)
+    state = single_mode_state(grid, BurbyClosure(2), eps=1e-3, nu_base=[0.1, 0.4])
+    _check_state(state)
+    for field, index, value in faults:
+        getattr(state, field)[index] = value
+    with pytest.raises(SimulationError, match=message):
+        _check_state(state)
+
+
+def test_check_state_without_normal_variables():
+    grid = Grid(L=TWO_PI, nx=32)
+    state = single_mode_state(grid, ColdClosure(), eps=1e-3)
+    assert state.nu.shape == (0, 32)
+    _check_state(state)
+    state.u[0] = np.inf
+    with pytest.raises(SimulationError, match="non-finite field values"):
+        _check_state(state)
+
+
+def _micro_rows_reference(rho, psi, mtil, tab):
+    """Tinv dH/dm with every row of dH/dm evaluated, in the expression
+    order of the split scheme."""
+    m = tab.Tinv.T @ mtil
+    nu = m / rho
+    nuv = list(nu)
+    mu1 = tab.mu1(nuv)
+    u = psi + rho * mu1
+    dH_m = []
+    for k in range(tab.nv):
+        dmu1 = tab.dmu1[k](nuv)
+        dH_m.append(rho * u * dmu1
+                    + 0.5 * rho ** 2 * (tab.dmu2[k](nuv) - 2.0 * mu1 * dmu1))
+    return tab.Tinv @ np.array(dH_m)
+
+
+@pytest.mark.parametrize("closure", [
+    BurbyClosure(2), BurbyClosure(3), BurbyClosure(4), MultiDeltaClosure(3),
+    WaterbagClosure([F(1), F(2), F(-1), F(-2)]),
+], ids=lambda c: c.name)
+def test_micro_rows_bit_identical_to_all_rows(closure):
+    tab = _ClosureTables.of(closure)
+    grid = Grid(L=TWO_PI, nx=64)
+    x = grid.x
+    rng = np.random.default_rng(7)
+    zeros = 0
+    for _ in range(3):
+        phases = rng.uniform(0.0, TWO_PI, size=2 + tab.nv)
+        rho = 1.0 + 0.2 * np.sin(x + phases[0])
+        psi = 0.3 * np.cos(2.0 * x + phases[1])
+        nu = np.array([rng.uniform(0.1, 0.6) + 0.05 * np.sin(x + p)
+                       for p in phases[2:]])
+        mtil = tab.T.T @ (rho * nu)
+        expected = _micro_rows_reference(rho, psi, mtil, tab)
+        # one workspace for every row, in the order of a split step
+        work = _SplitWork(tab.nv, grid.nx)
+        for a in [*range(tab.nv), *reversed(range(tab.nv))]:
+            got = _split_derivs(rho, psi, mtil, tab, 1.0, grid, work, micro=a)
+            assert np.array_equal(got, expected[a])
+            for k in range(tab.nv):
+                if tab.Tinv[a, k] == 0.0:
+                    zeros += 1
+                    assert not work.dH_m[k].any()
+    if closure.name != "burby(m=2)":  # the one full Tinv here
+        assert zeros
 
 
 def test_snapshot_round_trip(tmp_path):

@@ -3,9 +3,11 @@
 The digests below are sha256 sums of `diagnostics.csv` from short `simulate`
 runs and of the final fluid and stream arrays of a `compare`-style run. They
 were recorded before the spectral operators were precomputed per grid and the
-dead work was dropped from the steppers, so any change to the order in which
-floats are combined shows up here. The cases cover rk4 and split, spectral
-and fd2 derivatives, and 0, 1, 2 and 4 normal variables.
+dead work was dropped from the steppers (the nx = 4096 and multidelta cases
+before the steppers reused their stage buffers), so any change to the order
+in which floats are combined shows up here. The cases cover rk4 and split,
+spectral and fd2 derivatives, 0, 1, 2 and 4 normal variables, and grids of
+32 and 4096 cells.
 
 The digests hold for the numpy release they were recorded with; another
 FFT build may round differently, so the test skips on any other release.
@@ -36,6 +38,7 @@ needs_recorded_numpy = pytest.mark.skipif(
 BURBY2 = {"family": "burby", "level": 2}
 BURBY4 = {"family": "burby", "level": 4}
 WATERBAG3 = {"family": "waterbag", "heights": ["1", "1", "-2"]}
+MULTIDELTA3 = {"family": "multidelta", "M": 3}
 
 # label: (closure, scheme, method, nu_base, sha256 of diagnostics.csv)
 SIMULATE_CASES = {
@@ -57,25 +60,40 @@ SIMULATE_CASES = {
         "ec7c7fc4ef8d0ce30edb8615448c903c501427c71cb34c4577b74759be7d9bac"),
     "waterbag3-split-spectral": (WATERBAG3, "split", "spectral", (0.5,),
         "700b6d3eb99ee9316b4fd7093821529553b578c5d420d7d2466721e2f85bdf54"),
+    "burby2-rk4-nx4096": (BURBY2, "rk4", "spectral", (0.05, 0.5),
+        "2c50d7c71f9602c11e2b4f9c04cfe3b077131840adc771900813f464504b5371"),
+    "burby4-split-nx4096": (BURBY4, "split", "spectral", (0.05, 0.5, 0.05, 0.5),
+        "5c018118639c2c1e8a2d47aa3680a65ce5bcd5e2ae28515b191107fa39cc3faa"),
+    "multidelta3-split-spectral": (MULTIDELTA3, "split", "spectral",
+                                   (0.25, 0.25, 0.5, -0.5),
+        "1d7def569da9082582a3c79204d4ab5ba7aad59fd085ed635c21b5bfcedfaa36"),
 }
+
+# (nx, dt, t_end) of the cases not on the default 32-cell grid: large FFTs,
+# and full-grid arrays above the default allocator threshold for mmap
+GRIDS = {"burby2-rk4-nx4096": (4096, 5e-4, 0.005),
+         "burby4-split-nx4096": (4096, 5e-4, 0.005)}
+DEFAULT_GRID = (32, 0.01, 0.2)
 
 COMPARE_SHA256 = "b06b6ecca1f145f74abc0f71a7a551e9b9e592198d1d6e03be80501bf399111d"
 
 
-def simulate_config(closure, scheme, method, nu_base) -> dict:
+def simulate_config(closure, scheme, method, nu_base, grid=DEFAULT_GRID) -> dict:
+    nx, dt, t_end = grid
     initial = {"eps": 1e-3}
     if nu_base:
         initial.update(nu_base=list(nu_base), nu_eps=[1e-4] * len(nu_base))
-    return {"grid": {"L": TWO_PI, "nx": 32, "method": method},
+    return {"grid": {"L": TWO_PI, "nx": nx, "method": method},
             "closure": closure, "initial": initial,
-            "integrator": {"scheme": scheme, "dt": 0.01, "t_end": 0.2},
+            "integrator": {"scheme": scheme, "dt": dt, "t_end": t_end},
             "output": {"stride": 5}}
 
 
 def simulate_digest(tmp_path, label: str) -> str:
     closure, scheme, method, nu_base, _ = SIMULATE_CASES[label]
     config = tmp_path / f"{label}.json"
-    config.write_text(json.dumps(simulate_config(closure, scheme, method, nu_base)))
+    grid = GRIDS.get(label, DEFAULT_GRID)
+    config.write_text(json.dumps(simulate_config(closure, scheme, method, nu_base, grid)))
     out = tmp_path / label
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # every case stays within the CFL bound
@@ -139,6 +157,24 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
     assert calls["sim.field_solve"] == 20 * 4 + 5
     # one batched derivative per stage
     assert calls["sim.deriv"] == 20 * (4 + 16)
+
+
+def test_traced_split_routes_every_stage_through_split_derivs(tmp_path):
+    """Every macro and micro stage of a split step calls `_split_derivs`, so
+    the traced `sim.rhs` count keeps its meaning: one burby-2 split run of
+    20 steps takes 4 macro and 16 micro stages per step."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        simulate_digest(tmp_path, "burby2-split-spectral")
+    finally:
+        tracer.uninstall()
+    assert tracer.summary()["calls"]["sim.rhs"] == 20 * (4 + 16)
 
 
 if __name__ == "__main__":
