@@ -1,11 +1,11 @@
-"""Symbolic hydrodynamic brackets: construction, transformation, and
-verification of the antisymmetry and flatness identities.
+"""Symbolic hydrodynamic brackets: verification of the antisymmetry and
+flatness identities.
 
 A hydrodynamic bracket is stored through its coefficient data only:
 the symmetric matrix alpha and the derivative-coefficient tensor beta
-(beta_nm = sum_k beta_nmk * d_x u_k).  Entries are exact MultiPoly (or
-RatFunc after a change of variables), so every identity check reduces to
-"normal form of a difference is the zero polynomial".
+(beta_nm = sum_k beta_nmk * d_x u_k).  Entries are exact MultiPoly, so
+every identity check reduces to "normal form of a difference is the zero
+polynomial".
 
 The Jacobi identity is certified through flatness: a closure whose
 normal-variable parameterization satisfies the algebraic identities
@@ -17,31 +17,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from . import ratmat
 from .moments import mu_alpha_entry, mu_beta_entry
-from .poly import MultiPoly, RatFunc
-
-
-def _is_zero(entry) -> bool:
-    return entry.is_zero if hasattr(entry, "is_zero") else entry == 0
+from .poly import MultiPoly
 
 
 @dataclass(frozen=True)
 class HydroBracket:
     """Coefficients (alpha, beta) of a hydrodynamic bracket.
 
-    alpha[n][m] and beta[n][m][k] are polynomials (or rational functions)
-    in `nderiv` variables; beta[n][m][k] multiplies the x-derivative of
-    variable k.  For brackets expressed directly in their own field
-    variables, nderiv == nfields.
+    alpha[n][m] and beta[n][m][k] are polynomials in `nfields` variables;
+    beta[n][m][k] multiplies the x-derivative of variable k.
     """
 
     nfields: int
     alpha: list
     beta: list
-    nderiv: int
 
     def symmetry_residuals(self):
         """Entries alpha_nm - alpha_mn that are not identically zero."""
@@ -49,7 +41,7 @@ class HydroBracket:
         for n in range(self.nfields):
             for m in range(n + 1, self.nfields):
                 r = self.alpha[n][m] - self.alpha[m][n]
-                if not _is_zero(r):
+                if not r.is_zero:
                     out.append((n, m, r))
         return out
 
@@ -58,109 +50,15 @@ class HydroBracket:
         out = []
         for n in range(self.nfields):
             for m in range(self.nfields):
-                for k in range(self.nderiv):
+                for k in range(self.nfields):
                     r = self.alpha[n][m].diff(k) - self.beta[n][m][k] - self.beta[m][n][k]
-                    if not _is_zero(r):
+                    if not r.is_zero:
                         out.append((n, m, k, r))
         return out
 
     @property
     def is_antisymmetric(self) -> bool:
         return not self.symmetry_residuals() and not self.antisymmetry_residuals()
-
-
-def km_bracket(N: int) -> HydroBracket:
-    """Truncated Kupershmidt-Manin bracket in the raw moments P_0..P_{N-1}:
-    alpha_nm = (n+m) P_{n+m-1}, beta_nmk = n [k = n+m-1].
-
-    Entries with n+m-1 outside 0..N-1 are set to zero; with a closure they
-    would be replaced by the closure functions.
-    """
-    if N < 2:
-        raise ValueError("need at least two moments")
-    zero = MultiPoly.zero(N)
-    alpha = [[(n + m) * MultiPoly.variable(N, n + m - 1) if 0 <= n + m - 1 < N else zero
-              for m in range(N)] for n in range(N)]
-    beta = [[[MultiPoly.const(N, n) if (k == n + m - 1 and n + m >= 1) else zero
-              for k in range(N)] for m in range(N)] for n in range(N)]
-    return HydroBracket(nfields=N, alpha=alpha, beta=beta, nderiv=N)
-
-
-def _det(mat: list) -> RatFunc:
-    """Determinant of a small matrix of RatFunc by Laplace expansion."""
-    n = len(mat)
-    if n == 0:
-        raise ValueError("empty matrix")
-    if n == 1:
-        return mat[0][0]
-    acc = None
-    for j in range(n):
-        minor = [[mat[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = mat[0][j] * _det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def transform(b: HydroBracket, new_from_old: Sequence, old_from_new: Sequence) -> HydroBracket:
-    """Change of field variables u -> Q(u) applied to a bracket.
-
-    new_from_old: Q_k as RatFunc/MultiPoly in the old variables.
-    old_from_new: u_i as RatFunc/MultiPoly in the new variables (the
-    inverse map, needed to express the result in the new variables).
-
-    Implements
-      alpha'_kl = (dQ_k/du_n) alpha_nm (dQ_l/du_m)
-      beta'_kl  = d_x(dQ_k/du_n) alpha_nm (dQ_l/du_m) + (dQ_k/du_n) beta_nm (dQ_l/du_m)
-    with d_x expanded through the chain rule onto d_x Q_j.
-    """
-    n_old = b.nfields
-    if len(new_from_old) != n_old or len(old_from_new) != n_old:
-        raise ValueError("change of variables must be square")
-    Q = [RatFunc.of(q, n_old) for q in new_from_old]
-    U = [RatFunc.of(u, n_old) for u in old_from_new]
-    J = [[Q[k].diff(n) for n in range(n_old)] for k in range(n_old)]  # in old vars
-    if _det(J).is_zero:
-        raise ValueError("singular Jacobian: change of variables is not invertible")
-    K = [[U[i].diff(j) for j in range(n_old)] for i in range(n_old)]  # in new vars
-    alpha_old = [[RatFunc.of(b.alpha[n][m], n_old) for m in range(n_old)] for n in range(n_old)]
-    beta_old = [[[RatFunc.of(b.beta[n][m][k], n_old) for k in range(n_old)]
-                 for m in range(n_old)] for n in range(n_old)]
-
-    def compose(expr: RatFunc) -> RatFunc:
-        return expr.compose(U)
-
-    zero_new = RatFunc.of(0, n_old)
-    alpha_new = [[zero_new for _ in range(n_old)] for _ in range(n_old)]
-    beta_new = [[[zero_new for _ in range(n_old)] for _ in range(n_old)] for _ in range(n_old)]
-    for k in range(n_old):
-        for l in range(n_old):
-            a_acc = zero_new
-            b_acc = [zero_new] * n_old  # coefficient of d_x(old_i), still in old vars
-            for n in range(n_old):
-                for m in range(n_old):
-                    if not (J[k][n].is_zero or J[l][m].is_zero):
-                        a = alpha_old[n][m]
-                        if not a.is_zero:
-                            a_acc = a_acc + J[k][n] * a * J[l][m]
-                            for i in range(n_old):
-                                dj = J[k][n].diff(i)
-                                if not dj.is_zero:
-                                    b_acc[i] = b_acc[i] + dj * a * J[l][m]
-                        for i in range(n_old):
-                            bi = beta_old[n][m][i]
-                            if not bi.is_zero:
-                                b_acc[i] = b_acc[i] + J[k][n] * bi * J[l][m]
-            alpha_new[k][l] = compose(a_acc)
-            # d_x(old_i) = K_ij d_x(new_j)
-            for j in range(n_old):
-                acc = zero_new
-                for i in range(n_old):
-                    if not b_acc[i].is_zero and not K[i][j].is_zero:
-                        acc = acc + compose(b_acc[i]) * K[i][j]
-                beta_new[k][l][j] = acc
-    return HydroBracket(nfields=n_old, alpha=alpha_new, beta=beta_new, nderiv=n_old)
 
 
 # ---------------------------------------------------------------------------

@@ -155,8 +155,7 @@ def _verify_one(closure: ClosureFamily, rep: Report):
     rep.add(f"{name}: flatness identities", fl.ok, detail)
     if closure.nu_count:
         hb = alpha_beta_in_mu(closure)
-        rep.add(f"{name}: bracket antisymmetry",
-                not hb.symmetry_residuals() and hb.is_antisymmetric)
+        rep.add(f"{name}: bracket antisymmetry", hb.is_antisymmetric)
         try:
             sig = closure.metric.signature
             rep.add(f"{name}: metric nondegenerate (signature {sig})", True)

@@ -150,17 +150,15 @@ def mu_beta_entry(closure, n: int, m: int, k: int) -> MultiPoly:
             - m * closure.mu(m - 1) * closure.gamma(n).diff(k))
 
 
-def alpha_beta_in_mu(closure, size: int | None = None):
+def alpha_beta_in_mu(closure):
     """The microscopic hydrodynamic bracket of a closure in mu-variables,
     with every entry expressed as a polynomial in the normal variables."""
     from .bracket import HydroBracket  # deferred: bracket imports this module
 
-    if size is None:
-        size = closure.nu_count
+    size = closure.nu_count
     alpha = [[mu_alpha_entry(closure, n, m) for m in range(1, size + 1)]
              for n in range(1, size + 1)]
-    beta = [[[mu_beta_entry(closure, n, m, k) for k in range(closure.nu_count)]
+    beta = [[[mu_beta_entry(closure, n, m, k) for k in range(size)]
              for m in range(1, size + 1)]
             for n in range(1, size + 1)]
-    return HydroBracket(nfields=size, alpha=alpha, beta=beta,
-                        nderiv=closure.nu_count)
+    return HydroBracket(nfields=size, alpha=alpha, beta=beta)

@@ -21,11 +21,6 @@ equality of (nvars, denominator, numerator dict), and an identity check is
 just "subtract and test for the empty map".  `terms` presents a polynomial
 as a read-only {exponent tuple: Fraction} mapping.  Terms keep the order in
 which arithmetic first produced them, and `eval` visits them in that order.
-
-`RatFunc` is a thin exact rational-function layer (numerator/denominator
-pair) used for change-of-variables computations whose Jacobians are not
-polynomial.  It performs no GCD simplification; equality is decided by
-cross-multiplication, which only needs polynomial identity.
 """
 
 from __future__ import annotations
@@ -37,15 +32,6 @@ from math import gcd, lcm
 from numbers import Rational
 from typing import Iterator, Mapping, Sequence
 
-
-class _AnyDegree:
-    """Sentinel returned by homogeneous_degree() for the zero polynomial."""
-
-    def __repr__(self) -> str:
-        return "<any degree>"
-
-
-ANY_DEGREE = _AnyDegree()
 
 _BITS = 16
 _MASK = (1 << _BITS) - 1
@@ -171,16 +157,6 @@ class MultiPoly:
         if not self._num:
             return None
         return max(self._num) >> (_BITS * self.nvars)
-
-    def homogeneous_degree(self):
-        """Common total degree of all terms, None if mixed, ANY_DEGREE if zero."""
-        if not self._num:
-            return ANY_DEGREE
-        shift = _BITS * self.nvars
-        degrees = {k >> shift for k in self._num}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
 
     # -- arithmetic -----------------------------------------------------
 
@@ -323,7 +299,7 @@ class MultiPoly:
         return _make(self.nvars, out, self._den)
 
     def eval(self, values: Sequence):
-        """Evaluate at `values` (Fractions, floats, MultiPoly, RatFunc...).
+        """Evaluate at `values` (Fractions, floats, MultiPoly...).
 
         The result lives in whatever ring the values live in; with all-Fraction
         input it is an exact Fraction.
@@ -339,24 +315,6 @@ class MultiPoly:
                     term = term * v ** e
             acc = term if acc is None else acc + term
         return Fraction(0) if acc is None else acc
-
-    def substitute(self, replacements: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Compose: substitute replacements[i] for variable i.
-
-        All replacement polynomials must share one target variable count.
-        """
-        if len(replacements) != self.nvars:
-            raise ValueError(f"expected {self.nvars} replacement polynomials")
-        if self.nvars == 0:
-            return self
-        target = {p.nvars for p in replacements}
-        if len(target) != 1:
-            raise ValueError("replacement polynomials disagree on variable count")
-        nv = target.pop()
-        result = self.eval(replacements)
-        if not isinstance(result, MultiPoly):
-            result = MultiPoly.const(nv, result)
-        return result
 
     def compile_float(self):
         """Return a fast float evaluator f(values) usable with numpy arrays."""
@@ -513,136 +471,3 @@ def poly_vars(nvars: int) -> list[MultiPoly]:
     """The list [x_0, ..., x_{nvars-1}] as polynomials."""
     return [MultiPoly.variable(nvars, i) for i in range(nvars)]
 
-
-class RatFunc:
-    """Exact rational function num/den with MultiPoly num and den.
-
-    No GCD reduction is performed; a constant denominator is folded into
-    the numerator, and equality/zero tests go through cross-multiplication.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
-        if den is None:
-            den = MultiPoly.const(num.nvars, 1)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if den.nvars != num.nvars:
-            raise ValueError("num/den variable-count mismatch")
-        # fold a constant denominator into the numerator
-        if den.total_degree() == 0:
-            c = den.constant_term()
-            num = num / c
-            den = MultiPoly.const(num.nvars, 1)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
-
-    def __reduce__(self):
-        return RatFunc, (self.num, self.den)
-
-    @property
-    def nvars(self) -> int:
-        return self.num.nvars
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @classmethod
-    def of(cls, x, nvars: int) -> "RatFunc":
-        if isinstance(x, RatFunc):
-            return x
-        if isinstance(x, MultiPoly):
-            return cls(x)
-        return cls(MultiPoly.const(nvars, x))
-
-    def _coerce(self, other) -> "RatFunc | None":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (MultiPoly, int, Fraction)):
-            return RatFunc.of(other, self.nvars)
-        return None
-
-    def __add__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return RatFunc(self.num * q.den + q.num * self.den, self.den * q.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return self + (-q)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return RatFunc(self.num * q.num, self.den * q.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        if q.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * q.den, self.den * q.num)
-
-    def __rtruediv__(self, other):
-        q = self._coerce(other)
-        return q / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
-
-    def __eq__(self, other):
-        q = self._coerce(other)
-        if q is None:
-            return NotImplemented
-        return (self.num * q.den - q.num * self.den).is_zero
-
-    def __hash__(self):
-        raise TypeError("RatFunc is not hashable (no canonical form)")
-
-    def diff(self, var: int) -> "RatFunc":
-        return RatFunc(self.num.diff(var) * self.den - self.num * self.den.diff(var),
-                       self.den * self.den)
-
-    def compose(self, values: Sequence["RatFunc | MultiPoly"]) -> "RatFunc":
-        """Substitute values (in some other variable set) for the variables."""
-        nv = {v.nvars for v in values}
-        if len(nv) != 1:
-            raise ValueError("composition values disagree on variable count")
-        nvars = nv.pop()
-        vals = [RatFunc.of(v, nvars) for v in values]
-        num = RatFunc.of(self.num.eval(vals) if self.num.terms else 0, nvars)
-        den = RatFunc.of(self.den.eval(vals), nvars)
-        return num / den
-
-    def eval(self, values: Sequence):
-        return self.num.eval(values) / self.den.eval(values)
-
-    def to_text(self, varnames: Sequence[str] | None = None) -> str:
-        if self.den.total_degree() == 0:
-            return self.num.to_text(varnames)
-        return f"({self.num.to_text(varnames)}) / ({self.den.to_text(varnames)})"
-
-    def __repr__(self):
-        return f"RatFunc({self.to_text()!r})"

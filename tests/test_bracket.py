@@ -1,73 +1,43 @@
-"""Hydrodynamic bracket construction, transformation, and flatness."""
+"""Hydrodynamic bracket antisymmetry, flatness, signatures and Casimirs."""
 
 from fractions import Fraction
 
 import pytest
 
-from hydroclosures.bracket import (casimirs, check_flatness, full_metric,
-                                   km_bracket, signature, transform)
+from hydroclosures.bracket import (HydroBracket, casimirs, check_flatness,
+                                   full_metric, signature)
 from hydroclosures.closures import (BurbyClosure, FourFieldClosure,
                                     GenericClosure, Metric, MultiDeltaClosure,
                                     WaterbagClosure)
 from hydroclosures.moments import alpha_beta_in_mu
-from hydroclosures.poly import MultiPoly, RatFunc, poly_vars
+from hydroclosures.poly import MultiPoly, poly_vars
 from hydroclosures.ratmat import as_matrix
 
 F = Fraction
-
-
-def test_km_bracket_entries():
-    b = km_bracket(4)
-    P = poly_vars(4)
-    # alpha_nm = (n+m) P_{n+m-1}
-    assert b.alpha[0][0].is_zero
-    assert b.alpha[0][1] == P[0]
-    assert b.alpha[1][1] == 2 * P[1]
-    assert b.alpha[1][2] == 3 * P[2]
-    # beta_nmk = n [k = n+m-1]
-    assert b.beta[1][1][1] == MultiPoly.const(4, 1)
-    assert b.beta[2][1][2] == MultiPoly.const(4, 2)
-    assert b.beta[1][2][2] == MultiPoly.const(4, 1)
-    assert b.beta[0][2][1].is_zero
-
-
-def test_km_bracket_antisymmetric():
-    for N in range(2, 7):
-        assert km_bracket(N).is_antisymmetric
-
-
-def test_transform_to_velocity_variables():
-    # (P_0, P_1) -> (rho, u) turns the 2x2 raw-moment block into the
-    # constant canonical form [[0,1],[1,0]].
-    b = km_bracket(2)
-    P0, P1 = poly_vars(2)
-    rho, u = poly_vars(2)  # names of the new variables, same ring
-    new_from_old = [RatFunc.of(P0, 2), RatFunc(P1, P0)]
-    old_from_new = [RatFunc.of(rho, 2), RatFunc.of(rho * u, 2)]
-    t = transform(b, new_from_old, old_from_new)
-    one = RatFunc.of(1, 2)
-    assert t.alpha[0][0].is_zero
-    assert t.alpha[0][1] == one and t.alpha[1][0] == one
-    assert t.alpha[1][1].is_zero
-    for n in range(2):
-        for m in range(2):
-            for k in range(2):
-                assert t.beta[n][m][k].is_zero
-    assert t.is_antisymmetric
-
-
-def test_transform_rejects_singular_jacobian():
-    b = km_bracket(2)
-    P0, P1 = poly_vars(2)
-    with pytest.raises(ValueError):
-        transform(b, [RatFunc.of(P0, 2), RatFunc.of(P0, 2)],
-                  [RatFunc.of(P0, 2), RatFunc.of(P1, 2)])
 
 
 def test_mu_bracket_antisymmetric_for_families():
     for c in (MultiDeltaClosure(2), WaterbagClosure([F(1), F(1), F(-2)]),
               BurbyClosure(3), FourFieldClosure(F(1, 2))):
         assert alpha_beta_in_mu(c).is_antisymmetric
+
+
+def test_antisymmetry_negative_control():
+    # verify's "bracket antisymmetry" check must be able to fail: one
+    # perturbed beta entry breaks d(alpha_nm)/dnu_k = beta_nmk + beta_mnk,
+    # one perturbed alpha entry breaks the symmetry of alpha
+    hb = alpha_beta_in_mu(BurbyClosure(3))
+    assert hb.is_antisymmetric
+    one = MultiPoly.const(hb.nfields, 1)
+    n, m, k = 0, 2, 1
+    beta = [[list(cell) for cell in row] for row in hb.beta]
+    beta[n][m][k] = beta[n][m][k] + one
+    bad = HydroBracket(hb.nfields, hb.alpha, beta)
+    assert not bad.is_antisymmetric
+    assert (n, m, k) in [r[:3] for r in bad.antisymmetry_residuals()]
+    alpha = [list(row) for row in hb.alpha]
+    alpha[0][1] = alpha[0][1] + one
+    assert HydroBracket(hb.nfields, alpha, hb.beta).symmetry_residuals()
 
 
 def test_flatness_all_families():

@@ -4,10 +4,12 @@ The digests below are sha256 sums of `diagnostics.csv` from short `simulate`
 runs and of the final fluid and stream arrays of a `compare`-style run. They
 were recorded before the spectral operators were precomputed per grid and the
 dead work was dropped from the steppers (the nx = 4096 and multidelta cases
-before the steppers reused their stage buffers), so any change to the order
-in which floats are combined shows up here. The cases cover rk4 and split,
-spectral and fd2 derivatives, 0, 1, 2 and 4 normal variables, and grids of
-32 and 4096 cells.
+before the steppers reused their stage buffers, the u0 case after), so any
+change to the order in which floats are combined shows up here. The cases
+cover rk4 and split, spectral and fd2 derivatives, 0, 1, 2 and 4 normal
+variables, grids of 32 and 4096 cells, and a uniform drift u0 that makes
+the rho u term of the split scheme's micro dH/dm_k large enough for its
+last bits to count.
 
 The digests hold for the numpy release they were recorded with; another
 FFT build may round differently, so the test skips on any other release.
@@ -67,6 +69,8 @@ SIMULATE_CASES = {
     "multidelta3-split-spectral": (MULTIDELTA3, "split", "spectral",
                                    (0.25, 0.25, 0.5, -0.5),
         "1d7def569da9082582a3c79204d4ab5ba7aad59fd085ed635c21b5bfcedfaa36"),
+    "burby2-split-u0": (BURBY2, "split", "spectral", (0.05, 0.5),
+        "04652d77d0f57602944ff0e48e3e4df8d705ceb89d9593747ea0a6dd8af9eb9f"),
 }
 
 # (nx, dt, t_end) of the cases not on the default 32-cell grid: large FFTs,
@@ -74,13 +78,18 @@ SIMULATE_CASES = {
 GRIDS = {"burby2-rk4-nx4096": (4096, 5e-4, 0.005),
          "burby4-split-nx4096": (4096, 5e-4, 0.005)}
 DEFAULT_GRID = (32, 0.01, 0.2)
+# initial uniform velocity of the cases that do not start at rest
+U0 = {"burby2-split-u0": 0.5}
 
 COMPARE_SHA256 = "b06b6ecca1f145f74abc0f71a7a551e9b9e592198d1d6e03be80501bf399111d"
 
 
-def simulate_config(closure, scheme, method, nu_base, grid=DEFAULT_GRID) -> dict:
+def simulate_config(closure, scheme, method, nu_base, grid=DEFAULT_GRID,
+                    u0=None) -> dict:
     nx, dt, t_end = grid
     initial = {"eps": 1e-3}
+    if u0 is not None:
+        initial["u0"] = u0
     if nu_base:
         initial.update(nu_base=list(nu_base), nu_eps=[1e-4] * len(nu_base))
     return {"grid": {"L": TWO_PI, "nx": nx, "method": method},
@@ -93,7 +102,8 @@ def simulate_digest(tmp_path, label: str) -> str:
     closure, scheme, method, nu_base, _ = SIMULATE_CASES[label]
     config = tmp_path / f"{label}.json"
     grid = GRIDS.get(label, DEFAULT_GRID)
-    config.write_text(json.dumps(simulate_config(closure, scheme, method, nu_base, grid)))
+    config.write_text(json.dumps(simulate_config(closure, scheme, method, nu_base, grid,
+                                                 U0.get(label))))
     out = tmp_path / label
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # every case stays within the CFL bound
