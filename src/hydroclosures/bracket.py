@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ratmat
-from .moments import mu_alpha_entry, mu_beta_entry
+from .moments import bracket_entry
 from .poly import MultiPoly
 
 
@@ -96,47 +96,60 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
     for n, m = 1..size (default: the closure's microscopic field count).
     Identity (b) is the chain-rule expansion of the derivative equation:
     only the first gradient factor carries the x-derivative.
+
+    Each gradient comes from the closure's cache and each entry from
+    `bracket_entry`; g . grad(mu_m) and each Hessian row are built once
+    per call. As g is symmetric, d/dnu_k of the left side of (a) is the
+    sum of the left sides of (b) at (n, m) and at (m, n), so only the
+    pairs n < m multiply Hessian rows; the other left sides of (b) come
+    from the gradient of (a).
     """
     if size is None:
         size = closure.nu_count
     nv = closure.nu_count
     g = closure.metric.g
     checks = []
-    grads = {}
+    hessians, raised = {}, {}
 
-    def grad(n):
-        if n not in grads:
-            p = closure.mu(n)
-            grads[n] = [p.diff(k) for k in range(nv)]
-        return grads[n]
+    def hessian(n):
+        # hessians[n][k] = the row [d/dnu_k d/dnu_i mu_n]_i
+        if n not in hessians:
+            grad = closure.grad(n)
+            hessians[n] = [[p.diff(k) for p in grad] for k in range(nv)]
+        return hessians[n]
 
-    def pair(gn, gm):
+    def pair(row, m):
+        # row . g . grad(mu_m), with g . grad(mu_m) built once per m
+        if m not in raised:
+            gm = closure.grad(m)
+            raised[m] = [sum((gm[j] * g[i][j] for j in range(nv) if g[i][j]),
+                             MultiPoly.zero(nv)) for i in range(nv)]
         acc = MultiPoly.zero(nv)
-        for i in range(nv):
-            for j in range(nv):
-                if g[i][j]:
-                    # the MultiPoly on the left skips Fraction.__mul__'s
-                    # NotImplemented round trip
-                    acc = acc + gn[i] * g[i][j] * gm[j]
+        for a, b in zip(row, raised[m]):
+            if not (a.is_zero or b.is_zero):
+                acc = acc + a * b
         return acc
+
+    def add(name, res):
+        checks.append(FlatnessCheck(
+            name=name, ok=res.is_zero,
+            residual="" if res.is_zero else res.to_text(closure.nu_names)))
 
     for n in range(1, size + 1):
         for m in range(n, size + 1):
-            gn, gm = grad(n), grad(m)
-            res_a = pair(gn, gm) - mu_alpha_entry(closure, n, m)
-            checks.append(FlatnessCheck(
-                name=f"alpha[{n},{m}]",
-                ok=res_a.is_zero,
-                residual="" if res_a.is_zero else res_a.to_text(closure.nu_names)))
-            for first, second in ((n, m),) if n == m else ((n, m), (m, n)):
-                gf, gs = grad(first), grad(second)
+            lhs_a = pair(closure.grad(n), m)
+            add(f"alpha[{n},{m}]", lhs_a - bracket_entry(closure, n, m))
+            dlhs_a = [lhs_a.diff(k) for k in range(nv)]
+            if n == m:
+                lhs_b = [d / 2 for d in dlhs_a]
+            else:
+                lhs_b = [pair(hessian(n)[k], m) for k in range(nv)]
+            for k in range(nv):
+                add(f"beta[{n},{m};{k + 1}]", lhs_b[k] - bracket_entry(closure, n, m, k))
+            if n != m:
                 for k in range(nv):
-                    dgf = [p.diff(k) for p in gf]
-                    res_b = pair(dgf, gs) - mu_beta_entry(closure, first, second, k)
-                    checks.append(FlatnessCheck(
-                        name=f"beta[{first},{second};{k + 1}]",
-                        ok=res_b.is_zero,
-                        residual="" if res_b.is_zero else res_b.to_text(closure.nu_names)))
+                    add(f"beta[{m},{n};{k + 1}]",
+                        dlhs_a[k] - lhs_b[k] - bracket_entry(closure, m, n, k))
     return FlatnessReport(family=getattr(closure, "name", "closure"), checks=checks)
 
 

@@ -1,12 +1,14 @@
 """Command-line front end: verify | closure | simulate | compare.
 
-Every subcommand produces a Report (JSON schema 1) and exits 0 iff all
-checks passed. Simulation/config schema is documented in docs/config.md.
+Every subcommand produces a Report (JSON schema 2) and exits 0 iff all
+checks passed. Everything in a report but its `timings` is deterministic.
+Simulation/config schema is documented in docs/config.md.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -28,7 +30,17 @@ class Report:
     def __init__(self, command: str):
         self.command = command
         self.checks: list[dict] = []
+        self.phases: dict[str, float] = {}
         self._t0 = time.perf_counter()
+
+    @contextlib.contextmanager
+    def phase(self, name: str):
+        """Add the seconds the block takes to `timings[name]`."""
+        t = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.phases[name] = self.phases.get(name, 0.0) + time.perf_counter() - t
 
     def add(self, name: str, ok: bool, detail: str = ""):
         self.checks.append({"name": name, "ok": bool(ok), "detail": detail})
@@ -38,9 +50,10 @@ class Report:
         return all(c["ok"] for c in self.checks)
 
     def as_dict(self) -> dict:
-        return {"schema": 1, "command": self.command, "ok": self.ok,
+        timings = {"wall_time": time.perf_counter() - self._t0, **self.phases}
+        return {"schema": 2, "command": self.command, "ok": self.ok,
                 "checks": self.checks,
-                "wall_time": round(time.perf_counter() - self._t0, 3)}
+                "timings": {k: round(v, 6) for k, v in timings.items()}}
 
     def emit(self, as_json: bool, out: Path | None = None) -> int:
         doc = self.as_dict()
@@ -150,27 +163,42 @@ def _spec_from_args(args) -> dict:
 
 def _verify_one(closure: ClosureFamily, rep: Report):
     name = closure.name
-    fl = bracket.check_flatness(closure, size=closure.flatness_size)
+    with rep.phase("flatness"):
+        fl = bracket.check_flatness(closure, size=closure.flatness_size)
     detail = "; ".join(f"{c.name}: {c.residual}" for c in fl.failures()[:3])
     rep.add(f"{name}: flatness identities", fl.ok, detail)
     if closure.nu_count:
-        hb = alpha_beta_in_mu(closure)
-        rep.add(f"{name}: bracket antisymmetry", hb.is_antisymmetric)
+        with rep.phase("antisymmetry"):
+            antisymmetric = alpha_beta_in_mu(closure).is_antisymmetric
+        rep.add(f"{name}: bracket antisymmetry", antisymmetric)
         try:
             sig = closure.metric.signature
             rep.add(f"{name}: metric nondegenerate (signature {sig})", True)
         except ValueError as e:
             rep.add(f"{name}: metric nondegenerate", False, str(e))
-    for check, ok, detail in closure.identities():
+    with rep.phase("identities"):
+        identities = closure.identities()
+    for check, ok, detail in identities:
         rep.add(f"{name}: {check}", ok, detail)
+
+
+def _level_range(text: str) -> range:
+    """The levels of `--levels lo..hi`, lo <= hi."""
+    lo, sep, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        sep = ""
+    if not sep or lo > hi:
+        raise ValueError(f"--levels expects lo..hi with integers lo <= hi, got {text!r}")
+    return range(lo, hi + 1)
 
 
 def cmd_verify(args) -> int:
     rep = Report("verify")
     try:
         if args.family == "burby" and args.levels:
-            lo, hi = (int(v) for v in args.levels.split(".."))
-            for m in range(lo, hi + 1):
+            for m in _level_range(args.levels):
                 _verify_one(closure_from_spec(
                     {"family": "burby", "level": m, "branch": args.branch}), rep)
         else:

@@ -123,10 +123,7 @@ def s_from_mu(mu: CenteredMoments | Sequence) -> tuple:
 def gamma_n(mu_poly: MultiPoly, n: int) -> MultiPoly:
     """gamma_n = (n+1) mu_n - nu_k dmu_n/dnu_k; zero iff mu_n is homogeneous
     of degree n+1."""
-    acc = (n + 1) * mu_poly
-    for k in range(mu_poly.nvars):
-        acc = acc - MultiPoly.variable(mu_poly.nvars, k) * mu_poly.diff(k)
-    return acc
+    return (n + 1) * mu_poly - mu_poly.euler()
 
 
 def mu_alpha_entry(closure, n: int, m: int) -> MultiPoly:
@@ -143,11 +140,23 @@ def mu_beta_entry(closure, n: int, m: int, k: int) -> MultiPoly:
 
     The derivative-index convention (n multiplies d_x mu_{n+m-1}) follows the
     form the raw-moment bracket takes; the chain rule turns each d_x mu into
-    sum_k (dmu/dnu_k) d_x nu_k.
+    sum_k (dmu/dnu_k) d_x nu_k, read from the closure's gradient caches.
     """
-    return (n * closure.mu(n + m - 1).diff(k)
-            - n * closure.gamma(m) * closure.mu(n - 1).diff(k)
-            - m * closure.mu(m - 1) * closure.gamma(n).diff(k))
+    return (n * closure.grad(n + m - 1)[k]
+            - n * closure.gamma(m) * closure.grad(n - 1)[k]
+            - m * closure.mu(m - 1) * closure.gamma_grad(n)[k])
+
+
+def bracket_entry(closure, n: int, m: int, k: int | None = None) -> MultiPoly:
+    """alpha_nm (k None) or beta_nmk, built once per closure and kept in
+    its `bracket_entries`: the flatness and the antisymmetry checks read
+    the same entries."""
+    entries = closure.bracket_entries
+    key = (n, m, k)
+    if key not in entries:
+        entries[key] = (mu_alpha_entry(closure, n, m) if k is None
+                        else mu_beta_entry(closure, n, m, k))
+    return entries[key]
 
 
 def alpha_beta_in_mu(closure):
@@ -156,9 +165,9 @@ def alpha_beta_in_mu(closure):
     from .bracket import HydroBracket  # deferred: bracket imports this module
 
     size = closure.nu_count
-    alpha = [[mu_alpha_entry(closure, n, m) for m in range(1, size + 1)]
+    alpha = [[bracket_entry(closure, n, m) for m in range(1, size + 1)]
              for n in range(1, size + 1)]
-    beta = [[[mu_beta_entry(closure, n, m, k) for k in range(size)]
+    beta = [[[bracket_entry(closure, n, m, k) for k in range(size)]
              for m in range(1, size + 1)]
             for n in range(1, size + 1)]
     return HydroBracket(nfields=size, alpha=alpha, beta=beta)

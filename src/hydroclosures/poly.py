@@ -298,6 +298,13 @@ class MultiPoly:
                 out[k - step] = c * e
         return _make(self.nvars, out, self._den)
 
+    def euler(self) -> "MultiPoly":
+        """Euler's operator sum_k x_k d/dx_k: every term times its total
+        degree, read from the top field of its packed monomial."""
+        top = _BITS * self.nvars
+        return _make(self.nvars, {k: c * (k >> top) for k, c in self._num.items()
+                                  if k >> top}, self._den)
+
     def eval(self, values: Sequence):
         """Evaluate at `values` (Fractions, floats, MultiPoly...).
 

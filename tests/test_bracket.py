@@ -1,11 +1,20 @@
 """Hydrodynamic bracket antisymmetry, flatness, signatures and Casimirs."""
 
+import contextlib
+import io
+import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hydroclosures.bracket import (HydroBracket, casimirs, check_flatness,
-                                   full_metric, signature)
+from hydroclosures.bracket import (FlatnessCheck, FlatnessReport, HydroBracket,
+                                   casimirs, check_flatness, full_metric,
+                                   signature)
+from hydroclosures.cli import main
 from hydroclosures.closures import (BurbyClosure, FourFieldClosure,
                                     GenericClosure, Metric, MultiDeltaClosure,
                                     WaterbagClosure)
@@ -14,6 +23,7 @@ from hydroclosures.poly import MultiPoly, poly_vars
 from hydroclosures.ratmat import as_matrix
 
 F = Fraction
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_mu_bracket_antisymmetric_for_families():
@@ -73,6 +83,179 @@ def test_matched_generic_stays_flat_at_larger_size():
     c = FourFieldClosure(F(1, 3))
     gen = GenericClosure(c.mu(2), c.metric)
     assert check_flatness(gen, size=gen.nu_count + 2).ok
+
+
+# -- the uncached flatness check, kept as the reference --------------------
+
+
+def reference_check_flatness(closure, size=None):
+    """check_flatness as it stood before the gradient, Hessian-row and
+    bracket-entry caches: every derivative, gamma_n and bracket entry is
+    rebuilt where it is read."""
+    if size is None:
+        size = closure.nu_count
+    nv = closure.nu_count
+    g = closure.metric.g
+    xs = poly_vars(nv)
+
+    def gamma(n):
+        p = closure.mu(n)
+        return (n + 1) * p - sum((x * p.diff(k) for k, x in enumerate(xs)),
+                                 MultiPoly.zero(nv))
+
+    def alpha_entry(n, m):
+        mu = closure.mu
+        return ((n + m) * mu(n + m - 1) - m * mu(m - 1) * gamma(n)
+                - n * mu(n - 1) * gamma(m))
+
+    def beta_entry(n, m, k):
+        mu = closure.mu
+        return (n * mu(n + m - 1).diff(k) - n * gamma(m) * mu(n - 1).diff(k)
+                - m * mu(m - 1) * gamma(n).diff(k))
+
+    def grad(n):
+        p = closure.mu(n)
+        return [p.diff(k) for k in range(nv)]
+
+    def pair(gn, gm):
+        acc = MultiPoly.zero(nv)
+        for i in range(nv):
+            for j in range(nv):
+                if g[i][j]:
+                    acc = acc + gn[i] * g[i][j] * gm[j]
+        return acc
+
+    checks = []
+    for n in range(1, size + 1):
+        for m in range(n, size + 1):
+            res_a = pair(grad(n), grad(m)) - alpha_entry(n, m)
+            checks.append(FlatnessCheck(
+                name=f"alpha[{n},{m}]", ok=res_a.is_zero,
+                residual="" if res_a.is_zero else res_a.to_text(closure.nu_names)))
+            for first, second in ((n, m),) if n == m else ((n, m), (m, n)):
+                for k in range(nv):
+                    dgf = [p.diff(k) for p in grad(first)]
+                    res_b = pair(dgf, grad(second)) - beta_entry(first, second, k)
+                    checks.append(FlatnessCheck(
+                        name=f"beta[{first},{second};{k + 1}]", ok=res_b.is_zero,
+                        residual="" if res_b.is_zero else res_b.to_text(closure.nu_names)))
+    return FlatnessReport(family=closure.name, checks=checks)
+
+
+def _generic(mu2_text, rows=None):
+    mu2 = MultiPoly.parse(mu2_text)
+    nv = mu2.nvars
+    if rows is None:  # the CLI default, antidiagonal ones
+        rows = [[F(int(i + j == nv - 1)) for j in range(nv)] for i in range(nv)]
+    return GenericClosure(mu2, Metric(rows))
+
+
+def _perturbed_multidelta():
+    c = MultiDeltaClosure(2)
+    xi, eta = poly_vars(2)
+    return GenericClosure(c.mu(2) + xi ** 2 * eta, c.metric)
+
+
+def _fourfield_as_generic():
+    c = FourFieldClosure(F(1, 3))
+    return GenericClosure(c.mu(2), c.metric)
+
+
+# name -> (closure builder, sizes as offsets from nu_count); the verify
+# size is nu_count for a family and nu_count + 2 for a generic closure
+ORACLE_CASES = {
+    **{f"burby{m}": (lambda m=m: BurbyClosure(m), (0,)) for m in range(1, 7)},
+    "burby3-minus": (lambda: BurbyClosure(3, branch="minus"), (0,)),
+    "multidelta2": (lambda: MultiDeltaClosure(2), (0,)),
+    "multidelta3": (lambda: MultiDeltaClosure(3), (0,)),
+    "waterbag3": (lambda: WaterbagClosure([F(1), F(1), F(-2)]), (0,)),
+    "waterbag4": (lambda: WaterbagClosure([F(2), F(-1), F(1), F(-2)]), (0,)),
+    "waterbag5": (lambda: WaterbagClosure([F(1), F(1), F(1), F(-1), F(-2)]), (0,)),
+    "fourfield": (lambda: FourFieldClosure(F(1, 2)), (0,)),
+    "generic": (lambda: _generic("nu1*nu3^2 + nu2^2*nu3"), (2,)),
+    # the negative controls of this file, which fail with residual text
+    # one size beyond the enforced cells
+    "generic-mismatched-metric": (
+        lambda: _generic("nu1^2*nu2", [[F(1), F(0)], [F(0), F(1)]]), (0, 1, 2)),
+    "multidelta2-perturbed": (_perturbed_multidelta, (0, 1, 2)),
+    "fourfield-generic": (_fourfield_as_generic, (2,)),
+}
+NEGATIVE_CONTROLS = ("generic-mismatched-metric", "multidelta2-perturbed")
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_flatness_matches_uncached_reference(case):
+    build, offsets = ORACLE_CASES[case]
+    for offset in offsets:
+        size = build().nu_count + offset
+        want = reference_check_flatness(build(), size)
+        got = check_flatness(build(), size)
+        assert [(c.name, c.ok, c.residual) for c in got.checks] == \
+            [(c.name, c.ok, c.residual) for c in want.checks], (case, size)
+    assert got.ok == (case not in NEGATIVE_CONTROLS)
+
+
+def test_verify_builds_each_derivative_and_entry_once():
+    """Counters of one traced `verify --family waterbag` at N = 5 (nv = 3),
+    recorded when the gradient, Hessian-row and entry caches went in."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["verify", "--family", "waterbag", "--heights", "1,1,1,-1,-2"])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    summary = tracer.summary()
+    # the S_n check reads the nu = 0 velocities, never the expansion
+    assert "closures.waterbag_s" not in summary["calls"]
+    counts = summary["counts"]
+    # 3 alpha and 2 * 3 beta cells per pair n < m, 1 + 3 per n = m
+    assert counts["bracket.identities"] == 3 * 7 + 3 * 4
+    # every alpha_nm and beta_nmk of the 3 x 3 bracket built once
+    assert counts["moments.entries"] == 9 + 27
+    # gradients of mu_0..mu_6 (7 * 3) and of gamma_1..gamma_3 (3 * 3), the
+    # Hessians of mu_1 and mu_2 (2 * 9; the beta pairs with n >= m come
+    # from the gradients of the 6 alpha pairs, 6 * 3), and the 27
+    # d(alpha_nm)/dnu_k of the antisymmetry check
+    assert summary["calls"]["poly.diff"] == 21 + 9 + 18 + 18 + 27
+
+
+@st.composite
+def random_cubics(draw):
+    """A GenericClosure of a cubic with 1..4 random monomials in nv = 2..4
+    variables, under an identity, antidiagonal or random diagonal metric."""
+    nv = draw(st.integers(2, 4))
+    monomials = list(combinations_with_replacement(range(nv), 3))
+    chosen = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4,
+                           unique=True))
+    coef = st.sampled_from([F(-2), F(-1), F(1, 2), F(1), F(2)])
+    terms = {}
+    for combo in chosen:
+        terms[tuple(combo.count(i) for i in range(nv))] = draw(coef)
+    kind = draw(st.sampled_from(["identity", "antidiagonal", "diagonal"]))
+    rows = [[F(0)] * nv for _ in range(nv)]
+    for i in range(nv):
+        if kind == "antidiagonal":
+            rows[i][nv - 1 - i] = F(1)
+        else:
+            rows[i][i] = F(1) if kind == "identity" else draw(coef)
+    return GenericClosure(MultiPoly(nv, terms), Metric(rows))
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_cubics())
+def test_three_index_flatness_agrees_with_full_check(closure):
+    # the cells with n, m <= 3 are conjectured to decide flatness; until
+    # that is proved, verify keeps the full check and this test looks for
+    # a counterexample
+    assert (check_flatness(closure, size=3).ok
+            == check_flatness(closure, size=closure.flatness_size).ok)
 
 
 def test_signature_helper():

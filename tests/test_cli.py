@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,11 +37,45 @@ def test_verify_levels_pass(capsys):
 def test_verify_json_report(capsys):
     assert main(["verify", "--family", "multidelta", "--M", "2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["command"] == "verify"
     assert doc["ok"] is True
     assert all(c["ok"] for c in doc["checks"])
-    assert isinstance(doc["wall_time"], float)
+    assert isinstance(doc["timings"]["wall_time"], float)
+    assert set(doc["timings"]) == {"wall_time", "flatness", "antisymmetry", "identities"}
+
+
+@pytest.mark.parametrize("levels", ["5..2", "3", "a..4", "1..2..3"])
+def test_verify_levels_rejects_bad_range(levels, capsys):
+    # an empty range used to pass vacuously (OK (0/0 checks)), a single
+    # level to fail on an unpacking error
+    assert main(["verify", "--family", "burby", "--levels", levels]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "lo..hi" in captured.err
+
+
+def _drop_timings(text: str) -> str:
+    """The report text with its `timings` object, the one part that may
+    vary between runs, cut out."""
+    out, count = re.subn(r',\n  "timings": \{[^{}]*\}', "", text)
+    assert count == 1
+    return out
+
+
+def test_reports_byte_stable_but_for_timings(tmp_path, capsys):
+    argv = ["verify", "--family", "waterbag", "--heights", "1,1,1,-1,-2", "--json"]
+    texts = []
+    for _ in range(2):
+        assert main(argv) == 0
+        texts.append(capsys.readouterr().out)
+    assert _drop_timings(texts[0]) == _drop_timings(texts[1])
+    cfg = write_config(tmp_path, COLD_CONFIG)
+    texts = []
+    for run in ("a", "b"):
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+        texts.append((tmp_path / run / "report.json").read_text())
+    assert _drop_timings(texts[0]) == _drop_timings(texts[1])
 
 
 def test_verify_waterbag_includes_gamma_identity(capsys):
@@ -156,7 +191,7 @@ def test_simulate_artifacts_and_exit_code(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["schema"] == 1 and report["ok"] is True
+    assert report["schema"] == 2 and report["ok"] is True
     with open(out / "diagnostics.csv") as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["t", "H", "C_mass", "C_psi", "momentum", "field_energy"]

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hydroclosures.closures import (BurbyClosure, ColdClosure,
                                     _newton_starts, _nth_root_fraction,
@@ -17,7 +19,7 @@ from hydroclosures.closures import (BurbyClosure, ColdClosure,
                                     multidelta_normal_map, newton_invert,
                                     waterbag_gamma_rule, waterbag_inverse_map,
                                     waterbag_mu, waterbag_normal_map,
-                                    waterbag_s)
+                                    waterbag_s, waterbag_s_at_zero)
 from hydroclosures.moments import gamma_n, s_from_mu
 from hydroclosures.poly import MultiPoly, poly_vars
 
@@ -96,6 +98,25 @@ def test_waterbag_s_constant_terms():
     for n in range(2, 5):
         want = F(1 + (-1) ** n, (n + 1) * 2 ** (n + 1) * a[-1] ** n)
         assert waterbag_s(a, n).constant_term() == want
+
+
+@st.composite
+def waterbag_heights(draw):
+    """Valid heights for N = 3..6: nonzero partial sums, a_N = -sum of the rest."""
+    N = draw(st.integers(3, 6))
+    a = [F(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.integers(1, 2)))
+         for _ in range(N - 1)]
+    sigma = [sum(a[:k + 1]) for k in range(N - 1)]
+    assume(all(sigma))
+    return a + [-sigma[-1]]
+
+
+@settings(max_examples=10, deadline=None)
+@given(waterbag_heights())
+def test_waterbag_s_at_zero_equals_expanded_constant(a):
+    # the verify suite's S_n check reads these instead of expanding S_n
+    for n in range(2 * len(a) - 2):
+        assert waterbag_s_at_zero(a, n) == waterbag_s(a, n).constant_term(), (a, n)
 
 
 def test_waterbag_gamma_identity():

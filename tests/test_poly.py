@@ -176,7 +176,8 @@ def test_matches_sympy_poly(sympy, pair, n, var, point):
     gens = sympy.symbols(f"x1:{nvars + 1}")
     A, B = to_sympy(sympy, a, gens), to_sympy(sympy, b, gens)
     for ours, theirs in ((a + b, A + B), (a - b, A - B), (a * b, A * B), (a * a, A * A),
-                         (a ** n, A ** n), (a.diff(var), A.diff(gens[var]))):
+                         (a ** n, A ** n), (a.diff(var), A.diff(gens[var])),
+                         (a.euler(), sum((A.diff(g) * g for g in gens), A * 0))):
         assert ours == from_sympy(theirs, nvars)
     value = A.eval({g: sympy.Rational(v.numerator, v.denominator) for g, v in zip(gens, point)})
     assert a.eval(point) == Fraction(int(value.p), int(value.q))
