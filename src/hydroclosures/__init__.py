@@ -12,7 +12,7 @@ from .closures import (BurbyClosure, ClosureFamily, ColdClosure,
                        MultiDeltaClosure, WaterbagClosure, burby_mu,
                        burby_mu_closed, equation_of_state, fourfield_family,
                        generate_closure_from_mu2, multidelta_normal_map,
-                       waterbag_gamma_rule, waterbag_s)
+                       waterbag_s)
 from .moments import DensityError, alpha_beta_in_mu, p_from_mu
 from .poly import MultiPoly
 from .sim import (FieldState, Grid, SimulationError, WaveBreakError,
@@ -28,7 +28,7 @@ __all__ = [
     "check_flatness", "signature", "full_metric", "casimirs",
     "Metric", "ClosureFamily", "MultiDeltaClosure", "WaterbagClosure",
     "BurbyClosure", "FourFieldClosure", "GenericClosure", "ColdClosure",
-    "multidelta_normal_map", "waterbag_s", "waterbag_gamma_rule",
+    "multidelta_normal_map", "waterbag_s",
     "burby_mu", "burby_mu_closed", "generate_closure_from_mu2",
     "equation_of_state", "fourfield_family",
     "Grid", "FieldState", "SimulationError", "WaveBreakError",

@@ -16,7 +16,6 @@ metric, which satisfies Jacobi automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import ratmat
 from .moments import bracket_entry
@@ -93,7 +92,7 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
       (a)  grad(mu_n) . g . grad(mu_m) = alpha_nm(mu)
       (b)  [d/dnu_k grad(mu_n)] . g . grad(mu_m) = beta_nmk(mu)
 
-    for n, m = 1..size (default: the closure's microscopic field count).
+    for n, m = 1..size (default: the closure's `flatness_size`).
     Identity (b) is the chain-rule expansion of the derivative equation:
     only the first gradient factor carries the x-derivative.
 
@@ -105,7 +104,7 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
     from the gradient of (a).
     """
     if size is None:
-        size = closure.nu_count
+        size = closure.flatness_size
     nv = closure.nu_count
     g = closure.metric.g
     checks = []
@@ -150,7 +149,7 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
                 for k in range(nv):
                     add(f"beta[{m},{n};{k + 1}]",
                         dlhs_a[k] - lhs_b[k] - bracket_entry(closure, m, n, k))
-    return FlatnessReport(family=getattr(closure, "name", "closure"), checks=checks)
+    return FlatnessReport(family=closure.name, checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +166,9 @@ def signature(g) -> tuple[int, int]:
 def full_metric(closure):
     """Metric of the full partially-decoupled bracket: the canonical
     (rho, u) block [[0,1],[1,0]] plus the microscopic metric."""
-    nv = closure.nu_count
-    g = closure.metric.g
-    size = nv + 2
-    rows = [[Fraction(0)] * size for _ in range(size)]
-    rows[0][1] = rows[1][0] = Fraction(1)
-    for i in range(nv):
-        for j in range(nv):
-            rows[i + 2][j + 2] = Fraction(g[i][j])
-    return ratmat.as_matrix(rows)
+    pad = [0] * closure.nu_count
+    return ratmat.as_matrix([[0, 1, *pad], [1, 0, *pad],
+                             *([0, 0, *row] for row in closure.metric.g)])
 
 
 @dataclass(frozen=True)
@@ -198,7 +191,7 @@ def casimirs(closure) -> CasimirSet:
     bracket: total mass, the psi-integral, and one rho*nu_k per
     microscopic variable."""
     names = closure.nu_names
-    ginv = ratmat.inverse(ratmat.as_matrix(closure.metric.g)) if closure.nu_count else ()
+    ginv = closure.metric.inverse() if closure.nu_count else ()
     quad = []
     for i in range(closure.nu_count):
         for j in range(closure.nu_count):

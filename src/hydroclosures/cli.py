@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -21,8 +22,9 @@ import numpy as np
 from . import bracket, sim
 from .closures import (BurbyClosure, ClosureFamily, ColdClosure,
                        FourFieldClosure, GenericClosure, Metric,
-                       MultiDeltaClosure, WaterbagClosure, equation_of_state)
-from .moments import alpha_beta_in_mu
+                       MultiDeltaClosure, WaterbagClosure, equation_of_state,
+                       multidelta_normal_map)
+from .moments import alpha_beta_in_mu, p_from_mu
 from .poly import MultiPoly
 
 
@@ -125,11 +127,9 @@ def closure_from_spec(spec: dict) -> ClosureFamily:
 
 
 def _metric_from_spec(text, nvars: int) -> Metric:
-    if text is None:
-        # default: antidiagonal ones
-        rows = [[Fraction(1) if i + j == nvars - 1 else Fraction(0)
-                 for j in range(nvars)] for i in range(nvars)]
-        return Metric(rows)
+    if text is None:  # default: antidiagonal ones
+        return Metric([[int(i + j == nvars - 1) for j in range(nvars)]
+                       for i in range(nvars)])
     if isinstance(text, str):
         rows = [[_parse_fraction(v) for v in row.split(",")]
                 for row in text.split(";")]
@@ -164,7 +164,7 @@ def _spec_from_args(args) -> dict:
 def _verify_one(closure: ClosureFamily, rep: Report):
     name = closure.name
     with rep.phase("flatness"):
-        fl = bracket.check_flatness(closure, size=closure.flatness_size)
+        fl = bracket.check_flatness(closure)
     detail = "; ".join(f"{c.name}: {c.residual}" for c in fl.failures()[:3])
     rep.add(f"{name}: flatness identities", fl.ok, detail)
     if closure.nu_count:
@@ -262,17 +262,40 @@ def cmd_closure(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+_SIMULATE_KEYS = ("grid", "closure", "initial", "integrator", "output")
+_COMPARE_KEYS = ("grid", "streams", "integrator", "tolerance")
 _GRID_KEYS = ("L", "nx", "method")
 _INTEGRATOR_KEYS = ("scheme", "dt", "t_end")
 _INITIAL_KEYS = ("type", "n0", "eps", "u0", "nu_base", "nu_eps")
 _OUTPUT_KEYS = ("stride", "snapshots")
 
 
-def load_config(path) -> dict:
+def load_config(path, keys) -> dict:
+    """The JSON config at `path`; its top-level keys must be among `keys`."""
     cfg = json.loads(Path(path).read_text())
-    _reject_unknown(cfg, ("grid", "closure", "initial", "integrator",
-                          "output", "streams", "tolerance"), "config")
+    _reject_unknown(cfg, keys, "config")
     return cfg
+
+
+def _build_run(cfg: dict) -> tuple[str, float, float, int, int]:
+    """(scheme, dt, t_end, stride, snapshots) of the `integrator` and
+    `output` blocks, checked so that a run takes a step of a known scheme."""
+    integ, output = dict(cfg["integrator"]), dict(cfg.get("output", {}))
+    _reject_unknown(integ, _INTEGRATOR_KEYS, "integrator")
+    _reject_unknown(output, _OUTPUT_KEYS, "output")
+    scheme = integ.get("scheme", "rk4")
+    dt, t_end = float(integ["dt"]), float(integ["t_end"])
+    stride, snapshots = int(output.get("stride", 1)), int(output.get("snapshots", 0))
+    if scheme not in ("rk4", "split"):
+        raise ValueError(f"integrator scheme must be 'rk4' or 'split', got {scheme!r}")
+    # a run takes round(t_end / dt) steps; NaN fails every comparison
+    if not (0 < dt < math.inf and 0.5 < t_end / dt < math.inf):
+        raise ValueError("integrator needs a finite dt > 0 and a finite t_end > dt/2, "
+                         f"got dt = {dt}, t_end = {t_end}")
+    if stride < 1 or snapshots < 0:
+        raise ValueError("output needs stride >= 1 and snapshots >= 0, "
+                         f"got stride = {stride}, snapshots = {snapshots}")
+    return scheme, dt, t_end, stride, snapshots
 
 
 def _build_grid(spec: dict) -> sim.Grid:
@@ -297,35 +320,28 @@ def cmd_simulate(args) -> int:
     rep = Report("simulate")
     outdir = Path(args.out)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, _SIMULATE_KEYS)
         grid = _build_grid(cfg["grid"])
         closure = closure_from_spec(cfg["closure"])
         state = _build_initial(cfg.get("initial", {}), grid, closure)
-        integ = dict(cfg["integrator"])
-        _reject_unknown(integ, _INTEGRATOR_KEYS, "integrator")
-        output = dict(cfg.get("output", {}))
-        _reject_unknown(output, _OUTPUT_KEYS, "output")
-    except (KeyError, ValueError) as e:
+        scheme, dt, t_end, stride, snapshots = _build_run(cfg)
+    except (KeyError, TypeError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     outdir.mkdir(parents=True, exist_ok=True)
     snapdir = outdir / "snapshots"
     snapdir.mkdir(exist_ok=True)
-    snap_every = int(output.get("snapshots", 0))
     count = [0]
 
     def on_record(s, rec):
         count[0] += 1
-        if snap_every and count[0] % snap_every == 0:
+        if snapshots and count[0] % snapshots == 0:
             sim.write_snapshot(snapdir / f"snap_{count[0]:06d}.npz",
                                s, grid.nx, closure.N)
 
     try:
-        result = sim.run_fluid(state, closure, grid,
-                               dt=float(integ["dt"]), t_end=float(integ["t_end"]),
-                               scheme=integ.get("scheme", "rk4"),
-                               stride=int(output.get("stride", 1)),
-                               on_record=on_record)
+        result = sim.run_fluid(state, closure, grid, dt=dt, t_end=t_end,
+                               scheme=scheme, stride=stride, on_record=on_record)
     except sim.SimulationError as e:
         rep.add("run completed", False, str(e))
         return rep.emit(args.json, outdir)
@@ -354,20 +370,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    from .closures import multidelta_normal_map
-    from .moments import p_from_mu
-
     rep = Report("compare")
     outdir = Path(args.out) if args.out else None
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, _COMPARE_KEYS)
         grid = _build_grid(cfg["grid"])
         streams = dict(cfg.get("streams", {}))
         _reject_unknown(streams, ("n0", "v0", "eps"), "streams")
-        integ = dict(cfg["integrator"])
-        _reject_unknown(integ, _INTEGRATOR_KEYS, "integrator")
+        scheme, dt, t_end, _, _ = _build_run(cfg)
         tol = float(cfg.get("tolerance", 1e-6))
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     sst = sim.two_stream_state(grid, n0=float(streams.get("n0", 1.0)),
@@ -376,21 +388,18 @@ def cmd_compare(args) -> int:
     md = MultiDeltaClosure(2)
     rho, u, xi, eta = multidelta_normal_map(list(sst.a), list(sst.v))
     fst = sim.FieldState(rho, u, np.array([xi[0], eta[0]]), sst.n0)
-    dt, t_end = float(integ["dt"]), float(integ["t_end"])
-    nsteps = int(round(t_end / dt))
     s_f, s_s = fst, sst
     broke = None
-    for i in range(nsteps):
-        s_f = sim.step(s_f, md, grid, dt)
+    for _ in range(int(round(t_end / dt))):
+        s_f = sim.step(s_f, md, grid, dt, scheme=scheme)
         s_s = sim.step_streams(s_s, grid, dt)
         try:
             sim.check_wave_breaking(s_s, grid)
         except sim.WaveBreakError as e:
             broke = str(e)
             break
-    tab = [md.mu(k).compile_float() for k in range(1, 4)]
     nuv = list(s_f.nu)
-    mu_vals = [f(nuv) for f in tab]
+    mu_vals = [md.mu_value(k, nuv) for k in range(1, 4)]
     psi = s_f.u - s_f.rho * mu_vals[0]
     P_fluid = p_from_mu(s_f.rho, psi, mu_vals)
     P_stream = [np.sum(s_s.a * s_s.v ** k, axis=0) for k in range(4)]

@@ -1,10 +1,11 @@
 """Closure families: explicit polynomial moment functions mu_n(nu).
 
 One engine, `ClosureFamily`, generates every family's moments mu_n
-(mu_0 = 1) and inhomogeneity measures gamma_n by one recurrence from the
-family's data: its normal variables nu, a constant symmetric metric g and
-a single cubic mu_2. A family adds only its parameters, the identities
-its verify suite checks and, where one exists, an explicit inversion.
+(mu_0 = 1), and all that derives from them, by one recurrence from the
+family's data: its normal variables nu, a constant symmetric metric g
+and a single cubic mu_2. A family adds only its parameters, the
+identities its verify suite checks and, where one exists, an explicit
+inversion.
 
 Families: multi-delta (M cold streams), waterbag (piecewise-constant
 distribution with fixed bag heights), the delta-derivative closure with
@@ -62,19 +63,6 @@ class Metric:
         return f"Metric({[list(map(str, row)) for row in self.g]})"
 
 
-def quadratic_mu1(metric: Metric) -> MultiPoly:
-    """mu_1 = (1/2) nu . g^-1 nu, the universal first centered moment."""
-    n = metric.dim
-    ginv = metric.inverse() if n else ()
-    acc = MultiPoly.zero(n)
-    for i in range(n):
-        for j in range(n):
-            if ginv[i][j]:
-                acc = acc + Fraction(ginv[i][j], 2) * \
-                    MultiPoly.variable(n, i) * MultiPoly.variable(n, j)
-    return acc
-
-
 class ClosureFamily:
     """One closure: normal variables, metric g and cubic mu_2, from which
 
@@ -82,16 +70,14 @@ class ClosureFamily:
       mu_{n+1} = (1/(n+2)) [ grad mu_n . g . grad mu_2
                              + 2 mu_1 gamma_n + n mu_{n-1} gamma_2 ]
 
-    generates every mu_n. gamma_rule, if given, is a callable
-    (n, mu) -> MultiPoly (mu being the moment accessor); by default
-    gamma_n is computed from the generated mu_n. mu_n, gamma_n, their
-    gradients, the bracket entries of `moments.bracket_entry` and the
-    compiled evaluators are cached; instances are immutable by
-    convention and safe to share.
+    generates every mu_n, with gamma_n = (n+1) mu_n - nu . grad mu_n.
+    mu_n, gamma_n, their gradients, the bracket entries of
+    `moments.bracket_entry` and the compiled evaluators are cached;
+    instances are immutable by convention and safe to share.
     """
 
     def __init__(self, name: str, nu_names: Sequence[str], metric: Metric,
-                 mu2: MultiPoly, gamma_rule: Callable | None = None):
+                 mu2: MultiPoly):
         self.name = name
         self.nu_names = tuple(nu_names)
         self.nu_count = len(self.nu_names)
@@ -101,7 +87,6 @@ class ClosureFamily:
             raise ValueError("mu_2 variable count does not match the metric")
         self.metric = metric
         self._mu2 = mu2
-        self._gamma_rule = gamma_rule
         self._mu_cache: dict[int, MultiPoly] = {}
         self._gamma_cache: dict[int, MultiPoly] = {}
         self._grad_cache: dict[int, tuple[MultiPoly, ...]] = {}
@@ -129,12 +114,16 @@ class ClosureFamily:
         return self._mu_cache[n]
 
     def _mu(self, n: int) -> MultiPoly:
-        if n == 1:
-            return quadratic_mu1(self.metric)
         if n == 2:
             return self._mu2
         g = self.metric.g
         nv = self.nu_count
+        if n == 1:
+            ginv = self.metric.inverse() if nv else ()
+            x = [MultiPoly.variable(nv, i) for i in range(nv)]
+            return sum((Fraction(ginv[i][j], 2) * x[i] * x[j]
+                        for i in range(nv) for j in range(nv) if ginv[i][j]),
+                       MultiPoly.zero(nv))
         prev = self.grad(n - 1)
         m2 = self.grad(2)
         acc = MultiPoly.zero(nv)
@@ -147,11 +136,9 @@ class ClosureFamily:
         return acc / (n + 1)
 
     def gamma(self, n: int) -> MultiPoly:
-        """(n+1) mu_n - nu . grad mu_n (or the gamma rule); zero for
-        homogeneous families."""
+        """(n+1) mu_n - nu . grad mu_n; zero for homogeneous families."""
         if n not in self._gamma_cache:
-            self._gamma_cache[n] = (gamma_n(self.mu(n), n) if self._gamma_rule is None
-                                    else self._gamma_rule(n, self.mu))
+            self._gamma_cache[n] = gamma_n(self.mu(n), n)
         return self._gamma_cache[n]
 
     def grad(self, n: int) -> tuple[MultiPoly, ...]:
@@ -232,15 +219,21 @@ def _any_true(x) -> bool:
     return bool(x.any()) if hasattr(x, "any") else bool(x)
 
 
+def _exact(x):
+    """An int as a Fraction; floats and numpy arrays pass through."""
+    return Fraction(x) if isinstance(x, int) else x
+
+
 def multidelta_normal_map(a: Sequence, v: Sequence):
     """(a_1..a_M, v_1..v_M) -> (rho, u, xi_2..xi_M, eta_2..eta_M).
 
     rho = sum a, u = sum a_l v_l / rho, xi_k = a_k/rho, eta_k = (v_k - v_1)/rho.
-    Works on scalars (Fractions) and on numpy arrays elementwise.
+    Works on scalars (exact for ints and Fractions) and on numpy arrays
+    elementwise.
     """
     if len(a) != len(v):
         raise ValueError("a and v must have equal length")
-    rho = sum(a[1:], a[0])
+    rho = _exact(sum(a[1:], a[0]))
     if _any_true(rho <= 0):
         raise DensityError("total density must be positive")
     u = sum(ak * vk for ak, vk in zip(a, v)) / rho
@@ -253,6 +246,7 @@ def multidelta_inverse_map(rho, u, xi: Sequence, eta: Sequence):
     """Inverse of multidelta_normal_map: recover (a_1..a_M, v_1..v_M)."""
     if len(xi) != len(eta):
         raise ValueError("xi and eta must have equal length")
+    rho = _exact(rho)
     if _any_true(rho <= 0):
         raise DensityError("total density must be positive")
     mu1 = sum(xk * ek for xk, ek in zip(xi, eta)) if xi else 0
@@ -425,6 +419,7 @@ def waterbag_inverse_map(a: Sequence, rho, u, nu: Sequence):
     N = len(a)
     if len(nu) != N - 2:
         raise ValueError("nu must have N-2 entries")
+    rho = _exact(rho)
     if _any_true(rho <= 0):
         raise DensityError("density must be positive")
     sigma = _sigmas(a)
@@ -691,10 +686,9 @@ class GenericClosure(ClosureFamily):
     claims no family identities.
     """
 
-    def __init__(self, mu2: MultiPoly, metric: Metric,
-                 gamma_rule: Callable | None = None, name: str = "generic"):
+    def __init__(self, mu2: MultiPoly, metric: Metric):
         names = [f"nu{k}" for k in range(1, metric.dim + 1)]
-        super().__init__(name, names, metric, mu2, gamma_rule)
+        super().__init__("generic", names, metric, mu2)
 
     @property
     def flatness_size(self) -> int:
@@ -704,25 +698,14 @@ class GenericClosure(ClosureFamily):
         return []
 
 
-def waterbag_gamma_rule(Lambda) -> Callable:
-    """gamma_n = Lambda^n - n Lambda mu_{n-1}, the waterbag inhomogeneity."""
-    L = Fraction(Lambda)
-
-    def rule(n: int, mu: Callable[[int], MultiPoly]) -> MultiPoly:
-        return MultiPoly.const(mu(0).nvars, L ** n) - n * L * mu(n - 1)
-
-    return rule
-
-
 def generate_closure_from_mu2(mu2: MultiPoly, g: Metric,
-                              gamma_rule: Callable | None = None,
                               n_max: int | None = None) -> list[MultiPoly]:
     """[mu_1 .. mu_{n_max}] generated from the cubic mu_2 and metric g.
 
     n_max defaults to 2 g.dim + 1, the highest index the bracket
     coefficients reference for a family with N = g.dim + 2 fields.
     """
-    fam = GenericClosure(mu2, g, gamma_rule)
+    fam = GenericClosure(mu2, g)
     if n_max is None:
         n_max = 2 * g.dim + 1
     return [fam.mu(n) for n in range(1, n_max + 1)]
@@ -759,7 +742,7 @@ def newton_invert(closure: ClosureFamily, mu_target: Sequence,
                   tol: float = 1e-12, max_iter: int = 100) -> tuple:
     """Solve mu(nu) = mu_target by damped Newton iteration.
 
-    The Jacobian is exact (polynomial differentiation); the step is halved
+    The Jacobian rows are the closure's cached gradients; the step is halved
     until the residual norm decreases. Convergence is local: for families
     with several branches the caller should seed `guess` near the wanted
     branch. Without a guess the iteration starts from [s] * nv with
@@ -771,12 +754,10 @@ def newton_invert(closure: ClosureFamily, mu_target: Sequence,
     target = [float(v) for v in mu_target]
     if len(target) != nv:
         raise ValueError(f"expected {nv} moment values")
-    mus = [closure.mu(n) for n in range(1, nv + 1)]
-    jac_polys = [[p.diff(k).compile_float() for k in range(nv)] for p in mus]
-    funcs = [p.compile_float() for p in mus]
+    jac_polys = [[p.compile_float() for p in closure.grad(n)] for n in range(1, nv + 1)]
 
     def residual(pt):
-        return [f(pt) - t for f, t in zip(funcs, target)]
+        return [closure.mu_value(n, pt) - t for n, t in enumerate(target, start=1)]
 
     def norm(r):
         return max(abs(v) for v in r)

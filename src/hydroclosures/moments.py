@@ -1,13 +1,10 @@
-"""Conversions among the moment hierarchies P_n, S_n and mu_n.
+"""Moment conversions, the inhomogeneity measure and the bracket entries.
 
-The fluid moments P_n, the moments S_n centered around the fluid velocity
-u, and the moments mu_n centered around psi = u - rho*mu_1 are related by
-binomial re-centering sums.  All conversion formulas here are written
-over generic scalars, so one implementation serves three regimes:
-
-  * exact Fractions (identity tests),
-  * MultiPoly values (symbolic identity checks),
-  * floats / numpy arrays (simulation diagnostics).
+The raw fluid moments P_n and the moments S_n centered around the fluid
+velocity u follow from the moments mu_n centered around
+psi = u - rho*mu_1 by binomial re-centering sums. The formulas are
+written over generic scalars, so one implementation serves exact
+Fractions, MultiPoly values and floats or numpy arrays alike.
 
 Also houses the inhomogeneity measure gamma_n and the construction of the
 microscopic bracket coefficients (alpha, beta) in the mu-variables,
@@ -16,7 +13,6 @@ expressed as polynomials in the normal variables of a closure family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from numbers import Real
@@ -39,68 +35,11 @@ def _require_positive_density(rho) -> None:
             raise DensityError("density must be positive everywhere")
 
 
-@dataclass(frozen=True)
-class CenteredMoments:
-    """Moments centered around u (kind 'S') or around psi (kind 'mu').
-
-    For kind 'S' the values are (S_2, S_3, ...): S_0 = 1 and S_1 = 0 hold
-    by construction and are never stored.  For kind 'mu' the values are
-    (mu_1, mu_2, ...): mu_0 = 1 is implicit.
-    """
-
-    kind: str  # 'S' or 'mu'
-    values: tuple
-    rho: object
-    center: object  # u for kind 'S', psi for kind 'mu'
-
-    def __post_init__(self):
-        if self.kind not in ("S", "mu"):
-            raise ValueError(f"kind must be 'S' or 'mu', got {self.kind!r}")
-
-
-def s_from_p(P: Sequence):
-    """(rho, u, S) from the raw moments P_0..P_{N-1}.
-
-    S_n = rho^-(n+1) * sum_k C(n,k) (-u)^(n-k) P_k  for n = 2..N-1.
-    """
-    rho = P[0]
+def p_from_mu(rho, psi, mu: Sequence) -> tuple:
+    """Raw moments P_n = sum_k C(n,k) mu_k rho^(k+1) psi^(n-k) for
+    n = 0..len(mu), from mu = (mu_1, mu_2, ...) (mu_0 = 1)."""
     _require_positive_density(rho)
-    u = P[1] / rho
-    values = []
-    for n in range(2, len(P)):
-        acc = sum(comb(n, k) * (-u) ** (n - k) * P[k] for k in range(n + 1))
-        values.append(acc / rho ** (n + 1))
-    return rho, u, CenteredMoments("S", tuple(values), rho, u)
-
-
-def p_from_s(rho, u, S: CenteredMoments | Sequence) -> tuple:
-    """Raw moments P_n = sum_k C(n,k) rho^(k+1) u^(n-k) S_k (S_0=1, S_1=0)."""
-    _require_positive_density(rho)
-    vals = S.values if isinstance(S, CenteredMoments) else tuple(S)
-    s_full = [1, 0, *vals]
-    P = []
-    for n in range(len(s_full)):
-        P.append(sum(comb(n, k) * rho ** (k + 1) * u ** (n - k) * s_full[k]
-                     for k in range(n + 1)))
-    return tuple(P)
-
-
-def mu_from_p(P: Sequence, psi) -> CenteredMoments:
-    """mu_n = rho^-(n+1) * sum_k C(n,k) P_k (-psi)^(n-k) for n = 1..N-1."""
-    rho = P[0]
-    _require_positive_density(rho)
-    values = []
-    for n in range(1, len(P)):
-        acc = sum(comb(n, k) * P[k] * (-psi) ** (n - k) for k in range(n + 1))
-        values.append(acc / rho ** (n + 1))
-    return CenteredMoments("mu", tuple(values), rho, psi)
-
-
-def p_from_mu(rho, psi, mu: CenteredMoments | Sequence) -> tuple:
-    """Raw moments P_n = sum_k C(n,k) mu_k rho^(k+1) psi^(n-k) (mu_0=1)."""
-    _require_positive_density(rho)
-    vals = mu.values if isinstance(mu, CenteredMoments) else tuple(mu)
-    mu_full = [1, *vals]
+    mu_full = [1, *mu]
     P = []
     for n in range(len(mu_full)):
         P.append(sum(comb(n, k) * mu_full[k] * rho ** (k + 1) * psi ** (n - k)
@@ -108,10 +47,10 @@ def p_from_mu(rho, psi, mu: CenteredMoments | Sequence) -> tuple:
     return tuple(P)
 
 
-def s_from_mu(mu: CenteredMoments | Sequence) -> tuple:
-    """Re-centering from psi to u: S_n = sum_k C(n,k) (-mu_1)^(n-k) mu_k."""
-    vals = mu.values if isinstance(mu, CenteredMoments) else tuple(mu)
-    mu_full = [1, *vals]
+def s_from_mu(mu: Sequence) -> tuple:
+    """Re-centering from psi to u: S_n = sum_k C(n,k) (-mu_1)^(n-k) mu_k
+    for n = 2..len(mu), from mu = (mu_1, mu_2, ...) (mu_0 = 1)."""
+    mu_full = [1, *mu]
     mu1 = mu_full[1]
     out = []
     for n in range(2, len(mu_full)):

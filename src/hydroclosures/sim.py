@@ -200,7 +200,8 @@ def electric_potential(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
 
 
 class _ClosureTables:
-    """Per-closure compiled evaluators for mu_1, mu_2 and their gradients."""
+    """Per-closure compiled evaluators for mu_1, mu_2, gamma_2 and the
+    closure's gradients of mu_1 and mu_2."""
 
     # An entry lives as long as its closure; the tables hold only floats
     # and compiled evaluators, never the closure itself.
@@ -212,13 +213,11 @@ class _ClosureTables:
         self.nv = nv
         self.g = np.array([[float(x) for x in row] for row in closure.metric.g],
                           dtype=float).reshape(nv, nv)
-        mu1, mu2 = closure.mu(1), closure.mu(2)
-        self.mu1 = mu1.compile_float()
-        self.mu2 = mu2.compile_float()
-        self.dmu1 = [mu1.diff(k).compile_float() for k in range(nv)]
-        self.dmu2 = [mu2.diff(k).compile_float() for k in range(nv)]
-        gam2 = closure.gamma(2)
-        self.gamma2 = gam2.compile_float()
+        self.mu1 = closure.mu(1).compile_float()
+        self.mu2 = closure.mu(2).compile_float()
+        self.dmu1 = [p.compile_float() for p in closure.grad(1)]
+        self.dmu2 = [p.compile_float() for p in closure.grad(2)]
+        self.gamma2 = closure.gamma(2).compile_float()
         # exact congruence T^t g T = diag(d) for the split scheme
         if nv:
             T, d = ratmat.congruence_diagonalize(closure.metric.g)

@@ -18,8 +18,8 @@ from hydroclosures.closures import (BurbyClosure, ColdClosure,
                                     WaterbagClosure, burby_mu, burby_mu_closed,
                                     fourfield_family,
                                     generate_closure_from_mu2,
-                                    multidelta_normal_map,
-                                    waterbag_gamma_rule, waterbag_s)
+                                    multidelta_normal_map, waterbag_mu,
+                                    waterbag_s)
 from hydroclosures.moments import p_from_mu
 from hydroclosures.poly import MultiPoly, poly_vars
 from hydroclosures.sim import (FieldState, Grid, run_fluid, single_mode_state,
@@ -150,11 +150,10 @@ def test_criterion_7_mu2_generation():
               BurbyClosure(3), FourFieldClosure(F(1, 2))):
         gen = generate_closure_from_mu2(c.mu(2), c.metric, n_max=5)
         ok = ok and all(gen[n - 1] == c.mu(n) for n in range(3, 6))
-    wb = WaterbagClosure([F(1), F(1), F(-2)])
-    gen = generate_closure_from_mu2(wb.mu(2), wb.metric,
-                                    gamma_rule=waterbag_gamma_rule(wb.Lambda),
-                                    n_max=5)
-    ok = ok and all(gen[n - 1] == wb.mu(n) for n in range(3, 6))
+    heights = [F(1), F(1), F(-2)]
+    wb = WaterbagClosure(heights)
+    gen = generate_closure_from_mu2(wb.mu(2), wb.metric, n_max=5)
+    ok = ok and all(gen[n - 1] == waterbag_mu(heights, n) for n in range(3, 6))
     verdict(7, "mu_2 generator reproduces mu_3..mu_5 for every family", ok)
 
 

@@ -1,6 +1,8 @@
 """Command-line interface contracts: exit codes, reports, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import re
@@ -13,6 +15,7 @@ import pytest
 
 from hydroclosures.cli import closure_from_spec, main
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 COLD_CONFIG = {
     "grid": {"L": 6.283185307179586, "nx": 64},
     "closure": {"family": "cold"},
@@ -160,6 +163,33 @@ def test_closure_eos_bad_input_exit_2(capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_closure_eos_differentiates_each_moment_once():
+    """Counters of one traced `closure eos` of multidelta M = 3 (nv = 4)."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    tracer = tracing.Tracer()
+    tracer.install()
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            # mu_1..mu_4 at (xi2, xi3, eta2, eta3) = (1/4, 1/2, 1, -1/2)
+            rc = main(["closure", "eos", "--family", "multidelta", "--M", "3",
+                       "--mu", "0.0,0.375,0.1875,0.28125"])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert out.getvalue() == (
+        "nu = [0.25, 0.5, 1.0, -0.5]\n"
+        "closed moments: [0.234375, 0.2578125, 0.24609375, 0.251953125, 0.2490234375]\n")
+    # the recurrence up to mu_9 reads the gradients of mu_2..mu_8, and both
+    # Newton solves read their Jacobian from those of mu_1..mu_4: each of
+    # 8 gradients is 4 diffs, taken once
+    assert tracer.summary()["calls"]["poly.diff"] == 8 * 4
+
+
 def test_verify_burby_level_8_round_trip(capsys):
     # the float root of the leading moment was an ulp off at m = 8, and the
     # back-substitution amplified that past the 1e-12 round-trip bound
@@ -238,13 +268,86 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
                  "--out", str(tmp_path / "o3")]) == 2
 
 
+COMPARE_CONFIG = {
+    "grid": {"L": 6.283185307179586, "nx": 64},
+    "streams": {"n0": 1.0, "v0": 0.2, "eps": 1e-3},
+    "integrator": {"dt": 0.002, "t_end": 0.25},
+    "tolerance": 1e-6,
+}
+
+# integrator and output blocks that used to run zero steps and pass
+# vacuously (negative dt, t_end below dt/2) or fail with a traceback
+BAD_RUNS = {
+    "negative-dt": ({"dt": -0.01}, {}),
+    "zero-dt": ({"dt": 0.0}, {}),
+    "nan-dt": ({"dt": float("nan")}, {}),
+    "short-t_end": ({"dt": 0.01, "t_end": 0.004}, {}),
+    "negative-t_end": ({"t_end": -1.0}, {}),
+    "bogus-scheme": ({"scheme": "bogus"}, {}),
+    "null-dt": ({"dt": None}, {}),
+    "zero-stride": ({}, {"stride": 0}),
+    "negative-snapshots": ({}, {"snapshots": -1}),
+}
+
+
+@pytest.mark.parametrize("case", BAD_RUNS)
+def test_simulate_rejects_bad_run_settings(tmp_path, capsys, case):
+    integ, output = BAD_RUNS[case]
+    cfg = json.loads(json.dumps(COLD_CONFIG))
+    cfg["integrator"].update(integ)
+    cfg["output"].update(output)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert not out.exists()  # rejected before any step
+
+
+@pytest.mark.parametrize("case", [c for c, (_, output) in BAD_RUNS.items() if not output])
+def test_compare_rejects_bad_integrator(tmp_path, capsys, case):
+    cfg = json.loads(json.dumps(COMPARE_CONFIG))
+    cfg["integrator"].update(BAD_RUNS[case][0])
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("compare", "closure", {"family": "burby", "level": 3}),
+    ("compare", "initial", {"type": "single_mode"}),
+    ("compare", "output", {"stride": 1}),
+    ("simulate", "streams", {"v0": 0.2}),
+    ("simulate", "tolerance", 1e-6),
+])
+def test_commands_reject_the_other_commands_keys(tmp_path, capsys, command, key, value):
+    cfg = json.loads(json.dumps(COMPARE_CONFIG if command == "compare" else COLD_CONFIG))
+    cfg[key] = value
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: unknown config keys") and key in err
+
+
+def test_compare_honours_scheme(tmp_path, capsys):
+    reports = {}
+    for scheme in ("rk4", "split"):
+        cfg = json.loads(json.dumps(COMPARE_CONFIG))
+        cfg["integrator"]["scheme"] = scheme
+        out = tmp_path / scheme
+        assert main(["compare", "--config", write_config(tmp_path, cfg, f"{scheme}.json"),
+                     "--out", str(out)]) == 0
+        reports[scheme] = json.loads((out / "report.json").read_text())["checks"]
+    # the P_k deviations are the fluid scheme's error against the oracle
+    assert [c["detail"] for c in reports["rk4"]] != [c["detail"] for c in reports["split"]]
+
+
 def test_compare_subcommand(tmp_path, capsys):
-    cfg = {
-        "grid": {"L": 6.283185307179586, "nx": 64},
-        "streams": {"n0": 1.0, "v0": 0.2, "eps": 1e-3},
-        "integrator": {"dt": 0.002, "t_end": 0.25},
-        "tolerance": 1e-6,
-    }
+    cfg = COMPARE_CONFIG
     assert main(["compare", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "cmp")]) == 0
     report = json.loads((tmp_path / "cmp" / "report.json").read_text())

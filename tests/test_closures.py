@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,9 +18,9 @@ from hydroclosures.closures import (BurbyClosure, ColdClosure,
                                     generate_closure_from_mu2,
                                     multidelta_inverse_map, multidelta_mu,
                                     multidelta_normal_map, newton_invert,
-                                    waterbag_gamma_rule, waterbag_inverse_map,
-                                    waterbag_mu, waterbag_normal_map,
-                                    waterbag_s, waterbag_s_at_zero)
+                                    waterbag_inverse_map, waterbag_mu,
+                                    waterbag_normal_map, waterbag_s,
+                                    waterbag_s_at_zero)
 from hydroclosures.moments import gamma_n, s_from_mu
 from hydroclosures.poly import MultiPoly, poly_vars
 
@@ -58,6 +59,45 @@ def test_multidelta_map_round_trip():
     rho, u, xi, eta = multidelta_normal_map(a, v)
     assert rho == sum(a)
     assert multidelta_inverse_map(rho, u, xi, eta) == (a, v)
+
+
+def test_normal_maps_keep_exact_input_exact():
+    # int input gives the Fractions of Fraction input and float input the
+    # same values as floats; the multidelta map keeps numpy float64 rows
+    # (a Fraction factor would turn them into object arrays)
+    cases = [
+        (multidelta_normal_map, ([1, 1], [1, -1])),
+        (multidelta_normal_map, ([1, 2, 3], [1, -1, 2])),
+        (multidelta_inverse_map, (2, 0, [1], [1])),
+        (lambda *args: waterbag_inverse_map([1, 1, -2], *args), (1, 0, [0])),
+        (lambda *args: waterbag_inverse_map([1, 1, -2], *args), (3, 1, [2])),
+        (lambda v: waterbag_normal_map([1, 1, -2], v), ([1, 2, 3],)),
+    ]
+
+    def flat(out):
+        return [y for x in out for y in (flat(x) if isinstance(x, tuple) else [x])]
+
+    def convert(args, kind):
+        return [convert(x, kind) if isinstance(x, list) else kind(x) for x in args]
+
+    for fn, args in cases:
+        exact = flat(fn(*args))
+        assert all(type(x) is Fraction for x in exact), (fn, args)
+        assert exact == flat(fn(*convert(args, Fraction)))
+        floats = flat(fn(*convert(args, float)))
+        assert all(type(x) is float for x in floats)
+        assert floats == [float(x) for x in exact]
+    assert multidelta_normal_map([1, 1], [1, -1]) == (F(2), F(0), (F(1, 2),), (F(-1),))
+    assert waterbag_inverse_map([1, 1, -2], 1, 0, [0]) == (F(-1, 4), F(-1, 4), F(1, 4))
+    # numpy input, as the compare command passes it: float64 rows, and the
+    # same values as the float path point by point
+    a = [np.array([0.5, 0.25]), np.array([0.5, 0.75])]
+    v = [np.array([0.2, 0.1]), np.array([-0.2, 0.3])]
+    rows = flat(multidelta_normal_map(a, v))
+    assert all(r.dtype == np.float64 for r in rows)
+    for i in range(2):
+        point = flat(multidelta_normal_map([x[i] for x in a], [x[i] for x in v]))
+        assert [r[i] for r in rows] == [float(x) for x in point]
 
 
 def test_multidelta_mu_matches_map():
@@ -361,12 +401,11 @@ def test_generated_mu_and_gamma_equal_direct_formulas(case):
 
 
 def test_generator_reproduces_waterbag():
-    c = WaterbagClosure([F(1), F(1), F(-2)])
-    gen = generate_closure_from_mu2(c.mu(2), c.metric,
-                                    gamma_rule=waterbag_gamma_rule(c.Lambda),
-                                    n_max=2 * c.N - 3)
+    heights = [F(1), F(1), F(-2)]
+    c = WaterbagClosure(heights)
+    gen = generate_closure_from_mu2(c.mu(2), c.metric, n_max=2 * c.N - 3)
     for n in range(1, 2 * c.N - 2):
-        assert gen[n - 1] == c.mu(n)
+        assert gen[n - 1] == waterbag_mu(heights, n)
 
 
 # ---------------------------------------------------------------------------

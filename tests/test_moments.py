@@ -6,64 +6,55 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydroclosures.moments import (CenteredMoments, DensityError, gamma_n,
-                                   mu_from_p, p_from_mu, p_from_s, s_from_mu,
-                                   s_from_p)
+from hydroclosures.moments import DensityError, gamma_n, p_from_mu, s_from_mu
 from hydroclosures.poly import MultiPoly, poly_vars
 
 F = Fraction
 
 
-def test_known_value_s2():
-    # P = (2, 2, 3): rho=2, u=1, S_2 = P_2/rho^3 - u^2 P_0/rho^3 = 3/8 - 1/4
-    rho, u, S = s_from_p([F(2), F(2), F(3)])
-    assert rho == 2 and u == 1
-    assert S.values[0] == F(1, 8)
+def stream_moments(a, v, psi, nmax):
+    """(P, mu, S) of the multi-stream distribution f = sum_k a_k delta(v - v_k),
+    each summed directly over the streams: P_n = sum a_k v_k^n and, with
+    rho = P_0 and u = P_1/rho, mu_n = rho^-(n+1) sum a_k (v_k - psi)^n and
+    S_n = rho^-(n+1) sum a_k (v_k - u)^n."""
+    rho = sum(a)
+    u = sum(ak * vk for ak, vk in zip(a, v)) / rho
 
+    def centered(c, n):
+        return sum(ak * (vk - c) ** n for ak, vk in zip(a, v)) / rho ** (n + 1)
 
-def test_s_p_round_trip_exact():
-    P = [F(3), F(1), F(5), F(-2), F(11, 3)]
-    rho, u, S = s_from_p(P)
-    assert p_from_s(rho, u, S) == tuple(P)
-
-
-def test_mu_p_round_trip_exact():
-    P = [F(3), F(1), F(5), F(-2), F(11, 3)]
-    psi = F(7, 5)
-    mu = mu_from_p(P, psi)
-    assert p_from_mu(P[0], psi, mu) == tuple(P)
+    P = tuple(sum(ak * vk ** n for ak, vk in zip(a, v)) for n in range(nmax + 1))
+    mu = tuple(centered(psi, n) for n in range(1, nmax + 1))
+    S = tuple(centered(u, n) for n in range(2, nmax + 1))
+    return P, mu, S
 
 
 def test_s_from_mu_consistency():
-    # Two routes to S_n agree: via raw moments or via the binomial shift.
-    P = [F(2), F(3), F(4), F(5), F(6)]
-    rho, u, S = s_from_p(P)
-    psi = F(1, 2)
-    mu = mu_from_p(P, psi)
-    assert s_from_mu(mu) == S.values
+    # S_n re-centered from the mu_n equals S_n summed over the streams
+    a, v = [F(1), F(2), F(1, 2)], [F(-1), F(1, 3), F(2)]
+    P, mu, S = stream_moments(a, v, F(1, 2), 5)
+    assert s_from_mu(mu) == S
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.fractions(max_denominator=9), min_size=3, max_size=6),
-       st.fractions(max_denominator=9))
-def test_round_trips_random(tail, psi):
-    P = [F(1) + abs(tail[0])] + tail  # positive density
-    rho, u, S = s_from_p(P)
-    assert p_from_s(rho, u, S) == tuple(P)
-    mu = mu_from_p(P, psi)
-    assert p_from_mu(P[0], psi, mu) == tuple(P)
+@given(st.lists(st.tuples(st.fractions(min_value=F(1, 9), max_value=9, max_denominator=9),
+                          st.fractions(min_value=-9, max_value=9, max_denominator=9)),
+                min_size=1, max_size=5),
+       st.fractions(min_value=-9, max_value=9, max_denominator=9),
+       st.integers(1, 6))
+def test_conversions_match_direct_stream_sums(streams, psi, nmax):
+    # any psi: mu_1 = (u - psi)/rho, so psi = u - rho mu_1 holds by construction
+    a, v = [s[0] for s in streams], [s[1] for s in streams]
+    P, mu, S = stream_moments(a, v, psi, nmax)
+    assert p_from_mu(P[0], psi, mu) == P
+    assert s_from_mu(mu) == S
 
 
 def test_nonpositive_density_rejected():
     with pytest.raises(DensityError):
-        s_from_p([F(0), F(1), F(1)])
+        p_from_mu(F(0), F(0), [F(1)])
     with pytest.raises(DensityError):
-        mu_from_p([F(-1), F(1), F(1)], F(0))
-
-
-def test_kinds_enforced():
-    with pytest.raises(ValueError):
-        CenteredMoments("bogus", (F(1),), F(1), F(0))
+        p_from_mu(F(-1), F(1), [F(1), F(1)])
 
 
 def test_gamma_of_homogeneous_is_zero():
