@@ -232,10 +232,7 @@ def cmd_closure(args) -> int:
         for d in cas.densities:
             print(f"  {d.kind}: {d.description}")
         if isinstance(closure, BurbyClosure):
-            nu = [Fraction(1, 2)] * closure.m
-            nu[-1] = Fraction(2)
-            mus = [float(closure.mu(n).eval(nu)) for n in range(1, closure.m + 1)]
-            back = closure.invert(mus)
+            _, mus, back = closure.sample_round_trip()
             print(f"sample point: mu = {mus}")
             print(f"recovered nu = {[round(v, 12) for v in back]}")
         return 0

@@ -9,11 +9,12 @@ inversion.
 
 Families: multi-delta (M cold streams), waterbag (piecewise-constant
 distribution with fixed bag heights), the delta-derivative closure with
-its anti-triangular moment system and explicit inversion, the four-field
-closure with free parameter kappa, the cold fluid, and a generic family
-given directly by mu_2 and g. The direct formulas for mu_n supply each
-family's mu_2 and serve as reference oracles; the maps between physical
-and normal variables are plain functions.
+its anti-triangular moment system, inverted explicitly from the cached
+mu_n, the four-field closure with free parameter kappa, the cold fluid,
+and a generic family given directly by mu_2 and g. The direct formulas
+for mu_n supply each family's mu_2 and serve as reference oracles; the
+maps between physical and normal variables are plain functions, exact
+for exact input and float64 for float64 arrays.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from itertools import combinations_with_replacement
+from numbers import Rational
 from typing import Callable, Sequence
 
 from . import ratmat
-from .moments import DensityError, gamma_n
+from .moments import gamma_n, require_positive_density
 from .poly import MultiPoly
 
 
@@ -215,10 +217,6 @@ class MultiDeltaClosure(ClosureFamily):
                          multidelta_mu(M, 2))
 
 
-def _any_true(x) -> bool:
-    return bool(x.any()) if hasattr(x, "any") else bool(x)
-
-
 def _exact(x):
     """An int as a Fraction; floats and numpy arrays pass through."""
     return Fraction(x) if isinstance(x, int) else x
@@ -234,8 +232,7 @@ def multidelta_normal_map(a: Sequence, v: Sequence):
     if len(a) != len(v):
         raise ValueError("a and v must have equal length")
     rho = _exact(sum(a[1:], a[0]))
-    if _any_true(rho <= 0):
-        raise DensityError("total density must be positive")
+    require_positive_density(rho)
     u = sum(ak * vk for ak, vk in zip(a, v)) / rho
     xi = tuple(ak / rho for ak in a[1:])
     eta = tuple((vk - v[0]) / rho for vk in v[1:])
@@ -247,8 +244,7 @@ def multidelta_inverse_map(rho, u, xi: Sequence, eta: Sequence):
     if len(xi) != len(eta):
         raise ValueError("xi and eta must have equal length")
     rho = _exact(rho)
-    if _any_true(rho <= 0):
-        raise DensityError("total density must be positive")
+    require_positive_density(rho)
     mu1 = sum(xk * ek for xk, ek in zip(xi, eta)) if xi else 0
     v1 = u - rho * mu1
     a = [rho * (1 - sum(xi))] + [rho * xk for xk in xi]
@@ -391,19 +387,27 @@ class WaterbagClosure(ClosureFamily):
                 ("S_n constant terms", s_ok, "")]
 
 
+def _waterbag_constants(a: Sequence, values: Sequence):
+    """Heights and partial sums sigma_k, as Fractions for rational `values`,
+    else as floats: a Fraction times a float64 array is an object array."""
+    a = _check_heights(a)
+    sigma = _sigmas(a)
+    if all(isinstance(x, Rational) for x in values):
+        return a, sigma
+    return [float(x) for x in a], [float(x) for x in sigma]
+
+
 def waterbag_normal_map(a: Sequence, v: Sequence):
     """Contour velocities (v_1..v_N) -> (rho, u, nu_1..nu_{N-2}).
 
     rho = -sum a_n v_n, u = -(1/(2 rho)) sum a_n v_n^2,
     nu_k = (1/rho) sum_{l<=k} sigma_l (v_{l+1} - v_l).
     """
-    a = _check_heights(a)
     if len(v) != len(a):
         raise ValueError("v must have one entry per height")
-    sigma = _sigmas(a)
+    a, sigma = _waterbag_constants(a, v)
     rho = -sum(ak * vk for ak, vk in zip(a, v))
-    if _any_true(rho <= 0):
-        raise DensityError("density must be positive")
+    require_positive_density(rho)
     u = -sum(ak * vk * vk for ak, vk in zip(a, v)) / (2 * rho)
     nu = []
     acc = 0
@@ -415,14 +419,12 @@ def waterbag_normal_map(a: Sequence, v: Sequence):
 
 def waterbag_inverse_map(a: Sequence, rho, u, nu: Sequence):
     """Inverse map: recover the contour velocities from (rho, u, nu)."""
-    a = _check_heights(a)
     N = len(a)
     if len(nu) != N - 2:
         raise ValueError("nu must have N-2 entries")
+    a, sigma = _waterbag_constants(a, (rho, u, *nu))
     rho = _exact(rho)
-    if _any_true(rho <= 0):
-        raise DensityError("density must be positive")
-    sigma = _sigmas(a)
+    require_positive_density(rho)
     nu_full = [0, *nu, 1]  # nu_0 = 0, nu_{N-1} = 1
     # partial sums sum_{l<k} (nu_l - nu_{l-1})/sigma_l for k = 1..N
     heads = [0]
@@ -522,62 +524,45 @@ def _nth_root_fraction(x: Fraction, k: int) -> Fraction:
     return Fraction(iroot(x.numerator), iroot(x.denominator))
 
 
-def _branch_sign(m: int, branch: str) -> int:
-    """+1 on the 'plus' branch, -1 on the 'minus' one (odd levels only)."""
-    if branch not in ("plus", "minus"):
-        raise ValueError("branch must be 'plus' or 'minus'")
-    if branch == "minus" and m % 2 == 0:
-        raise ValueError("the minus branch only applies to odd levels")
-    return -1 if branch == "minus" else 1
-
-
-def burby_invert(mu_values: Sequence, m: int, branch: str = "plus",
+def burby_invert(closure: BurbyClosure, mu_values: Sequence,
                  exact: bool = False) -> tuple:
-    """Invert the anti-triangular system: values (mu_1..mu_m) -> (nu_1..nu_m).
+    """Invert the closure's anti-triangular system (mu_1..mu_m) -> (nu_1..nu_m)
+    from its cached mu_n, which carry the minus branch's (-1)^n.
 
-    nu_m = sgn(mu_m) ((m+1)|mu_m|)^{1/(m+1)}, then back-substitution
-    nu_n = (mu_n - chi_n)/nu_m^n with chi_n = mu_n-polynomial at nu_n = 0.
-
-    For odd m the leading moment must be positive on the default branch;
-    branch='minus' applies the (-1)^n sign flip and serves mu_m < 0.
+    With s the branch sign, mu_m = s nu_m^(m+1)/(m+1): on an odd level mu_m
+    must have the sign s, and nu_m = sgn(mu_m) ((m+1)|mu_m|)^(1/(m+1)).
+    Back-substitution: nu_n = (mu_n - chi_n)/(s nu_m)^n with chi_n = mu_n
+    at nu_n = 0.
     With exact=True all inputs must be Fractions and (m+1)|mu_m| a perfect
     (m+1)-th power; the round trip is then exact.
     """
-    sign = _branch_sign(m, branch)
+    m, sign = closure.m, closure._sign
     mu_values = list(mu_values)
     if len(mu_values) != m:
         raise ValueError(f"expected {m} moment values")
-    if sign < 0:
-        mu_values = [(-1) ** n * v for n, v in enumerate(mu_values, start=1)]
     mu_m = mu_values[-1]
     if mu_m == 0:
         raise ValueError("singular leading moment mu_m = 0")
-    if m % 2 == 1 and mu_m < 0:
-        raise ValueError("negative leading moment on an odd level: "
-                         "select the minus branch")
+    if m % 2 == 1 and (mu_m < 0) != (sign < 0):
+        wrong, right = ("negative", "minus") if sign > 0 else ("positive", "plus")
+        raise ValueError(f"{wrong} leading moment on an odd level: select the {right} branch")
     if exact:
         if not all(isinstance(v, (int, Fraction)) for v in mu_values):
             raise ValueError("exact inversion needs rational moment values")
         mu_values = [Fraction(v) for v in mu_values]
-        radic = (m + 1) * abs(mu_values[-1])
-        nu_m = _nth_root_fraction(radic, m + 1)
-        if mu_values[-1] < 0:
-            nu_m = -nu_m
+        nu_m = _nth_root_fraction((m + 1) * abs(mu_values[-1]), m + 1)
     else:
         radic = float((m + 1) * abs(mu_m))
-        r = radic ** (1.0 / (m + 1))
+        nu_m = radic ** (1.0 / (m + 1))
         # one Newton step: the float power can be an ulp off, and the
         # back-substitution below amplifies that error
-        r -= (r ** (m + 1) - radic) / ((m + 1) * r ** m)
-        nu_m = r if mu_m > 0 else -r
-    # a flipped system is solved on the other sheet: take the negative root
-    nu_m *= sign
-    nu = [None] * m
-    nu[m - 1] = nu_m
+        nu_m -= (nu_m ** (m + 1) - radic) / ((m + 1) * nu_m ** m)
+    if mu_m < 0:
+        nu_m = -nu_m
+    nu = [0] * (m - 1) + [nu_m]
     for n in range(m - 1, 0, -1):
-        vals = [0] * n + nu[n:]
-        chi = burby_mu(m, n).eval(vals)
-        nu[n - 1] = (mu_values[n - 1] - chi) / nu_m ** n
+        chi = closure.mu(n).eval([0] * n + nu[n:])
+        nu[n - 1] = (mu_values[n - 1] - chi) / (sign * nu_m) ** n
     return tuple(nu)
 
 
@@ -593,30 +578,38 @@ class BurbyClosure(ClosureFamily):
 
     branch='minus' (odd m only) is the sign-flipped copy with metric -g,
     which turns the generated mu_n into (-1)^n mu_n and covers negative
-    leading moments.
+    leading moments; its points have nu_m < 0.
     """
 
     def __init__(self, m: int, branch: str = "plus"):
         if m < 1:
             raise ValueError("level must be >= 1")
+        if branch not in ("plus", "minus"):
+            raise ValueError("branch must be 'plus' or 'minus'")
+        if branch == "minus" and m % 2 == 0:
+            raise ValueError("the minus branch only applies to odd levels")
         self.m = m
-        self.branch = branch
-        self._sign = sign = _branch_sign(m, branch)
+        self._sign = sign = -1 if branch == "minus" else 1
         names = [f"nu{k}" for k in range(1, m + 1)]
         super().__init__(f"burby(m={m})" + ("-" if sign < 0 else ""),
                          names, _antidiag_metric(m, sign),
                          burby_mu(m, 2) if m >= 2 else MultiPoly.zero(m))
 
+    def sample_round_trip(self) -> tuple[list[Fraction], list[float], tuple]:
+        """(nu, mu, back): nu = (1/2, ..., 1/2, 2 * branch sign), its float
+        moments mu_1..mu_m and their inversion, for verify and casimir."""
+        # an alternating point such as ((k+1)/2)(-1)^k is ill-conditioned: even
+        # exact back-substitution from its rounded moments misses 1e-12 at m = 14
+        nu =[Fraction(1, 2)] * (self.m - 1) + [Fraction(2 * self._sign)]
+        mus = [float(self.mu(n).eval(nu)) for n in range(1, self.m + 1)]
+        return nu, mus, self.invert(mus)
+
     def identities(self) -> list[tuple[str, bool, str]]:
         m, sign = self.m, self._sign
         ok = all(burby_mu(m, n) == burby_mu_closed(m, n) == sign ** n * self.mu(n)
                  for n in range(1, m + 1))
-        nu = [Fraction(k + 1, 2) * (-1) ** k for k in range(m)]
-        nu[-1] = sign * abs(nu[-1])
-        mus = [self.mu(n).eval(nu) for n in range(1, m + 1)]
-        back = self.invert([float(v) for v in mus])
-        err = max(abs(b - float(v)) / max(abs(float(v)), 1e-30)
-                  for b, v in zip(back, nu))
+        nu, _, back = self.sample_round_trip()
+        err = max(abs(b - float(v)) / abs(float(v)) for b, v in zip(back, nu))
         return [("recursion equals closed form", ok, ""),
                 ("inversion round trip", err < 1e-12, f"rel err {err:.2e}"),
                 *super().identities()]
@@ -624,7 +617,7 @@ class BurbyClosure(ClosureFamily):
     def invert(self, mu_values: Sequence, guess: Sequence | None = None,
                exact: bool = False) -> tuple:
         """Explicit inversion by `burby_invert`; `guess` is not needed."""
-        return burby_invert(mu_values, self.m, branch=self.branch, exact=exact)
+        return burby_invert(self, mu_values, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -738,9 +731,9 @@ def _newton_starts(scale: float, nv: int) -> list[list[float]]:
 
 
 def newton_invert(closure: ClosureFamily, mu_target: Sequence,
-                  guess: Sequence | None = None,
-                  tol: float = 1e-12, max_iter: int = 100) -> tuple:
-    """Solve mu(nu) = mu_target by damped Newton iteration.
+                  guess: Sequence | None = None) -> tuple:
+    """Solve mu(nu) = mu_target by damped Newton iteration, to a residual
+    below 1e-12 within 100 steps.
 
     The Jacobian rows are the closure's cached gradients; the step is halved
     until the residual norm decreases. Convergence is local: for families
@@ -764,8 +757,8 @@ def newton_invert(closure: ClosureFamily, mu_target: Sequence,
 
     def solve(x):
         r = residual(x)
-        for _ in range(max_iter):
-            if norm(r) < tol:
+        for _ in range(100):
+            if norm(r) < 1e-12:
                 return tuple(x)
             J = [[jac_polys[i][k](x) for k in range(nv)] for i in range(nv)]
             step = _solve_float(J, [-v for v in r])
@@ -779,7 +772,7 @@ def newton_invert(closure: ClosureFamily, mu_target: Sequence,
             else:
                 raise RuntimeError("Newton inversion stalled (no descent direction)")
             x, r = x_new, r_new
-        if norm(r) < tol:
+        if norm(r) < 1e-12:
             return tuple(x)
         raise RuntimeError(f"Newton inversion did not converge (residual {norm(r):.3e})")
 

@@ -13,9 +13,7 @@ expressed as polynomials in the normal variables of a closure family.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
-from numbers import Real
 from typing import Sequence
 
 from .poly import MultiPoly
@@ -25,20 +23,19 @@ class DensityError(ValueError):
     """Raised when a nonpositive density reaches a formula that divides by it."""
 
 
-def _require_positive_density(rho) -> None:
-    if isinstance(rho, (Real, Fraction)):
-        if rho <= 0:
-            raise DensityError(f"density must be positive, got {rho}")
-    elif hasattr(rho, "__le__") and hasattr(rho, "any"):
-        # numpy array
-        if (rho <= 0).any():
-            raise DensityError("density must be positive everywhere")
+def require_positive_density(rho) -> None:
+    """Raise DensityError unless rho, a scalar or a numpy array, is
+    positive everywhere."""
+    bad = rho <= 0
+    if bad.any() if hasattr(bad, "any") else bad:
+        raise DensityError("density must be positive")
 
 
 def p_from_mu(rho, psi, mu: Sequence) -> tuple:
     """Raw moments P_n = sum_k C(n,k) mu_k rho^(k+1) psi^(n-k) for
-    n = 0..len(mu), from mu = (mu_1, mu_2, ...) (mu_0 = 1)."""
-    _require_positive_density(rho)
+    n = 0..len(mu), from mu = (mu_1, mu_2, ...) (mu_0 = 1) and a positive
+    density rho (a number or numpy array)."""
+    require_positive_density(rho)
     mu_full = [1, *mu]
     P = []
     for n in range(len(mu_full)):

@@ -134,10 +134,6 @@ class FieldState:
     n0: float
     t: float = 0.0
 
-    def copy(self) -> "FieldState":
-        return FieldState(self.rho.copy(), self.u.copy(), self.nu.copy(),
-                          self.n0, self.t)
-
 
 @dataclass
 class StreamState:
@@ -145,9 +141,6 @@ class StreamState:
     v: np.ndarray             # (M, nx) stream velocities
     n0: float
     t: float = 0.0
-
-    def copy(self) -> "StreamState":
-        return StreamState(self.a.copy(), self.v.copy(), self.n0, self.t)
 
 
 @dataclass(frozen=True)
@@ -376,18 +369,17 @@ def stream_diagnostics(state: StreamState, grid: Grid):
     return H, grid.integral(rho), grid.integral(np.sum(state.a * state.v, axis=0))
 
 
-def cfl_dt(state: FieldState, closure: ClosureFamily, grid: Grid,
-           safety: float = 0.4) -> float:
+def cfl_dt(state: FieldState, closure: ClosureFamily, grid: Grid) -> float:
     """Time-step bound 0.4 dx / max|u +- c| with the thermal-speed estimate
-    c^2 = 3 rho^2 (mu_2 - mu_1^2), capped by the plasma period."""
+    c^2 = 3 rho^2 (mu_2 - mu_1^2), capped by 0.4 / omega_p."""
     tab = _ClosureTables.of(closure)
     nuv = list(state.nu)
     s2 = tab.mu2(nuv) - tab.mu1(nuv) ** 2
     c = np.sqrt(np.maximum(3.0 * state.rho ** 2 * s2, 0.0))
     vmax = float(np.max(np.abs(state.u) + c))
-    dt_adv = safety * grid.dx / vmax if vmax > 0 else np.inf
+    dt_adv = 0.4 * grid.dx / vmax if vmax > 0 else np.inf
     wp = np.sqrt(max(state.n0, RHO_FLOOR))
-    return min(dt_adv, safety / wp)
+    return min(dt_adv, 0.4 / wp)
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,36 @@ def test_verify_burby_level_8_round_trip(capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--levels", "14..16"],
+    ["--level", "11", "--branch", "minus"],
+    ["--level", "15", "--branch", "minus"],
+], ids=["L14-16", "L11-minus", "L15-minus"])
+def test_verify_burby_round_trip_high_levels(capsys, argv):
+    # at the former sample point ((k+1)/2)(-1)^k even exact back-substitution
+    # from the correctly rounded moments missed the 1e-12 bound at m = 14
+    # and 15 (plus) and 11 and 15 (minus); (1/2, ..., 1/2, 2s) keeps it
+    assert main(["verify", "--family", "burby", *argv]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_closure_casimir_minus_branch_recovers_its_sample(capsys):
+    assert main(["closure", "casimir", "--family", "burby", "--level", "3",
+                 "--branch", "minus"]) == 0
+    out = capsys.readouterr().out
+    assert "sample point: mu = [0.875, 2.0, -4.0]\n" in out
+    assert "recovered nu = [0.5, 0.5, -2.0]\n" in out
+
+
+@pytest.mark.parametrize("branch, mu, other", [
+    ("plus", "1,1,-1", "minus"), ("minus", "1,2,3", "plus"),
+])
+def test_closure_eos_wrong_sign_names_the_other_branch(capsys, branch, mu, other):
+    assert main(["closure", "eos", "--family", "burby", "--level", "3",
+                 "--branch", branch, f"--mu={mu}"]) == 2
+    assert capsys.readouterr().err.endswith(f"select the {other} branch\n")
+
+
 def test_closure_from_spec_defaults_and_errors():
     assert closure_from_spec({"family": "multidelta"}).name == "multidelta(M=2)"
     assert closure_from_spec({"family": "burby"}).name == "burby(m=2)"

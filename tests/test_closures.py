@@ -1,6 +1,8 @@
 """Closure families: exact polynomial structure, maps, and inversion."""
 
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hydroclosures import closures
 from hydroclosures.closures import (BurbyClosure, ColdClosure,
                                     _newton_starts, _nth_root_fraction,
                                     FourFieldClosure, GenericClosure, Metric,
@@ -21,7 +24,7 @@ from hydroclosures.closures import (BurbyClosure, ColdClosure,
                                     waterbag_inverse_map, waterbag_mu,
                                     waterbag_normal_map, waterbag_s,
                                     waterbag_s_at_zero)
-from hydroclosures.moments import gamma_n, s_from_mu
+from hydroclosures.moments import DensityError, gamma_n, p_from_mu, s_from_mu
 from hydroclosures.poly import MultiPoly, poly_vars
 
 F = Fraction
@@ -98,6 +101,19 @@ def test_normal_maps_keep_exact_input_exact():
     for i in range(2):
         point = flat(multidelta_normal_map([x[i] for x in a], [x[i] for x in v]))
         assert [r[i] for r in rows] == [float(x) for x in point]
+    # the waterbag maps too: no Fraction height or partial sum may touch
+    # the arrays (a Fraction times a float64 array is an object array)
+    heights = [1, 1, -2]
+    for fn, args in [
+        (waterbag_inverse_map, (np.array([1.0, 1.1]), np.zeros(2), [np.array([0.1, 0.2])])),
+        (waterbag_normal_map, ([np.array([0.2, 0.1]), np.array([-0.2, 0.3]),
+                                np.array([0.5, 0.6])],)),
+    ]:
+        rows = flat(fn(heights, *args))
+        assert all(r.dtype == np.float64 for r in rows), fn
+        for i in range(2):
+            point = flat(fn(heights, *convert(args, lambda x: float(x[i]))))
+            assert [r[i] for r in rows] == point
 
 
 def test_multidelta_mu_matches_map():
@@ -291,7 +307,63 @@ def test_level_signature_split():
 
 def test_burby_invert_rejects_bad_branch():
     with pytest.raises(ValueError):
-        burby_invert([1.0, 1.0], 2, branch="sideways")
+        BurbyClosure(2, branch="sideways")
+
+
+def test_burby_invert_reads_the_cached_moments(monkeypatch):
+    c = BurbyClosure(11)
+    nu, mus, _ = c.sample_round_trip()
+    exact = [c.mu(n).eval(nu) for n in range(1, 12)]
+
+    def rebuilt(*args):
+        raise AssertionError("burby_mu rebuilt during an inversion")
+
+    monkeypatch.setattr(closures, "burby_mu", rebuilt)
+    back = c.invert(mus)
+    assert max(abs(b - float(v)) / abs(float(v)) for b, v in zip(back, nu)) < 1e-12
+    assert burby_invert(c, exact, exact=True) == tuple(nu)
+
+
+@pytest.mark.parametrize("right, wrong, levels", [
+    # chi_n with the wrong sign
+    ("mu_values[n - 1] - chi", "mu_values[n - 1] + chi", [3, 5, 8, 11]),
+    # the minus branch's (-1)^n dropped from the coefficient of nu_n
+    ("/ (sign * nu_m) ** n", "/ nu_m ** n", [3, 7, 15]),
+], ids=["chi-sign", "coefficient-sign"])
+def test_round_trip_check_catches_a_wrong_inversion(monkeypatch, right, wrong, levels):
+    """Negative control: the round trip at the verify sample point
+    (1/2, ..., 1/2, 2s) passes on every level below and fails once the
+    inversion has one wrong sign (odd levels on the minus branch)."""
+
+    def round_trip_ok(m):
+        closure = BurbyClosure(m, branch="minus" if m % 2 else "plus")
+        return {name: ok for name, ok, _ in closure.identities()}["inversion round trip"]
+
+    assert all(round_trip_ok(m) for m in levels)
+    src = textwrap.dedent(inspect.getsource(closures.burby_invert))
+    assert src.count(right) == 1
+    namespace = dict(vars(closures))
+    exec(src.replace(right, wrong), namespace)
+    monkeypatch.setattr(closures, "burby_invert", namespace["burby_invert"])
+    assert not any(round_trip_ok(m) for m in levels)
+
+
+@pytest.mark.parametrize("rho", [0, F(-1, 2), np.array([1.0, 0.0, 2.0])],
+                         ids=["zero", "negative", "array"])
+def test_every_density_formula_rejects_nonpositive_density(rho):
+    # one check serves p_from_mu and the four normal maps; each map below
+    # sees total density rho
+    zero = rho * 0
+    calls = [
+        lambda: p_from_mu(rho, zero, [zero]),
+        lambda: multidelta_normal_map([rho], [zero]),
+        lambda: multidelta_inverse_map(rho, zero, [], []),
+        lambda: waterbag_normal_map([1, -1], [zero, rho]),
+        lambda: waterbag_inverse_map([1, -1], rho, zero, []),
+    ]
+    for call in calls:
+        with pytest.raises(DensityError):
+            call()
 
 
 # ---------------------------------------------------------------------------

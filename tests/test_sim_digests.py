@@ -15,7 +15,9 @@ The digests hold for the numpy release they were recorded with; another
 FFT build may round differently, so the test skips on any other release.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import sys
@@ -167,6 +169,32 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
     assert calls["sim.field_solve"] == 20 * 4 + 5
     # one batched derivative per stage
     assert calls["sim.deriv"] == 20 * (4 + 16)
+
+
+@pytest.mark.parametrize("argv", [
+    ["closure", "casimir", "--family", "burby", "--level", "6"],
+    # mu_1..mu_4 at (xi2, xi3, eta2, eta3) = (1/4, 1/2, 1, -1/2)
+    ["closure", "eos", "--family", "multidelta", "--M", "3",
+     "--mu", "0.0,0.375,0.1875,0.28125"],
+], ids=["burby-casimir", "multidelta-eos"])
+def test_benchmark_tracer_times_every_inversion(argv):
+    """`Tracer._patch` skips a name that no longer exists, so a renamed or
+    inlined inversion would drop out of `closures.invert.s` unnoticed: the
+    explicit (Burby) and the Newton inversion must each record spans."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert tracer.summary()["calls"].get("closures.invert", 0) > 0
 
 
 def test_traced_split_routes_every_stage_through_split_derivs(tmp_path):
