@@ -4,6 +4,11 @@ Sparse multivariate polynomial algebra over the rationals, moment
 hierarchy conversions, the known closure families in normal variables,
 symbolic verification of the hydrodynamic bracket identities, and a
 conservative periodic fluid solver with a multi-stream kinetic oracle.
+
+The exact engine (`poly`, `moments`, `closures`, `bracket`) is imported
+with the package and needs no numpy. The solver names (`Grid`,
+`run_fluid`, ...) come from `sim`, which imports numpy; it is loaded on
+first access to one of them, so exact work never pays for numpy.
 """
 
 from .bracket import casimirs, check_flatness, full_metric, signature
@@ -15,12 +20,15 @@ from .closures import (BurbyClosure, ClosureFamily, ColdClosure,
                        waterbag_s)
 from .moments import DensityError, alpha_beta_in_mu, p_from_mu
 from .poly import MultiPoly
-from .sim import (FieldState, Grid, SimulationError, WaveBreakError,
-                  diagnostics, run_fluid, single_mode_state, step,
-                  step_streams, two_stream_state, write_diagnostics_csv,
-                  write_snapshot)
 
 __version__ = "1.0.0"
+
+# the solver names `sim` serves; `__getattr__` imports it on first use (PEP 562)
+_SIM_NAMES = (
+    "Grid", "FieldState", "SimulationError", "WaveBreakError",
+    "diagnostics", "step", "step_streams", "run_fluid", "single_mode_state",
+    "two_stream_state", "write_diagnostics_csv", "write_snapshot",
+)
 
 __all__ = [
     "MultiPoly",
@@ -31,7 +39,12 @@ __all__ = [
     "multidelta_normal_map", "waterbag_s",
     "burby_mu", "burby_mu_closed", "generate_closure_from_mu2",
     "equation_of_state", "fourfield_family",
-    "Grid", "FieldState", "SimulationError", "WaveBreakError",
-    "diagnostics", "step", "step_streams", "run_fluid", "single_mode_state",
-    "two_stream_state", "write_diagnostics_csv", "write_snapshot",
+    *_SIM_NAMES,
 ]
+
+
+def __getattr__(name):
+    if name in _SIM_NAMES:
+        from . import sim
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

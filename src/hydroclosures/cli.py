@@ -3,6 +3,10 @@
 Every subcommand produces a Report (JSON schema 2) and exits 0 iff all
 checks passed. Everything in a report but its `timings` is deterministic.
 Simulation/config schema is documented in docs/config.md.
+
+Only `simulate` and `compare` import the solver (`sim`) and numpy, inside
+the functions that use them; `verify` and `closure` run on the exact
+engine alone and start without either.
 """
 
 from __future__ import annotations
@@ -16,16 +20,18 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import bracket, sim
+from . import bracket
 from .closures import (BurbyClosure, ClosureFamily, ColdClosure,
                        FourFieldClosure, GenericClosure, Metric,
-                       MultiDeltaClosure, WaterbagClosure, equation_of_state,
+                       MultiDeltaClosure, WaterbagClosure, closed_moments,
                        multidelta_normal_map)
 from .moments import alpha_beta_in_mu, p_from_mu
 from .poly import MultiPoly
+
+if TYPE_CHECKING:  # for annotations only; the commands import sim themselves
+    from . import sim
 
 
 class Report:
@@ -222,6 +228,9 @@ def cmd_closure(args) -> int:
         return 2
     names = closure.nu_names
     if args.action == "show":
+        if args.nmax is not None and args.nmax < 1:
+            print(f"error: --nmax must be >= 1, got {args.nmax}", file=sys.stderr)
+            return 2
         nmax = args.nmax or max(2 * closure.nu_count + 1, 2)
         for n in range(1, nmax + 1):
             print(f"mu_{n} = {closure.mu(n).to_text(names)}")
@@ -241,9 +250,10 @@ def cmd_closure(args) -> int:
             if not args.mu:
                 raise ValueError("eos needs --mu")
             mu_obs = [float(v) for v in args.mu.split(",")]
+            if not all(map(math.isfinite, mu_obs)):
+                raise ValueError(f"--mu values must be finite, got {args.mu}")
             nu = closure.invert(mu_obs)
-            # a Newton family starts at the solution it just found
-            closed = equation_of_state(closure, mu_obs, guess=nu)
+            closed = closed_moments(closure, nu)
         except (ValueError, RuntimeError) as e:  # RuntimeError: Newton failed
             print(f"error: {e}", file=sys.stderr)
             return 2
@@ -296,12 +306,14 @@ def _build_run(cfg: dict) -> tuple[str, float, float, int, int]:
 
 
 def _build_grid(spec: dict) -> sim.Grid:
+    from . import sim
     _reject_unknown(spec, _GRID_KEYS, "grid")
     return sim.Grid(L=float(spec["L"]), nx=int(spec["nx"]),
                     method=spec.get("method", "spectral"))
 
 
 def _build_initial(spec: dict, grid: sim.Grid, closure: ClosureFamily) -> sim.FieldState:
+    from . import sim
     _reject_unknown(spec, _INITIAL_KEYS, "initial")
     if spec.get("type", "single_mode") != "single_mode":
         raise ValueError(f"unknown initial condition {spec.get('type')!r}")
@@ -314,6 +326,7 @@ def _build_initial(spec: dict, grid: sim.Grid, closure: ClosureFamily) -> sim.Fi
 
 
 def cmd_simulate(args) -> int:
+    from . import sim
     rep = Report("simulate")
     outdir = Path(args.out)
     try:
@@ -367,6 +380,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    import numpy as np
+
+    from . import sim
     rep = Report("compare")
     outdir = Path(args.out) if args.out else None
     try:

@@ -817,6 +817,11 @@ def equation_of_state(closure: ClosureFamily, mu_observed: Sequence,
     for the anti-triangular family, Newton from `guess` elsewhere), then
     evaluates the higher polynomials.
     """
+    return closed_moments(closure, closure.invert(mu_observed, guess=guess))
+
+
+def closed_moments(closure: ClosureFamily, nu: Sequence) -> tuple:
+    """The closed moments mu_{N-1}..mu_{2N-3} at the normal variables `nu`."""
     nv = closure.nu_count
-    nu = [float(v) for v in closure.invert(mu_observed, guess=guess)]
+    nu = [float(v) for v in nu]
     return tuple(closure.mu(n).eval(nu) for n in range(nv + 1, 2 * nv + 2))

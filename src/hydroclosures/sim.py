@@ -169,7 +169,7 @@ def _field_solve(rho: np.ndarray, n0: float, grid: Grid, op: np.ndarray) -> np.n
 
     Requires neutrality mean(rho) = n0 to 1e-10 (otherwise no periodic
     field exists)."""
-    if abs(float(np.mean(rho)) - n0) > 1e-10:
+    if abs(float(rho.sum()) / rho.size - n0) > 1e-10:
         raise SimulationError("neutrality violated: mean(rho) != n0")
     fh = np.fft.rfft(rho - n0)
     fh[0] = 0.0

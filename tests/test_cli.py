@@ -117,6 +117,16 @@ def test_closure_show_canonical_text(capsys):
     assert "mu_2 = 1/3 * nu2^3" in out
 
 
+@pytest.mark.parametrize("nmax", ["-1", "0"])
+def test_closure_show_rejects_nmax_below_1(capsys, nmax):
+    # -1 printed nothing and 0 meant the default, both with exit 0
+    assert main(["closure", "show", "--family", "burby", "--level", "2",
+                 f"--nmax={nmax}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --nmax must be >= 1, got {nmax}\n"
+
+
 def test_closure_casimir(capsys):
     assert main(["closure", "casimir", "--family", "burby", "--level", "2"]) == 0
     out = capsys.readouterr().out
@@ -157,14 +167,23 @@ def test_closure_eos_no_solution_from_any_start(capsys):
     ["burby", "--level", "2", "--mu", "1,x"],     # not a number
     ["burby", "--level", "3", "--mu", "1,1,-1"],  # negative leading moment, odd level
     ["waterbag", "--heights", "1,1,-2", "--mu", "0.3"],  # mu_1 = -nu^2/4 <= 0
-], ids=["missing", "count", "not-a-number", "negative-odd", "no-solution"])
+    # non-finite moments used to print a nan or inf nu and exit 0
+    ["burby", "--level", "2", "--mu", "nan,1"],
+    ["burby", "--level", "3", "--mu", "1,inf,2"],
+    ["burby", "--level", "2", "--mu", "1e400,1"],      # overflows to inf
+    ["multidelta", "--mu", "0.36,-inf"],
+], ids=["missing", "count", "not-a-number", "negative-odd", "no-solution",
+        "nan", "inf", "overflow", "newton-inf"])
 def test_closure_eos_bad_input_exit_2(capsys, argv):
     assert main(["closure", "eos", "--family", *argv]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
-def test_closure_eos_differentiates_each_moment_once():
-    """Counters of one traced `closure eos` of multidelta M = 3 (nv = 4)."""
+def traced_main(argv: list) -> tuple[int, str, dict]:
+    """(exit code, stdout, tracer summary) of one `main(argv)` run with the
+    perfbench tracer installed."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import tracing
@@ -175,19 +194,36 @@ def test_closure_eos_differentiates_each_moment_once():
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            # mu_1..mu_4 at (xi2, xi3, eta2, eta3) = (1/4, 1/2, 1, -1/2)
-            rc = main(["closure", "eos", "--family", "multidelta", "--M", "3",
-                       "--mu", "0.0,0.375,0.1875,0.28125"])
+            rc = main(argv)
     finally:
         tracer.uninstall()
+    return rc, out.getvalue(), tracer.summary()
+
+
+def test_closure_eos_differentiates_each_moment_once():
+    """Counters of one traced `closure eos` of multidelta M = 3 (nv = 4)."""
+    # mu_1..mu_4 at (xi2, xi3, eta2, eta3) = (1/4, 1/2, 1, -1/2)
+    rc, out, summary = traced_main(["closure", "eos", "--family", "multidelta", "--M", "3",
+                                    "--mu", "0.0,0.375,0.1875,0.28125"])
     assert rc == 0
-    assert out.getvalue() == (
+    assert out == (
         "nu = [0.25, 0.5, 1.0, -0.5]\n"
         "closed moments: [0.234375, 0.2578125, 0.24609375, 0.251953125, 0.2490234375]\n")
-    # the recurrence up to mu_9 reads the gradients of mu_2..mu_8, and both
-    # Newton solves read their Jacobian from those of mu_1..mu_4: each of
+    # the recurrence up to mu_9 reads the gradients of mu_2..mu_8, and the
+    # Newton solve reads its Jacobian from those of mu_1..mu_4: each of
     # 8 gradients is 4 diffs, taken once
-    assert tracer.summary()["calls"]["poly.diff"] == 8 * 4
+    assert summary["calls"]["poly.diff"] == 8 * 4
+
+
+def test_closure_eos_inverts_once():
+    # the closed moments used to invert the observed moments a second time
+    rc, out, summary = traced_main(["closure", "eos", "--family", "burby", "--level", "2",
+                                    "--mu", "0.33,2.667"])
+    assert rc == 0
+    assert out == ("nu = [0.164993125573, 2.000083329861]\n"
+                   "closed moments: [0.0, 0.0, 0.0]\n")
+    # `closures.invert` spans burby_invert, newton_invert and equation_of_state
+    assert summary["calls"]["closures.invert"] == 1
 
 
 def test_verify_burby_level_8_round_trip(capsys):

@@ -6,6 +6,7 @@ in `__all__`; each demo must also run to completion as a script.
 """
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -48,3 +49,31 @@ def test_public_surface(path):
         run = subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
+
+
+EXACT_COMMANDS = [
+    ["verify", "--family", "burby", "--level", "3"],
+    ["verify", "--family", "waterbag", "--heights", "1,1,-2"],
+    ["verify", "--family", "generic", "--mu2", "nu1^2*nu2"],
+    ["closure", "show", "--family", "fourfield", "--kappa", "1/2"],
+    ["closure", "casimir", "--family", "burby", "--level", "2"],
+    ["closure", "eos", "--family", "multidelta", "--mu", "0.36,0.324"],
+]
+
+
+def test_exact_commands_never_import_the_solver():
+    # verify and closure run on the exact engine; numpy and sim belong to
+    # simulate and compare, and loading them would double start-up
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from hydroclosures import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {EXACT_COMMANDS!r}]\n"
+        "print(json.dumps([codes, sorted({'numpy', 'hydroclosures.sim'} & set(sys.modules))]))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    codes, loaded = json.loads(run.stdout)
+    assert codes == [0] * len(EXACT_COMMANDS)
+    assert loaded == []
