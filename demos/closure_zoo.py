@@ -1,15 +1,17 @@
-"""Tour of the closure families: moments, metrics, and flatness.
+"""Tour of the closure families: moments, metrics, flatness, and the
+equation of state.
 
 Prints the first few closure polynomials of every family in normal
-variables, shows the metric signature, and runs the exact identity
-check that certifies each bracket is of constant-metric form.
+variables, shows the metric signature, runs the exact identity check
+that certifies each bracket is of constant-metric form, and closes a
+two-stream moment hierarchy from its observed moments.
 """
 
 from fractions import Fraction
 
-from hydroclosures import (BurbyClosure, FourFieldClosure, MultiDeltaClosure,
-                           WaterbagClosure, check_flatness,
-                           generate_closure_from_mu2)
+from hydroclosures import (BurbyClosure, FourFieldClosure, GenericClosure,
+                           MultiDeltaClosure, WaterbagClosure, check_flatness,
+                           equation_of_state)
 
 F = Fraction
 
@@ -32,6 +34,11 @@ for c in families:
 # The whole hierarchy is generated by the single cubic mu_2: seeding the
 # recurrence with (mu_2, g) of any family reproduces its moment sequence.
 c = BurbyClosure(3)
-gen = generate_closure_from_mu2(c.mu(2), c.metric, n_max=5)
+gen = GenericClosure(c.mu(2), c.metric)
 print("mu_2 generator check (level-3 family):",
-      all(gen[n - 1] == c.mu(n) for n in range(1, 6)))
+      all(gen.mu(n) == c.mu(n) for n in range(1, 6)))
+
+# The equation of state: the observed mu_1, mu_2 of two streams, here at
+# (xi2, eta2) = (0.4, 0.9), fix the closed moments mu_3..mu_5.
+closed = equation_of_state(MultiDeltaClosure(2), [0.36, 0.324])
+print("two-stream closure, mu_3..mu_5 =", [round(v, 12) for v in closed])

@@ -11,13 +11,12 @@ with the package and needs no numpy. The solver names (`Grid`,
 first access to one of them, so exact work never pays for numpy.
 """
 
-from .bracket import casimirs, check_flatness, full_metric, signature
+from .bracket import casimirs, check_flatness
 from .closures import (BurbyClosure, ClosureFamily, ColdClosure,
                        FourFieldClosure, GenericClosure, Metric,
                        MultiDeltaClosure, WaterbagClosure, burby_mu,
-                       burby_mu_closed, equation_of_state, fourfield_family,
-                       generate_closure_from_mu2, multidelta_normal_map,
-                       waterbag_s)
+                       burby_mu_closed, equation_of_state,
+                       multidelta_normal_map)
 from .moments import DensityError, alpha_beta_in_mu, p_from_mu
 from .poly import MultiPoly
 
@@ -33,12 +32,11 @@ _SIM_NAMES = (
 __all__ = [
     "MultiPoly",
     "DensityError", "p_from_mu", "alpha_beta_in_mu",
-    "check_flatness", "signature", "full_metric", "casimirs",
+    "check_flatness", "casimirs",
     "Metric", "ClosureFamily", "MultiDeltaClosure", "WaterbagClosure",
     "BurbyClosure", "FourFieldClosure", "GenericClosure", "ColdClosure",
-    "multidelta_normal_map", "waterbag_s",
-    "burby_mu", "burby_mu_closed", "generate_closure_from_mu2",
-    "equation_of_state", "fourfield_family",
+    "multidelta_normal_map", "burby_mu", "burby_mu_closed",
+    "equation_of_state",
     *_SIM_NAMES,
 ]
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import ratmat
 from .moments import bracket_entry
 from .poly import MultiPoly
 
@@ -153,22 +152,8 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
 
 
 # ---------------------------------------------------------------------------
-# Signature and Casimir bookkeeping
+# Casimir bookkeeping
 # ---------------------------------------------------------------------------
-
-
-def signature(g) -> tuple[int, int]:
-    """Signature (positive, negative) of a metric, by exact congruence."""
-    rows = g.g if hasattr(g, "g") else g
-    return ratmat.signature(ratmat.as_matrix(rows))
-
-
-def full_metric(closure):
-    """Metric of the full partially-decoupled bracket: the canonical
-    (rho, u) block [[0,1],[1,0]] plus the microscopic metric."""
-    pad = [0] * closure.nu_count
-    return ratmat.as_matrix([[0, 1, *pad], [1, 0, *pad],
-                             *([0, 0, *row] for row in closure.metric.g)])
 
 
 @dataclass(frozen=True)

@@ -247,9 +247,9 @@ def cmd_closure(args) -> int:
         return 0
     if args.action == "eos":
         try:
-            if not args.mu:
+            if not args.mu and closure.nu_count:
                 raise ValueError("eos needs --mu")
-            mu_obs = [float(v) for v in args.mu.split(",")]
+            mu_obs = [float(v) for v in args.mu.split(",")] if args.mu else []
             if not all(map(math.isfinite, mu_obs)):
                 raise ValueError(f"--mu values must be finite, got {args.mu}")
             nu = closure.invert(mu_obs)
@@ -308,8 +308,10 @@ def _build_run(cfg: dict) -> tuple[str, float, float, int, int]:
 def _build_grid(spec: dict) -> sim.Grid:
     from . import sim
     _reject_unknown(spec, _GRID_KEYS, "grid")
-    return sim.Grid(L=float(spec["L"]), nx=int(spec["nx"]),
-                    method=spec.get("method", "spectral"))
+    nx = spec["nx"]
+    if not isinstance(nx, int) or isinstance(nx, bool):
+        raise ValueError(f"grid nx must be an integer, got {nx!r}")
+    return sim.Grid(L=float(spec["L"]), nx=nx, method=spec.get("method", "spectral"))
 
 
 def _build_initial(spec: dict, grid: sim.Grid, closure: ClosureFamily) -> sim.FieldState:

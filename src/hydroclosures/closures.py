@@ -12,9 +12,9 @@ distribution with fixed bag heights), the delta-derivative closure with
 its anti-triangular moment system, inverted explicitly from the cached
 mu_n, the four-field closure with free parameter kappa, the cold fluid,
 and a generic family given directly by mu_2 and g. The direct formulas
-for mu_n supply each family's mu_2 and serve as reference oracles; the
-maps between physical and normal variables are plain functions, exact
-for exact input and float64 for float64 arrays.
+for mu_n supply each family's mu_2 and the identities its verify suite
+checks; the maps between physical and normal variables are plain
+functions, exact for exact input and float64 for float64 arrays.
 """
 
 from __future__ import annotations
@@ -474,16 +474,11 @@ def burby_mu(m: int, n: int) -> MultiPoly:
 
 def burby_mu_closed(m: int, n: int) -> MultiPoly:
     """Closed form: (1/(n+1)) sum over ordered tuples n <= i_1..i_{n+1} <= m
-    with i_1+...+i_{n+1} = n(m+1) of nu_{i_1}...nu_{i_{n+1}}.
-
-    For n >= 1 the result lives in the m variables nu_1..nu_m. The n = 0
-    convention mu_0 = nu_0 (the density slot) returns the extra variable
-    nu_0 in an (m+1)-variable ring.
+    with i_1+...+i_{n+1} = n(m+1) of nu_{i_1}...nu_{i_{n+1}}, for
+    1 <= n <= m, as a polynomial in the m variables nu_1..nu_m.
     """
-    if not 0 <= n <= m:
-        raise ValueError(f"need 0 <= n <= m, got n={n}, m={m}")
-    if n == 0:
-        return MultiPoly.variable(m + 1, 0)
+    if not 1 <= n <= m:
+        raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
     target = n * (m + 1)
     acc = MultiPoly.zero(m)
     for combo in combinations_with_replacement(range(n, m + 1), n + 1):
@@ -625,34 +620,6 @@ class BurbyClosure(ClosureFamily):
 # ---------------------------------------------------------------------------
 
 
-def fourfield_family(kappa) -> dict:
-    """The published four-field polynomials in (Gamma_2, Gamma_3):
-    {'mu': [mu_1..mu_5], 'S': [S_2..S_5]}, exact for rational kappa."""
-    k = Fraction(kappa)
-    names = ("Gamma2", "Gamma3")
-    g2 = MultiPoly.variable(2, 0)
-    g3 = MultiPoly.variable(2, 1)
-    mu = [
-        g2 * g3,
-        g2 ** 3 + k * g2 * g3 ** 2,
-        k * g2 * g3 * (3 * g2 ** 2 + k * g3 ** 2),
-        k * (Fraction(9, 5) * g2 ** 5 + 6 * k * g2 ** 3 * g3 ** 2
-             + k ** 2 * g2 * g3 ** 4),
-        k ** 2 * g2 * g3 * (9 * g2 ** 4 + 10 * k * g2 ** 2 * g3 ** 2
-                            + k ** 2 * g3 ** 4),
-    ]
-    km = k - g2  # the combination (kappa - Gamma_2) recurs in every S_n
-    S = [
-        g2 ** 3 + g2 * km * g3 ** 2,
-        g2 * g3 * km * (3 * g2 ** 2 + (km - g2) * g3 ** 2),
-        Fraction(9, 5) * k * g2 ** 5 + 6 * g2 ** 3 * km ** 2 * g3 ** 2
-        + g2 * km * (k ** 2 - 3 * g2 * km) * g3 ** 4,
-        9 * k * g2 ** 5 * km * g3 + 10 * g2 ** 3 * km ** 3 * g3 ** 3
-        + g2 * km * (km - g2) * (k ** 2 - 2 * k * g2 + 2 * g2 ** 2) * g3 ** 5,
-    ]
-    return {"mu": mu, "S": S, "names": names}
-
-
 class FourFieldClosure(ClosureFamily):
     """N = 4 closure with free parameter kappa, generated from
     mu_2 = Gamma2^3 + kappa Gamma2 Gamma3^2 and the metric [[0, 1], [1, 0]]."""
@@ -689,19 +656,6 @@ class GenericClosure(ClosureFamily):
 
     def identities(self) -> list[tuple[str, bool, str]]:
         return []
-
-
-def generate_closure_from_mu2(mu2: MultiPoly, g: Metric,
-                              n_max: int | None = None) -> list[MultiPoly]:
-    """[mu_1 .. mu_{n_max}] generated from the cubic mu_2 and metric g.
-
-    n_max defaults to 2 g.dim + 1, the highest index the bracket
-    coefficients reference for a family with N = g.dim + 2 fields.
-    """
-    fam = GenericClosure(mu2, g)
-    if n_max is None:
-        n_max = 2 * g.dim + 1
-    return [fam.mu(n) for n in range(1, n_max + 1)]
 
 
 class ColdClosure(ClosureFamily):
@@ -741,12 +695,15 @@ def newton_invert(closure: ClosureFamily, mu_target: Sequence,
     branch. Without a guess the iteration starts from [s] * nv with
     s = |mu_2|^(1/3) (1e-3 when nv < 2 or mu_2 = 0) and, if that fails,
     from the sign-flipped starts of `_newton_starts` in turn; the first
-    start's error is raised only when every start fails.
+    start's error is raised only when every start fails. A closure with
+    no normal variables has the empty solution.
     """
     nv = closure.nu_count
     target = [float(v) for v in mu_target]
     if len(target) != nv:
         raise ValueError(f"expected {nv} moment values")
+    if not nv:
+        return ()
     jac_polys = [[p.compile_float() for p in closure.grad(n)] for n in range(1, nv + 1)]
 
     def residual(pt):

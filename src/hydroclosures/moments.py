@@ -1,8 +1,7 @@
-"""Moment conversions, the inhomogeneity measure and the bracket entries.
+"""Moment conversion, the inhomogeneity measure and the bracket entries.
 
-The raw fluid moments P_n and the moments S_n centered around the fluid
-velocity u follow from the moments mu_n centered around
-psi = u - rho*mu_1 by binomial re-centering sums. The formulas are
+The raw fluid moments P_n follow from the moments mu_n centered around
+psi = u - rho*mu_1 by a binomial re-centering sum. The formula is
 written over generic scalars, so one implementation serves exact
 Fractions, MultiPoly values and floats or numpy arrays alike.
 
@@ -42,18 +41,6 @@ def p_from_mu(rho, psi, mu: Sequence) -> tuple:
         P.append(sum(comb(n, k) * mu_full[k] * rho ** (k + 1) * psi ** (n - k)
                      for k in range(n + 1)))
     return tuple(P)
-
-
-def s_from_mu(mu: Sequence) -> tuple:
-    """Re-centering from psi to u: S_n = sum_k C(n,k) (-mu_1)^(n-k) mu_k
-    for n = 2..len(mu), from mu = (mu_1, mu_2, ...) (mu_0 = 1)."""
-    mu_full = [1, *mu]
-    mu1 = mu_full[1]
-    out = []
-    for n in range(2, len(mu_full)):
-        out.append(sum(comb(n, k) * (-mu1) ** (n - k) * mu_full[k]
-                       for k in range(n + 1)))
-    return tuple(out)
 
 
 def gamma_n(mu_poly: MultiPoly, n: int) -> MultiPoly:

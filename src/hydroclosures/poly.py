@@ -472,9 +472,3 @@ def _make(nvars: int, num: dict[int, int], den: int) -> MultiPoly:
             den //= g
             num = {k: c // g for k, c in num.items()}
     return _wrap(nvars, num, den)
-
-
-def poly_vars(nvars: int) -> list[MultiPoly]:
-    """The list [x_0, ..., x_{nvars-1}] as polynomials."""
-    return [MultiPoly.variable(nvars, i) for i in range(nvars)]
-

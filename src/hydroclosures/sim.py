@@ -31,6 +31,7 @@ sum(f)*dx, which is exact for trigonometric polynomials.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -70,6 +71,8 @@ class Grid:
     method: str = "spectral"  # or "fd2"
 
     def __post_init__(self):
+        if not 0 < self.L < math.inf:  # NaN fails the comparison too
+            raise ValueError(f"domain length L must be finite and > 0, got {self.L}")
         if self.nx < 8:
             raise ValueError("need at least 8 cells")
         if self.method not in ("spectral", "fd2"):
@@ -331,42 +334,24 @@ def check_wave_breaking(state: StreamState, grid: Grid):
 # ---------------------------------------------------------------------------
 
 
-def _energy(state: FieldState, mu1, mu2, E, grid: Grid) -> float:
-    dens = state.rho * state.u ** 2 + state.rho ** 3 * (mu2 - mu1 ** 2) + E ** 2
-    return 0.5 * grid.integral(dens)
-
-
-def hamiltonian(state: FieldState, closure: ClosureFamily, grid: Grid) -> float:
-    """H = (1/2) integral [rho u^2 + rho^3 (mu_2 - mu_1^2) + E^2] dx."""
-    tab = _ClosureTables.of(closure)
-    nuv = list(state.nu)
-    return _energy(state, tab.mu1(nuv), tab.mu2(nuv),
-                   poisson_solve(state.rho, state.n0, grid), grid)
-
-
 def diagnostics(state: FieldState, closure: ClosureFamily, grid: Grid) -> DiagnosticRecord:
+    """The record of `state`, with the energy
+    H = (1/2) integral [rho u^2 + rho^3 (mu_2 - mu_1^2) + E^2] dx."""
     tab = _ClosureTables.of(closure)
     nuv = list(state.nu)
     mu1 = tab.mu1(nuv)
     E = poisson_solve(state.rho, state.n0, grid)
     psi = state.u - state.rho * mu1
+    dens = state.rho * state.u ** 2 + state.rho ** 3 * (tab.mu2(nuv) - mu1 ** 2) + E ** 2
     return DiagnosticRecord(
         t=state.t,
-        H=_energy(state, mu1, tab.mu2(nuv), E, grid),
+        H=0.5 * grid.integral(dens),
         C_mass=grid.integral(state.rho),
         C_psi=grid.integral(psi),
         C_nu=tuple(grid.integral(state.rho * state.nu[k]) for k in range(tab.nv)),
         momentum=grid.integral(state.rho * state.u),
         field_energy=0.5 * grid.integral(E ** 2),
     )
-
-
-def stream_diagnostics(state: StreamState, grid: Grid):
-    """(H, mass, momentum) of the multi-stream model."""
-    rho = np.sum(state.a, axis=0)
-    E = poisson_solve(rho, state.n0, grid)
-    H = 0.5 * grid.integral(np.sum(state.a * state.v ** 2, axis=0) + E ** 2)
-    return H, grid.integral(rho), grid.integral(np.sum(state.a * state.v, axis=0))
 
 
 def cfl_dt(state: FieldState, closure: ClosureFamily, grid: Grid) -> float:

@@ -11,16 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hydroclosures import ratmat
 from hydroclosures.bracket import (FlatnessCheck, FlatnessReport, HydroBracket,
-                                   casimirs, check_flatness, full_metric,
-                                   signature)
+                                   casimirs, check_flatness)
 from hydroclosures.cli import main
 from hydroclosures.closures import (BurbyClosure, FourFieldClosure,
                                     GenericClosure, Metric, MultiDeltaClosure,
                                     WaterbagClosure)
 from hydroclosures.moments import alpha_beta_in_mu
-from hydroclosures.poly import MultiPoly, poly_vars
+from hydroclosures.poly import MultiPoly
 from hydroclosures.ratmat import as_matrix
+
+from oracles import full_metric, poly_vars
 
 F = Fraction
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -259,10 +261,13 @@ def test_three_index_flatness_agrees_with_full_check(closure):
 
 
 def test_signature_helper():
-    assert signature([[F(0), F(1)], [F(1), F(0)]]) == (1, 1)
-    assert signature(MultiDeltaClosure(3).metric) == (2, 2)
+    assert ratmat.signature([[F(0), F(1)], [F(1), F(0)]]) == (1, 1)
+    assert Metric([[F(0), F(1)], [F(1), F(0)]]).signature == (1, 1)
+    assert MultiDeltaClosure(3).metric.signature == (2, 2)
     with pytest.raises(ValueError):
-        signature([[F(0)]])
+        ratmat.signature([[F(0)]])
+    with pytest.raises(ValueError):
+        _ = Metric([[F(0)]]).signature
 
 
 def test_full_metric_block_structure():
@@ -273,7 +278,7 @@ def test_full_metric_block_structure():
                         [F(0), F(0), F(0), F(1)],
                         [F(0), F(0), F(1), F(0)]])
     assert g == expect
-    assert signature(list(map(list, g))) == (2, 2)
+    assert ratmat.signature(g) == (2, 2)
 
 
 def test_casimir_set():

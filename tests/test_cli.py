@@ -155,6 +155,16 @@ def test_closure_eos_retries_sign_flipped_newton_starts(capsys):
     assert np.allclose(json.loads(first[len("nu = "):]), [1.0, -1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("family", [["cold"], ["multidelta", "--M", "1"],
+                                    ["waterbag", "--heights", "1,-1"]],
+                         ids=["cold", "multidelta-M1", "waterbag-N2"])
+def test_closure_eos_without_normal_variables(capsys, family):
+    # no --mu exited 2 with "eos needs --mu", and any --mu with "expected 0
+    # moment values", so the closed moment mu_1 = 0 was unreachable
+    assert main(["closure", "eos", "--family", *family]) == 0
+    assert capsys.readouterr().out == "nu = []\nclosed moments: [0.0]\n"
+
+
 def test_closure_eos_no_solution_from_any_start(capsys):
     # xi eta = 0 and xi eta^2 = 1 have no common solution
     assert main(["closure", "eos", "--family", "multidelta", "--mu=0,1"]) == 2
@@ -172,8 +182,13 @@ def test_closure_eos_no_solution_from_any_start(capsys):
     ["burby", "--level", "3", "--mu", "1,inf,2"],
     ["burby", "--level", "2", "--mu", "1e400,1"],      # overflows to inf
     ["multidelta", "--mu", "0.36,-inf"],
+    # no normal variables: nothing to observe
+    ["cold", "--mu", "1"],
+    ["multidelta", "--M", "1", "--mu", "1"],
+    ["waterbag", "--heights", "1,-1", "--mu", "1"],
 ], ids=["missing", "count", "not-a-number", "negative-odd", "no-solution",
-        "nan", "inf", "overflow", "newton-inf"])
+        "nan", "inf", "overflow", "newton-inf", "cold-count",
+        "multidelta-M1-count", "waterbag-N2-count"])
 def test_closure_eos_bad_input_exit_2(capsys, argv):
     assert main(["closure", "eos", "--family", *argv]) == 2
     captured = capsys.readouterr()
@@ -356,10 +371,25 @@ BAD_RUNS = {
 }
 
 
-@pytest.mark.parametrize("case", BAD_RUNS)
+# grid blocks that divided by zero (L = 0), ran with negative integrals
+# (L < 0), failed as non-finite fields or truncated nx silently
+BAD_GRIDS = {
+    "zero-L": {"L": 0},
+    "negative-L": {"L": -6.283185307179586},
+    "nan-L": {"L": float("nan")},
+    "inf-L": {"L": float("inf")},
+    "fractional-nx": {"nx": 8.5},
+    "float-nx": {"nx": 64.0},
+    "bool-nx": {"nx": True},
+    "string-nx": {"nx": "64"},
+}
+
+
+@pytest.mark.parametrize("case", [*BAD_RUNS, *BAD_GRIDS])
 def test_simulate_rejects_bad_run_settings(tmp_path, capsys, case):
-    integ, output = BAD_RUNS[case]
+    integ, output = BAD_RUNS.get(case, ({}, {}))
     cfg = json.loads(json.dumps(COLD_CONFIG))
+    cfg["grid"].update(BAD_GRIDS.get(case, {}))
     cfg["integrator"].update(integ)
     cfg["output"].update(output)
     out = tmp_path / "run"
@@ -371,10 +401,12 @@ def test_simulate_rejects_bad_run_settings(tmp_path, capsys, case):
     assert not out.exists()  # rejected before any step
 
 
-@pytest.mark.parametrize("case", [c for c, (_, output) in BAD_RUNS.items() if not output])
+@pytest.mark.parametrize("case", [*(c for c, (_, output) in BAD_RUNS.items() if not output),
+                                  *BAD_GRIDS])
 def test_compare_rejects_bad_integrator(tmp_path, capsys, case):
     cfg = json.loads(json.dumps(COMPARE_CONFIG))
-    cfg["integrator"].update(BAD_RUNS[case][0])
+    cfg["grid"].update(BAD_GRIDS.get(case, {}))
+    cfg["integrator"].update(BAD_RUNS.get(case, ({}, {}))[0])
     out = tmp_path / "cmp"
     assert main(["compare", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 2

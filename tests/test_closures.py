@@ -17,15 +17,15 @@ from hydroclosures.closures import (BurbyClosure, ColdClosure,
                                     FourFieldClosure, GenericClosure, Metric,
                                     MultiDeltaClosure, WaterbagClosure,
                                     burby_invert, burby_mu, burby_mu_closed,
-                                    equation_of_state, fourfield_family,
-                                    generate_closure_from_mu2,
-                                    multidelta_inverse_map, multidelta_mu,
-                                    multidelta_normal_map, newton_invert,
-                                    waterbag_inverse_map, waterbag_mu,
-                                    waterbag_normal_map, waterbag_s,
-                                    waterbag_s_at_zero)
-from hydroclosures.moments import DensityError, gamma_n, p_from_mu, s_from_mu
-from hydroclosures.poly import MultiPoly, poly_vars
+                                    equation_of_state, multidelta_inverse_map,
+                                    multidelta_mu, multidelta_normal_map,
+                                    newton_invert, waterbag_inverse_map,
+                                    waterbag_mu, waterbag_normal_map,
+                                    waterbag_s, waterbag_s_at_zero)
+from hydroclosures.moments import DensityError, gamma_n, p_from_mu
+from hydroclosures.poly import MultiPoly
+
+from oracles import fourfield_family, poly_vars, s_from_mu
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -221,6 +221,9 @@ def test_level_recursion_equals_closed_form():
     for m in range(1, 7):
         for n in range(1, m + 1):
             assert burby_mu(m, n) == burby_mu_closed(m, n)
+    for m, n in ((3, 0), (3, 4), (0, 0)):
+        with pytest.raises(ValueError, match="1 <= n <= m"):
+            burby_mu_closed(m, n)
 
 
 def test_level_truncation_and_top():
@@ -421,9 +424,9 @@ def test_generator_reproduces_families():
     cases = [MultiDeltaClosure(2), MultiDeltaClosure(3), BurbyClosure(3),
              FourFieldClosure(F(1, 2))]
     for c in cases:
-        gen = generate_closure_from_mu2(c.mu(2), c.metric)
+        gen = GenericClosure(c.mu(2), c.metric)
         for n in range(1, 2 * c.nu_count + 2):
-            assert gen[n - 1] == c.mu(n), (c.name, n)
+            assert gen.mu(n) == c.mu(n), (c.name, n)
 
 
 def _burby_direct(m, sign=1):
@@ -475,9 +478,9 @@ def test_generated_mu_and_gamma_equal_direct_formulas(case):
 def test_generator_reproduces_waterbag():
     heights = [F(1), F(1), F(-2)]
     c = WaterbagClosure(heights)
-    gen = generate_closure_from_mu2(c.mu(2), c.metric, n_max=2 * c.N - 3)
+    gen = GenericClosure(c.mu(2), c.metric)
     for n in range(1, 2 * c.N - 2):
-        assert gen[n - 1] == waterbag_mu(heights, n)
+        assert gen.mu(n) == waterbag_mu(heights, n)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +540,19 @@ def test_cold_closure():
     for n in range(1, 5):
         assert c.mu(n).is_zero
     assert c.mu(0).constant_term() == 1
+
+
+@pytest.mark.parametrize("make", [ColdClosure, lambda: MultiDeltaClosure(1),
+                                  lambda: WaterbagClosure([F(1), F(-1)])],
+                         ids=["cold", "multidelta-M1", "waterbag-N2"])
+def test_equation_of_state_without_normal_variables(make):
+    # no moment is observed and the one closed moment is mu_1 = 0; the
+    # Newton start used to take max() of an empty residual
+    c = make()
+    assert newton_invert(c, []) == ()
+    assert equation_of_state(c, []) == (0,)
+    with pytest.raises(ValueError, match="expected 0 moment values"):
+        equation_of_state(c, [1.0])
 
 
 def test_metric_validation():

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydroclosures.poly import MultiPoly, poly_vars
+from hydroclosures.poly import MultiPoly
+
+from oracles import poly_vars
 
 
 def random_poly(rng: random.Random, nvars: int, max_deg: int = 6,

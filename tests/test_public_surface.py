@@ -1,8 +1,12 @@
-"""The root package exports what its users import, and the demos run.
+"""The root package exports what its users import, the demos run, and
+the library holds no code that only the tests use.
 
 Every name in `hydroclosures.__all__` must resolve, and every name that a
 demo or the README's library example imports from `hydroclosures` must be
-in `__all__`; each demo must also run to completion as a script.
+in `__all__`; each demo must also run to completion as a script. Every
+public top-level function and class of `src/hydroclosures` must have a
+user outside the tests; reference formulas that only tests read live in
+`tests/oracles.py`.
 """
 
 import ast
@@ -20,6 +24,10 @@ import hydroclosures
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 SOURCES = sorted((ROOT / "demos").glob("*.py")) + [README]
+LIBRARY = sorted((ROOT / "src" / "hydroclosures").glob("*.py"))
+# kept for the waterbag contour oracle in `compare` and the linear-theory
+# oracle on the roadmap, which will be their first callers
+NO_USER_YET = {"waterbag_normal_map", "multidelta_inverse_map"}
 
 
 def source_code(path: Path) -> str:
@@ -27,6 +35,25 @@ def source_code(path: Path) -> str:
     if path.suffix == ".md":
         return "\n".join(re.findall(r"```python\n(.*?)```", text, re.S))
     return text
+
+
+def referenced_names(tree: ast.AST) -> set:
+    """Names used as a `Name` or an `Attribute` anywhere in `tree` except
+    inside the definition of a function or class of that name."""
+    found = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in inside:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return found
 
 
 def root_imports(code: str) -> set:
@@ -49,6 +76,17 @@ def test_public_surface(path):
         run = subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
+
+
+def test_library_holds_no_test_only_code():
+    public = {node.name for path in LIBRARY for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    # `__init__` only re-exports, by import and by the strings of `__all__`
+    users = ([p for p in LIBRARY if p.name != "__init__.py"] + SOURCES
+             + sorted((ROOT / "perfbench").glob("*.py")))
+    used = set().union(*(referenced_names(ast.parse(source_code(p))) for p in users))
+    assert sorted(public - used) == sorted(NO_USER_YET)
 
 
 EXACT_COMMANDS = [
