@@ -8,10 +8,16 @@ with a neutralizing background and zero-mean gauge. Each `Grid` builds its
 spectral operators (wavenumbers, i*k, the dealiasing cut and k^2) once, on
 first use, and every derivative and field solve on that grid reuses them.
 Derivatives of several fields are taken in one batched call.
-The steppers fill their full-grid temporaries in place: the rk4 stage
-states share one set of buffers, and a split step makes one workspace that
-every stage of every sub-flow reuses. Micro flow a evaluates dH/dm_k only
-for the k with Tinv[a, k] != 0, the rows its own derivative reads.
+Every full-grid temporary of a step lives in a `Workspace` that the run
+makes once and hands to every step: the rk4 stage state and its four k
+buffers, the batched-derivative input and output, the complex spectra, the
+field solve's source, spectrum and potential, and the split scheme's
+buffers. A step allocates only the state it returns (and what the compiled
+closure evaluators return), so a long run does not hand pages back to the
+allocator and fault them in again on every stage. Called without a
+workspace, every function makes its own and returns fresh arrays. Micro
+flow a evaluates dH/dm_k only for the k with Tinv[a, k] != 0, the rows its
+own derivative reads.
 
 Two time steppers:
 
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -73,6 +80,16 @@ class Grid:
     def __post_init__(self):
         if not 0 < self.L < math.inf:  # NaN fails the comparison too
             raise ValueError(f"domain length L must be finite and > 0, got {self.L}")
+        # operator.index takes Python and numpy integers and refuses floats
+        # and strings; it would take a bool
+        try:
+            operator.index(self.nx)
+        except TypeError:
+            integral = False
+        else:
+            integral = not isinstance(self.nx, bool)
+        if not integral:
+            raise ValueError(f"grid nx must be an integer, got {self.nx!r}")
         if self.nx < 8:
             raise ValueError("need at least 8 cells")
         if self.method not in ("spectral", "fd2"):
@@ -109,24 +126,53 @@ class Grid:
         """Last wavenumber index kept by the 2/3 dealiasing rule."""
         return int((2.0 / 3.0) * (self.nx // 2))
 
-    def deriv(self, f: np.ndarray) -> np.ndarray:
+    def deriv(self, f: np.ndarray, out: np.ndarray | None = None,
+              work: Workspace | None = None) -> np.ndarray:
         """d/dx along the last axis, with 2/3 dealiasing (spectral) or
-        central differences; a 2-D `f` is differentiated row by row."""
+        central differences; a 2-D `f` is differentiated row by row.
+
+        The result goes to `out` (a fresh array if None), and the spectrum
+        to a buffer of `work`."""
         if self.method == "fd2":
-            df = np.empty_like(f)
-            df[..., 1:-1] = f[..., 2:] - f[..., :-2]
-            df[..., 0] = f[..., 1] - f[..., -1]
-            df[..., -1] = f[..., 0] - f[..., -2]
+            df = np.empty_like(f) if out is None else out
+            np.subtract(f[..., 2:], f[..., :-2], out=df[..., 1:-1])
+            np.subtract(f[..., 1], f[..., -1], out=df[..., 0])
+            np.subtract(f[..., 0], f[..., -2], out=df[..., -1])
             df /= 2 * self.dx
             return df
+        if work is None:
+            work = Workspace()
         cut = self.cut + 1
-        fh = np.fft.rfft(f, axis=-1)
+        fh = np.fft.rfft(f, axis=-1, out=work.buf(
+            "spectrum", f.shape[:-1] + (self.nx // 2 + 1,), complex))
         fh[..., :cut] *= self.ik[:cut]
         fh[..., cut:] = 0.0
-        return np.fft.irfft(fh, n=self.nx, axis=-1)
+        return np.fft.irfft(fh, n=self.nx, axis=-1, out=out)
 
     def integral(self, f: np.ndarray) -> float:
         return float(np.sum(f, axis=-1) * self.dx)
+
+
+class Workspace:
+    """The full-grid scratch buffers of one run, made on first use and
+    reused by every later step.
+
+    A buffer is found by its name and shape, so steppers of different sizes
+    can share a workspace (`compare` runs its fluid and its stream stepper
+    on one). A step reads nothing that an earlier step left here. Not
+    thread-safe: calls that run at the same time must not share one. The
+    buffers live here, never on the shared `Grid` or closure tables."""
+
+    def __init__(self):
+        self._bufs: dict = {}
+
+    def buf(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        """The buffer `name` of `shape`, made (uninitialized) on first use."""
+        key = (name, shape)
+        a = self._bufs.get(key)
+        if a is None:
+            a = self._bufs[key] = np.empty(shape, dtype)
+        return a
 
 
 @dataclass
@@ -166,28 +212,37 @@ class DiagnosticRecord:
 # ---------------------------------------------------------------------------
 
 
-def _field_solve(rho: np.ndarray, n0: float, grid: Grid, op: np.ndarray) -> np.ndarray:
+def _field_solve(rho: np.ndarray, n0: float, grid: Grid, op: np.ndarray,
+                 work: Workspace | None) -> np.ndarray:
     """The zero-mean periodic field whose spectrum is rfft(rho - n0) / op,
-    with `op` given on the nonzero wavenumbers.
+    with `op` given on the nonzero wavenumbers. With a `work`, the field is
+    a buffer of it, overwritten by the next field solve.
 
     Requires neutrality mean(rho) = n0 to 1e-10 (otherwise no periodic
     field exists)."""
     if abs(float(rho.sum()) / rho.size - n0) > 1e-10:
         raise SimulationError("neutrality violated: mean(rho) != n0")
-    fh = np.fft.rfft(rho - n0)
+    if work is None:
+        work = Workspace()
+    nx = grid.nx
+    # the source rho - n0 and the field share one buffer
+    field = np.subtract(rho, n0, out=work.buf("field", (nx,)))
+    fh = np.fft.rfft(field, out=work.buf("spectrum", (nx // 2 + 1,), complex))
     fh[0] = 0.0
     fh[1:] /= op
-    return np.fft.irfft(fh, n=grid.nx)
+    return np.fft.irfft(fh, n=nx, out=field)
 
 
-def poisson_solve(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
+def poisson_solve(rho: np.ndarray, n0: float, grid: Grid,
+                  work: Workspace | None = None) -> np.ndarray:
     """E with dE/dx = rho - n0, periodic, zero mean."""
-    return _field_solve(rho, n0, grid, grid.ik[1:])
+    return _field_solve(rho, n0, grid, grid.ik[1:], work)
 
 
-def electric_potential(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
+def electric_potential(rho: np.ndarray, n0: float, grid: Grid,
+                       work: Workspace | None = None) -> np.ndarray:
     """phi with d^2phi/dx^2 = -(rho - n0), E = -dphi/dx, zero mean."""
-    return _field_solve(rho, n0, grid, grid.k2)
+    return _field_solve(rho, n0, grid, grid.k2, work)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +305,8 @@ def _check_state(state: FieldState):
 # ---------------------------------------------------------------------------
 
 
-def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid):
+def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid,
+              work: Workspace | None = None, out: np.ndarray | None = None):
     """(drho/dt, du/dt, dnu/dt) for the closed fluid system.
 
       drho/dt = -d_x(rho u)
@@ -259,23 +315,30 @@ def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid):
 
     with dH/drho = u^2/2 + (3/2) rho^2 (mu_2 - mu_1^2) + phi and
     dH/dnu_l = (1/2) rho^3 (dmu_2/dnu_l - 2 mu_1 dmu_1/dnu_l).
+
+    The three rates are the first 2 + nv rows of `out` (fresh if None), a
+    (2 + 2 nv, nx) array whose other rows are scratch; the temporaries
+    are buffers of `work`.
     """
     _check_state(state)
+    if work is None:
+        work = Workspace()
     tab = _ClosureTables.of(closure)
     rho, u, nu = state.rho, state.u, state.nu
-    nv = tab.nv
+    nv, nx = tab.nv, grid.nx
     nuv = list(nu)
     mu1 = tab.mu1(nuv)
     mu2 = tab.mu2(nuv)
-    phi = electric_potential(rho, state.n0, grid)
+    phi = electric_potential(rho, state.n0, grid, work=work)
     # the batched derivative input: rho u, dH/drho, the nu_k and the fluxes
     # g_kl (dH/dnu_l) / rho, each written in place
-    X = np.empty((2 + 2 * nv, grid.nx))
+    X = work.buf("rhs.X", (2 + 2 * nv, nx))
     rho_u, dH_drho, fluxes = X[0], X[1], X[2 + nv:]
+    tmp, tmp2, two_mu1 = work.buf("rhs.rows", (3, nx))
     np.multiply(rho, u, out=rho_u)
-    tmp = np.square(rho)
+    np.square(rho, out=tmp)
     tmp *= 1.5
-    tmp *= np.subtract(mu2, np.square(mu1))
+    tmp *= np.subtract(mu2, np.square(mu1, out=tmp2), out=tmp2)
     np.square(u, out=dH_drho)
     dH_drho *= 0.5
     dH_drho += tmp
@@ -283,10 +346,10 @@ def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid):
     if nv:
         X[2:2 + nv] = nu
         # dH/dnu_l = (1/2 rho^3)(dmu2/dnu_l - (2 mu1) dmu1/dnu_l)
-        dH_dnu = np.empty((nv, grid.nx))
-        half_rho3 = np.power(rho, 3)
+        dH_dnu = work.buf("rhs.dH_dnu", (nv, nx))
+        half_rho3 = np.power(rho, 3, out=tmp2)
         half_rho3 *= 0.5
-        two_mu1 = np.multiply(2.0, mu1)
+        np.multiply(2.0, mu1, out=two_mu1)
         for l in range(nv):
             np.multiply(two_mu1, tab.dmu1[l](nuv), out=tmp)
             np.subtract(tab.dmu2[l](nuv), tmp, out=dH_dnu[l])
@@ -295,16 +358,16 @@ def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid):
             np.einsum("l,lx->x", tab.g[k], dH_dnu, out=fluxes[k])
             fluxes[k] /= rho
     # d holds d_x of X; its rows become (drho/dt, du/dt, dnu/dt) in place
-    d = grid.deriv(X)
+    d = grid.deriv(X, out=out, work=work)
     drho, du, dxnu, dflux = d[0], d[1], d[2:2 + nv], d[2 + nv:]
     np.negative(drho, out=drho)
     np.negative(du, out=du)
     if nv:
         dH_dnu *= dxnu
-        force = np.sum(dH_dnu, axis=0)
+        force = np.sum(dH_dnu, axis=0, out=tmp)
         force /= rho
         du += force
-        neg_u = np.negative(u)
+        neg_u = np.negative(u, out=tmp2)
         for k in range(nv):
             dxnu[k] *= neg_u
             dflux[k] /= rho
@@ -312,13 +375,27 @@ def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid):
     return drho, du, dxnu
 
 
-def rhs_streams(state: StreamState, grid: Grid):
+def rhs_streams(state: StreamState, grid: Grid, work: Workspace | None = None,
+                out: np.ndarray | None = None):
     """(da/dt, dv/dt) for M cold streams sharing the electric field:
-    da_k/dt = -d_x(a_k v_k), dv_k/dt = -v_k d_x v_k + E."""
-    rho = np.sum(state.a, axis=0)
-    E = poisson_solve(rho, state.n0, grid)
-    d_av, d_v = grid.deriv(np.stack((state.a * state.v, state.v)))
-    return -d_av, -state.v * d_v + E
+    da_k/dt = -d_x(a_k v_k), dv_k/dt = -v_k d_x v_k + E.
+
+    The two rates are the rows of `out` (fresh if None), of shape
+    (2, M, nx); the temporaries are buffers of `work`."""
+    if work is None:
+        work = Workspace()
+    a, v = state.a, state.v
+    rho = np.sum(a, axis=0, out=work.buf("streams.rho", a.shape[1:]))
+    E = poisson_solve(rho, state.n0, grid, work=work)
+    X = work.buf("streams.X", (2, *a.shape))
+    np.multiply(a, v, out=X[0])
+    X[1] = v
+    d = grid.deriv(X, out=out, work=work)
+    d_av, d_v = d
+    np.negative(d_av, out=d_av)
+    d_v *= np.negative(v, out=work.buf("streams.neg_v", a.shape))
+    d_v += E
+    return d_av, d_v
 
 
 def check_wave_breaking(state: StreamState, grid: Grid):
@@ -372,89 +449,109 @@ def cfl_dt(state: FieldState, closure: ClosureFamily, grid: Grid) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rk4(y: list[np.ndarray], rhs, dt: float) -> list[np.ndarray]:
-    """One classical rk4 step. The three stage states share one set of
-    buffers, and the update is accumulated in place in k1, so `rhs` must
-    return fresh arrays and keep no reference to its argument."""
-    stage = [np.empty_like(yi) for yi in y]
+def _rk4(y: np.ndarray, rhs, dt: float, stage: np.ndarray, k: np.ndarray,
+         out: np.ndarray) -> np.ndarray:
+    """One classical rk4 step of the stacked state `y`, written to `out`
+    (which may be `y` itself).
 
-    def at(k, h):
-        for s, yi, ki in zip(stage, y, k):  # s = yi + h*ki
-            np.multiply(h, ki, out=s)
-            s += yi
-        return stage
-
-    k1 = rhs(y)
-    k2 = rhs(at(k1, 0.5 * dt))
-    k3 = rhs(at(k2, 0.5 * dt))
-    k4 = rhs(at(k3, dt))
-    out = []
-    for yi, a, b, c, d in zip(y, k1, k2, k3, k4):  # yi + (dt/6)(a + 2b + 2c + d)
-        b *= 2
-        a += b
-        c *= 2
-        a += c
-        a += d
-        a *= dt / 6.0
-        a += yi
-        out.append(a)
-    return out
+    `rhs(s, ki)` writes the rate at the state `s` to the first len(y) rows
+    of `ki`, one of the four rows of `k`; a row of `k` may be longer than
+    `y`, and the rhs may use the rest of it as scratch. `stage` holds the
+    stage states, and the update is accumulated in place in k[0]."""
+    n = len(y)
+    rhs(y, k[0])
+    for i, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
+        np.multiply(h, k[i - 1, :n], out=stage)  # stage = y + h*k_(i-1)
+        stage += y
+        rhs(stage, k[i])
+    a, b, c, d = k[:, :n]  # y + (dt/6)(a + 2b + 2c + d)
+    b *= 2
+    a += b
+    c *= 2
+    a += c
+    a += d
+    a *= dt / 6.0
+    return np.add(a, y, out=out)
 
 
 def step_rk4(state: FieldState, closure: ClosureFamily, grid: Grid,
-             dt: float) -> FieldState:
-    def rhs(y):
-        return rhs_fluid(FieldState(*y, state.n0, state.t), closure, grid)
+             dt: float, work: Workspace | None = None) -> FieldState:
+    if work is None:
+        work = Workspace()
+    nv = len(state.nu)
+    y = work.buf("rk4.y", (2 + nv, grid.nx))
+    y[0], y[1], y[2:] = state.rho, state.u, state.nu
 
-    rho, u, nu = _rk4([state.rho, state.u, state.nu], rhs, dt)
-    new = FieldState(rho, u, nu, state.n0, state.t + dt)
+    def rhs(s, ki):
+        rhs_fluid(FieldState(s[0], s[1], s[2:], state.n0, state.t), closure, grid,
+                  work=work, out=ki)
+
+    rows = _rk4(y, rhs, dt, work.buf("rk4.stage", y.shape),
+                work.buf("rk4.k", (4, 2 + 2 * nv, grid.nx)), np.empty_like(y))
+    new = FieldState(rows[0], rows[1], rows[2:], state.n0, state.t + dt)
     _check_state(new)
     return new
 
 
-def step_streams(state: StreamState, grid: Grid, dt: float) -> StreamState:
-    def rhs(y):
-        s = StreamState(y[0], y[1], state.n0, state.t)
-        return list(rhs_streams(s, grid))
+def step_streams(state: StreamState, grid: Grid, dt: float,
+                 work: Workspace | None = None) -> StreamState:
+    if work is None:
+        work = Workspace()
+    y = work.buf("rk4.y", (2, *state.a.shape))
+    y[0], y[1] = state.a, state.v
 
-    a, v = _rk4([state.a, state.v], rhs, dt)
+    def rhs(s, ki):
+        rhs_streams(StreamState(s[0], s[1], state.n0, state.t), grid, work=work, out=ki)
+
+    a, v = _rk4(y, rhs, dt, work.buf("rk4.stage", y.shape),
+                work.buf("rk4.k", (4, *y.shape)), np.empty_like(y))
     new = StreamState(a, v, state.n0, state.t + dt)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(v))):
         raise SimulationError(f"non-finite stream values at t={new.t}")
     return new
 
 
-def _split_pack(state: FieldState, tab: _ClosureTables):
-    """(rho, u, nu) -> flat extensive variables (rho, psi, mtil)."""
-    mu1 = tab.mu1(list(state.nu))
-    psi = state.u - state.rho * mu1
-    m = state.rho * state.nu                       # (nv, nx)
-    mtil = tab.T.T @ m if tab.nv else m
-    return state.rho.copy(), psi, mtil
-
-
-def _split_unpack(rho, psi, mtil, tab: _ClosureTables, n0, t) -> FieldState:
-    m = tab.Tinv.T @ mtil if tab.nv else mtil
-    nu = m / rho
-    u = psi + rho * tab.mu1(list(nu))
-    return FieldState(rho, u, nu, n0, t)
-
-
 class _SplitWork:
-    """The full-grid buffers of one split step. Every stage of every
-    sub-flow fills them in place; `step_split` makes one per step."""
+    """The full-grid buffers of a split step, taken from the workspace `ws`
+    (a fresh one if None): the state (rho, psi) and mtil that the sub-flows
+    advance in place, and the buffers every stage of every sub-flow fills."""
 
-    def __init__(self, nv: int, nx: int):
-        self.mt = np.empty((nv, nx))        # mtil with the advanced row
-        self.m = np.empty((nv, nx))
-        self.nu = np.empty((nv, nx))
-        self.u = np.empty(nx)
-        self.two_mu1 = np.empty(nx)
-        self.half_rho2 = np.empty(nx)
-        self.tmp = np.empty(nx)
-        self.dH_m = np.empty((nv, nx))
-        self.dH_mtil = np.empty((nv, nx))
-        self.dH_flat = np.empty((2, nx))    # (dH/dpsi = rho u, dH/drho)
+    def __init__(self, nv: int, nx: int, ws: Workspace | None = None):
+        self.ws = Workspace() if ws is None else ws
+        buf = self.ws.buf
+        self.flat = buf("split.flat", (2, nx))        # (rho, psi)
+        self.mtil = buf("split.mtil", (nv, nx))
+        self.mt = buf("split.mt", (nv, nx))           # mtil with the advanced row
+        self.m = buf("split.m", (nv, nx))
+        self.nu = buf("split.nu", (nv, nx))
+        self.u, self.two_mu1, self.half_rho2, self.tmp = buf("split.rows", (4, nx))
+        self.dH_m = buf("split.dH_m", (nv, nx))
+        self.dH_mtil = buf("split.dH_mtil", (nv, nx))
+        self.dH_flat = buf("split.dH_flat", (2, nx))  # (dH/dpsi = rho u, dH/drho)
+
+
+def _split_pack(state: FieldState, tab: _ClosureTables, work: _SplitWork):
+    """(rho, u, nu) -> flat extensive variables (rho, psi) and mtil, in
+    work.flat and work.mtil."""
+    rho, psi = work.flat
+    rho[...] = state.rho
+    mu1 = tab.mu1(list(state.nu))
+    np.subtract(state.u, np.multiply(state.rho, mu1, out=work.tmp), out=psi)
+    if tab.nv:
+        np.multiply(state.rho, state.nu, out=work.m)
+        np.matmul(tab.T.T, work.m, out=work.mtil)
+
+
+def _split_unpack(work: _SplitWork, tab: _ClosureTables, n0, t) -> FieldState:
+    """The fresh state (rho, u, nu) of work.flat and work.mtil."""
+    new = np.empty((2 + tab.nv, work.flat.shape[1]))
+    rho, u, nu = new[0], new[1], new[2:]
+    rho[...] = work.flat[0]
+    if tab.nv:
+        np.matmul(tab.Tinv.T, work.mtil, out=work.m)
+        np.divide(work.m, rho, out=nu)
+    np.add(work.flat[1], np.multiply(rho, tab.mu1(list(nu)), out=work.tmp), out=u)
+    return FieldState(rho, u, nu, n0, t)
 
 
 def _split_derivs(rho, psi, mtil, tab: _ClosureTables, n0, grid: Grid,
@@ -496,7 +593,7 @@ def _split_derivs(rho, psi, mtil, tab: _ClosureTables, n0, grid: Grid,
             tmp *= half_rho2
             row += tmp
         return np.matmul(tab.Tinv, work.dH_m, out=work.dH_mtil)[micro]
-    phi = electric_potential(rho, n0, grid)
+    phi = electric_potential(rho, n0, grid, work=work.ws)
     np.square(u, out=dH_rho)
     dH_rho *= 0.5
     dH_rho -= np.multiply(rho_u, mu1, out=tmp)
@@ -509,7 +606,7 @@ def _split_derivs(rho, psi, mtil, tab: _ClosureTables, n0, grid: Grid,
 
 
 def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
-               dt: float) -> FieldState:
+               dt: float, work: Workspace | None = None) -> FieldState:
     """Strang splitting in the flat variables.
 
     Sub-flows (each one rk4 step on its partial right-hand side):
@@ -520,28 +617,33 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
     telescopes to round-off.
     """
     tab = _ClosureTables.of(closure)
-    rho, psi, mtil = _split_pack(state, tab)
-    work = _SplitWork(tab.nv, grid.nx)
+    nx = grid.nx
+    sw = _SplitWork(tab.nv, nx, work)
+    work = sw.ws
+    _split_pack(state, tab, sw)
+    rho, psi = sw.flat
 
     def flow_micro(a: int, h: float):
-        def rhs(y):
-            work.mt[...] = mtil
-            work.mt[a] = y[0]
-            d = grid.deriv(_split_derivs(rho, psi, work.mt, tab, state.n0, grid,
-                                         work, micro=a))
-            d *= -tab.D[a]
-            return [d]
+        sw.mt[...] = sw.mtil
+        row = sw.mtil[a:a + 1]
 
-        mtil[a] = _rk4([mtil[a]], rhs, h)[0]
+        def rhs(s, ki):
+            sw.mt[a] = s[0]
+            d = grid.deriv(_split_derivs(rho, psi, sw.mt, tab, state.n0, grid, sw,
+                                         micro=a), out=ki[0], work=work)
+            d *= -tab.D[a]
+
+        _rk4(row, rhs, h, work.buf("rk4.stage", (1, nx)), work.buf("rk4.k", (4, 1, nx)),
+             row)
 
     def flow_macro(h: float):
-        nonlocal rho, psi
+        def rhs(s, ki):
+            d = grid.deriv(_split_derivs(s[0], s[1], sw.mtil, tab, state.n0, grid, sw),
+                           out=ki, work=work)
+            np.negative(d, out=d)
 
-        def rhs(y):
-            d = grid.deriv(_split_derivs(y[0], y[1], mtil, tab, state.n0, grid, work))
-            return np.negative(d, out=d)
-
-        rho, psi = _rk4([rho, psi], rhs, h)
+        _rk4(sw.flat, rhs, h, work.buf("rk4.stage", (2, nx)),
+             work.buf("rk4.k", (4, 2, nx)), sw.flat)
 
     for a in range(tab.nv):
         flow_micro(a, 0.5 * dt)
@@ -549,22 +651,24 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
     for a in range(tab.nv - 1, -1, -1):
         flow_micro(a, 0.5 * dt)
 
-    new = _split_unpack(rho, psi, mtil, tab, state.n0, state.t + dt)
+    new = _split_unpack(sw, tab, state.n0, state.t + dt)
     _check_state(new)
     return new
 
 
 def step(state: FieldState, closure: ClosureFamily, grid: Grid, dt: float,
-         scheme: str = "rk4") -> FieldState:
+         scheme: str = "rk4", work: Workspace | None = None) -> FieldState:
+    """One step of `scheme`. A run hands the same `work` to every step; the
+    returned state is always a fresh array."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     bound = cfl_dt(state, closure, grid)
     if dt > bound:
         warnings.warn(f"dt={dt} exceeds CFL estimate {bound:.3g}", stacklevel=2)
     if scheme == "rk4":
-        return step_rk4(state, closure, grid, dt)
+        return step_rk4(state, closure, grid, dt, work)
     if scheme == "split":
-        return step_split(state, closure, grid, dt)
+        return step_split(state, closure, grid, dt, work)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -577,14 +681,21 @@ def single_mode_state(grid: Grid, closure: ClosureFamily, n0: float = 1.0,
                       eps: float = 1e-3, u0: float = 0.0,
                       nu_base=(), nu_eps=()) -> FieldState:
     """Homogeneous background with one cosine mode on rho (and optionally
-    on the normal variables); the rho perturbation keeps exact neutrality."""
+    on the normal variables); the rho perturbation keeps exact neutrality.
+    `nu_base` and `nu_eps` are empty (all zero) or hold one value per
+    normal variable."""
+    nv = closure.nu_count
+    nu_base, nu_eps = list(nu_base), list(nu_eps)
+    for name, values in (("nu_base", nu_base), ("nu_eps", nu_eps)):
+        if values and len(values) != nv:
+            raise ValueError(f"{name} needs {nv} values for {closure.name} "
+                             f"(or none), got {len(values)}")
     x = grid.x
     c = np.cos(2.0 * np.pi * x / grid.L)
     rho = n0 * (1.0 + eps * c)
     u = np.full(grid.nx, float(u0))
-    nv = closure.nu_count
-    nu_base = list(nu_base) or [0.0] * nv
-    nu_eps = list(nu_eps) or [0.0] * nv
+    nu_base = nu_base or [0.0] * nv
+    nu_eps = nu_eps or [0.0] * nv
     nu = np.array([nu_base[k] + nu_eps[k] * c for k in range(nv)]) \
         if nv else np.zeros((0, grid.nx))
     return FieldState(rho, u, nu, n0)
@@ -618,8 +729,9 @@ def run_fluid(state: FieldState, closure: ClosureFamily, grid: Grid,
     """Advance to t_end recording diagnostics every `stride` steps."""
     records = [diagnostics(state, closure, grid)]
     nsteps = int(round(t_end / dt))
+    work = Workspace()
     for i in range(nsteps):
-        state = step(state, closure, grid, dt, scheme=scheme)
+        state = step(state, closure, grid, dt, scheme=scheme, work=work)
         if (i + 1) % stride == 0 or i == nsteps - 1:
             rec = diagnostics(state, closure, grid)
             records.append(rec)

@@ -401,6 +401,31 @@ def test_simulate_rejects_bad_run_settings(tmp_path, capsys, case):
     assert not out.exists()  # rejected before any step
 
 
+# normal-variable lists of the wrong length for burby level 2 (2 normal
+# variables): a third value was dropped silently and ran to OK, one value
+# was an IndexError traceback
+BAD_NU_LISTS = {
+    "nu_base-too-many": {"nu_base": [0.05, 0.5, 0.7]},
+    "nu_base-too-few": {"nu_base": [0.05]},
+    "nu_eps-too-many": {"nu_base": [0.05, 0.5], "nu_eps": [1e-6, 1e-6, 1e-6]},
+    "nu_eps-too-few": {"nu_base": [0.05, 0.5], "nu_eps": [1e-6]},
+}
+
+
+@pytest.mark.parametrize("case", BAD_NU_LISTS)
+def test_simulate_rejects_wrong_nu_list_length(tmp_path, capsys, case):
+    cfg = json.loads(json.dumps(COLD_CONFIG))
+    cfg["closure"] = {"family": "burby", "level": 2}
+    cfg["initial"].update(BAD_NU_LISTS[case])
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {case.split('-')[0]} needs 2 values")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", [*(c for c, (_, output) in BAD_RUNS.items() if not output),
                                   *BAD_GRIDS])
 def test_compare_rejects_bad_integrator(tmp_path, capsys, case):

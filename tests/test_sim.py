@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -15,8 +16,9 @@ from hydroclosures.moments import p_from_mu
 from hydroclosures.sim import (RHO_FLOOR, FieldState, Grid, SimulationError,
                                _check_state, _ClosureTables, _split_derivs,
                                _SplitWork,
-                               WaveBreakError, cfl_dt, check_wave_breaking,
-                               diagnostics, poisson_solve, rhs_fluid,
+                               WaveBreakError, Workspace, cfl_dt,
+                               check_wave_breaking, diagnostics,
+                               electric_potential, poisson_solve, rhs_fluid,
                                run_fluid, single_mode_state, step,
                                step_streams, two_stream_state, write_snapshot)
 
@@ -47,6 +49,11 @@ def test_grid_validation():
     for L in (0.0, -TWO_PI, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="domain length"):
             Grid(L=L, nx=64)
+    # 64.5 built a 65-point x; numpy integers are integers
+    for nx in (64.5, 64.0, "64", True):
+        with pytest.raises(ValueError, match="nx"):
+            Grid(L=TWO_PI, nx=nx)
+    assert Grid(L=TWO_PI, nx=np.int64(64)).x.shape == (64,)
 
 
 def test_poisson_analytic_mode():
@@ -332,3 +339,145 @@ def test_grid_operators_built_once_and_read_only():
         d = g.deriv(f)  # rows are differentiated independently
         assert np.array_equal(d[0], g.deriv(f[0]))
         assert np.array_equal(d[1], g.deriv(f[1]))
+
+
+def test_single_mode_state_checks_normal_variable_lists():
+    grid = Grid(L=TWO_PI, nx=32)
+    c = BurbyClosure(2)
+    # a third value was dropped silently, and one value was an IndexError
+    for kwargs in ({"nu_base": [0.05, 0.5, 0.7]}, {"nu_base": [0.05]},
+                   {"nu_base": [0.05, 0.5], "nu_eps": [1e-6, 1e-6, 1e-6]},
+                   {"nu_eps": [1e-6]}):
+        name = "nu_eps" if "nu_eps" in kwargs else "nu_base"
+        with pytest.raises(ValueError, match=f"{name} needs 2 values"):
+            single_mode_state(grid, c, **kwargs)
+    state = single_mode_state(grid, c, nu_base=[0.05, 0.5])
+    assert np.array_equal(state.nu, [[0.05] * 32, [0.5] * 32])
+    assert single_mode_state(grid, ColdClosure()).nu.shape == (0, 32)
+
+
+def _burby2_state(grid):
+    return single_mode_state(grid, BurbyClosure(2), eps=1e-3, nu_base=[0.05, 0.5],
+                             nu_eps=[1e-4, 1e-4])
+
+
+def _copies(state):
+    return [getattr(state, f).copy() for f in ("rho", "u", "nu")]
+
+
+def _unchanged(state, copies):
+    return all(np.array_equal(getattr(state, f), c)
+               for f, c in zip(("rho", "u", "nu"), copies))
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "split"])
+@pytest.mark.parametrize("method", ["spectral", "fd2"])
+def test_returned_states_survive_later_steps(scheme, method):
+    """A run reuses one workspace, but every state a step returns is its
+    own array: the caller may keep it while the run goes on."""
+    grid = Grid(L=TWO_PI, nx=32, method=method)
+    c = BurbyClosure(2)
+    state, work, kept = _burby2_state(grid), Workspace(), []
+    for _ in range(4):
+        state = step(state, c, grid, 0.01, scheme=scheme, work=work)
+        kept.append((state, _copies(state)))
+    assert all(_unchanged(s, copies) for s, copies in kept)
+    assert not np.shares_memory(kept[0][0].rho, kept[1][0].rho)
+
+    recorded = []
+    result = run_fluid(_burby2_state(grid), c, grid, dt=0.01, t_end=0.05,
+                       scheme=scheme, on_record=lambda s, rec:
+                       recorded.append((s, _copies(s))))
+    assert len(recorded) == 5 and recorded[-1][0] is result.final
+    assert all(_unchanged(s, copies) for s, copies in recorded)
+
+
+def test_stream_states_survive_later_steps():
+    grid = Grid(L=TWO_PI, nx=32)
+    state, work, kept = two_stream_state(grid, v0=0.3), Workspace(), []
+    for _ in range(4):
+        state = step_streams(state, grid, 0.01, work=work)
+        kept.append((state, state.a.copy(), state.v.copy()))
+    assert all(np.array_equal(s.a, a) and np.array_equal(s.v, v) for s, a, v in kept)
+
+
+def test_calls_without_a_workspace_return_fresh_arrays():
+    grid = Grid(L=TWO_PI, nx=32)
+    state = _burby2_state(grid)
+    f = np.sin(grid.x)
+    for g in (grid, Grid(L=TWO_PI, nx=32, method="fd2")):
+        assert not np.shares_memory(g.deriv(f), g.deriv(f))
+    for solve in (poisson_solve, electric_potential):
+        assert not np.shares_memory(solve(state.rho, 1.0, grid),
+                                    solve(state.rho, 1.0, grid))
+    first, second = rhs_fluid(state, BurbyClosure(2), grid), \
+        rhs_fluid(state, BurbyClosure(2), grid)
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+
+def _count_transforms(monkeypatch) -> dict:
+    """Count numpy's rfft/irfft calls, patched on np.fft as the benchmark's
+    tracer patches them."""
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("closure, nu_base, scheme, per_step", [
+    # 4 stages x (field solve + batched derivative)
+    (BurbyClosure(2), [0.05, 0.5], "rk4", 8),
+    (ColdClosure(), [], "rk4", 8),
+    # macro: 4 stages x 2; micro: nv fields x 2 half steps x 4 stages x 1
+    (BurbyClosure(2), [0.05, 0.5], "split", 8 + 16),
+    (BurbyClosure(4), [0.05, 0.5, 0.05, 0.5], "split", 8 + 32),
+], ids=["burby2-rk4", "cold-rk4", "burby2-split", "burby4-split"])
+def test_a_step_takes_the_same_transforms(monkeypatch, closure, nu_base, scheme,
+                                          per_step):
+    grid = Grid(L=TWO_PI, nx=32)
+    state, work = single_mode_state(grid, closure, eps=1e-3, nu_base=nu_base), Workspace()
+    counts = _count_transforms(monkeypatch)
+    for _ in range(3):
+        state = step(state, closure, grid, 0.01, scheme=scheme, work=work)
+    assert counts == {"rfft": 3 * per_step, "irfft": 3 * per_step}
+
+
+def test_a_stream_step_takes_the_same_transforms(monkeypatch):
+    grid = Grid(L=TWO_PI, nx=32)
+    state, work = two_stream_state(grid), Workspace()
+    counts = _count_transforms(monkeypatch)
+    for _ in range(3):
+        state = step_streams(state, grid, 0.01, work=work)
+    assert counts == {"rfft": 3 * 8, "irfft": 3 * 8}  # 4 stages x (E + derivative)
+
+
+# Bytes one more step may take beyond what it holds when it starts, in
+# full-grid rows (8 nx bytes). The returned state is 4 rows for burby 2;
+# the compiled closure evaluators return a few rows more; at nx = 4096,
+# numpy's ufunc iterator takes a 320 KB (10-row) buffer for the in-place
+# multiply of rk4's batch of 6 spectra by ik. A step that makes its own
+# workspace takes 67 rows (rk4) and 45 rows (split).
+STEADY_STEP_ROWS = 20
+
+
+def _step_rows(scheme, work) -> float:
+    grid = Grid(L=TWO_PI, nx=4096)
+    c = BurbyClosure(2)
+    state = step(_burby2_state(grid), c, grid, 1e-4, scheme=scheme, work=work)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        state = step(state, c, grid, 1e-4, scheme=scheme, work=work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - held) / (8 * grid.nx)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "split"])
+def test_a_steady_step_allocates_no_workspace(scheme):
+    assert _step_rows(scheme, Workspace()) <= STEADY_STEP_ROWS
+    assert _step_rows(scheme, None) > 2 * STEADY_STEP_ROWS  # the measure sees them
