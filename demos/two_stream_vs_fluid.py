@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from hydroclosures import (FieldState, Grid, MultiDeltaClosure, Workspace,
-                           diagnostics, multidelta_normal_map, p_from_mu, step,
+from hydroclosures import (FieldState, Grid, MultiDeltaClosure, diagnostics,
+                           multidelta_normal_map, p_from_mu, step,
                            step_streams, two_stream_state)
 
 grid = Grid(L=2.0 * math.pi, nx=64)
@@ -24,10 +24,9 @@ fluid = FieldState(rho, u, np.array([xi[0], eta[0]]), streams.n0)
 
 rec0 = diagnostics(fluid, closure, grid)
 dt, t_end = 0.002, 1.0
-work = Workspace()  # the scratch arrays of every step of both runs
 for _ in range(int(round(t_end / dt))):
-    fluid = step(fluid, closure, grid, dt, work=work)
-    streams = step_streams(streams, grid, dt, work=work)
+    fluid = step(fluid, closure, grid, dt)
+    streams = step_streams(streams, grid, dt)
 
 mu_vals = [closure.mu_value(n, list(fluid.nu)) for n in (1, 2, 3)]
 P_fluid = p_from_mu(fluid.rho, fluid.u - fluid.rho * mu_vals[0], mu_vals)

@@ -26,7 +26,7 @@ __version__ = "1.0.0"
 _SIM_NAMES = (
     "Grid", "FieldState", "SimulationError", "WaveBreakError",
     "diagnostics", "step", "step_streams", "run_fluid", "single_mode_state",
-    "two_stream_state", "write_diagnostics_csv", "write_snapshot", "Workspace",
+    "two_stream_state", "write_diagnostics_csv", "write_snapshot",
 )
 
 __all__ = [

@@ -8,16 +8,16 @@ with a neutralizing background and zero-mean gauge. Each `Grid` builds its
 spectral operators (wavenumbers, i*k, the dealiasing cut and k^2) once, on
 first use, and every derivative and field solve on that grid reuses them.
 Derivatives of several fields are taken in one batched call.
-Every full-grid temporary of a step lives in a `Workspace` that the run
-makes once and hands to every step: the rk4 stage state and its four k
-buffers, the batched-derivative input and output, the complex spectra, the
-field solve's source, spectrum and potential, and the split scheme's
-buffers. A step allocates only the state it returns (and what the compiled
-closure evaluators return), so a long run does not hand pages back to the
-allocator and fault them in again on every stage. Called without a
-workspace, every function makes its own and returns fresh arrays. Micro
-flow a evaluates dH/dm_k only for the k with Tinv[a, k] != 0, the rows its
-own derivative reads.
+A run (`run_fluid`, the CLI's `compare`) makes one `Workspace` and hands it
+to every step. It holds the full-grid temporaries of a step: the rk4 stage
+state and the rates of stages 2 to 4, the batched-derivative input, the
+complex spectra and the split scheme's buffers. A long run then does not
+hand these pages back to the allocator and fault them in again on every
+stage. The rate of stage 1 takes the rk4 update in place, so it is a
+fresh array: the state a step returns. A call given no workspace
+allocates each temporary where it is used.
+Micro flow a evaluates dH/dm_k only for the k with Tinv[a, k] != 0, the
+rows its own derivative reads.
 
 Two time steppers:
 
@@ -69,6 +69,47 @@ class WaveBreakError(SimulationError):
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+class Workspace:
+    """The full-grid scratch buffers of one run, made on first use and
+    reused by every later step.
+
+    A buffer is found by its name and shape, so steppers of different sizes
+    can share a workspace (`compare` runs its fluid and its stream stepper
+    on one). A step reads nothing that an earlier step left here. Not
+    thread-safe: calls that run at the same time must not share one. The
+    buffers live here, never on the shared `Grid` or closure tables."""
+
+    def __init__(self):
+        self._bufs: dict = {}
+
+    def buf(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        """The buffer `name` of `shape`, made (uninitialized) on first use."""
+        key = (name, shape)
+        a = self._bufs.get(key)
+        if a is None:
+            a = self._bufs[key] = np.empty(shape, dtype)
+        return a
+
+    def out(self, name: str, shape: tuple) -> np.ndarray | None:
+        """The buffer `name` for a result that a callee writes to its `out`;
+        None where the call has no workspace, so that the result is made
+        when it is computed."""
+        return self.buf(name, shape)
+
+
+class _FreshBuffers(Workspace):
+    """The workspace of a call given none: every buffer is a new array."""
+
+    def buf(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        return np.empty(shape, dtype)
+
+    def out(self, name: str, shape: tuple) -> None:
+        return None
+
+
+_FRESH = _FreshBuffers()
 
 
 @dataclass(frozen=True)
@@ -126,8 +167,8 @@ class Grid:
         """Last wavenumber index kept by the 2/3 dealiasing rule."""
         return int((2.0 / 3.0) * (self.nx // 2))
 
-    def deriv(self, f: np.ndarray, out: np.ndarray | None = None,
-              work: Workspace | None = None) -> np.ndarray:
+    def deriv(self, f: np.ndarray, *, out: np.ndarray | None = None,
+              work: Workspace = _FRESH) -> np.ndarray:
         """d/dx along the last axis, with 2/3 dealiasing (spectral) or
         central differences; a 2-D `f` is differentiated row by row.
 
@@ -140,8 +181,6 @@ class Grid:
             np.subtract(f[..., 0], f[..., -2], out=df[..., -1])
             df /= 2 * self.dx
             return df
-        if work is None:
-            work = Workspace()
         cut = self.cut + 1
         fh = np.fft.rfft(f, axis=-1, out=work.buf(
             "spectrum", f.shape[:-1] + (self.nx // 2 + 1,), complex))
@@ -151,28 +190,6 @@ class Grid:
 
     def integral(self, f: np.ndarray) -> float:
         return float(np.sum(f, axis=-1) * self.dx)
-
-
-class Workspace:
-    """The full-grid scratch buffers of one run, made on first use and
-    reused by every later step.
-
-    A buffer is found by its name and shape, so steppers of different sizes
-    can share a workspace (`compare` runs its fluid and its stream stepper
-    on one). A step reads nothing that an earlier step left here. Not
-    thread-safe: calls that run at the same time must not share one. The
-    buffers live here, never on the shared `Grid` or closure tables."""
-
-    def __init__(self):
-        self._bufs: dict = {}
-
-    def buf(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
-        """The buffer `name` of `shape`, made (uninitialized) on first use."""
-        key = (name, shape)
-        a = self._bufs.get(key)
-        if a is None:
-            a = self._bufs[key] = np.empty(shape, dtype)
-        return a
 
 
 @dataclass
@@ -212,37 +229,28 @@ class DiagnosticRecord:
 # ---------------------------------------------------------------------------
 
 
-def _field_solve(rho: np.ndarray, n0: float, grid: Grid, op: np.ndarray,
-                 work: Workspace | None) -> np.ndarray:
+def _field_solve(rho: np.ndarray, n0: float, grid: Grid, op: np.ndarray) -> np.ndarray:
     """The zero-mean periodic field whose spectrum is rfft(rho - n0) / op,
-    with `op` given on the nonzero wavenumbers. With a `work`, the field is
-    a buffer of it, overwritten by the next field solve.
+    with `op` given on the nonzero wavenumbers.
 
     Requires neutrality mean(rho) = n0 to 1e-10 (otherwise no periodic
     field exists)."""
     if abs(float(rho.sum()) / rho.size - n0) > 1e-10:
         raise SimulationError("neutrality violated: mean(rho) != n0")
-    if work is None:
-        work = Workspace()
-    nx = grid.nx
-    # the source rho - n0 and the field share one buffer
-    field = np.subtract(rho, n0, out=work.buf("field", (nx,)))
-    fh = np.fft.rfft(field, out=work.buf("spectrum", (nx // 2 + 1,), complex))
+    fh = np.fft.rfft(rho - n0)
     fh[0] = 0.0
     fh[1:] /= op
-    return np.fft.irfft(fh, n=nx, out=field)
+    return np.fft.irfft(fh, n=grid.nx)
 
 
-def poisson_solve(rho: np.ndarray, n0: float, grid: Grid,
-                  work: Workspace | None = None) -> np.ndarray:
+def poisson_solve(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
     """E with dE/dx = rho - n0, periodic, zero mean."""
-    return _field_solve(rho, n0, grid, grid.ik[1:], work)
+    return _field_solve(rho, n0, grid, grid.ik[1:])
 
 
-def electric_potential(rho: np.ndarray, n0: float, grid: Grid,
-                       work: Workspace | None = None) -> np.ndarray:
+def electric_potential(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
     """phi with d^2phi/dx^2 = -(rho - n0), E = -dphi/dx, zero mean."""
-    return _field_solve(rho, n0, grid, grid.k2, work)
+    return _field_solve(rho, n0, grid, grid.k2)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +313,8 @@ def _check_state(state: FieldState):
 # ---------------------------------------------------------------------------
 
 
-def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid,
-              work: Workspace | None = None, out: np.ndarray | None = None):
+def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid, *,
+              work: Workspace = _FRESH, out: np.ndarray | None = None):
     """(drho/dt, du/dt, dnu/dt) for the closed fluid system.
 
       drho/dt = -d_x(rho u)
@@ -321,24 +329,23 @@ def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid,
     are buffers of `work`.
     """
     _check_state(state)
-    if work is None:
-        work = Workspace()
     tab = _ClosureTables.of(closure)
     rho, u, nu = state.rho, state.u, state.nu
     nv, nx = tab.nv, grid.nx
     nuv = list(nu)
     mu1 = tab.mu1(nuv)
     mu2 = tab.mu2(nuv)
-    phi = electric_potential(rho, state.n0, grid, work=work)
+    phi = electric_potential(rho, state.n0, grid)
     # the batched derivative input: rho u, dH/drho, the nu_k and the fluxes
     # g_kl (dH/dnu_l) / rho, each written in place
     X = work.buf("rhs.X", (2 + 2 * nv, nx))
     rho_u, dH_drho, fluxes = X[0], X[1], X[2 + nv:]
-    tmp, tmp2, two_mu1 = work.buf("rhs.rows", (3, nx))
+    tmp = work.buf("rhs.tmp", (nx,))
     np.multiply(rho, u, out=rho_u)
     np.square(rho, out=tmp)
     tmp *= 1.5
-    tmp *= np.subtract(mu2, np.square(mu1, out=tmp2), out=tmp2)
+    # dH/drho holds mu_2 - mu_1^2 until it is written
+    tmp *= np.subtract(mu2, np.square(mu1, out=dH_drho), out=dH_drho)
     np.square(u, out=dH_drho)
     dH_drho *= 0.5
     dH_drho += tmp
@@ -347,7 +354,8 @@ def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid,
         X[2:2 + nv] = nu
         # dH/dnu_l = (1/2 rho^3)(dmu2/dnu_l - (2 mu1) dmu1/dnu_l)
         dH_dnu = work.buf("rhs.dH_dnu", (nv, nx))
-        half_rho3 = np.power(rho, 3, out=tmp2)
+        half_rho3, two_mu1 = work.buf("rhs.rows", (2, nx))
+        np.power(rho, 3, out=half_rho3)
         half_rho3 *= 0.5
         np.multiply(2.0, mu1, out=two_mu1)
         for l in range(nv):
@@ -367,7 +375,7 @@ def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid,
         force = np.sum(dH_dnu, axis=0, out=tmp)
         force /= rho
         du += force
-        neg_u = np.negative(u, out=tmp2)
+        neg_u = np.negative(u, out=half_rho3)
         for k in range(nv):
             dxnu[k] *= neg_u
             dflux[k] /= rho
@@ -375,18 +383,16 @@ def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid,
     return drho, du, dxnu
 
 
-def rhs_streams(state: StreamState, grid: Grid, work: Workspace | None = None,
+def rhs_streams(state: StreamState, grid: Grid, *, work: Workspace = _FRESH,
                 out: np.ndarray | None = None):
     """(da/dt, dv/dt) for M cold streams sharing the electric field:
     da_k/dt = -d_x(a_k v_k), dv_k/dt = -v_k d_x v_k + E.
 
     The two rates are the rows of `out` (fresh if None), of shape
     (2, M, nx); the temporaries are buffers of `work`."""
-    if work is None:
-        work = Workspace()
     a, v = state.a, state.v
     rho = np.sum(a, axis=0, out=work.buf("streams.rho", a.shape[1:]))
-    E = poisson_solve(rho, state.n0, grid, work=work)
+    E = poisson_solve(rho, state.n0, grid)
     X = work.buf("streams.X", (2, *a.shape))
     np.multiply(a, v, out=X[0])
     X[1] = v
@@ -449,78 +455,94 @@ def cfl_dt(state: FieldState, closure: ClosureFamily, grid: Grid) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rk4(y: np.ndarray, rhs, dt: float, stage: np.ndarray, k: np.ndarray,
-         out: np.ndarray) -> np.ndarray:
-    """One classical rk4 step of the stacked state `y`, written to `out`
-    (which may be `y` itself).
+def _rk4(y: list[np.ndarray], rhs, dt: float,
+         stage: list[np.ndarray]) -> list[np.ndarray]:
+    """One classical rk4 step. The three stage states share the buffers
+    `stage`, and the update is accumulated in place in k1 and returned.
 
-    `rhs(s, ki)` writes the rate at the state `s` to the first len(y) rows
-    of `ki`, one of the four rows of `k`; a row of `k` may be longer than
-    `y`, and the rhs may use the rest of it as scratch. `stage` holds the
-    stage states, and the update is accumulated in place in k[0]."""
-    n = len(y)
-    rhs(y, k[0])
-    for i, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
-        np.multiply(h, k[i - 1, :n], out=stage)  # stage = y + h*k_(i-1)
-        stage += y
-        rhs(stage, k[i])
-    a, b, c, d = k[:, :n]  # y + (dt/6)(a + 2b + 2c + d)
-    b *= 2
-    a += b
-    c *= 2
-    a += c
-    a += d
-    a *= dt / 6.0
-    return np.add(a, y, out=out)
+    `rhs(s, i)` returns the rate at `s` of stage i = 0..3, one array per
+    field; the four rates must not share memory, and `rhs` keeps no
+    reference to `s`."""
+
+    def at(k, h):
+        for s, yi, ki in zip(stage, y, k):  # s = yi + h*ki
+            np.multiply(h, ki, out=s)
+            s += yi
+        return stage
+
+    k1 = rhs(y, 0)
+    k2 = rhs(at(k1, 0.5 * dt), 1)
+    k3 = rhs(at(k2, 0.5 * dt), 2)
+    k4 = rhs(at(k3, dt), 3)
+    out = []
+    for yi, a, b, c, d in zip(y, k1, k2, k3, k4):  # yi + (dt/6)(a + 2b + 2c + d)
+        b *= 2
+        a += b
+        c *= 2
+        a += c
+        a += d
+        a *= dt / 6.0
+        a += yi
+        out.append(a)
+    return out
 
 
 def step_rk4(state: FieldState, closure: ClosureFamily, grid: Grid,
-             dt: float, work: Workspace | None = None) -> FieldState:
-    if work is None:
-        work = Workspace()
+             dt: float, work: Workspace = _FRESH) -> FieldState:
     nv = len(state.nu)
-    y = work.buf("rk4.y", (2 + nv, grid.nx))
-    y[0], y[1], y[2:] = state.rho, state.u, state.nu
+    rates = (2 + 2 * nv, grid.nx)  # rhs_fluid's rates and its scratch rows
 
-    def rhs(s, ki):
-        rhs_fluid(FieldState(s[0], s[1], s[2:], state.n0, state.t), closure, grid,
-                  work=work, out=ki)
+    def rhs(y, i):
+        # k1 takes the update, so it is fresh: it becomes the returned state
+        return rhs_fluid(FieldState(*y, state.n0, state.t), closure, grid, work=work,
+                         out=None if i == 0 else work.out(f"rk4.k{i}", rates))
 
-    rows = _rk4(y, rhs, dt, work.buf("rk4.stage", y.shape),
-                work.buf("rk4.k", (4, 2 + 2 * nv, grid.nx)), np.empty_like(y))
-    new = FieldState(rows[0], rows[1], rows[2:], state.n0, state.t + dt)
+    stage = work.buf("rk4.stage", (2 + nv, grid.nx))
+    rho, u, nu = _rk4([state.rho, state.u, state.nu], rhs, dt,
+                      [stage[0], stage[1], stage[2:]])
+    new = FieldState(rho, u, nu, state.n0, state.t + dt)
     _check_state(new)
     return new
 
 
 def step_streams(state: StreamState, grid: Grid, dt: float,
-                 work: Workspace | None = None) -> StreamState:
-    if work is None:
-        work = Workspace()
-    y = work.buf("rk4.y", (2, *state.a.shape))
-    y[0], y[1] = state.a, state.v
+                 work: Workspace = _FRESH) -> StreamState:
+    rates = (2, *state.a.shape)
 
-    def rhs(s, ki):
-        rhs_streams(StreamState(s[0], s[1], state.n0, state.t), grid, work=work, out=ki)
+    def rhs(y, i):
+        # k1 takes the update, so it is fresh: it becomes the returned state
+        return rhs_streams(StreamState(*y, state.n0, state.t), grid, work=work,
+                           out=None if i == 0 else work.out(f"rk4.k{i}", rates))
 
-    a, v = _rk4(y, rhs, dt, work.buf("rk4.stage", y.shape),
-                work.buf("rk4.k", (4, *y.shape)), np.empty_like(y))
+    a, v = _rk4([state.a, state.v], rhs, dt, list(work.buf("rk4.stage", rates)))
     new = StreamState(a, v, state.n0, state.t + dt)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(v))):
         raise SimulationError(f"non-finite stream values at t={new.t}")
     return new
 
 
-class _SplitWork:
-    """The full-grid buffers of a split step, taken from the workspace `ws`
-    (a fresh one if None): the state (rho, psi) and mtil that the sub-flows
-    advance in place, and the buffers every stage of every sub-flow fills."""
+def _split_pack(state: FieldState, tab: _ClosureTables):
+    """(rho, u, nu) -> flat extensive variables (rho, psi, mtil)."""
+    mu1 = tab.mu1(list(state.nu))
+    psi = state.u - state.rho * mu1
+    m = state.rho * state.nu                       # (nv, nx)
+    mtil = tab.T.T @ m if tab.nv else m
+    return state.rho.copy(), psi, mtil
 
-    def __init__(self, nv: int, nx: int, ws: Workspace | None = None):
-        self.ws = Workspace() if ws is None else ws
-        buf = self.ws.buf
-        self.flat = buf("split.flat", (2, nx))        # (rho, psi)
-        self.mtil = buf("split.mtil", (nv, nx))
+
+def _split_unpack(rho, psi, mtil, tab: _ClosureTables, n0, t) -> FieldState:
+    m = tab.Tinv.T @ mtil if tab.nv else mtil
+    nu = m / rho
+    u = psi + rho * tab.mu1(list(nu))
+    return FieldState(rho, u, nu, n0, t)
+
+
+class _SplitWork:
+    """The full-grid buffers of one split step, taken from the workspace
+    `ws`. Every stage of every sub-flow fills them in place."""
+
+    def __init__(self, nv: int, nx: int, ws: Workspace = _FRESH):
+        buf = ws.buf
         self.mt = buf("split.mt", (nv, nx))           # mtil with the advanced row
         self.m = buf("split.m", (nv, nx))
         self.nu = buf("split.nu", (nv, nx))
@@ -528,30 +550,6 @@ class _SplitWork:
         self.dH_m = buf("split.dH_m", (nv, nx))
         self.dH_mtil = buf("split.dH_mtil", (nv, nx))
         self.dH_flat = buf("split.dH_flat", (2, nx))  # (dH/dpsi = rho u, dH/drho)
-
-
-def _split_pack(state: FieldState, tab: _ClosureTables, work: _SplitWork):
-    """(rho, u, nu) -> flat extensive variables (rho, psi) and mtil, in
-    work.flat and work.mtil."""
-    rho, psi = work.flat
-    rho[...] = state.rho
-    mu1 = tab.mu1(list(state.nu))
-    np.subtract(state.u, np.multiply(state.rho, mu1, out=work.tmp), out=psi)
-    if tab.nv:
-        np.multiply(state.rho, state.nu, out=work.m)
-        np.matmul(tab.T.T, work.m, out=work.mtil)
-
-
-def _split_unpack(work: _SplitWork, tab: _ClosureTables, n0, t) -> FieldState:
-    """The fresh state (rho, u, nu) of work.flat and work.mtil."""
-    new = np.empty((2 + tab.nv, work.flat.shape[1]))
-    rho, u, nu = new[0], new[1], new[2:]
-    rho[...] = work.flat[0]
-    if tab.nv:
-        np.matmul(tab.Tinv.T, work.mtil, out=work.m)
-        np.divide(work.m, rho, out=nu)
-    np.add(work.flat[1], np.multiply(rho, tab.mu1(list(nu)), out=work.tmp), out=u)
-    return FieldState(rho, u, nu, n0, t)
 
 
 def _split_derivs(rho, psi, mtil, tab: _ClosureTables, n0, grid: Grid,
@@ -593,7 +591,7 @@ def _split_derivs(rho, psi, mtil, tab: _ClosureTables, n0, grid: Grid,
             tmp *= half_rho2
             row += tmp
         return np.matmul(tab.Tinv, work.dH_m, out=work.dH_mtil)[micro]
-    phi = electric_potential(rho, n0, grid, work=work.ws)
+    phi = electric_potential(rho, n0, grid)
     np.square(u, out=dH_rho)
     dH_rho *= 0.5
     dH_rho -= np.multiply(rho_u, mu1, out=tmp)
@@ -606,7 +604,7 @@ def _split_derivs(rho, psi, mtil, tab: _ClosureTables, n0, grid: Grid,
 
 
 def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
-               dt: float, work: Workspace | None = None) -> FieldState:
+               dt: float, work: Workspace = _FRESH) -> FieldState:
     """Strang splitting in the flat variables.
 
     Sub-flows (each one rk4 step on its partial right-hand side):
@@ -618,32 +616,29 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
     """
     tab = _ClosureTables.of(closure)
     nx = grid.nx
+    rho, psi, mtil = _split_pack(state, tab)
     sw = _SplitWork(tab.nv, nx, work)
-    work = sw.ws
-    _split_pack(state, tab, sw)
-    rho, psi = sw.flat
 
     def flow_micro(a: int, h: float):
-        sw.mt[...] = sw.mtil
-        row = sw.mtil[a:a + 1]
+        sw.mt[...] = mtil
 
-        def rhs(s, ki):
-            sw.mt[a] = s[0]
+        def rhs(y, i):
+            sw.mt[a] = y[0]
             d = grid.deriv(_split_derivs(rho, psi, sw.mt, tab, state.n0, grid, sw,
-                                         micro=a), out=ki[0], work=work)
+                                         micro=a), out=work.out(f"split.k{i}", (nx,)),
+                           work=work)
             d *= -tab.D[a]
+            return [d]
 
-        _rk4(row, rhs, h, work.buf("rk4.stage", (1, nx)), work.buf("rk4.k", (4, 1, nx)),
-             row)
+        mtil[a] = _rk4([mtil[a]], rhs, h, [work.buf("split.stage", (nx,))])[0]
 
     def flow_macro(h: float):
-        def rhs(s, ki):
-            d = grid.deriv(_split_derivs(s[0], s[1], sw.mtil, tab, state.n0, grid, sw),
-                           out=ki, work=work)
-            np.negative(d, out=d)
+        def rhs(y, i):
+            d = grid.deriv(_split_derivs(y[0], y[1], mtil, tab, state.n0, grid, sw),
+                           out=work.out(f"split.k{i}", (2, nx)), work=work)
+            return np.negative(d, out=d)
 
-        _rk4(sw.flat, rhs, h, work.buf("rk4.stage", (2, nx)),
-             work.buf("rk4.k", (4, 2, nx)), sw.flat)
+        rho[...], psi[...] = _rk4([rho, psi], rhs, h, list(work.buf("split.stage", (2, nx))))
 
     for a in range(tab.nv):
         flow_micro(a, 0.5 * dt)
@@ -651,13 +646,13 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
     for a in range(tab.nv - 1, -1, -1):
         flow_micro(a, 0.5 * dt)
 
-    new = _split_unpack(sw, tab, state.n0, state.t + dt)
+    new = _split_unpack(rho, psi, mtil, tab, state.n0, state.t + dt)
     _check_state(new)
     return new
 
 
 def step(state: FieldState, closure: ClosureFamily, grid: Grid, dt: float,
-         scheme: str = "rk4", work: Workspace | None = None) -> FieldState:
+         scheme: str = "rk4", work: Workspace = _FRESH) -> FieldState:
     """One step of `scheme`. A run hands the same `work` to every step; the
     returned state is always a fresh array."""
     if dt <= 0:

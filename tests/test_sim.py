@@ -455,22 +455,30 @@ def test_a_stream_step_takes_the_same_transforms(monkeypatch):
 
 
 # Bytes one more step may take beyond what it holds when it starts, in
-# full-grid rows (8 nx bytes). The returned state is 4 rows for burby 2;
-# the compiled closure evaluators return a few rows more; at nx = 4096,
-# numpy's ufunc iterator takes a 320 KB (10-row) buffer for the in-place
-# multiply of rk4's batch of 6 spectra by ik. A step that makes its own
-# workspace takes 67 rows (rk4) and 45 rows (split).
-STEADY_STEP_ROWS = 20
+# full-grid rows (8 nx bytes), at nx = 4096 for burby 2. With a workspace:
+# the fresh state (rk4: k1, 6 rows of which 2 are scratch; split: the
+# packed and unpacked states), a few rows that the compiled closure
+# evaluators return, and for rk4 a 320 KB (10-row) buffer that numpy's
+# ufunc iterator takes for the in-place multiply of its batch of 6 spectra
+# by ik. Measured: 19.2 rows (rk4) and 10.1 (split); a step that allocates
+# all its temporaries, as every step did before workspaces, takes 52.2 and
+# 32.2.
+STEADY_STEP_ROWS = 24
+# Without a workspace a step allocates each temporary where it is used,
+# and takes no more than a step did before workspaces (52.2 and 32.2 rows;
+# the rest of the half row leaves room for a few KB of Python objects).
+NO_WORKSPACE_STEP_ROWS = {"rk4": 52.5, "split": 32.5}
 
 
-def _step_rows(scheme, work) -> float:
+def _step_rows(scheme, work=None) -> float:
     grid = Grid(L=TWO_PI, nx=4096)
     c = BurbyClosure(2)
-    state = step(_burby2_state(grid), c, grid, 1e-4, scheme=scheme, work=work)
+    kwargs = {} if work is None else {"work": work}
+    state = step(_burby2_state(grid), c, grid, 1e-4, scheme=scheme, **kwargs)
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        state = step(state, c, grid, 1e-4, scheme=scheme, work=work)
+        state = step(state, c, grid, 1e-4, scheme=scheme, **kwargs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -479,5 +487,15 @@ def _step_rows(scheme, work) -> float:
 
 @pytest.mark.parametrize("scheme", ["rk4", "split"])
 def test_a_steady_step_allocates_no_workspace(scheme):
-    assert _step_rows(scheme, Workspace()) <= STEADY_STEP_ROWS
-    assert _step_rows(scheme, None) > 2 * STEADY_STEP_ROWS  # the measure sees them
+    work = Workspace()
+    assert _step_rows(scheme, work) <= STEADY_STEP_ROWS
+    # the run's first step made every buffer; a later step adds none
+    buffers = dict(work._bufs)
+    _step_rows(scheme, work)
+    assert work._bufs.keys() == buffers.keys()
+    assert all(work._bufs[key] is a for key, a in buffers.items())
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "split"])
+def test_a_step_without_a_workspace_allocates_no_more_than_before(scheme):
+    assert _step_rows(scheme) <= NO_WORKSPACE_STEP_ROWS[scheme]
