@@ -345,8 +345,7 @@ def cmd_simulate(args) -> int:
     def on_record(s, rec):
         count[0] += 1
         if snapshots and count[0] % snapshots == 0:
-            sim.write_snapshot(snapdir / f"snap_{count[0]:06d}.npz",
-                               s, grid.nx, closure.N)
+            sim.write_snapshot(snapdir / f"snap_{count[0]:06d}.npz", s)
 
     try:
         result = sim.run_fluid(state, closure, grid, dt=dt, t_end=t_end,
@@ -354,9 +353,8 @@ def cmd_simulate(args) -> int:
     except sim.SimulationError as e:
         rep.add("run completed", False, str(e))
         return rep.emit(args.json, outdir)
-    sim.write_diagnostics_csv(outdir / "diagnostics.csv", result.records,
-                              closure.nu_count)
-    sim.write_snapshot(snapdir / "final.npz", result.final, grid.nx, closure.N)
+    sim.write_diagnostics_csv(outdir / "diagnostics.csv", result.records)
+    sim.write_snapshot(snapdir / "final.npz", result.final)
     rep.add("run completed", True, f"{len(result.records)} records")
     r0 = result.records[0]
 

@@ -10,10 +10,10 @@ first use, and every derivative and field solve on that grid reuses them.
 Derivatives of several fields are taken in one batched call.
 A run (`run_fluid`, the CLI's `compare`) makes one `Workspace` and hands it
 to every step. It holds the full-grid temporaries of a step: the rk4 stage
-state and the rates of stages 2 to 4, the batched-derivative input, the
-complex spectra and the split scheme's buffers. A long run then does not
-hand these pages back to the allocator and fault them in again on every
-stage. The rate of stage 1 takes the rk4 update in place, so it is a
+state, the one rate buffer that stages 2 to 4 share, the batched-derivative
+input, the complex spectra and the split scheme's buffers. A long run then
+does not hand these pages back to the allocator and fault them in again on
+every stage. The rate of stage 1 takes the rk4 update in place, so it is a
 fresh array: the state a step returns. A call given no workspace
 allocates each temporary where it is used.
 Micro flow a evaluates dH/dm_k only for the k with Tinv[a, k] != 0, the
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
+import numbers
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -84,7 +84,7 @@ class Workspace:
     def __init__(self):
         self._bufs: dict = {}
 
-    def buf(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    def buf(self, name: str | tuple, shape: tuple, dtype=float) -> np.ndarray:
         """The buffer `name` of `shape`, made (uninitialized) on first use."""
         key = (name, shape)
         a = self._bufs.get(key)
@@ -92,21 +92,12 @@ class Workspace:
             a = self._bufs[key] = np.empty(shape, dtype)
         return a
 
-    def out(self, name: str, shape: tuple) -> np.ndarray | None:
-        """The buffer `name` for a result that a callee writes to its `out`;
-        None where the call has no workspace, so that the result is made
-        when it is computed."""
-        return self.buf(name, shape)
-
 
 class _FreshBuffers(Workspace):
     """The workspace of a call given none: every buffer is a new array."""
 
-    def buf(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    def buf(self, name: str | tuple, shape: tuple, dtype=float) -> np.ndarray:
         return np.empty(shape, dtype)
-
-    def out(self, name: str, shape: tuple) -> None:
-        return None
 
 
 _FRESH = _FreshBuffers()
@@ -121,15 +112,8 @@ class Grid:
     def __post_init__(self):
         if not 0 < self.L < math.inf:  # NaN fails the comparison too
             raise ValueError(f"domain length L must be finite and > 0, got {self.L}")
-        # operator.index takes Python and numpy integers and refuses floats
-        # and strings; it would take a bool
-        try:
-            operator.index(self.nx)
-        except TypeError:
-            integral = False
-        else:
-            integral = not isinstance(self.nx, bool)
-        if not integral:
+        # numpy integers are registered as Integral; bool is one too
+        if not isinstance(self.nx, numbers.Integral) or isinstance(self.nx, bool):
             raise ValueError(f"grid nx must be an integer, got {self.nx!r}")
         if self.nx < 8:
             raise ValueError("need at least 8 cells")
@@ -455,51 +439,51 @@ def cfl_dt(state: FieldState, closure: ClosureFamily, grid: Grid) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rk4(y: list[np.ndarray], rhs, dt: float,
-         stage: list[np.ndarray]) -> list[np.ndarray]:
-    """One classical rk4 step. The three stage states share the buffers
-    `stage`, and the update is accumulated in place in k1 and returned.
+def _rk4(y: list[np.ndarray], rhs, dt: float, work: Workspace, name: str,
+         rates: tuple) -> list[np.ndarray]:
+    """One classical rk4 step, yi + (dt/6)(a + 2b + 2c + d) per field.
 
-    `rhs(s, i)` returns the rate at `s` of stage i = 0..3, one array per
-    field; the four rates must not share memory, and `rhs` keeps no
-    reference to `s`."""
+    `rhs(s, out)` returns the rate at `s`, one array per field, written to
+    `out` (a fresh array if None) of shape `rates`; it keeps no reference
+    to `s`. Stage 1 gets None: its fresh rate a takes the update in place
+    and is returned. Stages 2 to 4 share the one rate buffer
+    `work.buf((name, "k"), rates)`, so each of b, c and d is folded into a
+    as soon as it is made, after the next stage state is built from it.
+    The three stage states share the buffers `work.buf((name, j), ...)`,
+    one per field."""
+    stage = [work.buf((name, j), yj.shape) for j, yj in enumerate(y)]
+    k = work.buf((name, "k"), rates)
 
-    def at(k, h):
-        for s, yi, ki in zip(stage, y, k):  # s = yi + h*ki
-            np.multiply(h, ki, out=s)
-            s += yi
+    def at(ki, h):
+        for s, yj, kj in zip(stage, y, ki):  # s = yj + h*kj
+            np.multiply(h, kj, out=s)
+            s += yj
         return stage
 
-    k1 = rhs(y, 0)
-    k2 = rhs(at(k1, 0.5 * dt), 1)
-    k3 = rhs(at(k2, 0.5 * dt), 2)
-    k4 = rhs(at(k3, dt), 3)
-    out = []
-    for yi, a, b, c, d in zip(y, k1, k2, k3, k4):  # yi + (dt/6)(a + 2b + 2c + d)
-        b *= 2
-        a += b
-        c *= 2
-        a += c
-        a += d
-        a *= dt / 6.0
-        a += yi
-        out.append(a)
-    return out
+    a = rhs(y, None)
+    ki = rhs(at(a, 0.5 * dt), k)  # b
+    for h in (0.5 * dt, dt):  # c, then d
+        s = at(ki, h)
+        for aj, kj in zip(a, ki):  # a += 2 ki, before k is overwritten
+            kj *= 2
+            aj += kj
+        ki = rhs(s, k)
+    for aj, dj, yj in zip(a, ki, y):
+        aj += dj
+        aj *= dt / 6.0
+        aj += yj
+    return a
 
 
 def step_rk4(state: FieldState, closure: ClosureFamily, grid: Grid,
              dt: float, work: Workspace = _FRESH) -> FieldState:
-    nv = len(state.nu)
-    rates = (2 + 2 * nv, grid.nx)  # rhs_fluid's rates and its scratch rows
+    def rhs(y, out):
+        return rhs_fluid(FieldState(*y, state.n0, state.t), closure, grid,
+                         work=work, out=out)
 
-    def rhs(y, i):
-        # k1 takes the update, so it is fresh: it becomes the returned state
-        return rhs_fluid(FieldState(*y, state.n0, state.t), closure, grid, work=work,
-                         out=None if i == 0 else work.out(f"rk4.k{i}", rates))
-
-    stage = work.buf("rk4.stage", (2 + nv, grid.nx))
-    rho, u, nu = _rk4([state.rho, state.u, state.nu], rhs, dt,
-                      [stage[0], stage[1], stage[2:]])
+    # rhs_fluid's rates and its scratch rows
+    rates = (2 + 2 * len(state.nu), grid.nx)
+    rho, u, nu = _rk4([state.rho, state.u, state.nu], rhs, dt, work, "rk4", rates)
     new = FieldState(rho, u, nu, state.n0, state.t + dt)
     _check_state(new)
     return new
@@ -507,14 +491,10 @@ def step_rk4(state: FieldState, closure: ClosureFamily, grid: Grid,
 
 def step_streams(state: StreamState, grid: Grid, dt: float,
                  work: Workspace = _FRESH) -> StreamState:
-    rates = (2, *state.a.shape)
+    def rhs(y, out):
+        return rhs_streams(StreamState(*y, state.n0, state.t), grid, work=work, out=out)
 
-    def rhs(y, i):
-        # k1 takes the update, so it is fresh: it becomes the returned state
-        return rhs_streams(StreamState(*y, state.n0, state.t), grid, work=work,
-                           out=None if i == 0 else work.out(f"rk4.k{i}", rates))
-
-    a, v = _rk4([state.a, state.v], rhs, dt, list(work.buf("rk4.stage", rates)))
+    a, v = _rk4([state.a, state.v], rhs, dt, work, "rk4", (2, *state.a.shape))
     new = StreamState(a, v, state.n0, state.t + dt)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(v))):
         raise SimulationError(f"non-finite stream values at t={new.t}")
@@ -622,23 +602,22 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
     def flow_micro(a: int, h: float):
         sw.mt[...] = mtil
 
-        def rhs(y, i):
+        def rhs(y, out):
             sw.mt[a] = y[0]
             d = grid.deriv(_split_derivs(rho, psi, sw.mt, tab, state.n0, grid, sw,
-                                         micro=a), out=work.out(f"split.k{i}", (nx,)),
-                           work=work)
+                                         micro=a), out=out, work=work)
             d *= -tab.D[a]
             return [d]
 
-        mtil[a] = _rk4([mtil[a]], rhs, h, [work.buf("split.stage", (nx,))])[0]
+        mtil[a] = _rk4([mtil[a]], rhs, h, work, "split", (nx,))[0]
 
     def flow_macro(h: float):
-        def rhs(y, i):
+        def rhs(y, out):
             d = grid.deriv(_split_derivs(y[0], y[1], mtil, tab, state.n0, grid, sw),
-                           out=work.out(f"split.k{i}", (2, nx)), work=work)
+                           out=out, work=work)
             return np.negative(d, out=d)
 
-        rho[...], psi[...] = _rk4([rho, psi], rhs, h, list(work.buf("split.stage", (2, nx))))
+        rho[...], psi[...] = _rk4([rho, psi], rhs, h, work, "split", (2, nx))
 
     for a in range(tab.nv):
         flow_micro(a, 0.5 * dt)
@@ -714,8 +693,6 @@ def two_stream_state(grid: Grid, n0: float = 1.0, v0: float = 0.5,
 class RunResult:
     records: list[DiagnosticRecord]
     final: FieldState
-    closure: ClosureFamily
-    grid: Grid
 
 
 def run_fluid(state: FieldState, closure: ClosureFamily, grid: Grid,
@@ -732,12 +709,13 @@ def run_fluid(state: FieldState, closure: ClosureFamily, grid: Grid,
             records.append(rec)
             if on_record is not None:
                 on_record(state, rec)
-    return RunResult(records, state, closure, grid)
+    return RunResult(records, state)
 
 
-def write_diagnostics_csv(path, records: list[DiagnosticRecord], n_nu: int):
+def write_diagnostics_csv(path, records: list[DiagnosticRecord]):
     header = ["t", "H", "C_mass", "C_psi",
-              *[f"C_{k}" for k in range(1, n_nu + 1)], "momentum", "field_energy"]
+              *[f"C_{k}" for k in range(1, len(records[0].C_nu) + 1)],
+              "momentum", "field_energy"]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
@@ -745,6 +723,6 @@ def write_diagnostics_csv(path, records: list[DiagnosticRecord], n_nu: int):
             w.writerow([f"{v:.17g}" for v in rec.row()])
 
 
-def write_snapshot(path, state: FieldState, nx: int, N: int):
-    np.savez(path, format_version=1, nx=nx, N=N, t=state.t,
+def write_snapshot(path, state: FieldState):
+    np.savez(path, format_version=1, nx=state.rho.size, N=len(state.nu) + 2, t=state.t,
              rho=state.rho, u=state.u, nu=state.nu, n0=state.n0)

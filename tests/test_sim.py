@@ -296,7 +296,7 @@ def test_snapshot_round_trip(tmp_path):
     c = BurbyClosure(2)
     state = single_mode_state(grid, c, eps=1e-3, nu_base=[0.1, 0.4])
     path = tmp_path / "snap.npz"
-    write_snapshot(path, state, grid.nx, c.N)
+    write_snapshot(path, state)
     data = np.load(path)
     assert int(data["format_version"]) == 1
     assert int(data["nx"]) == 64 and int(data["N"]) == 4
@@ -499,3 +499,21 @@ def test_a_steady_step_allocates_no_workspace(scheme):
 @pytest.mark.parametrize("scheme", ["rk4", "split"])
 def test_a_step_without_a_workspace_allocates_no_more_than_before(scheme):
     assert _step_rows(scheme) <= NO_WORKSPACE_STEP_ROWS[scheme]
+
+
+# Full-grid rows (a spectrum row of nx/2 + 1 complex numbers counts as one)
+# that a run's workspace holds after one step of burby 2 at nx = 4096. Each
+# rk4 keeps its stage state and one rate buffer that stages 2 to 4 share:
+# for rk4, 4 stage and 6 rate rows beside rhs_fluid's 17; for split, 2 stage
+# rows and 1 + 2 rate rows (micro, macro) beside its other buffers' 19.
+# Measured 27 and 24; a rate buffer per stage holds 39 and 34.
+WORKSPACE_ROWS = {"rk4": 27, "split": 25}
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "split"])
+def test_a_workspace_holds_one_rate_buffer_per_rk4(scheme):
+    grid = Grid(L=TWO_PI, nx=4096)
+    work = Workspace()
+    step(_burby2_state(grid), BurbyClosure(2), grid, 1e-4, scheme=scheme, work=work)
+    rows = sum(a.size // a.shape[-1] for a in work._bufs.values())
+    assert rows <= WORKSPACE_ROWS[scheme]
