@@ -1,0 +1,201 @@
+"""An exact certificate for the waterbag verify suite that expands no mu_n
+past n = 2.
+
+The waterbag moments are power sums. With the affine forms L_k (k < N) of
+`waterbag_tails`, Lambda = -1/(2a_N) and q_j = sum_{k<N} a_k L_k^j,
+
+  mu_n = ((-1)^n/(n+1)) q_{n+1} + Lambda^n/(2(n+1)).
+
+When the L_k have the constant term Lambda, their Gram matrix under g is
+-1/a_N - delta_kl/a_k, q_1 = 1/2, and the closure's mu_1 and mu_2 are these
+power sums, every residual of the flatness, antisymmetry and gamma_n
+checks is the image of a polynomial in Lambda, q_2..q_J and D_2..D_J,
+where D_j stands for dq_j/dnu_k for any one k. That polynomial depends on
+the indices only, never on the heights. `certify_waterbag` checks the
+hypotheses exactly on forms of degree <= 1 (and q_2, q_3), and the
+residuals in that ring. A formal zero is a real zero; a formal non-zero
+proves nothing, and the caller then runs the full checks.
+docs/waterbag_certificate.md gives the argument.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .closures import mu_recurrence, waterbag_gamma_residual, waterbag_tails
+from .moments import bracket_entry
+from .poly import MultiPoly
+
+
+class PowerSums:
+    """A formal stand-in for a waterbag closure with moments up to mu_{J-1}.
+
+    Its ring has the variables Lambda (0), q_j (j) and D_j (J + j) for
+    j = 1..J. q_1 = 1/2 and D_1 = 0, which is mu_0 = 1. A closure's
+    mu_n, gamma_n and the single component d_k mu_n of their gradients,
+    and its pairings grad . g . grad, are read from the rules
+
+      E(q_j) = j (q_j - Lambda q_{j-1}),   d_k q_j = D_j,
+      grad q_i . g . grad q_j = ij (2 Lambda q_{i-1} q_{j-1} - q_{i+j-2}),
+      (d_k grad q_i) . g . grad q_j
+          = ij (2 Lambda D_{i-1} q_{j-1} - ((i-1)/(i+j-2)) D_{i+j-2}),
+
+    where E is Euler's operator nu . grad. mu_n (n >= 1) involves q_{n+1}
+    alone, so the rules are only used with i, j >= 2 and q_0 never
+    appears. `moments.bracket_entry` and `closures.mu_recurrence` build
+    their formal images unchanged.
+    """
+
+    def __init__(self, J: int):
+        self.J = J
+        self.nvars = 1 + 2 * J
+        self.Lambda = MultiPoly.variable(self.nvars, 0)
+        self.bracket_entries: dict[tuple, MultiPoly] = {}
+        self._memo: dict[tuple, object] = {}
+
+    def _cached(self, key: tuple, make):
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def q(self, j: int) -> MultiPoly:
+        if j == 1:
+            return MultiPoly.const(self.nvars, Fraction(1, 2))
+        return self._variable(j)
+
+    def D(self, j: int) -> MultiPoly:
+        if j == 1:
+            return MultiPoly.zero(self.nvars)
+        return self._variable(self.J + j)
+
+    def lambda_q(self, j: int) -> MultiPoly:
+        return self._cached(("lambda_q", j), lambda: self.Lambda * self.q(j))
+
+    def _variable(self, i: int) -> MultiPoly:
+        return self._cached(("variable", i), lambda: MultiPoly.variable(self.nvars, i))
+
+    def mu(self, n: int) -> MultiPoly:
+        if n == 0:
+            return MultiPoly.const(self.nvars, 1)
+        return self._cached(("mu", n), lambda: self.q(n + 1) * Fraction((-1) ** n, n + 1)
+                            + self.Lambda ** n / (2 * (n + 1)))
+
+    def gamma(self, n: int) -> MultiPoly:
+        def make():
+            mu = self.mu(n)
+            return (n + 1) * mu - self._chain(mu, self._euler_q)
+        return self._cached(("gamma", n), make)
+
+    def grad(self, n: int) -> tuple[MultiPoly]:
+        return self._cached(("grad", n), lambda: (self.diff(self.mu(n)),))
+
+    def gamma_grad(self, n: int) -> tuple[MultiPoly]:
+        return self._cached(("gamma_grad", n), lambda: (self.diff(self.gamma(n)),))
+
+    def diff(self, p: MultiPoly) -> MultiPoly:
+        """d_k p for p in Lambda and the q_j."""
+        return self._chain(p, self.D)
+
+    def grad_pair(self, n: int, m: int) -> MultiPoly:
+        """grad mu_n . g . grad mu_m."""
+        return self._pair(self._mu_coords(n), self._mu_coords(m), self._gram)
+
+    def hessian_pair(self, n: int, m: int) -> MultiPoly:
+        """(d_k grad mu_n) . g . grad mu_m: d_k acts on the coefficients of
+        grad mu_n = sum_i (dmu_n/dq_i) grad q_i and on each grad q_i."""
+        a, b = self._mu_coords(n), self._mu_coords(m)
+        return (self._pair({i: self.diff(c) for i, c in a.items()}, b, self._gram)
+                + self._pair(a, b, self._hessian_gram))
+
+    def _euler_q(self, j: int) -> MultiPoly:
+        return self._cached(("E", j), lambda: (self.q(j) - self.lambda_q(j - 1)) * j)
+
+    def _coords(self, p: MultiPoly) -> dict[int, MultiPoly]:
+        """{j: dp/dq_j} over the q_j that p depends on."""
+        present = {j for exps in p.terms for j in range(1, self.J + 1) if exps[j]}
+        return {j: p.diff(j) for j in sorted(present)}
+
+    def _mu_coords(self, n: int) -> dict[int, MultiPoly]:
+        return self._cached(("coords", n), lambda: self._coords(self.mu(n)))
+
+    def _chain(self, p: MultiPoly, image) -> MultiPoly:
+        """The derivation sending q_j to image(j) and Lambda to 0, at p."""
+        return sum((c * image(j) for j, c in self._coords(p).items()),
+                   MultiPoly.zero(self.nvars))
+
+    def _pair(self, a: dict, b: dict, rule) -> MultiPoly:
+        """sum_ij a_i b_j rule(i, j)."""
+        return sum((ai * bj * rule(i, j) for i, ai in a.items() if not ai.is_zero
+                    for j, bj in b.items()), MultiPoly.zero(self.nvars))
+
+    def _gram(self, i: int, j: int) -> MultiPoly:
+        """grad q_i . g . grad q_j."""
+        return self._cached(("gram", i, j), lambda: (
+            self.lambda_q(i - 1) * self.q(j - 1) * 2 - self.q(i + j - 2)) * (i * j))
+
+    def _hessian_gram(self, i: int, j: int) -> MultiPoly:
+        """(d_k grad q_i) . g . grad q_j."""
+        return self._cached(("hessian_gram", i, j), lambda: (
+            self.D(i - 1) * self.lambda_q(j - 1) * 2
+            - self.D(i + j - 2) * Fraction(i - 1, i + j - 2)) * (i * j))
+
+
+def formal_residuals(alg: PowerSums, top: int, size: int):
+    """(name, residual) of each formal identity, lazily and in order: the
+    recurrence for mu_3..mu_top, gamma_n = Lambda^n - n Lambda mu_{n-1} for
+    n = 1..top and, for 1 <= n <= m <= size, the flatness cells alpha[n,m],
+    beta[n,m] and beta[m,n], the symmetry of alpha and d_k alpha_nm =
+    beta_nmk + beta_mnk. With alpha symmetric, the last at (m, n) is the
+    same identity. `alg` needs J >= top + 1."""
+    for n in range(3, top + 1):
+        yield f"mu_{n}", mu_recurrence(alg, n) - alg.mu(n)
+    for n in range(1, top + 1):
+        yield f"gamma_{n}", waterbag_gamma_residual(alg, n)
+    for n in range(1, size + 1):
+        for m in range(n, size + 1):
+            alpha = bracket_entry(alg, n, m)
+            yield f"alpha[{n},{m}]", alg.grad_pair(n, m) - alpha
+            if m > n:
+                yield f"symmetry[{n},{m}]", alpha - bracket_entry(alg, m, n)
+            for i, j in ((n, m), (m, n)) if m > n else ((n, n),):
+                yield f"beta[{i},{j}]", alg.hessian_pair(i, j) - bracket_entry(alg, i, j, 0)
+            yield (f"antisymmetry[{n},{m}]", alg.diff(alpha) - bracket_entry(alg, n, m, 0)
+                   - bracket_entry(alg, m, n, 0))
+
+
+def certify_waterbag(closure) -> bool:
+    """True when the flatness, bracket antisymmetry and gamma_n checks of
+    `verify` provably pass on this waterbag closure, from its heights,
+    metric, mu_1 and mu_2 alone; False when a hypothesis or a formal
+    identity fails, and then only the full checks can tell."""
+    nv = closure.nu_count
+    top = 2 * nv + 1  # the gamma_n check runs to 2N - 3
+    return (_hypotheses_hold(closure)
+            and all(r.is_zero for _, r in formal_residuals(PowerSums(top + 1), top, nv)))
+
+
+def _hypotheses_hold(closure) -> bool:
+    """The tail forms are affine with the constant term Lambda, their Gram
+    matrix under g is 2 Lambda - delta_kl/a_k, q_1 = 1/2, and mu_1 and mu_2
+    are the power sums. All is read from the closure's heights, metric,
+    mu_1 and mu_2: O(N^2) pairs of constant gradients, and the expansion
+    of q_2 and q_3."""
+    a, nv, lam = closure.heights, closure.nu_count, closure.Lambda
+    if len(a) != nv + 2:
+        return False
+    tails = waterbag_tails(a)
+    if any(t.total_degree() > 1 or t.constant_term() != lam for t in tails):
+        return False
+    units = [tuple(int(i == j) for j in range(nv)) for i in range(nv)]
+    grads = [[t.terms.get(e, 0) for e in units] for t in tails]
+    g = closure.metric.g
+    raised = [[sum(g[i][j] * v[j] for j in range(nv) if g[i][j] and v[j]) for i in range(nv)]
+              for v in grads]
+    for k, u in enumerate(grads):
+        for l in range(k, nv + 1):
+            gram = sum(x * y for x, y in zip(u, raised[l]) if x and y)
+            if gram != 2 * lam - (1 / a[k] if k == l else 0):
+                return False
+    q = [sum((ak * t ** j for ak, t in zip(a, tails)), MultiPoly.zero(nv)) for j in (1, 2, 3)]
+    return (q[0] == Fraction(1, 2) and closure.mu(1) == -q[1] / 2 + lam / 4
+            and closure.mu(2) == q[2] / 3 + lam ** 2 / 6)

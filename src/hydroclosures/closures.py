@@ -118,7 +118,6 @@ class ClosureFamily:
     def _mu(self, n: int) -> MultiPoly:
         if n == 2:
             return self._mu2
-        g = self.metric.g
         nv = self.nu_count
         if n == 1:
             ginv = self.metric.inverse() if nv else ()
@@ -126,16 +125,19 @@ class ClosureFamily:
             return sum((Fraction(ginv[i][j], 2) * x[i] * x[j]
                         for i in range(nv) for j in range(nv) if ginv[i][j]),
                        MultiPoly.zero(nv))
-        prev = self.grad(n - 1)
-        m2 = self.grad(2)
+        return mu_recurrence(self, n)
+
+    def grad_pair(self, n: int, m: int) -> MultiPoly:
+        """grad mu_n . g . grad mu_m."""
+        g = self.metric.g
+        nv = self.nu_count
+        a, b = self.grad(n), self.grad(m)
         acc = MultiPoly.zero(nv)
         for i in range(nv):
             for j in range(nv):
                 if g[i][j]:
-                    acc = acc + prev[i] * g[i][j] * m2[j]
-        acc = acc + 2 * self.mu(1) * self.gamma(n - 1)
-        acc = acc + (n - 1) * self.mu(n - 2) * self.gamma(2)
-        return acc / (n + 1)
+                    acc = acc + a[i] * g[i][j] * b[j]
+        return acc
 
     def gamma(self, n: int) -> MultiPoly:
         """(n+1) mu_n - nu . grad mu_n; zero for homogeneous families."""
@@ -178,6 +180,14 @@ class ClosureFamily:
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r} N={self.N}>"
+
+
+def mu_recurrence(closure, n: int) -> MultiPoly:
+    """mu_n, n >= 3, by the recurrence of `ClosureFamily` from the closure's
+    mu, gamma and `grad_pair`; a formal stand-in for a closure supplies its
+    own and so checks the recurrence on its candidate moments."""
+    return (closure.grad_pair(n - 1, 2) + 2 * closure.mu(1) * closure.gamma(n - 1)
+            + (n - 1) * closure.mu(n - 2) * closure.gamma(2)) / (n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +311,17 @@ def waterbag_mu(a: Sequence, n: int) -> MultiPoly:
     if n < 1:
         raise ValueError("moment index must be >= 1")
     a = _check_heights(a)
+    acc = MultiPoly.const(len(a) - 2, Fraction(1, 2 ** (n + 1) * a[-1] ** n))
+    for ak, tail in zip(a, waterbag_tails(a)):
+        acc = acc + ak * tail ** (n + 1)
+    return acc * Fraction((-1) ** n, n + 1)
+
+
+def waterbag_tails(a: Sequence) -> list[MultiPoly]:
+    """The forms L_k = 1/(2a_N) + sum_{l=k..N-1} (nu_l - nu_{l-1})/sigma_l,
+    k = 1..N-1, of `waterbag_mu`. With nu_{N-1} = 1 each is affine in nu
+    with the constant term Lambda = -1/(2a_N)."""
+    a = _check_heights(a)
     N = len(a)
     nv = N - 2
     sigma = _sigmas(a)
@@ -310,10 +331,7 @@ def waterbag_mu(a: Sequence, n: int) -> MultiPoly:
     for k in range(N - 2, -1, -1):
         step = (_wb_nu_poly(nv, k + 1) - _wb_nu_poly(nv, k)) / sigma[k]
         tails[k] = (tails[k + 1] if k + 1 < N - 1 else base) + step
-    acc = MultiPoly.const(nv, Fraction(1, 2 ** (n + 1) * a[-1] ** n))
-    for k in range(N - 1):
-        acc = acc + a[k] * tails[k] ** (n + 1)
-    return acc * Fraction((-1) ** n, n + 1)
+    return tails
 
 
 def waterbag_s(a: Sequence, n: int) -> MultiPoly:
@@ -375,16 +393,26 @@ class WaterbagClosure(ClosureFamily):
     def Lambda(self) -> Fraction:
         return Fraction(-1, 2 * self.heights[-1])
 
-    def identities(self) -> list[tuple[str, bool, str]]:
-        L, a = self.Lambda, self.heights
+    def identities(self, gamma_certified: bool = False) -> list[tuple[str, bool, str]]:
+        """The gamma_n identity for n = 1..2N-3, unless `certify_waterbag`
+        has proved it, and the S_n constant terms."""
+        a = self.heights
         span = range(1, 2 * self.N - 2)
-        gamma_ok = all(self.gamma(n) == MultiPoly.const(self.nu_count, L ** n)
-                       - n * L * self.mu(n - 1) for n in span)
+        gamma_ok = gamma_certified or all(waterbag_gamma_residual(self, n).is_zero
+                                          for n in span)
         s_ok = all(waterbag_s_at_zero(a, n)
                    == Fraction(1 + (-1) ** n, (n + 1) * 2 ** (n + 1) * a[-1] ** n)
                    for n in span[1:])
         return [("gamma_n = Lambda^n - n Lambda mu_(n-1)", gamma_ok, ""),
                 ("S_n constant terms", s_ok, "")]
+
+
+def waterbag_gamma_residual(closure, n: int) -> MultiPoly:
+    """gamma_n - (Lambda^n - n Lambda mu_(n-1)), zero on a waterbag closure;
+    the closure may be the formal stand-in of `certify_waterbag`, whose
+    Lambda is a variable."""
+    L = closure.Lambda
+    return closure.gamma(n) - (L ** n - n * L * closure.mu(n - 1))
 
 
 def _waterbag_constants(a: Sequence, values: Sequence):
@@ -599,14 +627,54 @@ class BurbyClosure(ClosureFamily):
         mus = [float(self.mu(n).eval(nu)) for n in range(1, self.m + 1)]
         return nu, mus, self.invert(mus)
 
+    def round_trip_error(self) -> tuple[float, float]:
+        """(err, bound) of the round trip at the sample point: err is the
+        largest relative error of a recovered nu_i, and the round trip
+        passes when err <= bound = C kappa u, with u = 2^-53, kappa from
+        `inversion_condition` and C = 4.
+
+        Rounding the exact moments to floats moves each by at most u
+        relative, which moves nu_i by at most kappa u relative to first
+        order. The back-substitution's own roundings (the float root and
+        each chi_n, subtraction and division) perturb the moments it works
+        from by a few u more, amplified by the same J^-1: C = 4 allows for
+        them. Measured on both branches for m <= 23, err / (kappa u) stays
+        below 0.96 (0.15 at m = 23 minus, where kappa = 3.9e6 and err =
+        6.5e-11); an error of 10^3 kappa u fails.
+        """
+        nu, mus, back = self.sample_round_trip()
+        err = max(abs(b - float(v)) / abs(float(v)) for b, v in zip(back, nu))
+        return err, 4 * self.inversion_condition(nu, mus) * 2.0 ** -53
+
+    def inversion_condition(self, nu: Sequence, mus: Sequence) -> float:
+        """kappa = max_i sum_j |(J^-1)_ij| |mu_j| / |nu_i| with J = dmu/dnu at
+        nu: the relative change of the recovered nu per relative change of
+        the moments mus = mu(nu).
+
+        J is evaluated in floats from the cached gradients. mu_n depends on
+        nu_n..nu_m only, so J is upper triangular, and each column of J^-1
+        takes one O(m^2) back-substitution.
+        """
+        m = self.m
+        x = [float(v) for v in nu]
+        J = [[0.0] * (n - 1) + [p.eval(x) for p in self.grad(n)[n - 1:]]
+             for n in range(1, m + 1)]
+        inv = [[0.0] * m for _ in range(m)]
+        for j in range(m):
+            for i in range(j, -1, -1):
+                acc = float(i == j) - sum(J[i][k] * inv[k][j] for k in range(i + 1, j + 1))
+                inv[i][j] = acc / J[i][i]
+        return max(sum(abs(inv[i][j] * mus[j]) for j in range(m)) / abs(x[i])
+                   for i in range(m))
+
     def identities(self) -> list[tuple[str, bool, str]]:
         m, sign = self.m, self._sign
         ok = all(burby_mu(m, n) == burby_mu_closed(m, n) == sign ** n * self.mu(n)
                  for n in range(1, m + 1))
-        nu, _, back = self.sample_round_trip()
-        err = max(abs(b - float(v)) / abs(float(v)) for b, v in zip(back, nu))
+        err, bound = self.round_trip_error()
         return [("recursion equals closed form", ok, ""),
-                ("inversion round trip", err < 1e-12, f"rel err {err:.2e}"),
+                ("inversion round trip", err <= bound,
+                 f"rel err {err:.2e}, bound {bound:.2e}"),
                 *super().identities()]
 
     def invert(self, mu_values: Sequence, guess: Sequence | None = None,

@@ -1,7 +1,5 @@
 """Hydrodynamic bracket antisymmetry, flatness, signatures and Casimirs."""
 
-import contextlib
-import io
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -11,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydroclosures import ratmat
+from hydroclosures import bracket, moments, ratmat
 from hydroclosures.bracket import (FlatnessCheck, FlatnessReport, HydroBracket,
                                    casimirs, check_flatness)
-from hydroclosures.cli import main
+from hydroclosures.cli import Report, _verify_one
 from hydroclosures.closures import (BurbyClosure, FourFieldClosure,
                                     GenericClosure, Metric, MultiDeltaClosure,
                                     WaterbagClosure)
@@ -197,9 +195,8 @@ def test_flatness_matches_uncached_reference(case):
     assert got.ok == (case not in NEGATIVE_CONTROLS)
 
 
-def test_verify_builds_each_derivative_and_entry_once():
-    """Counters of one traced `verify --family waterbag` at N = 5 (nv = 3),
-    recorded when the gradient, Hessian-row and entry caches went in."""
+def traced(fn):
+    """The tracer summary of one call of fn()."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import tracing
@@ -208,12 +205,25 @@ def test_verify_builds_each_derivative_and_entry_once():
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            rc = main(["verify", "--family", "waterbag", "--heights", "1,1,1,-1,-2"])
+        fn()
     finally:
         tracer.uninstall()
-    assert rc == 0
-    summary = tracer.summary()
+    return tracer.summary()
+
+
+def test_verify_builds_each_derivative_and_entry_once():
+    """Counters of verify's full checks (flatness, antisymmetry, identities)
+    on waterbag N = 5 (nv = 3), recorded when the gradient, Hessian-row and
+    entry caches went in. `verify` itself certifies a waterbag closure, so
+    the checks run directly, through the names the tracer patches."""
+    closure = WaterbagClosure([F(1), F(1), F(1), F(-1), F(-2)])
+
+    def full_checks():
+        assert bracket.check_flatness(closure).ok
+        assert moments.alpha_beta_in_mu(closure).is_antisymmetric
+        assert all(ok for _, ok, _ in closure.identities())
+
+    summary = traced(full_checks)
     # the S_n check reads the nu = 0 velocities, never the expansion
     assert "closures.waterbag_s" not in summary["calls"]
     counts = summary["counts"]
@@ -226,6 +236,20 @@ def test_verify_builds_each_derivative_and_entry_once():
     # from the gradients of the 6 alpha pairs, 6 * 3), and the 27
     # d(alpha_nm)/dnu_k of the antisymmetry check
     assert summary["calls"]["poly.diff"] == 21 + 9 + 18 + 18 + 27
+
+
+@pytest.mark.parametrize("heights", ["1,1,1,-1,-2", "1,1,1,1,1,-1,-1,-1,-1,-1"],
+                         ids=["N5", "N10"])
+def test_verify_certifies_waterbag_without_expanding_mu(heights):
+    # the power-sum certificate replaces check_flatness and the bracket, and
+    # expands no mu_n past mu_2
+    closure = WaterbagClosure([F(h) for h in heights.split(",")])
+    rep = Report("verify")
+    summary = traced(lambda: _verify_one(closure, rep))
+    assert rep.ok
+    assert "bracket.flatness" not in summary["calls"]
+    assert "moments.alpha_beta" not in summary["calls"]
+    assert max(closure._mu_cache) <= 2
 
 
 @st.composite

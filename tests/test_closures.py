@@ -351,6 +351,32 @@ def test_round_trip_check_catches_a_wrong_inversion(monkeypatch, right, wrong, l
     assert not any(round_trip_ok(m) for m in levels)
 
 
+BURBY_LEVELS = [(m, branch) for m in range(1, 24)
+                for branch in (("plus", "minus") if m % 2 else ("plus",))]
+
+
+@pytest.mark.parametrize("m, branch", BURBY_LEVELS)
+def test_round_trip_within_its_condition_bound(m, branch):
+    # a fixed 1e-12 bound failed 23 minus (rel err 6.5e-11, kappa = 3.9e6)
+    err, bound = BurbyClosure(m, branch=branch).round_trip_error()
+    assert err <= bound
+
+
+@pytest.mark.parametrize("m, branch", [(5, "plus"), (14, "plus"), (23, "plus"),
+                                       (23, "minus")])
+def test_round_trip_bound_catches_an_off_recovery(monkeypatch, m, branch):
+    """Negative control: one recovered nu off by 10^3 kappa u, relative,
+    fails the round trip."""
+    closure = BurbyClosure(m, branch=branch)
+    nu, mus, back = closure.sample_round_trip()
+    push = 1e3 * closure.inversion_condition(nu, mus) * 2.0 ** -53
+    off = list(back)
+    off[m // 2] *= 1 + push
+    monkeypatch.setattr(closure, "sample_round_trip", lambda: (nu, mus, tuple(off)))
+    err, bound = closure.round_trip_error()
+    assert err > bound
+
+
 @pytest.mark.parametrize("rho", [0, F(-1, 2), np.array([1.0, 0.0, 2.0])],
                          ids=["zero", "negative", "array"])
 def test_every_density_formula_rejects_nonpositive_density(rho):

@@ -92,6 +92,7 @@ def test_library_holds_no_test_only_code():
 EXACT_COMMANDS = [
     ["verify", "--family", "burby", "--level", "3"],
     ["verify", "--family", "waterbag", "--heights", "1,1,-2"],
+    ["verify", "--family", "waterbag", "--heights", "1,-3,3,1,-1,-1"],
     ["verify", "--family", "generic", "--mu2", "nu1^2*nu2"],
     ["closure", "show", "--family", "fourfield", "--kappa", "1/2"],
     ["closure", "casimir", "--family", "burby", "--level", "2"],
@@ -101,17 +102,21 @@ EXACT_COMMANDS = [
 
 def test_exact_commands_never_import_the_solver():
     # verify and closure run on the exact engine; numpy and sim belong to
-    # simulate and compare, and loading them would double start-up
+    # simulate and compare, and loading them would double start-up. The
+    # waterbag certificate is verify's alone: importing cli leaves it out.
     script = (
         "import contextlib, io, json, sys\n"
         "from hydroclosures import cli\n"
+        "at_start = 'hydroclosures.certificate' in sys.modules\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [cli.main(argv) for argv in {EXACT_COMMANDS!r}]\n"
-        "print(json.dumps([codes, sorted({'numpy', 'hydroclosures.sim'} & set(sys.modules))]))\n")
+        "print(json.dumps([codes, at_start,\n"
+        "                  sorted({'numpy', 'hydroclosures.sim'} & set(sys.modules))]))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    codes, loaded = json.loads(run.stdout)
+    codes, at_start, loaded = json.loads(run.stdout)
     assert codes == [0] * len(EXACT_COMMANDS)
+    assert not at_start
     assert loaded == []
