@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .moments import bracket_entry
-from .poly import MultiPoly
 
 
 @dataclass(frozen=True)
@@ -95,38 +94,22 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
     Identity (b) is the chain-rule expansion of the derivative equation:
     only the first gradient factor carries the x-derivative.
 
-    Each gradient comes from the closure's cache and each entry from
-    `bracket_entry`; g . grad(mu_m) and each Hessian row are built once
-    per call. As g is symmetric, d/dnu_k of the left side of (a) is the
-    sum of the left sides of (b) at (n, m) and at (m, n), so only the
-    pairs n < m multiply Hessian rows; the other left sides of (b) come
-    from the gradient of (a).
+    This is the one list of the bracket cells. It reads the closure only
+    through `grad_pair(n, m)`, `hessian_pair(n, m)` and `partials(p)` (the
+    left sides of (b) and the dp/dnu_k, as tuples over k), `bracket_entry`,
+    `name` and `nu_names`, which a `ClosureFamily` and the formal ring of
+    the waterbag certificate both supply.
+
+    As g is symmetric, d/dnu_k of the left side of (a) is the sum of the
+    left sides of (b) at (n, m) and at (m, n). So only the pairs n < m pair
+    Hessian rows, the other left sides of (b) come from the gradient of
+    (a), and, alpha_nm being symmetric in (n, m) by its formula, zero
+    cells for all n, m <= nu_count prove the bracket antisymmetric:
+    d alpha_nm/dnu_k = beta_nmk + beta_mnk.
     """
     if size is None:
         size = closure.flatness_size
-    nv = closure.nu_count
-    g = closure.metric.g
     checks = []
-    hessians, raised = {}, {}
-
-    def hessian(n):
-        # hessians[n][k] = the row [d/dnu_k d/dnu_i mu_n]_i
-        if n not in hessians:
-            grad = closure.grad(n)
-            hessians[n] = [[p.diff(k) for p in grad] for k in range(nv)]
-        return hessians[n]
-
-    def pair(row, m):
-        # row . g . grad(mu_m), with g . grad(mu_m) built once per m
-        if m not in raised:
-            gm = closure.grad(m)
-            raised[m] = [sum((gm[j] * g[i][j] for j in range(nv) if g[i][j]),
-                             MultiPoly.zero(nv)) for i in range(nv)]
-        acc = MultiPoly.zero(nv)
-        for a, b in zip(row, raised[m]):
-            if not (a.is_zero or b.is_zero):
-                acc = acc + a * b
-        return acc
 
     def add(name, res):
         checks.append(FlatnessCheck(
@@ -135,19 +118,15 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
 
     for n in range(1, size + 1):
         for m in range(n, size + 1):
-            lhs_a = pair(closure.grad(n), m)
+            lhs_a = closure.grad_pair(n, m)
             add(f"alpha[{n},{m}]", lhs_a - bracket_entry(closure, n, m))
-            dlhs_a = [lhs_a.diff(k) for k in range(nv)]
-            if n == m:
-                lhs_b = [d / 2 for d in dlhs_a]
-            else:
-                lhs_b = [pair(hessian(n)[k], m) for k in range(nv)]
-            for k in range(nv):
-                add(f"beta[{n},{m};{k + 1}]", lhs_b[k] - bracket_entry(closure, n, m, k))
+            dlhs_a = closure.partials(lhs_a)
+            lhs_b = [d / 2 for d in dlhs_a] if n == m else closure.hessian_pair(n, m)
+            for k, lhs in enumerate(lhs_b):
+                add(f"beta[{n},{m};{k + 1}]", lhs - bracket_entry(closure, n, m, k))
             if n != m:
-                for k in range(nv):
-                    add(f"beta[{m},{n};{k + 1}]",
-                        dlhs_a[k] - lhs_b[k] - bracket_entry(closure, m, n, k))
+                for k, (d, lhs) in enumerate(zip(dlhs_a, lhs_b)):
+                    add(f"beta[{m},{n};{k + 1}]", d - lhs - bracket_entry(closure, m, n, k))
     return FlatnessReport(family=closure.name, checks=checks)
 
 

@@ -8,13 +8,15 @@ The waterbag moments are power sums. With the affine forms L_k (k < N) of
 
 When the L_k have the constant term Lambda, their Gram matrix under g is
 -1/a_N - delta_kl/a_k, q_1 = 1/2, and the closure's mu_1 and mu_2 are these
-power sums, every residual of the flatness, antisymmetry and gamma_n
-checks is the image of a polynomial in Lambda, q_2..q_J and D_2..D_J,
-where D_j stands for dq_j/dnu_k for any one k. That polynomial depends on
-the indices only, never on the heights. `certify_waterbag` checks the
-hypotheses exactly on forms of degree <= 1 (and q_2, q_3), and the
-residuals in that ring. A formal zero is a real zero; a formal non-zero
-proves nothing, and the caller then runs the full checks.
+power sums, every residual of the flatness and gamma_n checks is the image
+of a polynomial in Lambda, q_2..q_J and D_2..D_J, where D_j stands for
+dq_j/dnu_k for any one k. That polynomial depends on the indices only,
+never on the heights. `certify_waterbag` checks the hypotheses exactly on
+forms of degree <= 1 (and q_2, q_3), the recurrence and gamma_n residuals
+in that ring, and the flatness cells by `bracket.check_flatness` over the
+ring. A formal zero is a real zero; a formal non-zero proves nothing, and
+the caller then runs the full checks. Antisymmetry needs no certificate:
+it follows from flatness (see `check_flatness`).
 docs/waterbag_certificate.md gives the argument.
 """
 
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import bracket
 from .closures import mu_recurrence, waterbag_gamma_residual, waterbag_tails
-from .moments import bracket_entry
 from .poly import MultiPoly
 
 
@@ -42,13 +44,16 @@ class PowerSums:
 
     where E is Euler's operator nu . grad. mu_n (n >= 1) involves q_{n+1}
     alone, so the rules are only used with i, j >= 2 and q_0 never
-    appears. `moments.bracket_entry` and `closures.mu_recurrence` build
-    their formal images unchanged.
+    appears. `closures.mu_recurrence`, `moments.bracket_entry` and
+    `bracket.check_flatness` build their formal images unchanged; its
+    `grad`, `hessian_pair` and `partials` are 1-tuples, for the one k.
     """
 
     def __init__(self, J: int):
         self.J = J
         self.nvars = 1 + 2 * J
+        self.name = f"power sums (J={J})"
+        self.nu_names = ("Lambda", *(f"{v}{j}" for v in "qD" for j in range(1, J + 1)))
         self.Lambda = MultiPoly.variable(self.nvars, 0)
         self.bracket_entries: dict[tuple, MultiPoly] = {}
         self._memo: dict[tuple, object] = {}
@@ -96,16 +101,19 @@ class PowerSums:
         """d_k p for p in Lambda and the q_j."""
         return self._chain(p, self.D)
 
+    def partials(self, p: MultiPoly) -> tuple[MultiPoly]:
+        return (self.diff(p),)
+
     def grad_pair(self, n: int, m: int) -> MultiPoly:
         """grad mu_n . g . grad mu_m."""
         return self._pair(self._mu_coords(n), self._mu_coords(m), self._gram)
 
-    def hessian_pair(self, n: int, m: int) -> MultiPoly:
-        """(d_k grad mu_n) . g . grad mu_m: d_k acts on the coefficients of
-        grad mu_n = sum_i (dmu_n/dq_i) grad q_i and on each grad q_i."""
+    def hessian_pair(self, n: int, m: int) -> tuple[MultiPoly]:
+        """((d_k grad mu_n) . g . grad mu_m,): d_k acts on the coefficients
+        of grad mu_n = sum_i (dmu_n/dq_i) grad q_i and on each grad q_i."""
         a, b = self._mu_coords(n), self._mu_coords(m)
         return (self._pair({i: self.diff(c) for i, c in a.items()}, b, self._gram)
-                + self._pair(a, b, self._hessian_gram))
+                + self._pair(a, b, self._hessian_gram),)
 
     def _euler_q(self, j: int) -> MultiPoly:
         return self._cached(("E", j), lambda: (self.q(j) - self.lambda_q(j - 1)) * j)
@@ -140,38 +148,27 @@ class PowerSums:
             - self.D(i + j - 2) * Fraction(i - 1, i + j - 2)) * (i * j))
 
 
-def formal_residuals(alg: PowerSums, top: int, size: int):
-    """(name, residual) of each formal identity, lazily and in order: the
-    recurrence for mu_3..mu_top, gamma_n = Lambda^n - n Lambda mu_{n-1} for
-    n = 1..top and, for 1 <= n <= m <= size, the flatness cells alpha[n,m],
-    beta[n,m] and beta[m,n], the symmetry of alpha and d_k alpha_nm =
-    beta_nmk + beta_mnk. With alpha symmetric, the last at (m, n) is the
-    same identity. `alg` needs J >= top + 1."""
+def formal_residuals(alg: PowerSums, top: int):
+    """(name, residual) of the recurrence for mu_3..mu_top and of
+    gamma_n = Lambda^n - n Lambda mu_{n-1} for n = 1..top, lazily and in
+    order. `alg` needs J >= top + 1."""
     for n in range(3, top + 1):
         yield f"mu_{n}", mu_recurrence(alg, n) - alg.mu(n)
     for n in range(1, top + 1):
         yield f"gamma_{n}", waterbag_gamma_residual(alg, n)
-    for n in range(1, size + 1):
-        for m in range(n, size + 1):
-            alpha = bracket_entry(alg, n, m)
-            yield f"alpha[{n},{m}]", alg.grad_pair(n, m) - alpha
-            if m > n:
-                yield f"symmetry[{n},{m}]", alpha - bracket_entry(alg, m, n)
-            for i, j in ((n, m), (m, n)) if m > n else ((n, n),):
-                yield f"beta[{i},{j}]", alg.hessian_pair(i, j) - bracket_entry(alg, i, j, 0)
-            yield (f"antisymmetry[{n},{m}]", alg.diff(alpha) - bracket_entry(alg, n, m, 0)
-                   - bracket_entry(alg, m, n, 0))
 
 
 def certify_waterbag(closure) -> bool:
-    """True when the flatness, bracket antisymmetry and gamma_n checks of
-    `verify` provably pass on this waterbag closure, from its heights,
-    metric, mu_1 and mu_2 alone; False when a hypothesis or a formal
-    identity fails, and then only the full checks can tell."""
+    """True when the flatness and gamma_n checks of `verify` provably pass
+    on this waterbag closure, from its heights, metric, mu_1 and mu_2
+    alone; False when a hypothesis or a formal identity fails, and then
+    only the full checks can tell."""
     nv = closure.nu_count
     top = 2 * nv + 1  # the gamma_n check runs to 2N - 3
+    alg = PowerSums(top + 1)
     return (_hypotheses_hold(closure)
-            and all(r.is_zero for _, r in formal_residuals(PowerSums(top + 1), top, nv)))
+            and all(r.is_zero for _, r in formal_residuals(alg, top))
+            and bracket.check_flatness(alg, nv).ok)
 
 
 def _hypotheses_hold(closure) -> bool:

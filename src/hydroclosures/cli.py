@@ -181,7 +181,8 @@ def _verify_one(closure: ClosureFamily, rep: Report):
     rep.add(f"{name}: flatness identities", flat, detail)
     if closure.nu_count:
         with rep.phase("antisymmetry"):
-            antisymmetric = certified or alpha_beta_in_mu(closure).is_antisymmetric
+            # flatness up to nu_count proves it (see bracket.check_flatness)
+            antisymmetric = flat or alpha_beta_in_mu(closure).is_antisymmetric
         rep.add(f"{name}: bracket antisymmetry", antisymmetric)
         try:
             sig = closure.metric.signature
@@ -196,8 +197,8 @@ def _verify_one(closure: ClosureFamily, rep: Report):
 
 
 def _waterbag_certified(closure: ClosureFamily) -> bool:
-    """Whether the power-sum certificate proves the flatness, antisymmetry
-    and gamma_n checks of a waterbag closure (docs/waterbag_certificate.md).
+    """Whether the power-sum certificate proves the flatness and gamma_n
+    checks of a waterbag closure (docs/waterbag_certificate.md).
     Every other family, and a waterbag closure it cannot prove, takes the
     full checks."""
     if not (isinstance(closure, WaterbagClosure) and closure.nu_count):
@@ -218,10 +219,23 @@ def _level_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
+def _check_levels(args):
+    """--levels takes the place of --level in `verify --family burby` only;
+    anywhere else it would be silently dropped."""
+    if args.levels is None:
+        return
+    if (args.cmd, args.family) != ("verify", "burby"):
+        raise ValueError("--levels applies to verify --family burby only, "
+                         f"not to {args.cmd} --family {args.family}")
+    if args.level is not None:
+        raise ValueError("--levels replaces --level: give one, not both")
+
+
 def cmd_verify(args) -> int:
     rep = Report("verify")
     try:
-        if args.family == "burby" and args.levels:
+        _check_levels(args)
+        if args.levels is not None:
             for m in _level_range(args.levels):
                 _verify_one(closure_from_spec(
                     {"family": "burby", "level": m, "branch": args.branch}), rep)
@@ -240,6 +254,7 @@ def cmd_verify(args) -> int:
 
 def cmd_closure(args) -> int:
     try:
+        _check_levels(args)
         closure = closure_from_spec(_spec_from_args(args))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -73,8 +73,9 @@ class ClosureFamily:
                              + 2 mu_1 gamma_n + n mu_{n-1} gamma_2 ]
 
     generates every mu_n, with gamma_n = (n+1) mu_n - nu . grad mu_n.
-    mu_n, gamma_n, their gradients, the bracket entries of
-    `moments.bracket_entry` and the compiled evaluators are cached;
+    mu_n, gamma_n, their gradients, the Hessian rows and metric products
+    of the pairings, the bracket entries of `moments.bracket_entry` and the
+    compiled evaluators are cached;
     instances are immutable by convention and safe to share.
     """
 
@@ -93,6 +94,8 @@ class ClosureFamily:
         self._gamma_cache: dict[int, MultiPoly] = {}
         self._grad_cache: dict[int, tuple[MultiPoly, ...]] = {}
         self._gamma_grad_cache: dict[int, tuple[MultiPoly, ...]] = {}
+        self._hessian_cache: dict[int, tuple[tuple[MultiPoly, ...], ...]] = {}
+        self._raised_cache: dict[int, list[list[MultiPoly]]] = {}
         self.bracket_entries: dict[tuple, MultiPoly] = {}
         self._compiled: dict[int, Callable] = {}
 
@@ -129,14 +132,32 @@ class ClosureFamily:
 
     def grad_pair(self, n: int, m: int) -> MultiPoly:
         """grad mu_n . g . grad mu_m."""
-        g = self.metric.g
-        nv = self.nu_count
-        a, b = self.grad(n), self.grad(m)
-        acc = MultiPoly.zero(nv)
-        for i in range(nv):
-            for j in range(nv):
-                if g[i][j]:
-                    acc = acc + a[i] * g[i][j] * b[j]
+        return self._pair(self.grad(n), m)
+
+    def hessian_pair(self, n: int, m: int) -> tuple[MultiPoly, ...]:
+        """((d/dnu_k grad mu_n) . g . grad mu_m for k = 1..nv); the Hessian
+        is symmetric, so row k is also the gradient of d mu_n/dnu_k."""
+        if n not in self._hessian_cache:
+            self._hessian_cache[n] = tuple(map(self.partials, self.grad(n)))
+        return tuple(self._pair(row, m) for row in self._hessian_cache[n])
+
+    def partials(self, p: MultiPoly) -> tuple[MultiPoly, ...]:
+        """(dp/dnu_1, ..., dp/dnu_nv)."""
+        return tuple(p.diff(k) for k in range(self.nu_count))
+
+    def _pair(self, row: Sequence[MultiPoly], m: int) -> MultiPoly:
+        """row . g . grad mu_m, with each g_ij dmu_m/dnu_j built once per m
+        and the products summed one by one in (i, j) order: that order is
+        the term order of every mu_n, which float evaluation follows."""
+        if m not in self._raised_cache:
+            g, b = self.metric.g, self.grad(m)
+            self._raised_cache[m] = [[g_ij * b_j for g_ij, b_j in zip(g_i, b)
+                                      if g_ij and not b_j.is_zero] for g_i in g]
+        acc = MultiPoly.zero(self.nu_count)
+        for a_i, raised in zip(row, self._raised_cache[m]):
+            if not a_i.is_zero:
+                for gb in raised:
+                    acc = acc + a_i * gb
         return acc
 
     def gamma(self, n: int) -> MultiPoly:
@@ -155,8 +176,7 @@ class ClosureFamily:
 
     def _gradient(self, cache: dict, poly: Callable[[int], MultiPoly], n: int):
         if n not in cache:
-            p = poly(n)
-            cache[n] = tuple(p.diff(k) for k in range(self.nu_count))
+            cache[n] = self.partials(poly(n))
         return cache[n]
 
     def mu_value(self, n: int, nu_values):
@@ -362,12 +382,13 @@ def waterbag_s(a: Sequence, n: int) -> MultiPoly:
     return acc * Fraction(-1, n + 1)
 
 
-def waterbag_s_at_zero(a: Sequence, n: int) -> Fraction:
-    """The constant term of `waterbag_s(a, n)` without expanding S_n:
-    -(1/(n+1)) sum_k a_k v_k^{n+1} over the contour velocities v_k at
-    nu = 0 (rho = 1, u = 0)."""
+def waterbag_s_at_zero(a: Sequence, top: int) -> tuple[Fraction, ...]:
+    """The constant terms of `waterbag_s(a, n)` for n = 0..top without
+    expanding S_n: -(1/(n+1)) sum_k a_k v_k^{n+1} over the contour
+    velocities v_k at nu = 0 (rho = 1, u = 0), found once."""
     v = waterbag_inverse_map(a, Fraction(1), 0, [0] * (len(a) - 2))
-    return -sum(ak * vk ** (n + 1) for ak, vk in zip(a, v)) / (n + 1)
+    return tuple(-sum(ak * vk ** (n + 1) for ak, vk in zip(a, v)) / (n + 1)
+                 for n in range(top + 1))
 
 
 def waterbag_metric(a: Sequence) -> Metric:
@@ -400,8 +421,8 @@ class WaterbagClosure(ClosureFamily):
         span = range(1, 2 * self.N - 2)
         gamma_ok = gamma_certified or all(waterbag_gamma_residual(self, n).is_zero
                                           for n in span)
-        s_ok = all(waterbag_s_at_zero(a, n)
-                   == Fraction(1 + (-1) ** n, (n + 1) * 2 ** (n + 1) * a[-1] ** n)
+        s_zero = waterbag_s_at_zero(a, span[-1])
+        s_ok = all(s_zero[n] == Fraction(1 + (-1) ** n, (n + 1) * 2 ** (n + 1) * a[-1] ** n)
                    for n in span[1:])
         return [("gamma_n = Lambda^n - n Lambda mu_(n-1)", gamma_ok, ""),
                 ("S_n constant terms", s_ok, "")]

@@ -1,10 +1,12 @@
-"""The verify-sparse benchmark references, checked in tier-1.
+"""The verify benchmark references, checked in tier-1.
 
-`perfbench/refs/verify-sparse.json` records, for each command of the
-verify-sparse workload, the ordered report checks of a `verify` and the
-printed text of a `closure` command. The benchmark compares every pass
-with it; this test runs the same commands in-process, so that a renamed,
-reordered or newly failing check, or a changed text, fails here too.
+`perfbench/refs/verify-sparse.json` and `verify-dense.json` record, for
+each input variant and each command of the workload, the ordered report
+checks of a `verify` and the printed text of a `closure` command. The
+benchmark compares every pass with them; these tests run the same
+commands in-process, so that a renamed, reordered or newly failing check,
+or a changed text, fails here too. verify-sparse is checked on variant 0,
+verify-dense (waterbag height sets) on every variant.
 """
 
 import contextlib
@@ -18,26 +20,26 @@ import pytest
 from hydroclosures.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-REFS = json.loads((PERFBENCH / "refs" / "verify-sparse.json").read_text())["0"]
 
 
-def _commands(workdir: Path) -> dict:
+def _refs(workload: str) -> dict:
+    return json.loads((PERFBENCH / "refs" / f"{workload}.json").read_text())
+
+
+SPARSE = _refs("verify-sparse")["0"]
+DENSE = _refs("verify-dense")
+
+
+def _commands(workload: str, seed: int, workdir: Path) -> dict:
     sys.path.insert(0, str(PERFBENCH))
     try:
         import workloads
     finally:
         sys.path.remove(str(PERFBENCH))
-    return {c.label: c for c in workloads.build("verify-sparse", 0, workdir)}
+    return {c.label: c for c in workloads.build(workload, seed, workdir)}
 
 
-def test_every_command_has_a_reference(tmp_path):
-    assert sorted(_commands(tmp_path)) == sorted(REFS)
-
-
-@pytest.mark.parametrize("label", sorted(REFS))
-def test_verify_sparse_matches_reference(tmp_path, label):
-    cmd = _commands(tmp_path)[label]
-    ref = REFS[label]
+def _assert_matches(cmd, ref):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         main(list(cmd.argv))
@@ -49,3 +51,20 @@ def test_verify_sparse_matches_reference(tmp_path, label):
     regressed = [name for (name, ok), (_, ref_ok) in zip(got, ref["checks"])
                  if ref_ok and not ok]
     assert not regressed
+
+
+def test_every_command_has_a_reference(tmp_path):
+    assert sorted(_commands("verify-sparse", 0, tmp_path)) == sorted(SPARSE)
+
+
+@pytest.mark.parametrize("label", sorted(SPARSE))
+def test_verify_sparse_matches_reference(tmp_path, label):
+    _assert_matches(_commands("verify-sparse", 0, tmp_path)[label], SPARSE[label])
+
+
+@pytest.mark.parametrize("variant", sorted(DENSE))
+def test_verify_dense_matches_reference(tmp_path, variant):
+    commands = _commands("verify-dense", int(variant), tmp_path)
+    assert sorted(commands) == sorted(DENSE[variant])
+    for label, cmd in commands.items():
+        _assert_matches(cmd, DENSE[variant][label])

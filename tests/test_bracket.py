@@ -241,13 +241,17 @@ def test_verify_builds_each_derivative_and_entry_once():
 @pytest.mark.parametrize("heights", ["1,1,1,-1,-2", "1,1,1,1,1,-1,-1,-1,-1,-1"],
                          ids=["N5", "N10"])
 def test_verify_certifies_waterbag_without_expanding_mu(heights):
-    # the power-sum certificate replaces check_flatness and the bracket, and
-    # expands no mu_n past mu_2
+    # the power-sum certificate runs check_flatness once, over its formal
+    # ring, flatness then decides antisymmetry, and no mu_n past mu_2 is
+    # expanded
     closure = WaterbagClosure([F(h) for h in heights.split(",")])
+    nv = closure.nu_count
     rep = Report("verify")
     summary = traced(lambda: _verify_one(closure, rep))
     assert rep.ok
-    assert "bracket.flatness" not in summary["calls"]
+    assert summary["calls"]["bracket.flatness"] == 1
+    # one representative k: 3 cells per pair n < m, 2 per n = m
+    assert summary["counts"]["bracket.identities"] == 3 * nv * (nv - 1) // 2 + 2 * nv
     assert "moments.alpha_beta" not in summary["calls"]
     assert max(closure._mu_cache) <= 2
 
@@ -282,6 +286,33 @@ def test_three_index_flatness_agrees_with_full_check(closure):
     # a counterexample
     assert (check_flatness(closure, size=3).ok
             == check_flatness(closure, size=closure.flatness_size).ok)
+
+
+def _verify_checks(closure):
+    rep = Report("verify")
+    _verify_one(closure, rep)
+    return {c["name"].split(": ", 1)[1]: c["ok"] for c in rep.checks}
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_cubics())
+def test_flatness_decides_antisymmetry(closure):
+    # g symmetric: d_k(grad mu_n . g . grad mu_m) is the sum of the two
+    # Hessian pairings, so flat cells give d_k alpha_nm = beta_nmk + beta_mnk;
+    # verify skips the bracket when flat and must report the same verdict
+    antisymmetric = alpha_beta_in_mu(closure).is_antisymmetric
+    checks = _verify_checks(closure)
+    if checks["flatness identities"]:
+        assert antisymmetric
+    assert checks["bracket antisymmetry"] == antisymmetric
+
+
+@pytest.mark.parametrize("closure", [BurbyClosure(3), MultiDeltaClosure(3)],
+                         ids=["burby3", "multidelta3"])
+def test_verify_builds_no_bracket_when_flat(closure):
+    summary = traced(lambda: _verify_checks(closure))
+    assert summary["calls"]["bracket.flatness"] == 1
+    assert "moments.alpha_beta" not in summary["calls"]
 
 
 def test_signature_helper():

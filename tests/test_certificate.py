@@ -1,8 +1,10 @@
 """The waterbag power-sum certificate against the full verify checks.
 
 `verify` certifies a waterbag closure from its heights, metric, mu_1 and
-mu_2 and an N-free formal identity check; when any of that fails it runs
-the full flatness, antisymmetry and identity checks. These tests hold the
+mu_2 and N-free formal identity checks, the flatness cells among them by
+`check_flatness` over the formal ring; when any of that fails it runs the
+full flatness and identity checks, and the antisymmetry check when the
+closure is not flat. These tests hold the
 certificate to the full checks: the same report on valid heights, a
 decline and the same failures on perturbed closures, and a formal step
 that does fail without the relation q_1 = 1/2.
@@ -101,14 +103,17 @@ class FreeQ1(PowerSums):
 
 
 def failing(alg, N):
-    """The formal identities that `alg` does not reduce to zero at N."""
+    """The formal identities that `alg` does not reduce to zero at N: the
+    recurrence and gamma_n residuals, then the flatness cells."""
     nv = N - 2
     top = 2 * nv + 1
-    return [name for name, r in formal_residuals(alg(top + 1), top, nv) if not r.is_zero]
+    ring = alg(top + 1)
+    return ([name for name, r in formal_residuals(ring, top) if not r.is_zero]
+            + [c.name for c in bracket.check_flatness(ring, nv).failures()])
 
 
 @pytest.mark.parametrize("N", [3, 6])
 def test_formal_step_needs_q1(N):
     assert failing(PowerSums, N) == []
     rejected = failing(FreeQ1, N)
-    assert {"gamma_1", "alpha[1,1]", "beta[1,1]"} <= set(rejected)
+    assert {"gamma_1", "alpha[1,1]", "beta[1,1;1]"} <= set(rejected)

@@ -58,6 +58,23 @@ def test_verify_levels_rejects_bad_range(levels, capsys):
     assert captured.err.startswith("error:") and "lo..hi" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # each used to exit 0 on another closure: M = 2, level 2, the range
+    (["verify", "--family", "multidelta", "--levels", "1..3"], "verify --family burby only"),
+    (["verify", "--family", "waterbag", "--heights", "1,1,-2", "--levels", "1..2"],
+     "verify --family burby only"),
+    (["closure", "show", "--family", "burby", "--levels", "3..4"], "verify --family burby only"),
+    (["closure", "eos", "--family", "burby", "--levels", "2..2", "--mu", "0.33,2.667"],
+     "verify --family burby only"),
+    (["verify", "--family", "burby", "--levels", "3..3", "--level", "5"], "not both"),
+], ids=["verify-multidelta", "verify-waterbag", "closure-show", "closure-eos", "with-level"])
+def test_levels_outside_a_burby_range_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --level") and message in captured.err
+
+
 def _drop_timings(text: str) -> str:
     """The report text with its `timings` object, the one part that may
     vary between runs, cut out."""
