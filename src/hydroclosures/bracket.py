@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .moments import bracket_entry
-
 
 @dataclass(frozen=True)
 class HydroBracket:
@@ -102,10 +100,9 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
 
     As g is symmetric, d/dnu_k of the left side of (a) is the sum of the
     left sides of (b) at (n, m) and at (m, n). So only the pairs n < m pair
-    Hessian rows, the other left sides of (b) come from the gradient of
-    (a), and, alpha_nm being symmetric in (n, m) by its formula, zero
-    cells for all n, m <= nu_count prove the bracket antisymmetric:
-    d alpha_nm/dnu_k = beta_nmk + beta_mnk.
+    Hessian rows, and the other left sides of (b) come from the gradient
+    of (a). Antisymmetry, d alpha_nm/dnu_k = beta_nmk + beta_mnk, needs no
+    cell: the entry formulas of `moments` give it for any mu_n, flat or not.
     """
     if size is None:
         size = closure.flatness_size
@@ -119,14 +116,14 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
     for n in range(1, size + 1):
         for m in range(n, size + 1):
             lhs_a = closure.grad_pair(n, m)
-            add(f"alpha[{n},{m}]", lhs_a - bracket_entry(closure, n, m))
+            add(f"alpha[{n},{m}]", lhs_a - closure.bracket_entry(n, m))
             dlhs_a = closure.partials(lhs_a)
             lhs_b = [d / 2 for d in dlhs_a] if n == m else closure.hessian_pair(n, m)
             for k, lhs in enumerate(lhs_b):
-                add(f"beta[{n},{m};{k + 1}]", lhs - bracket_entry(closure, n, m, k))
+                add(f"beta[{n},{m};{k + 1}]", lhs - closure.bracket_entry(n, m, k))
             if n != m:
                 for k, (d, lhs) in enumerate(zip(dlhs_a, lhs_b)):
-                    add(f"beta[{m},{n};{k + 1}]", d - lhs - bracket_entry(closure, m, n, k))
+                    add(f"beta[{m},{n};{k + 1}]", d - lhs - closure.bracket_entry(m, n, k))
     return FlatnessReport(family=closure.name, checks=checks)
 
 

@@ -14,9 +14,10 @@ dq_j/dnu_k for any one k. That polynomial depends on the indices only,
 never on the heights. `certify_waterbag` checks the hypotheses exactly on
 forms of degree <= 1 (and q_2, q_3), the recurrence and gamma_n residuals
 in that ring, and the flatness cells by `bracket.check_flatness` over the
-ring. A formal zero is a real zero; a formal non-zero proves nothing, and
-the caller then runs the full checks. Antisymmetry needs no certificate:
-it follows from flatness (see `check_flatness`).
+ring, `PowerSums`, a `closures.MomentAlgebra` like every closure. A
+formal zero is a real zero; a formal non-zero proves nothing, and the
+caller then runs the full checks. Antisymmetry needs no certificate: it
+holds for every closure (see `check_flatness`).
 docs/waterbag_certificate.md gives the argument.
 """
 
@@ -25,43 +26,39 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import bracket
-from .closures import mu_recurrence, waterbag_gamma_residual, waterbag_tails
+from .closures import (MomentAlgebra, memoized, mu_recurrence, waterbag_gamma_residual,
+                       waterbag_tails)
 from .poly import MultiPoly
 
 
-class PowerSums:
+class PowerSums(MomentAlgebra):
     """A formal stand-in for a waterbag closure with moments up to mu_{J-1}.
 
     Its ring has the variables Lambda (0), q_j (j) and D_j (J + j) for
     j = 1..J. q_1 = 1/2 and D_1 = 0, which is mu_0 = 1. A closure's
-    mu_n, gamma_n and the single component d_k mu_n of their gradients,
-    and its pairings grad . g . grad, are read from the rules
+    mu_n, the single component d_k mu_n of a gradient, Euler's operator
+    E = nu . grad and the pairings grad . g . grad are read from the rules
 
       E(q_j) = j (q_j - Lambda q_{j-1}),   d_k q_j = D_j,
       grad q_i . g . grad q_j = ij (2 Lambda q_{i-1} q_{j-1} - q_{i+j-2}),
       (d_k grad q_i) . g . grad q_j
-          = ij (2 Lambda D_{i-1} q_{j-1} - ((i-1)/(i+j-2)) D_{i+j-2}),
+          = ij (2 Lambda D_{i-1} q_{j-1} - ((i-1)/(i+j-2)) D_{i+j-2}).
 
-    where E is Euler's operator nu . grad. mu_n (n >= 1) involves q_{n+1}
-    alone, so the rules are only used with i, j >= 2 and q_0 never
-    appears. `closures.mu_recurrence`, `moments.bracket_entry` and
-    `bracket.check_flatness` build their formal images unchanged; its
-    `grad`, `hessian_pair` and `partials` are 1-tuples, for the one k.
+    mu_n (n >= 1) involves q_{n+1} alone, so the rules are only used with
+    i, j >= 2 and q_0 never appears. `MomentAlgebra` derives gamma_n, the
+    gradients and the bracket entries from them, and
+    `closures.mu_recurrence` and `bracket.check_flatness` build their
+    formal images unchanged; `grad`, `hessian_pair` and `partials` are
+    1-tuples, for the one k.
     """
 
     def __init__(self, J: int):
+        super().__init__()
         self.J = J
         self.nvars = 1 + 2 * J
         self.name = f"power sums (J={J})"
         self.nu_names = ("Lambda", *(f"{v}{j}" for v in "qD" for j in range(1, J + 1)))
         self.Lambda = MultiPoly.variable(self.nvars, 0)
-        self.bracket_entries: dict[tuple, MultiPoly] = {}
-        self._memo: dict[tuple, object] = {}
-
-    def _cached(self, key: tuple, make):
-        if key not in self._memo:
-            self._memo[key] = make()
-        return self._memo[key]
 
     def q(self, j: int) -> MultiPoly:
         if j == 1:
@@ -73,36 +70,27 @@ class PowerSums:
             return MultiPoly.zero(self.nvars)
         return self._variable(self.J + j)
 
+    @memoized
     def lambda_q(self, j: int) -> MultiPoly:
-        return self._cached(("lambda_q", j), lambda: self.Lambda * self.q(j))
+        return self.Lambda * self.q(j)
 
+    @memoized
     def _variable(self, i: int) -> MultiPoly:
-        return self._cached(("variable", i), lambda: MultiPoly.variable(self.nvars, i))
+        return MultiPoly.variable(self.nvars, i)
 
+    @memoized
     def mu(self, n: int) -> MultiPoly:
         if n == 0:
             return MultiPoly.const(self.nvars, 1)
-        return self._cached(("mu", n), lambda: self.q(n + 1) * Fraction((-1) ** n, n + 1)
-                            + self.Lambda ** n / (2 * (n + 1)))
+        return self.q(n + 1) * Fraction((-1) ** n, n + 1) + self.Lambda ** n / (2 * (n + 1))
 
-    def gamma(self, n: int) -> MultiPoly:
-        def make():
-            mu = self.mu(n)
-            return (n + 1) * mu - self._chain(mu, self._euler_q)
-        return self._cached(("gamma", n), make)
-
-    def grad(self, n: int) -> tuple[MultiPoly]:
-        return self._cached(("grad", n), lambda: (self.diff(self.mu(n)),))
-
-    def gamma_grad(self, n: int) -> tuple[MultiPoly]:
-        return self._cached(("gamma_grad", n), lambda: (self.diff(self.gamma(n)),))
-
-    def diff(self, p: MultiPoly) -> MultiPoly:
-        """d_k p for p in Lambda and the q_j."""
-        return self._chain(p, self.D)
+    def euler(self, p: MultiPoly) -> MultiPoly:
+        """E p for p in Lambda and the q_j."""
+        return self._chain(p, self._euler_q)
 
     def partials(self, p: MultiPoly) -> tuple[MultiPoly]:
-        return (self.diff(p),)
+        """(d_k p,) for p in Lambda and the q_j."""
+        return (self._chain(p, self.D),)
 
     def grad_pair(self, n: int, m: int) -> MultiPoly:
         """grad mu_n . g . grad mu_m."""
@@ -112,19 +100,21 @@ class PowerSums:
         """((d_k grad mu_n) . g . grad mu_m,): d_k acts on the coefficients
         of grad mu_n = sum_i (dmu_n/dq_i) grad q_i and on each grad q_i."""
         a, b = self._mu_coords(n), self._mu_coords(m)
-        return (self._pair({i: self.diff(c) for i, c in a.items()}, b, self._gram)
+        return (self._pair({i: self._chain(c, self.D) for i, c in a.items()}, b, self._gram)
                 + self._pair(a, b, self._hessian_gram),)
 
+    @memoized
     def _euler_q(self, j: int) -> MultiPoly:
-        return self._cached(("E", j), lambda: (self.q(j) - self.lambda_q(j - 1)) * j)
+        return (self.q(j) - self.lambda_q(j - 1)) * j
 
     def _coords(self, p: MultiPoly) -> dict[int, MultiPoly]:
         """{j: dp/dq_j} over the q_j that p depends on."""
         present = {j for exps in p.terms for j in range(1, self.J + 1) if exps[j]}
         return {j: p.diff(j) for j in sorted(present)}
 
+    @memoized
     def _mu_coords(self, n: int) -> dict[int, MultiPoly]:
-        return self._cached(("coords", n), lambda: self._coords(self.mu(n)))
+        return self._coords(self.mu(n))
 
     def _chain(self, p: MultiPoly, image) -> MultiPoly:
         """The derivation sending q_j to image(j) and Lambda to 0, at p."""
@@ -136,16 +126,16 @@ class PowerSums:
         return sum((ai * bj * rule(i, j) for i, ai in a.items() if not ai.is_zero
                     for j, bj in b.items()), MultiPoly.zero(self.nvars))
 
+    @memoized
     def _gram(self, i: int, j: int) -> MultiPoly:
         """grad q_i . g . grad q_j."""
-        return self._cached(("gram", i, j), lambda: (
-            self.lambda_q(i - 1) * self.q(j - 1) * 2 - self.q(i + j - 2)) * (i * j))
+        return (self.lambda_q(i - 1) * self.q(j - 1) * 2 - self.q(i + j - 2)) * (i * j)
 
+    @memoized
     def _hessian_gram(self, i: int, j: int) -> MultiPoly:
         """(d_k grad q_i) . g . grad q_j."""
-        return self._cached(("hessian_gram", i, j), lambda: (
-            self.D(i - 1) * self.lambda_q(j - 1) * 2
-            - self.D(i + j - 2) * Fraction(i - 1, i + j - 2)) * (i * j))
+        return (self.D(i - 1) * self.lambda_q(j - 1) * 2
+                - self.D(i + j - 2) * Fraction(i - 1, i + j - 2)) * (i * j)
 
 
 def formal_residuals(alg: PowerSums, top: int):

@@ -176,12 +176,13 @@ def _verify_one(closure: ClosureFamily, rep: Report):
             flat, detail = True, ""
         else:
             fl = bracket.check_flatness(closure)
+            closure.drop_flatness_pairings()
             flat = fl.ok
             detail = "; ".join(f"{c.name}: {c.residual}" for c in fl.failures()[:3])
     rep.add(f"{name}: flatness identities", flat, detail)
     if closure.nu_count:
         with rep.phase("antisymmetry"):
-            # flatness up to nu_count proves it (see bracket.check_flatness)
+            # holds for every closure (see check_flatness): no bracket is built for a flat one
             antisymmetric = flat or alpha_beta_in_mu(closure).is_antisymmetric
         rep.add(f"{name}: bracket antisymmetry", antisymmetric)
         try:

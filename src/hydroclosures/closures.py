@@ -1,9 +1,12 @@
 """Closure families: explicit polynomial moment functions mu_n(nu).
 
 One engine, `ClosureFamily`, generates every family's moments mu_n
-(mu_0 = 1), and all that derives from them, by one recurrence from the
-family's data: its normal variables nu, a constant symmetric metric g
-and a single cubic mu_2. A family adds only its parameters, the
+(mu_0 = 1) by one recurrence from the family's data: its normal
+variables nu, a constant symmetric metric g and a single cubic mu_2.
+Its base, `MomentAlgebra`, derives gamma_n, the gradients and the
+bracket entries from the mu_n, for closures and for the formal ring of
+the waterbag certificate alike; the `memoized` decorator keeps each
+result in one per-instance memo. A family adds only its parameters, the
 identities its verify suite checks and, where one exists, an explicit
 inversion.
 
@@ -19,28 +22,26 @@ functions, exact for exact input and float64 for float64 arrays.
 
 from __future__ import annotations
 
+import functools
+from collections import defaultdict
 from fractions import Fraction
 from math import comb
 from itertools import combinations_with_replacement
 from numbers import Rational
 from typing import Callable, Sequence
 
-from . import ratmat
-from .moments import gamma_n, require_positive_density
+from . import moments, ratmat
 from .poly import MultiPoly
 
 
 class Metric:
     """Constant symmetric rational metric with exact signature."""
 
-    __slots__ = ("g", "_signature")
-
     def __init__(self, rows: Sequence[Sequence]):
         mat = ratmat.as_matrix(rows)
         if not ratmat.is_symmetric(mat):
             raise ValueError("metric must be symmetric")
         object.__setattr__(self, "g", mat)
-        object.__setattr__(self, "_signature", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Metric is immutable")
@@ -49,11 +50,9 @@ class Metric:
     def dim(self) -> int:
         return len(self.g)
 
-    @property
+    @functools.cached_property
     def signature(self) -> tuple[int, int]:
-        if self._signature is None:
-            object.__setattr__(self, "_signature", ratmat.signature(self.g))
-        return self._signature
+        return ratmat.signature(self.g)
 
     def inverse(self) -> ratmat.Matrix:
         return ratmat.inverse(self.g)
@@ -65,7 +64,60 @@ class Metric:
         return f"Metric({[list(map(str, row)) for row in self.g]})"
 
 
-class ClosureFamily:
+def memoized(method):
+    """`method`, with each result kept in the instance's `_memo` under the
+    method's name, keyed by its argument (or tuple of arguments): a hit
+    costs two lookups in small dicts."""
+    name = method.__name__
+    if method.__code__.co_argcount == 2:
+        def lookup(self, n):
+            memo = self._memo[name]
+            if n not in memo:
+                memo[n] = method(self, n)
+            return memo[n]
+    else:
+        def lookup(self, *args):
+            memo = self._memo[name]
+            if args not in memo:
+                memo[args] = method(self, *args)
+            return memo[args]
+    return functools.wraps(method)(lookup)
+
+
+class MomentAlgebra:
+    """What a closure derives from its moments mu_n, each built once:
+    gamma_n, the gradients of mu_n and gamma_n, and the bracket entries.
+    A subclass supplies `mu(n)`, `partials(p)` (the dp/dnu_k, as a tuple
+    over k) and `euler(p)` (nu . grad p)."""
+
+    def __init__(self):
+        self._memo: defaultdict[str, dict] = defaultdict(dict)
+
+    @memoized
+    def gamma(self, n: int) -> MultiPoly:
+        """(n+1) mu_n - nu . grad mu_n; zero iff mu_n is homogeneous."""
+        mu = self.mu(n)
+        return (n + 1) * mu - self.euler(mu)
+
+    @memoized
+    def grad(self, n: int) -> tuple[MultiPoly, ...]:
+        """The partials of mu_n, differentiated once."""
+        return self.partials(self.mu(n))
+
+    @memoized
+    def gamma_grad(self, n: int) -> tuple[MultiPoly, ...]:
+        """The partials of gamma_n, differentiated once."""
+        return self.partials(self.gamma(n))
+
+    @memoized
+    def bracket_entry(self, n: int, m: int, k: int | None = None) -> MultiPoly:
+        """alpha_nm (k None) or beta_nmk of `moments`, which the flatness
+        and the antisymmetry checks both read."""
+        return (moments.mu_alpha_entry(self, n, m) if k is None
+                else moments.mu_beta_entry(self, n, m, k))
+
+
+class ClosureFamily(MomentAlgebra):
     """One closure: normal variables, metric g and cubic mu_2, from which
 
       mu_1 = (1/2) nu . g^-1 nu,
@@ -73,14 +125,14 @@ class ClosureFamily:
                              + 2 mu_1 gamma_n + n mu_{n-1} gamma_2 ]
 
     generates every mu_n, with gamma_n = (n+1) mu_n - nu . grad mu_n.
-    mu_n, gamma_n, their gradients, the Hessian rows and metric products
-    of the pairings, the bracket entries of `moments.bracket_entry` and the
-    compiled evaluators are cached;
-    instances are immutable by convention and safe to share.
+    mu_n, what `MomentAlgebra` derives from it, the Hessian rows and
+    metric products of the pairings and the compiled evaluators are
+    memoized; instances are immutable by convention and safe to share.
     """
 
     def __init__(self, name: str, nu_names: Sequence[str], metric: Metric,
                  mu2: MultiPoly):
+        super().__init__()
         self.name = name
         self.nu_names = tuple(nu_names)
         self.nu_count = len(self.nu_names)
@@ -90,14 +142,6 @@ class ClosureFamily:
             raise ValueError("mu_2 variable count does not match the metric")
         self.metric = metric
         self._mu2 = mu2
-        self._mu_cache: dict[int, MultiPoly] = {}
-        self._gamma_cache: dict[int, MultiPoly] = {}
-        self._grad_cache: dict[int, tuple[MultiPoly, ...]] = {}
-        self._gamma_grad_cache: dict[int, tuple[MultiPoly, ...]] = {}
-        self._hessian_cache: dict[int, tuple[tuple[MultiPoly, ...], ...]] = {}
-        self._raised_cache: dict[int, list[list[MultiPoly]]] = {}
-        self.bracket_entries: dict[tuple, MultiPoly] = {}
-        self._compiled: dict[int, Callable] = {}
 
     @property
     def N(self) -> int:
@@ -109,19 +153,15 @@ class ClosureFamily:
         """Moment indices the verify suite checks flatness over."""
         return self.nu_count
 
+    @memoized
     def mu(self, n: int) -> MultiPoly:
         if n < 0:
             raise ValueError("moment index must be nonnegative")
+        nv = self.nu_count
         if n == 0:
-            return MultiPoly.const(self.nu_count, 1)
-        if n not in self._mu_cache:
-            self._mu_cache[n] = self._mu(n)
-        return self._mu_cache[n]
-
-    def _mu(self, n: int) -> MultiPoly:
+            return MultiPoly.const(nv, 1)
         if n == 2:
             return self._mu2
-        nv = self.nu_count
         if n == 1:
             ginv = self.metric.inverse() if nv else ()
             x = [MultiPoly.variable(nv, i) for i in range(nv)]
@@ -130,60 +170,61 @@ class ClosureFamily:
                        MultiPoly.zero(nv))
         return mu_recurrence(self, n)
 
+    def partials(self, p: MultiPoly) -> tuple[MultiPoly, ...]:
+        """(dp/dnu_1, ..., dp/dnu_nv)."""
+        return tuple(p.diff(k) for k in range(self.nu_count))
+
+    euler = staticmethod(MultiPoly.euler)
+
     def grad_pair(self, n: int, m: int) -> MultiPoly:
         """grad mu_n . g . grad mu_m."""
         return self._pair(self.grad(n), m)
 
     def hessian_pair(self, n: int, m: int) -> tuple[MultiPoly, ...]:
-        """((d/dnu_k grad mu_n) . g . grad mu_m for k = 1..nv); the Hessian
-        is symmetric, so row k is also the gradient of d mu_n/dnu_k."""
-        if n not in self._hessian_cache:
-            self._hessian_cache[n] = tuple(map(self.partials, self.grad(n)))
-        return tuple(self._pair(row, m) for row in self._hessian_cache[n])
+        """((d/dnu_k grad mu_n) . g . grad mu_m for k = 1..nv)."""
+        return tuple(self._pair(row, m) for row in self._hessian(n))
 
-    def partials(self, p: MultiPoly) -> tuple[MultiPoly, ...]:
-        """(dp/dnu_1, ..., dp/dnu_nv)."""
-        return tuple(p.diff(k) for k in range(self.nu_count))
+    @memoized
+    def _hessian(self, n: int) -> tuple[tuple[MultiPoly, ...], ...]:
+        return tuple(map(self.partials, self.grad(n)))
 
     def _pair(self, row: Sequence[MultiPoly], m: int) -> MultiPoly:
-        """row . g . grad mu_m, with each g_ij dmu_m/dnu_j built once per m
-        and the products summed one by one in (i, j) order: that order is
-        the term order of every mu_n, which float evaluation follows."""
-        if m not in self._raised_cache:
-            g, b = self.metric.g, self.grad(m)
-            self._raised_cache[m] = [[g_ij * b_j for g_ij, b_j in zip(g_i, b)
-                                      if g_ij and not b_j.is_zero] for g_i in g]
+        """row . g . grad mu_m, with the products summed one by one in
+        (i, j) order: that order is the term order of every mu_n, which
+        float evaluation follows."""
+        raised = self._raised(m)
         acc = MultiPoly.zero(self.nu_count)
-        for a_i, raised in zip(row, self._raised_cache[m]):
+        for a_i, gb_i in zip(row, raised):
             if not a_i.is_zero:
-                for gb in raised:
+                for gb in gb_i:
                     acc = acc + a_i * gb
         return acc
 
-    def gamma(self, n: int) -> MultiPoly:
-        """(n+1) mu_n - nu . grad mu_n; zero for homogeneous families."""
-        if n not in self._gamma_cache:
-            self._gamma_cache[n] = gamma_n(self.mu(n), n)
-        return self._gamma_cache[n]
+    @memoized
+    def _raised(self, m: int) -> list[list[MultiPoly]]:
+        """Row i holds the nonzero g_ij dmu_m/dnu_j."""
+        g, b = self.metric.g, self.grad(m)
+        return [[g_ij * b_j for g_ij, b_j in zip(g_i, b) if g_ij and not b_j.is_zero]
+                for g_i in g]
 
-    def grad(self, n: int) -> tuple[MultiPoly, ...]:
-        """(d mu_n/d nu_1, ..., d mu_n/d nu_nv), differentiated once."""
-        return self._gradient(self._grad_cache, self.mu, n)
+    def drop_flatness_pairings(self):
+        """Forget the Hessian rows and raised products that only
+        `check_flatness` reads; the recurrence reads those of mu_2."""
+        self._memo.pop("_hessian", None)
+        self._memo["_raised"] = {m: r for m, r in self._memo["_raised"].items() if m == 2}
 
-    def gamma_grad(self, n: int) -> tuple[MultiPoly, ...]:
-        """(d gamma_n/d nu_1, ..., d gamma_n/d nu_nv), differentiated once."""
-        return self._gradient(self._gamma_grad_cache, self.gamma, n)
-
-    def _gradient(self, cache: dict, poly: Callable[[int], MultiPoly], n: int):
-        if n not in cache:
-            cache[n] = self.partials(poly(n))
-        return cache[n]
+    @memoized
+    def derived(self, make: Callable):
+        """make(self), built once: what another layer derives from it."""
+        return make(self)
 
     def mu_value(self, n: int, nu_values):
         """Fast numeric evaluation of mu_n (floats or numpy arrays)."""
-        if n not in self._compiled:
-            self._compiled[n] = self.mu(n).compile_float()
-        return self._compiled[n](nu_values)
+        return self._mu_float(n)(nu_values)
+
+    @memoized
+    def _mu_float(self, n: int) -> Callable:
+        return self.mu(n).compile_float()
 
     def identities(self) -> list[tuple[str, bool, str]]:
         """The family's own (name, ok, detail) checks for the verify suite;
@@ -262,7 +303,7 @@ def multidelta_normal_map(a: Sequence, v: Sequence):
     if len(a) != len(v):
         raise ValueError("a and v must have equal length")
     rho = _exact(sum(a[1:], a[0]))
-    require_positive_density(rho)
+    moments.require_positive_density(rho)
     u = sum(ak * vk for ak, vk in zip(a, v)) / rho
     xi = tuple(ak / rho for ak in a[1:])
     eta = tuple((vk - v[0]) / rho for vk in v[1:])
@@ -274,7 +315,7 @@ def multidelta_inverse_map(rho, u, xi: Sequence, eta: Sequence):
     if len(xi) != len(eta):
         raise ValueError("xi and eta must have equal length")
     rho = _exact(rho)
-    require_positive_density(rho)
+    moments.require_positive_density(rho)
     mu1 = sum(xk * ek for xk, ek in zip(xi, eta)) if xi else 0
     v1 = u - rho * mu1
     a = [rho * (1 - sum(xi))] + [rho * xk for xk in xi]
@@ -456,7 +497,7 @@ def waterbag_normal_map(a: Sequence, v: Sequence):
         raise ValueError("v must have one entry per height")
     a, sigma = _waterbag_constants(a, v)
     rho = -sum(ak * vk for ak, vk in zip(a, v))
-    require_positive_density(rho)
+    moments.require_positive_density(rho)
     u = -sum(ak * vk * vk for ak, vk in zip(a, v)) / (2 * rho)
     nu = []
     acc = 0
@@ -473,7 +514,7 @@ def waterbag_inverse_map(a: Sequence, rho, u, nu: Sequence):
         raise ValueError("nu must have N-2 entries")
     a, sigma = _waterbag_constants(a, (rho, u, *nu))
     rho = _exact(rho)
-    require_positive_density(rho)
+    moments.require_positive_density(rho)
     nu_full = [0, *nu, 1]  # nu_0 = 0, nu_{N-1} = 1
     # partial sums sum_{l<k} (nu_l - nu_{l-1})/sigma_l for k = 1..N
     heads = [0]
@@ -498,25 +539,21 @@ def burby_mu(m: int, n: int) -> MultiPoly:
     """
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
-    cache: dict[tuple[int, tuple[int, ...]], MultiPoly] = {}
 
+    @functools.cache
     def rec(l: int, args: tuple[int, ...]) -> MultiPoly:
         # args: global variable indices standing in for (nu_l, ..., nu_level)
         if not args or l < 0:
             return MultiPoly.zero(m)
-        key = (l, args)
-        if key not in cache:
-            if len(args) == 1:
-                out = MultiPoly.variable(m, args[0]) ** (l + 1) / (l + 1)
-            else:
-                last = MultiPoly.variable(m, args[-1])
-                out = MultiPoly.variable(m, args[0]) * last ** l
-                for k in range(1, l + 1):
-                    sub = rec(k, args[k:-1])
-                    if not sub.is_zero:
-                        out = out + comb(l, k) * last ** (l - k) * sub
-            cache[key] = out
-        return cache[key]
+        if len(args) == 1:
+            return MultiPoly.variable(m, args[0]) ** (l + 1) / (l + 1)
+        last = MultiPoly.variable(m, args[-1])
+        out = MultiPoly.variable(m, args[0]) * last ** l
+        for k in range(1, l + 1):
+            sub = rec(k, args[k:-1])
+            if not sub.is_zero:
+                out = out + comb(l, k) * last ** (l - k) * sub
+        return out
 
     return rec(n, tuple(range(n - 1, m)))
 

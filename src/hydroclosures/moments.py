@@ -1,13 +1,14 @@
-"""Moment conversion, the inhomogeneity measure and the bracket entries.
+"""Moment conversion and the bracket entries.
 
 The raw fluid moments P_n follow from the moments mu_n centered around
 psi = u - rho*mu_1 by a binomial re-centering sum. The formula is
 written over generic scalars, so one implementation serves exact
 Fractions, MultiPoly values and floats or numpy arrays alike.
 
-Also houses the inhomogeneity measure gamma_n and the construction of the
-microscopic bracket coefficients (alpha, beta) in the mu-variables,
-expressed as polynomials in the normal variables of a closure family.
+Also houses the formulas of the microscopic bracket coefficients
+(alpha, beta) in the mu-variables, read from what a closure derives
+from its mu_n (`closures.MomentAlgebra`, which memoizes each entry),
+and the bracket they assemble.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from math import comb
 from typing import Sequence
 
+from .bracket import HydroBracket
 from .poly import MultiPoly
 
 
@@ -43,12 +45,6 @@ def p_from_mu(rho, psi, mu: Sequence) -> tuple:
     return tuple(P)
 
 
-def gamma_n(mu_poly: MultiPoly, n: int) -> MultiPoly:
-    """gamma_n = (n+1) mu_n - nu_k dmu_n/dnu_k; zero iff mu_n is homogeneous
-    of degree n+1."""
-    return (n + 1) * mu_poly - mu_poly.euler()
-
-
 def mu_alpha_entry(closure, n: int, m: int) -> MultiPoly:
     """alpha_nm = (n+m) mu_{n+m-1} - m mu_{m-1} gamma_n - n mu_{n-1} gamma_m,
     as a polynomial in the closure's normal variables."""
@@ -63,34 +59,20 @@ def mu_beta_entry(closure, n: int, m: int, k: int) -> MultiPoly:
 
     The derivative-index convention (n multiplies d_x mu_{n+m-1}) follows the
     form the raw-moment bracket takes; the chain rule turns each d_x mu into
-    sum_k (dmu/dnu_k) d_x nu_k, read from the closure's gradient caches.
+    sum_k (dmu/dnu_k) d_x nu_k, read from the closure's memoized gradients.
     """
     return (n * closure.grad(n + m - 1)[k]
             - n * closure.gamma(m) * closure.grad(n - 1)[k]
             - m * closure.mu(m - 1) * closure.gamma_grad(n)[k])
 
 
-def bracket_entry(closure, n: int, m: int, k: int | None = None) -> MultiPoly:
-    """alpha_nm (k None) or beta_nmk, built once per closure and kept in
-    its `bracket_entries`: the flatness and the antisymmetry checks read
-    the same entries."""
-    entries = closure.bracket_entries
-    key = (n, m, k)
-    if key not in entries:
-        entries[key] = (mu_alpha_entry(closure, n, m) if k is None
-                        else mu_beta_entry(closure, n, m, k))
-    return entries[key]
-
-
 def alpha_beta_in_mu(closure):
     """The microscopic hydrodynamic bracket of a closure in mu-variables,
     with every entry expressed as a polynomial in the normal variables."""
-    from .bracket import HydroBracket  # deferred: bracket imports this module
-
     size = closure.nu_count
-    alpha = [[bracket_entry(closure, n, m) for m in range(1, size + 1)]
+    alpha = [[closure.bracket_entry(n, m) for m in range(1, size + 1)]
              for n in range(1, size + 1)]
-    beta = [[[bracket_entry(closure, n, m, k) for k in range(size)]
+    beta = [[[closure.bracket_entry(n, m, k) for k in range(size)]
              for m in range(1, size + 1)]
             for n in range(1, size + 1)]
     return HydroBracket(nfields=size, alpha=alpha, beta=beta)

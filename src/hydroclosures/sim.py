@@ -40,7 +40,6 @@ import csv
 import math
 import numbers
 import warnings
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -244,12 +243,8 @@ def electric_potential(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
 
 class _ClosureTables:
     """Per-closure compiled evaluators for mu_1, mu_2, gamma_2 and the
-    closure's gradients of mu_1 and mu_2."""
-
-    # An entry lives as long as its closure; the tables hold only floats
-    # and compiled evaluators, never the closure itself.
-    _cache: "weakref.WeakKeyDictionary[ClosureFamily, _ClosureTables]" = \
-        weakref.WeakKeyDictionary()
+    gradients of mu_1 and mu_2, kept in the closure's memo by
+    `closure.derived`; they hold no reference back to the closure."""
 
     def __init__(self, closure: ClosureFamily):
         nv = closure.nu_count
@@ -272,12 +267,6 @@ class _ClosureTables:
             self.T = self.Tinv = np.zeros((0, 0))
             self.D = np.zeros(0)
 
-    @classmethod
-    def of(cls, closure: ClosureFamily) -> "_ClosureTables":
-        tables = cls._cache.get(closure)
-        if tables is None:
-            tables = cls._cache[closure] = cls(closure)
-        return tables
 
 
 def _check_state(state: FieldState):
@@ -313,7 +302,7 @@ def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid, *,
     are buffers of `work`.
     """
     _check_state(state)
-    tab = _ClosureTables.of(closure)
+    tab = closure.derived(_ClosureTables)
     rho, u, nu = state.rho, state.u, state.nu
     nv, nx = tab.nv, grid.nx
     nuv = list(nu)
@@ -404,7 +393,7 @@ def check_wave_breaking(state: StreamState, grid: Grid):
 def diagnostics(state: FieldState, closure: ClosureFamily, grid: Grid) -> DiagnosticRecord:
     """The record of `state`, with the energy
     H = (1/2) integral [rho u^2 + rho^3 (mu_2 - mu_1^2) + E^2] dx."""
-    tab = _ClosureTables.of(closure)
+    tab = closure.derived(_ClosureTables)
     nuv = list(state.nu)
     mu1 = tab.mu1(nuv)
     E = poisson_solve(state.rho, state.n0, grid)
@@ -424,7 +413,7 @@ def diagnostics(state: FieldState, closure: ClosureFamily, grid: Grid) -> Diagno
 def cfl_dt(state: FieldState, closure: ClosureFamily, grid: Grid) -> float:
     """Time-step bound 0.4 dx / max|u +- c| with the thermal-speed estimate
     c^2 = 3 rho^2 (mu_2 - mu_1^2), capped by 0.4 / omega_p."""
-    tab = _ClosureTables.of(closure)
+    tab = closure.derived(_ClosureTables)
     nuv = list(state.nu)
     s2 = tab.mu2(nuv) - tab.mu1(nuv) ** 2
     c = np.sqrt(np.maximum(3.0 * state.rho ** 2 * s2, 0.0))
@@ -594,7 +583,7 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
     in flux form, so each integral(mtil_a), integral(rho), integral(psi)
     telescopes to round-off.
     """
-    tab = _ClosureTables.of(closure)
+    tab = closure.derived(_ClosureTables)
     nx = grid.nx
     rho, psi, mtil = _split_pack(state, tab)
     sw = _SplitWork(tab.nv, nx, work)

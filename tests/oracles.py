@@ -1,10 +1,10 @@
 """Reference formulas that only the tests read.
 
 Each states a quantity directly, independently of the way the library
-derives it: the published four-field polynomials, the S_n re-centering
-sum, the full bracket metric, and the multi-stream invariants. Test
-modules import them with `from oracles import ...` (pytest puts this
-directory on `sys.path`).
+derives it: the inhomogeneity measure gamma_n, the published four-field
+polynomials, the S_n re-centering sum, the full bracket metric, and the
+multi-stream invariants. Test modules import them with
+`from oracles import ...` (pytest puts this directory on `sys.path`).
 """
 
 from fractions import Fraction
@@ -21,6 +21,12 @@ from hydroclosures.sim import poisson_solve
 def poly_vars(nvars: int) -> list[MultiPoly]:
     """The list [x_0, ..., x_{nvars-1}] as polynomials."""
     return [MultiPoly.variable(nvars, i) for i in range(nvars)]
+
+
+def gamma_n(mu_poly: MultiPoly, n: int) -> MultiPoly:
+    """gamma_n = (n+1) mu_n - nu_k dmu_n/dnu_k; zero iff mu_n is homogeneous
+    of degree n+1."""
+    return (n + 1) * mu_poly - mu_poly.euler()
 
 
 def s_from_mu(mu: Sequence) -> tuple:

@@ -30,6 +30,12 @@ def test_mu_bracket_antisymmetric_for_families():
     for c in (MultiDeltaClosure(2), WaterbagClosure([F(1), F(1), F(-2)]),
               BurbyClosure(3), FourFieldClosure(F(1, 2))):
         assert alpha_beta_in_mu(c).is_antisymmetric
+    # summing beta_nmk and beta_mnk gives d(alpha_nm)/dnu_k for any mu_n:
+    # closures that fail flatness keep an antisymmetric bracket
+    for mu2, metric in (("nu1^3 + nu2^3", [[0, 1], [1, 0]]), ("nu1^2*nu2", [[1, 0], [0, 1]])):
+        c = GenericClosure(MultiPoly.parse(mu2), Metric(metric))
+        assert not check_flatness(c).ok
+        assert alpha_beta_in_mu(c).is_antisymmetric
 
 
 def test_antisymmetry_negative_control():
@@ -253,7 +259,12 @@ def test_verify_certifies_waterbag_without_expanding_mu(heights):
     # one representative k: 3 cells per pair n < m, 2 per n = m
     assert summary["counts"]["bracket.identities"] == 3 * nv * (nv - 1) // 2 + 2 * nv
     assert "moments.alpha_beta" not in summary["calls"]
-    assert max(closure._mu_cache) <= 2
+    assert max(memo_args(closure, "mu")) <= 2
+
+
+def memo_args(obj, method: str) -> list:
+    """The arguments at which obj's memoized `method` has run."""
+    return list(obj._memo[method])
 
 
 @st.composite
@@ -313,6 +324,15 @@ def test_verify_builds_no_bracket_when_flat(closure):
     summary = traced(lambda: _verify_checks(closure))
     assert summary["calls"]["bracket.flatness"] == 1
     assert "moments.alpha_beta" not in summary["calls"]
+
+
+def test_verify_drops_the_flatness_only_pairings():
+    # once check_flatness returns, only the raised products of mu_2, which
+    # the recurrence reads, stay memoized
+    closure = BurbyClosure(4)
+    assert _verify_checks(closure)["flatness identities"]
+    assert memo_args(closure, "_hessian") == []
+    assert memo_args(closure, "_raised") == [2]
 
 
 def test_signature_helper():

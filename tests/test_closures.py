@@ -22,10 +22,10 @@ from hydroclosures.closures import (BurbyClosure, ColdClosure,
                                     newton_invert, waterbag_inverse_map,
                                     waterbag_mu, waterbag_normal_map,
                                     waterbag_s, waterbag_s_at_zero)
-from hydroclosures.moments import DensityError, gamma_n, p_from_mu
+from hydroclosures.moments import DensityError, p_from_mu
 from hydroclosures.poly import MultiPoly
 
-from oracles import fourfield_family, poly_vars, s_from_mu
+from oracles import fourfield_family, gamma_n, poly_vars, s_from_mu
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"

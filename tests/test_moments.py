@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydroclosures.moments import DensityError, gamma_n, p_from_mu
+from hydroclosures.moments import DensityError, p_from_mu
 from hydroclosures.poly import MultiPoly
 
-from oracles import poly_vars, s_from_mu
+from oracles import gamma_n, poly_vars, s_from_mu
 
 F = Fraction
 

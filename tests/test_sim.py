@@ -265,7 +265,7 @@ def _micro_rows_reference(rho, psi, mtil, tab):
     WaterbagClosure([F(1), F(2), F(-1), F(-2)]),
 ], ids=lambda c: c.name)
 def test_micro_rows_bit_identical_to_all_rows(closure):
-    tab = _ClosureTables.of(closure)
+    tab = closure.derived(_ClosureTables)
     grid = Grid(L=TWO_PI, nx=64)
     x = grid.x
     rng = np.random.default_rng(7)
@@ -314,17 +314,17 @@ def test_hamiltonian_decomposition():
 
 
 def test_closure_tables_do_not_pin_the_closure():
+    # the tables are built once per closure, and both are freed together
     grid = Grid(L=TWO_PI, nx=32)
     c = BurbyClosure(2)
     state = single_mode_state(grid, c, eps=1e-3, nu_base=[0.1, 0.4])
     rhs_fluid(state, c, grid)
-    assert c in _ClosureTables._cache
-    before = len(_ClosureTables._cache)
-    ref = weakref.ref(c)
-    del c
+    tables = c.derived(_ClosureTables)
+    assert c.derived(_ClosureTables) is tables
+    refs = weakref.ref(c), weakref.ref(tables)
+    del c, tables
     gc.collect()
-    assert ref() is None
-    assert len(_ClosureTables._cache) == before - 1
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_grid_operators_built_once_and_read_only():
