@@ -97,7 +97,7 @@ class MomentAlgebra:
     def gamma(self, n: int) -> MultiPoly:
         """(n+1) mu_n - nu . grad mu_n; zero iff mu_n is homogeneous."""
         mu = self.mu(n)
-        return (n + 1) * mu - self.euler(mu)
+        return mu if mu.is_zero else (n + 1) * mu - self.euler(mu)
 
     @memoized
     def grad(self, n: int) -> tuple[MultiPoly, ...]:
@@ -140,6 +140,8 @@ class ClosureFamily(MomentAlgebra):
             raise ValueError("metric dimension does not match variable count")
         if mu2.nvars != self.nu_count:
             raise ValueError("mu_2 variable count does not match the metric")
+        if self.nu_count:
+            metric.signature  # ValueError on a degenerate g, as mu_1 reads g^-1
         self.metric = metric
         self._mu2 = mu2
 
@@ -246,9 +248,14 @@ class ClosureFamily(MomentAlgebra):
 def mu_recurrence(closure, n: int) -> MultiPoly:
     """mu_n, n >= 3, by the recurrence of `ClosureFamily` from the closure's
     mu, gamma and `grad_pair`; a formal stand-in for a closure supplies its
-    own and so checks the recurrence on its candidate moments."""
-    return (closure.grad_pair(n - 1, 2) + 2 * closure.mu(1) * closure.gamma(n - 1)
-            + (n - 1) * closure.mu(n - 2) * closure.gamma(2)) / (n + 1)
+    own and so checks the recurrence on its candidate moments. A gamma
+    term is formed only when its gamma is not zero."""
+    out = closure.grad_pair(n - 1, 2)
+    if not closure.gamma(n - 1).is_zero:
+        out = out + 2 * closure.mu(1) * closure.gamma(n - 1)
+    if not closure.gamma(2).is_zero:
+        out = out + (n - 1) * closure.mu(n - 2) * closure.gamma(2)
+    return out / (n + 1)
 
 
 # ---------------------------------------------------------------------------

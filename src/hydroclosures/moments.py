@@ -8,7 +8,16 @@ Fractions, MultiPoly values and floats or numpy arrays alike.
 Also houses the formulas of the microscopic bracket coefficients
 (alpha, beta) in the mu-variables, read from what a closure derives
 from its mu_n (`closures.MomentAlgebra`, which memoizes each entry),
-and the bracket they assemble.
+and the bracket they assemble. A term with a zero factor is never
+multiplied out, and a gamma term is not even looked up when its gamma
+factor is zero. For a homogeneous closure (multi-delta, Burby, the
+four-field family, homogeneous cubics: gamma_n = 0 for every n) the
+entries are then those of the Benney moment chain,
+
+  alpha_nm = (n+m) mu_{n+m-1},   beta_nmk = n d_k mu_{n+m-1}
+
+(Kupershmidt & Manin, Funct. Anal. Appl. 11, 1977; Gibbons & Tsarev,
+Phys. Lett. A 211, 1996).
 """
 
 from __future__ import annotations
@@ -45,12 +54,25 @@ def p_from_mu(rho, psi, mu: Sequence) -> tuple:
     return tuple(P)
 
 
+def _product(c: int, p: MultiPoly, q: MultiPoly | None = None) -> MultiPoly:
+    """c p q (c p without q), multiplied out left to right; a zero factor
+    is itself the product, and then nothing is multiplied."""
+    for f in (p, q):
+        if f is not None and f.is_zero:
+            return f
+    return c * p if q is None else c * p * q
+
+
 def mu_alpha_entry(closure, n: int, m: int) -> MultiPoly:
     """alpha_nm = (n+m) mu_{n+m-1} - m mu_{m-1} gamma_n - n mu_{n-1} gamma_m,
-    as a polynomial in the closure's normal variables."""
-    return ((n + m) * closure.mu(n + m - 1)
-            - m * closure.mu(m - 1) * closure.gamma(n)
-            - n * closure.mu(n - 1) * closure.gamma(m))
+    as a polynomial in the closure's normal variables; a gamma term with
+    gamma = 0 is skipped."""
+    out = _product(n + m, closure.mu(n + m - 1))
+    if not closure.gamma(n).is_zero:
+        out = out - _product(m, closure.mu(m - 1), closure.gamma(n))
+    if not closure.gamma(m).is_zero:
+        out = out - _product(n, closure.mu(n - 1), closure.gamma(m))
+    return out
 
 
 def mu_beta_entry(closure, n: int, m: int, k: int) -> MultiPoly:
@@ -60,10 +82,16 @@ def mu_beta_entry(closure, n: int, m: int, k: int) -> MultiPoly:
     The derivative-index convention (n multiplies d_x mu_{n+m-1}) follows the
     form the raw-moment bracket takes; the chain rule turns each d_x mu into
     sum_k (dmu/dnu_k) d_x nu_k, read from the closure's memoized gradients.
+    As in `mu_alpha_entry`, a gamma term with a zero gamma factor (gamma_m
+    or d_k gamma_n) is skipped.
     """
-    return (n * closure.grad(n + m - 1)[k]
-            - n * closure.gamma(m) * closure.grad(n - 1)[k]
-            - m * closure.mu(m - 1) * closure.gamma_grad(n)[k])
+    out = _product(n, closure.grad(n + m - 1)[k])
+    if not closure.gamma(m).is_zero:
+        out = out - _product(n, closure.gamma(m), closure.grad(n - 1)[k])
+    d_gamma = closure.gamma_grad(n)[k]
+    if not d_gamma.is_zero:
+        out = out - _product(m, closure.mu(m - 1), d_gamma)
+    return out
 
 
 def alpha_beta_in_mu(closure):

@@ -170,7 +170,13 @@ class MultiPoly:
         return None
 
     def _combine(self, q: "MultiPoly", sign: int) -> "MultiPoly":
-        """self + sign*q; terms of self first, then the new ones of q."""
+        """self + sign*q; terms of self first, then the new ones of q.
+        With a zero operand the other one, or its negative, is the result:
+        it is already reduced and its keys are in the order of this loop."""
+        if not q._num:
+            return self
+        if not self._num:
+            return q if sign > 0 else -q
         da, db = self._den, q._den
         if da == db:
             out = dict(self._num)
@@ -207,6 +213,8 @@ class MultiPoly:
 
     def _scale(self, n: int, d: int) -> "MultiPoly":
         """self * n/d for ints n and d > 0."""
+        if n == d:
+            return self
         if not n:
             return _wrap(self.nvars, {}, 1)
         return _make(self.nvars, {k: v * n for k, v in self._num.items()}, self._den * d)

@@ -63,13 +63,17 @@ def congruence_diagonalize(g: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
     t = [list(row) for row in identity(n)]
 
     def col_op(dst: int, src: int, factor: Fraction):
-        # C_dst <- C_dst + factor * C_src (and the symmetric row op on a)
+        # C_dst <- C_dst + factor * C_src (and the symmetric row op on a);
+        # a zero source entry leaves its target as it is
         for r in range(n):
-            a[r][dst] += factor * a[r][src]
+            if a[r][src]:
+                a[r][dst] += factor * a[r][src]
         for c in range(n):
-            a[dst][c] += factor * a[src][c]
+            if a[src][c]:
+                a[dst][c] += factor * a[src][c]
         for r in range(n):
-            t[r][dst] += factor * t[r][src]
+            if t[r][src]:
+                t[r][dst] += factor * t[r][src]
 
     def col_swap(i: int, j: int):
         for r in range(n):

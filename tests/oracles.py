@@ -2,19 +2,21 @@
 
 Each states a quantity directly, independently of the way the library
 derives it: the inhomogeneity measure gamma_n, the published four-field
-polynomials, the S_n re-centering sum, the full bracket metric, and the
-multi-stream invariants. Test modules import them with
+polynomials, the S_n re-centering sum, the full bracket metric, the
+multi-stream invariants, and the general paths of `MultiPoly` addition
+and scaling and of the congruence, which the library's short-cuts past
+zero operands must match. Test modules import them with
 `from oracles import ...` (pytest puts this directory on `sys.path`).
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Sequence
 
 import numpy as np
 
 from hydroclosures import ratmat
-from hydroclosures.poly import MultiPoly
+from hydroclosures.poly import MultiPoly, _make
 from hydroclosures.sim import poisson_solve
 
 
@@ -82,3 +84,66 @@ def stream_diagnostics(state, grid):
     E = poisson_solve(rho, state.n0, grid)
     H = 0.5 * grid.integral(np.sum(state.a * state.v ** 2, axis=0) + E ** 2)
     return H, grid.integral(rho), grid.integral(np.sum(state.a * state.v, axis=0))
+
+
+def combine_general(p: MultiPoly, q: MultiPoly, sign: int) -> MultiPoly:
+    """p + sign*q over the common denominator, term by term, zero operand
+    or not: the terms of p first, then the new ones of q."""
+    da, db = p._den, q._den
+    if da == db:
+        out = dict(p._num)
+        mb = sign
+    else:
+        g = gcd(da, db)
+        ma, mb = db // g, sign * (da // g)
+        da *= ma
+        out = {k: c * ma for k, c in p._num.items()}
+    for k, c in q._num.items():
+        out[k] = out.get(k, 0) + c * mb
+    return _make(p.nvars, {k: c for k, c in out.items() if c}, da)
+
+
+def scale_general(p: MultiPoly, n: int, d: int) -> MultiPoly:
+    """p * n/d (d > 0) by scaling every numerator, n = d or not."""
+    if not n:
+        return MultiPoly.zero(p.nvars)
+    return _make(p.nvars, {k: c * n for k, c in p._num.items()}, p._den * d)
+
+
+def congruence_dense(g) -> tuple:
+    """(T, d) with T^t g T = diag(d) by symmetric Gaussian elimination in
+    which every column operation updates every entry, zero addend or not."""
+    n = len(g)
+    a = [list(row) for row in g]
+    t = [list(row) for row in ratmat.identity(n)]
+
+    def col_op(dst, src, factor):
+        for r in range(n):
+            a[r][dst] += factor * a[r][src]
+        for c in range(n):
+            a[dst][c] += factor * a[src][c]
+        for r in range(n):
+            t[r][dst] += factor * t[r][src]
+
+    def col_swap(i, j):
+        for r in range(n):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for c in range(n):
+            a[i][c], a[j][c] = a[j][c], a[i][c]
+        for r in range(n):
+            t[r][i], t[r][j] = t[r][j], t[r][i]
+
+    for i in range(n):
+        if a[i][i] == 0:
+            j = next((r for r in range(i + 1, n) if a[r][r] != 0), None)
+            if j is not None:
+                col_swap(i, j)
+            else:
+                j = next((c for c in range(i + 1, n) if a[i][c] != 0), None)
+                if j is None:
+                    continue
+                col_op(i, j, Fraction(1))
+        for j in range(i + 1, n):
+            if a[i][j]:
+                col_op(j, i, -a[i][j] / a[i][i])
+    return tuple(tuple(row) for row in t), tuple(a[i][i] for i in range(n))

@@ -13,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hydroclosures import bracket
 from hydroclosures.cli import closure_from_spec, main
+from hydroclosures.poly import MultiPoly
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 COLD_CONFIG = {
@@ -258,6 +260,44 @@ def test_closure_eos_inverts_once():
     assert summary["calls"]["closures.invert"] == 1
 
 
+@pytest.mark.parametrize("argv, entries, muls", [
+    (["verify", "--family", "burby", "--level", "6"], 237, 264),
+    (["verify", "--family", "multidelta", "--M", "3"], 74, 200)], ids=["burby-6", "multidelta-3"])
+def test_verify_multiplies_no_zero_in_flatness(monkeypatch, argv, entries, muls):
+    """Work counters of two homogeneous verify runs. Every gamma_n is zero, so
+    the entries are those of the Benney chain and no product in
+    check_flatness has a zero factor. The entry and identity counts are
+    those of every earlier version; poly.mul.calls was 1421 and 516 while
+    zero products were still formed."""
+    mul, flatness = MultiPoly.__mul__, bracket.check_flatness
+    depth, products, zero_operands = [0], [0], []
+
+    def checked_mul(self, other):
+        if depth[0]:
+            products[0] += 1
+            if self.is_zero or (other.is_zero if isinstance(other, MultiPoly) else other == 0):
+                zero_operands.append((self, other))
+        return mul(self, other)
+
+    def checked_flatness(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return flatness(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    # patched before the tracer wraps them; it puts these back on uninstall
+    monkeypatch.setattr(MultiPoly, "__mul__", checked_mul)
+    monkeypatch.setattr(MultiPoly, "__rmul__", checked_mul)
+    monkeypatch.setattr(bracket, "check_flatness", checked_flatness)
+    rc, _, summary = traced_main(argv)
+    assert rc == 0
+    assert summary["counts"]["moments.entries"] == entries
+    assert summary["counts"]["bracket.identities"] == entries
+    assert products[0] > 0 and zero_operands == []
+    assert summary["calls"]["poly.mul"] == muls
+
+
 def test_verify_burby_level_8_round_trip(capsys):
     # the float root of the leading moment was an ulp off at m = 8, and the
     # back-substitution amplified that past the 1e-12 round-trip bound
@@ -366,6 +406,26 @@ def test_simulate_rejects_unknown_keys(tmp_path, capsys):
     cfg["closure"] = {"family": "quartic"}
     assert main(["simulate", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "o3")]) == 2
+
+
+@pytest.mark.parametrize("command", ["closure show", "closure casimir", "closure eos",
+                                     "simulate", "verify"])
+def test_degenerate_metric_exits_2(tmp_path, capsys, command):
+    # show, casimir, eos and simulate used to die on a ZeroDivisionError
+    # traceback when mu_1 first read g^-1; the closure now refuses the metric
+    if command == "simulate":
+        cfg = json.loads(json.dumps(COLD_CONFIG))
+        cfg["closure"] = {"family": "generic", "mu2": "nu1^3", "metric": [[0]]}
+        argv = ["simulate", "--config", write_config(tmp_path, cfg),
+                "--out", str(tmp_path / "o")]
+    else:
+        argv = [*command.split(), "--family", "generic", "--mu2=nu1^3", "--metric=0",
+                *(["--mu=0.1"] if command == "closure eos" else [])]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: degenerate metric" in captured.err
+    assert not (tmp_path / "o").exists()
 
 
 COMPARE_CONFIG = {

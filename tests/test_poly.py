@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from hydroclosures.poly import MultiPoly
 
-from oracles import poly_vars
+from oracles import combine_general, poly_vars, scale_general
 
 
 def random_poly(rng: random.Random, nvars: int, max_deg: int = 6,
@@ -227,6 +227,33 @@ def test_terms_view_is_read_only_mapping():
     assert MultiPoly(2, p.terms) == p
     with pytest.raises(TypeError):
         p.terms[(1, 1)] = 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda nv: st.tuples(polys(nvars=nv), polys(nvars=nv))))
+def test_identity_short_cuts_match_the_general_path(pair):
+    # p + 0, 0 + p, p - 0, 0 - p, 1 * p, p * 1 and p / 1 skip the loops of
+    # _combine and _scale; their results must be those loops' results in
+    # value, denominator and key order (the order eval follows)
+    p, q = pair
+    zero = MultiPoly.zero(p.nvars)
+    cases = [(p + 0, combine_general(p, zero, 1)), (p + zero, combine_general(p, zero, 1)),
+             (0 + p, combine_general(p, zero, 1)), (zero + p, combine_general(zero, p, 1)),
+             (p - 0, combine_general(p, zero, -1)), (p - zero, combine_general(p, zero, -1)),
+             (0 - p, combine_general(-p, zero, 1)), (zero - p, combine_general(zero, p, -1)),
+             (1 * p, scale_general(p, 1, 1)), (p * Fraction(1), scale_general(p, 1, 1)),
+             (p / 1, scale_general(p, 1, 1)), (p / Fraction(1), scale_general(p, 1, 1)),
+             # the general path itself, on operands that take it
+             (p + q, combine_general(p, q, 1)), (p - q, combine_general(p, q, -1)),
+             (p * Fraction(-3, 2), scale_general(p, -3, 2))]
+    for got, want in cases:
+        assert got == want
+        assert got._den == want._den
+        assert list(got._num) == list(want._num)
+        with pytest.raises(AttributeError):
+            got._num = {}
+        with pytest.raises(AttributeError):
+            got.nvars = p.nvars + 1
 
 
 def reference_product_order(a: MultiPoly, b: MultiPoly) -> list:

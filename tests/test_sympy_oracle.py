@@ -1,10 +1,17 @@
-"""The mu_n recurrence against an independent sympy oracle.
+"""The mu_n recurrence, the bracket entries and the flatness cells against
+an independent sympy oracle.
 
 `sympy_moments` writes the recurrence of `ClosureFamily` out again in
 sympy, from a closure's mu_2 and metric alone, with sympy's own symbols,
 `diff` and `Matrix`; no library arithmetic takes part past reading those
 two inputs. The moments it gives must equal `closure.mu(n)`, and a copy
 with one shifted index must not, so the comparison can fail.
+
+`sympy_bracket` goes on from those moments to every alpha_nm and beta_nmk,
+and `sympy_failing_cells` to every flatness cell, each written in full (no
+symmetry is used). The entries must equal `closure.bracket_entry` and the
+failing cells those of `check_flatness`; with one gamma term dropped, the
+entries must disagree on a waterbag closure, where the gamma_n are live.
 """
 
 from fractions import Fraction
@@ -12,6 +19,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from hydroclosures.bracket import check_flatness
 from hydroclosures.closures import (BurbyClosure, FourFieldClosure, GenericClosure,
                                     Metric, MultiDeltaClosure, WaterbagClosure)
 from hydroclosures.poly import MultiPoly
@@ -41,6 +49,10 @@ def rational(x) -> sympy.Rational:
     return sympy.Rational(x.numerator, x.denominator)
 
 
+def symbols(nv: int) -> tuple:
+    return sympy.symbols(f"x0:{nv}")
+
+
 def sympy_moments(closure, top: int = TOP, shift: int = 0) -> dict:
     """{n: mu_n} for n = 1..top, as sympy expressions in x_0..x_{nv-1}:
 
@@ -51,7 +63,7 @@ def sympy_moments(closure, top: int = TOP, shift: int = 0) -> dict:
 
     with the index of the pairing's first factor moved down by `shift`."""
     nv = closure.nu_count
-    x = sympy.Matrix(sympy.symbols(f"x0:{nv}"))
+    x = sympy.Matrix(symbols(nv))
     g = sympy.Matrix(nv, nv, lambda i, j: rational(closure.metric.g[i][j]))
     mu = {0: sympy.Integer(1), 1: sympy.expand((x.T * g.inv() * x)[0] / 2),
           2: sum((rational(c) * sympy.prod([v ** e for v, e in zip(x, exps)])
@@ -72,7 +84,7 @@ def sympy_moments(closure, top: int = TOP, shift: int = 0) -> dict:
 
 def as_terms(expr, nv: int) -> dict:
     """{exponent tuple: Fraction} of a sympy polynomial in x_0..x_{nv-1}."""
-    terms = sympy.Poly(expr, *sympy.symbols(f"x0:{nv}")).as_dict()
+    terms = sympy.Poly(expr, *symbols(nv)).as_dict()
     return {exps: F(int(c.p), int(c.q)) for exps, c in terms.items() if c}
 
 
@@ -91,3 +103,115 @@ def test_generated_mu_equal_the_sympy_recurrence(case):
 def test_a_shifted_index_disagrees(case):
     closure = CASES[case]()
     assert disagreeing(closure, sympy_moments(closure, shift=1))
+
+
+# bracket entries of n, m <= ENTRY_SIZE, where gamma_2 and gamma_3 take part
+ENTRY_SIZE = 3
+# the flatness size of each case but the two generic cubics whose mu_9 in
+# three variables, or mu_7 in two, would take sympy seconds
+FLATNESS_SIZE = {"cubic-mixed-metric": 3, "cubic-three-vars": 3}
+GAMMA_TERMS = ("alpha: m mu_(m-1) gamma_n", "alpha: n mu_(n-1) gamma_m",
+               "beta: n gamma_m d_k mu_(n-1)", "beta: m mu_(m-1) d_k gamma_n")
+HOMOGENEOUS = ("burby-3", "multidelta-2", "fourfield-1/2", "cubic-mixed-metric",
+               "cubic-three-vars", "cubic-not-flat")
+
+
+def sympy_bracket(closure, size: int, drop=()) -> tuple[dict, dict, dict]:
+    """(mu, alpha, beta) for n, m = 1..size in sympy:
+
+      gamma_n = (n+1) mu_n - x . grad mu_n,
+      alpha[n,m] = (n+m) mu_(n+m-1) - m mu_(m-1) gamma_n - n mu_(n-1) gamma_m,
+      beta[n,m;k] = n d_k mu_(n+m-1) - n gamma_m d_k mu_(n-1)
+                    - m mu_(m-1) d_k gamma_n,
+
+    leaving out the GAMMA_TERMS named in `drop`."""
+    x = symbols(closure.nu_count)
+    mu = {0: sympy.Integer(1), **sympy_moments(closure, max(2 * size - 1, 2))}
+
+    def gamma(n):
+        return (n + 1) * mu[n] - sum(xk * sympy.diff(mu[n], xk) for xk in x)
+
+    def term(name, value):
+        return 0 if name in drop else value
+
+    alpha, beta = {}, {}
+    for n in range(1, size + 1):
+        for m in range(1, size + 1):
+            alpha[n, m] = sympy.expand(
+                (n + m) * mu[n + m - 1]
+                - term(GAMMA_TERMS[0], m * mu[m - 1] * gamma(n))
+                - term(GAMMA_TERMS[1], n * mu[n - 1] * gamma(m)))
+            for k, xk in enumerate(x):
+                beta[n, m, k] = sympy.expand(
+                    n * sympy.diff(mu[n + m - 1], xk)
+                    - term(GAMMA_TERMS[2], n * gamma(m) * sympy.diff(mu[n - 1], xk))
+                    - term(GAMMA_TERMS[3], m * mu[m - 1] * sympy.diff(gamma(n), xk)))
+    return mu, alpha, beta
+
+
+def sympy_failing_cells(closure, size: int) -> set[str]:
+    """The flatness cells of n, m = 1..size whose residual does not expand
+    to 0: alpha[n,m] (n <= m) when grad mu_n . g . grad mu_m differs from
+    alpha, beta[n,m;k] when (d_k grad mu_n) . g . grad mu_m differs from
+    beta."""
+    nv = closure.nu_count
+    x = symbols(nv)
+    g = sympy.Matrix(nv, nv, lambda i, j: rational(closure.metric.g[i][j]))
+    mu, alpha, beta = sympy_bracket(closure, size)
+    grad = {n: sympy.Matrix([mu[n]]).jacobian(x) for n in range(1, size + 1)}
+    failing = set()
+    for n in range(1, size + 1):
+        for m in range(1, size + 1):
+            if n <= m and sympy.expand((grad[n] * g * grad[m].T)[0] - alpha[n, m]) != 0:
+                failing.add(f"alpha[{n},{m}]")
+            for k, xk in enumerate(x):
+                cell = sympy.diff(grad[n], xk) * g * grad[m].T
+                if sympy.expand(cell[0] - beta[n, m, k]) != 0:
+                    failing.add(f"beta[{n},{m};{k + 1}]")
+    return failing
+
+
+def entries_disagreeing(closure, alpha, beta) -> list:
+    nv = closure.nu_count
+    return [key for key, expr in [*alpha.items(), *beta.items()]
+            if as_terms(expr, nv) != dict(closure.bracket_entry(*key).terms)]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_bracket_entries_equal_the_sympy_formulas(case):
+    closure = CASES[case]()
+    _, alpha, beta = sympy_bracket(closure, ENTRY_SIZE)
+    assert entries_disagreeing(closure, alpha, beta) == []
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_flatness_verdicts_equal_the_sympy_cells(case):
+    # the waterbag closures are checked directly: `verify` would certify them
+    closure = CASES[case]()
+    size = FLATNESS_SIZE.get(case, closure.flatness_size)
+    failing = sympy_failing_cells(closure, size)
+    report = check_flatness(closure, size)
+    nv = closure.nu_count
+    assert {c.name for c in report.checks} == (
+        {f"alpha[{n},{m}]" for n in range(1, size + 1) for m in range(n, size + 1)}
+        | {f"beta[{n},{m};{k}]" for n in range(1, size + 1) for m in range(1, size + 1)
+           for k in range(1, nv + 1)})
+    assert {c.name for c in report.failures()} == failing
+    assert report.ok == (case not in ("cubic-mixed-metric", "cubic-not-flat"))
+
+
+@pytest.mark.parametrize("dropped", GAMMA_TERMS)
+@pytest.mark.parametrize("case", ["waterbag-1,1,-2", "waterbag-2,-1,1,-2"])
+def test_a_dropped_gamma_term_disagrees(case, dropped):
+    closure = CASES[case]()
+    # n, m <= 2 reach each term with gamma_2 != 0
+    _, alpha, beta = sympy_bracket(closure, 2, drop=(dropped,))
+    assert entries_disagreeing(closure, alpha, beta)
+
+
+@pytest.mark.parametrize("case", HOMOGENEOUS)
+def test_homogeneous_entries_are_the_benney_chain(case):
+    # gamma_n = 0: alpha_nm = (n+m) mu_(n+m-1) and beta_nmk = n d_k mu_(n+m-1)
+    closure = CASES[case]()
+    _, alpha, beta = sympy_bracket(closure, ENTRY_SIZE, drop=GAMMA_TERMS)
+    assert entries_disagreeing(closure, alpha, beta) == []
