@@ -817,6 +817,11 @@ def _newton_starts(scale: float, nv: int) -> list[list[float]]:
     return starts
 
 
+class InversionError(ValueError, RuntimeError):
+    """No default Newton start inverted the moments: they may lie outside
+    the closure's range. A RuntimeError too, as every Newton failure is."""
+
+
 def newton_invert(closure: ClosureFamily, mu_target: Sequence,
                   guess: Sequence | None = None) -> tuple:
     """Solve mu(nu) = mu_target by damped Newton iteration, to a residual
@@ -827,9 +832,9 @@ def newton_invert(closure: ClosureFamily, mu_target: Sequence,
     with several branches the caller should seed `guess` near the wanted
     branch. Without a guess the iteration starts from [s] * nv with
     s = |mu_2|^(1/3) (1e-3 when nv < 2 or mu_2 = 0) and, if that fails,
-    from the sign-flipped starts of `_newton_starts` in turn; the first
-    start's error is raised only when every start fails. A closure with
-    no normal variables has the empty solution.
+    from the sign-flipped starts of `_newton_starts` in turn. When every
+    start fails, an InversionError names the moments and the first start's
+    error. A closure with no normal variables has the empty solution.
     """
     nv = closure.nu_count
     target = [float(v) for v in mu_target]
@@ -875,7 +880,8 @@ def newton_invert(closure: ClosureFamily, mu_target: Sequence,
             return solve(x)
         except RuntimeError as e:
             first = first or e
-    raise first
+    raise InversionError(f"no Newton start solves mu = {target}: the moments may lie "
+                         f"outside the range of {closure.name} (first start: {first})") from first
 
 
 def _solve_float(A: list[list[float]], b: list[float]) -> list[float]:

@@ -83,14 +83,15 @@ def mu_beta_entry(closure, n: int, m: int, k: int) -> MultiPoly:
     form the raw-moment bracket takes; the chain rule turns each d_x mu into
     sum_k (dmu/dnu_k) d_x nu_k, read from the closure's memoized gradients.
     As in `mu_alpha_entry`, a gamma term with a zero gamma factor (gamma_m
-    or d_k gamma_n) is skipped.
+    or d_k gamma_n) is skipped, and a zero gamma_n is not differentiated.
     """
     out = _product(n, closure.grad(n + m - 1)[k])
     if not closure.gamma(m).is_zero:
         out = out - _product(n, closure.gamma(m), closure.grad(n - 1)[k])
-    d_gamma = closure.gamma_grad(n)[k]
-    if not d_gamma.is_zero:
-        out = out - _product(m, closure.mu(m - 1), d_gamma)
+    if not closure.gamma(n).is_zero:
+        d_gamma = closure.gamma_grad(n)[k]
+        if not d_gamma.is_zero:
+            out = out - _product(m, closure.mu(m - 1), d_gamma)
     return out
 
 

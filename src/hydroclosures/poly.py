@@ -332,18 +332,24 @@ class MultiPoly:
         return Fraction(0) if acc is None else acc
 
     def compile_float(self):
-        """Return a fast float evaluator f(values) usable with numpy arrays."""
-        compiled = [(float(c), exps) for exps, c in self.sorted_terms()]
+        """Return a fast float evaluator f(values) usable with numpy arrays.
+
+        A term is its float coefficient times its nonzero factors
+        values[i] ** e, multiplied left to right; a unit coefficient is left
+        out, as 1.0 * x is x bit for bit. The terms are added to 0.0 in
+        `sorted_terms` order, so a -0.0 sum comes out as +0.0."""
+        compiled = []
+        for exps, c in self.sorted_terms():
+            factors = [(i, e) for i, e in enumerate(exps) if e]
+            compiled.append((None if c == 1 and factors else float(c), factors))
 
         def evaluate(values):
             acc = 0.0
-            for c, exps in compiled:
-                term = c
-                for v, e in zip(values, exps):
-                    if e == 1:
-                        term = term * v
-                    elif e:
-                        term = term * v ** e
+            for c, factors in compiled:
+                term = c  # None: the first factor starts the product
+                for i, e in factors:
+                    v = values[i] if e == 1 else values[i] ** e
+                    term = v if term is None else term * v
                 acc = acc + term
             return acc
 

@@ -7,7 +7,10 @@ differences. The electric field comes from the spectral Poisson solve
 with a neutralizing background and zero-mean gauge. Each `Grid` builds its
 spectral operators (wavenumbers, i*k, the dealiasing cut and k^2) once, on
 first use, and every derivative and field solve on that grid reuses them.
-Derivatives of several fields are taken in one batched call.
+Derivatives of several fields are taken in one batched call. The stream
+model adds E after its derivative, so its Poisson solve shares that
+call's one rfft and one irfft; the fluid model cannot, as phi enters
+dH/drho before dH/drho is differentiated.
 A run (`run_fluid`, the CLI's `compare`) makes one `Workspace` and hands it
 to every step. It holds the full-grid temporaries of a step: the rk4 stage
 state, the one rate buffer that stages 2 to 4 share, the batched-derivative
@@ -16,8 +19,11 @@ does not hand these pages back to the allocator and fault them in again on
 every stage. The rate of stage 1 takes the rk4 update in place, so it is a
 fresh array: the state a step returns. A call given no workspace
 allocates each temporary where it is used.
-Micro flow a evaluates dH/dm_k only for the k with Tinv[a, k] != 0, the
-rows its own derivative reads.
+At small nx a step costs numpy calls, not arithmetic, so the rk4 updates
+run once on the block of the state's rows, not once per field, and the
+split scheme's micro flow a computes what rho and psi fix (rho^2/2, the
+zero rows of dH/dm) once per flow. It evaluates dH/dm_k only for the k
+with Tinv[a, k] != 0, the rows its own derivative reads.
 
 Two time steppers:
 
@@ -151,28 +157,41 @@ class Grid:
         return int((2.0 / 3.0) * (self.nx // 2))
 
     def deriv(self, f: np.ndarray, *, out: np.ndarray | None = None,
-              work: Workspace = _FRESH) -> np.ndarray:
+              work: Workspace = _FRESH, field_op: np.ndarray | None = None) -> np.ndarray:
         """d/dx along the last axis, with 2/3 dealiasing (spectral) or
         central differences; a 2-D `f` is differentiated row by row.
+
+        Given `field_op`, the last row of a 2-D `f` is a neutral source s
+        instead, and the last row of the result is its zero-mean field, of
+        spectrum rfft(s) / field_op on the nonzero wavenumbers. The
+        spectral method takes it in the derivative's own rfft and irfft:
+        each row is transformed on its own, so its bits do not depend on
+        the batch.
 
         The result goes to `out` (a fresh array if None), and the spectrum
         to a buffer of `work`."""
         if self.method == "fd2":
             df = np.empty_like(f) if out is None else out
-            np.subtract(f[..., 2:], f[..., :-2], out=df[..., 1:-1])
-            np.subtract(f[..., 1], f[..., -1], out=df[..., 0])
-            np.subtract(f[..., 0], f[..., -2], out=df[..., -1])
-            df /= 2 * self.dx
+            g, d = (f, df) if field_op is None else (f[:-1], df[:-1])
+            np.subtract(g[..., 2:], g[..., :-2], out=d[..., 1:-1])
+            np.subtract(g[..., 1], g[..., -1], out=d[..., 0])
+            np.subtract(g[..., 0], g[..., -2], out=d[..., -1])
+            d /= 2 * self.dx
+            if field_op is not None:
+                _field_solve(f[-1], self, field_op, out=df[-1])
             return df
         cut = self.cut + 1
         fh = np.fft.rfft(f, axis=-1, out=work.buf(
             "spectrum", f.shape[:-1] + (self.nx // 2 + 1,), complex))
-        fh[..., :cut] *= self.ik[:cut]
-        fh[..., cut:] = 0.0
+        dh = fh if field_op is None else fh[:-1]
+        dh[..., :cut] *= self.ik[:cut]
+        dh[..., cut:] = 0.0
+        if field_op is not None:
+            _divide_spectrum(fh[-1], field_op)
         return np.fft.irfft(fh, n=self.nx, axis=-1, out=out)
 
     def integral(self, f: np.ndarray) -> float:
-        return float(np.sum(f, axis=-1) * self.dx)
+        return float(f.sum(axis=-1) * self.dx)
 
 
 @dataclass
@@ -212,28 +231,38 @@ class DiagnosticRecord:
 # ---------------------------------------------------------------------------
 
 
-def _field_solve(rho: np.ndarray, n0: float, grid: Grid, op: np.ndarray) -> np.ndarray:
-    """The zero-mean periodic field whose spectrum is rfft(rho - n0) / op,
-    with `op` given on the nonzero wavenumbers.
-
-    Requires neutrality mean(rho) = n0 to 1e-10 (otherwise no periodic
-    field exists)."""
+def _neutral_source(rho: np.ndarray, n0: float, out: np.ndarray | None = None) -> np.ndarray:
+    """rho - n0, once neutrality mean(rho) = n0 holds to 1e-10 (otherwise
+    no periodic field exists)."""
     if abs(float(rho.sum()) / rho.size - n0) > 1e-10:
         raise SimulationError("neutrality violated: mean(rho) != n0")
-    fh = np.fft.rfft(rho - n0)
+    return np.subtract(rho, n0, out=out)
+
+
+def _divide_spectrum(fh: np.ndarray, op: np.ndarray):
+    """Turn the spectrum of a neutral source into that of its zero-mean
+    field, in place: fh / op, with `op` given on the nonzero wavenumbers."""
     fh[0] = 0.0
     fh[1:] /= op
-    return np.fft.irfft(fh, n=grid.nx)
+
+
+def _field_solve(src: np.ndarray, grid: Grid, op: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """The zero-mean periodic field of the neutral source `src`, of
+    spectrum rfft(src) / op."""
+    fh = np.fft.rfft(src)
+    _divide_spectrum(fh, op)
+    return np.fft.irfft(fh, n=grid.nx, out=out)
 
 
 def poisson_solve(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
     """E with dE/dx = rho - n0, periodic, zero mean."""
-    return _field_solve(rho, n0, grid, grid.ik[1:])
+    return _field_solve(_neutral_source(rho, n0), grid, grid.ik[1:])
 
 
 def electric_potential(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
     """phi with d^2phi/dx^2 = -(rho - n0), E = -dphi/dx, zero mean."""
-    return _field_solve(rho, n0, grid, grid.k2)
+    return _field_solve(_neutral_source(rho, n0), grid, grid.k2)
 
 
 # ---------------------------------------------------------------------------
@@ -266,19 +295,25 @@ class _ClosureTables:
         else:
             self.T = self.Tinv = np.zeros((0, 0))
             self.D = np.zeros(0)
-
+        # per Tinv row a: the columns k that micro flow a reads from dH/dm,
+        # and those it zeroes
+        self.live = [np.flatnonzero(row).tolist() for row in self.Tinv]
+        self.dead = [np.flatnonzero(row == 0.0) for row in self.Tinv]
 
 
 def _check_state(state: FieldState):
-    rho = state.rho
-    # one cheap pass per array; it fails exactly when one of the full tests
-    # below does (a NaN in rho makes min(rho) NaN), and they pick the message
-    if (rho.min() >= RHO_FLOOR and np.isfinite(rho.max())
-            and np.isfinite(state.u).all() and np.isfinite(state.nu).all()):
+    rho, u, nu = state.rho, state.u, state.nu
+    # a quick pass: a NaN in rho makes min(rho) NaN, and a NaN or inf
+    # anywhere makes the sum of squares non-finite. The sum can overflow
+    # on finite data (vdot, unlike dot, does not warn then), so when it
+    # fails, the exact tests below decide.
+    if rho.min() >= RHO_FLOOR and math.isfinite(
+            float(np.vdot(rho, rho)) + float(np.vdot(u, u)) + float(np.vdot(nu, nu))):
         return
     if np.any(rho < RHO_FLOOR):
         raise SimulationError(f"density fell below {RHO_FLOOR} at t={state.t}")
-    raise SimulationError(f"non-finite field values at t={state.t}")
+    if not (np.isfinite(rho).all() and np.isfinite(u).all() and np.isfinite(nu).all()):
+        raise SimulationError(f"non-finite field values at t={state.t}")
 
 
 # ---------------------------------------------------------------------------
@@ -334,25 +369,22 @@ def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid, *,
         for l in range(nv):
             np.multiply(two_mu1, tab.dmu1[l](nuv), out=tmp)
             np.subtract(tab.dmu2[l](nuv), tmp, out=dH_dnu[l])
-            dH_dnu[l] *= half_rho3
+        dH_dnu *= half_rho3
         for k in range(nv):
             np.einsum("l,lx->x", tab.g[k], dH_dnu, out=fluxes[k])
-            fluxes[k] /= rho
+        fluxes /= rho
     # d holds d_x of X; its rows become (drho/dt, du/dt, dnu/dt) in place
     d = grid.deriv(X, out=out, work=work)
     drho, du, dxnu, dflux = d[0], d[1], d[2:2 + nv], d[2 + nv:]
-    np.negative(drho, out=drho)
-    np.negative(du, out=du)
+    np.negative(d[:2], out=d[:2])
     if nv:
         dH_dnu *= dxnu
-        force = np.sum(dH_dnu, axis=0, out=tmp)
+        force = np.add.reduce(dH_dnu, axis=0, out=tmp)
         force /= rho
         du += force
-        neg_u = np.negative(u, out=half_rho3)
-        for k in range(nv):
-            dxnu[k] *= neg_u
-            dflux[k] /= rho
-            dxnu[k] -= dflux[k]
+        dxnu *= np.negative(u, out=half_rho3)
+        dflux /= rho
+        dxnu -= dflux
     return drho, du, dxnu
 
 
@@ -361,18 +393,22 @@ def rhs_streams(state: StreamState, grid: Grid, *, work: Workspace = _FRESH,
     """(da/dt, dv/dt) for M cold streams sharing the electric field:
     da_k/dt = -d_x(a_k v_k), dv_k/dt = -v_k d_x v_k + E.
 
-    The two rates are the rows of `out` (fresh if None), of shape
-    (2, M, nx); the temporaries are buffers of `work`."""
+    The two rates are the first 2M rows of `out` (fresh if None), of shape
+    (2M + 1, nx), and E is its last row. The derivative of the rows
+    (a_k v_k, v_k) and the field of rho - n0 are one batched call, as E
+    is added only after the derivative. The temporaries are buffers of
+    `work`."""
     a, v = state.a, state.v
-    rho = np.sum(a, axis=0, out=work.buf("streams.rho", a.shape[1:]))
-    E = poisson_solve(rho, state.n0, grid)
-    X = work.buf("streams.X", (2, *a.shape))
-    np.multiply(a, v, out=X[0])
-    X[1] = v
-    d = grid.deriv(X, out=out, work=work)
-    d_av, d_v = d
+    M = len(a)
+    X = work.buf("streams.X", (2 * M + 1, grid.nx))
+    av, vv, src = X[:M], X[M:2 * M], X[2 * M]
+    np.multiply(a, v, out=av)
+    vv[...] = v
+    _neutral_source(np.add.reduce(a, axis=0, out=src), state.n0, out=src)
+    d = grid.deriv(X, out=out, work=work, field_op=grid.ik[1:])
+    d_av, d_v, E = d[:M], d[M:2 * M], d[2 * M]
     np.negative(d_av, out=d_av)
-    d_v *= np.negative(v, out=work.buf("streams.neg_v", a.shape))
+    d_v *= np.negative(v, out=vv)  # X is free once differentiated
     d_v += E
     return d_av, d_v
 
@@ -417,7 +453,7 @@ def cfl_dt(state: FieldState, closure: ClosureFamily, grid: Grid) -> float:
     nuv = list(state.nu)
     s2 = tab.mu2(nuv) - tab.mu1(nuv) ** 2
     c = np.sqrt(np.maximum(3.0 * state.rho ** 2 * s2, 0.0))
-    vmax = float(np.max(np.abs(state.u) + c))
+    vmax = float((np.abs(state.u) + c).max())
     dt_adv = 0.4 * grid.dx / vmax if vmax > 0 else np.inf
     wp = np.sqrt(max(state.n0, RHO_FLOOR))
     return min(dt_adv, 0.4 / wp)
@@ -428,64 +464,78 @@ def cfl_dt(state: FieldState, closure: ClosureFamily, grid: Grid) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rk4(y: list[np.ndarray], rhs, dt: float, work: Workspace, name: str,
-         rates: tuple) -> list[np.ndarray]:
-    """One classical rk4 step, yi + (dt/6)(a + 2b + 2c + d) per field.
+def _rk4(y: list[np.ndarray], rhs, dt: float, stage: np.ndarray,
+         k: np.ndarray) -> np.ndarray:
+    """One classical rk4 step, y + (dt/6)(a + 2b + 2c + d).
 
-    `rhs(s, out)` returns the rate at `s`, one array per field, written to
-    `out` (a fresh array if None) of shape `rates`; it keeps no reference
-    to `s`. Stage 1 gets None: its fresh rate a takes the update in place
-    and is returned. Stages 2 to 4 share the one rate buffer
-    `work.buf((name, "k"), rates)`, so each of b, c and d is folded into a
-    as soon as it is made, after the next stage state is built from it.
-    The three stage states share the buffers `work.buf((name, j), ...)`,
-    one per field."""
-    stage = [work.buf((name, j), yj.shape) for j, yj in enumerate(y)]
-    k = work.buf((name, "k"), rates)
+    `y` lists the fields of the state. Stacked flat in order, they are the
+    leading entries of a rate block of k's shape, whose other entries are
+    scratch. `rhs(s, out)` writes the rate at the fields `s` to the block
+    `out`, returns it as views of `out` shaped as the fields, and keeps no
+    reference to `s`. Stage 1 writes a fresh block a, which takes the
+    update in place and is returned. Stages 2 to 4 share the rate buffer
+    `k`, so each of b, c and d is folded into a as soon as it is made,
+    after the next stage state is built from it. The three stage states
+    share the leading entries of the buffer `stage`. Every update runs
+    once on the state's share of the blocks; only the fields of y are
+    added one by one."""
+    size = sum(yj.size for yj in y)
+    k_y, s_y = k.reshape(-1)[:size], stage.reshape(-1)[:size]
+    s, start = [], 0
+    for yj in y:  # the stage state's fields, views of s_y
+        s.append(s_y[start:start + yj.size].reshape(yj.shape))
+        start += yj.size
 
-    def at(ki, h):
-        for s, yj, kj in zip(stage, y, ki):  # s = yj + h*kj
-            np.multiply(h, kj, out=s)
-            s += yj
-        return stage
+    def at(r, h):  # the stage state y + h*r
+        np.multiply(h, r, out=s_y)
+        for sj, yj in zip(s, y):
+            sj += yj
+        return s
 
-    a = rhs(y, None)
-    ki = rhs(at(a, 0.5 * dt), k)  # b
+    a = np.empty_like(k)
+    a_fields = rhs(y, a)
+    a_y = a.reshape(-1)[:size]
+    rhs(at(a_y, 0.5 * dt), k)  # b
     for h in (0.5 * dt, dt):  # c, then d
-        s = at(ki, h)
-        for aj, kj in zip(a, ki):  # a += 2 ki, before k is overwritten
-            kj *= 2
-            aj += kj
-        ki = rhs(s, k)
-    for aj, dj, yj in zip(a, ki, y):
-        aj += dj
-        aj *= dt / 6.0
+        at(k_y, h)
+        k_y *= 2  # a += 2 k, before k is overwritten
+        a_y += k_y
+        rhs(s, k)
+    a_y += k_y
+    a_y *= dt / 6.0
+    for aj, yj in zip(a_fields, y):
         aj += yj
     return a
 
 
 def step_rk4(state: FieldState, closure: ClosureFamily, grid: Grid,
              dt: float, work: Workspace = _FRESH) -> FieldState:
-    def rhs(y, out):
-        return rhs_fluid(FieldState(*y, state.n0, state.t), closure, grid,
+    def rhs(s, out):
+        return rhs_fluid(FieldState(*s, state.n0, state.t), closure, grid,
                          work=work, out=out)
 
-    # rhs_fluid's rates and its scratch rows
-    rates = (2 + 2 * len(state.nu), grid.nx)
-    rho, u, nu = _rk4([state.rho, state.u, state.nu], rhs, dt, work, "rk4", rates)
-    new = FieldState(rho, u, nu, state.n0, state.t + dt)
+    nv = len(state.nu)
+    # the state's rows, then rhs_fluid's scratch rows
+    stage = work.buf(("rk4", "stage"), (2 + nv, grid.nx))
+    k = work.buf(("rk4", "k"), (2 + 2 * nv, grid.nx))
+    a = _rk4([state.rho, state.u, state.nu], rhs, dt, stage, k)
+    new = FieldState(a[0], a[1], a[2:2 + nv], state.n0, state.t + dt)
     _check_state(new)
     return new
 
 
 def step_streams(state: StreamState, grid: Grid, dt: float,
                  work: Workspace = _FRESH) -> StreamState:
-    def rhs(y, out):
-        return rhs_streams(StreamState(*y, state.n0, state.t), grid, work=work, out=out)
+    def rhs(s, out):
+        return rhs_streams(StreamState(*s, state.n0, state.t), grid, work=work, out=out)
 
-    a, v = _rk4([state.a, state.v], rhs, dt, work, "rk4", (2, *state.a.shape))
-    new = StreamState(a, v, state.n0, state.t + dt)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(v))):
+    M = len(state.a)
+    # the rows of a and v, then rhs_streams' row of E
+    stage = work.buf(("rk4", "stage"), (2 * M, grid.nx))
+    k = work.buf(("rk4", "k"), (2 * M + 1, grid.nx))
+    r = _rk4([state.a, state.v], rhs, dt, stage, k)
+    new = StreamState(r[:M], r[M:2 * M], state.n0, state.t + dt)
+    if not np.isfinite(r[:2 * M]).all():
         raise SimulationError(f"non-finite stream values at t={new.t}")
     return new
 
@@ -515,10 +565,19 @@ class _SplitWork:
         self.mt = buf("split.mt", (nv, nx))           # mtil with the advanced row
         self.m = buf("split.m", (nv, nx))
         self.nu = buf("split.nu", (nv, nx))
+        self.nuv = list(self.nu)                      # its rows, as the evaluators take them
         self.u, self.two_mu1, self.half_rho2, self.tmp = buf("split.rows", (4, nx))
         self.dH_m = buf("split.dH_m", (nv, nx))
         self.dH_mtil = buf("split.dH_mtil", (nv, nx))
         self.dH_flat = buf("split.dH_flat", (2, nx))  # (dH/dpsi = rho u, dH/drho)
+
+    def begin_micro(self, rho, tab: _ClosureTables, a: int):
+        """Fill what micro flow a holds fixed, as rho and psi do not move
+        in it: rho^2/2, and zero in the rows of dH/dm that Tinv[a] does
+        not read."""
+        np.square(rho, out=self.half_rho2)
+        self.half_rho2 *= 0.5
+        self.dH_m[tab.dead[a]] = 0.0
 
 
 def _split_derivs(rho, psi, mtil, tab: _ClosureTables, n0, grid: Grid,
@@ -532,27 +591,24 @@ def _split_derivs(rho, psi, mtil, tab: _ClosureTables, n0, grid: Grid,
       dH/dm_k = rho u dmu1/dnu_k + (rho^2/2)(dmu2/dnu_k - 2 mu1 dmu1/dnu_k)
 
     The result is a view of `work`, valid until the next call. A micro row
-    evaluates dH/dm_k only where Tinv[a, k] != 0 and sets the other rows
-    to zero; the product stays the full Tinv @ dH/dm.
+    needs `work.begin_micro(rho, tab, a)` first, once per flow; it
+    evaluates dH/dm_k only where Tinv[a, k] != 0, and the product stays
+    the full Tinv @ dH/dm.
     """
     if tab.nv:
         np.matmul(tab.Tinv.T, mtil, out=work.m)
         np.divide(work.m, rho, out=work.nu)
-    nuv = list(work.nu)
+    nuv = work.nuv
     mu1 = tab.mu1(nuv)
     u = np.multiply(rho, mu1, out=work.u)
     u += psi
     rho_u, dH_rho = work.dH_flat
     np.multiply(rho, u, out=rho_u)
-    half_rho2 = np.square(rho, out=work.half_rho2)
-    half_rho2 *= 0.5
-    tmp = work.tmp
+    half_rho2, tmp = work.half_rho2, work.tmp
     if micro is not None:
         two_mu1 = np.multiply(2.0, mu1, out=work.two_mu1)
-        for k, row in enumerate(work.dH_m):
-            if tab.Tinv[micro, k] == 0.0:
-                row.fill(0.0)
-                continue
+        for k in tab.live[micro]:
+            row = work.dH_m[k]
             dmu1 = tab.dmu1[k](nuv)
             np.multiply(rho_u, dmu1, out=row)
             np.multiply(two_mu1, dmu1, out=tmp)
@@ -560,6 +616,8 @@ def _split_derivs(rho, psi, mtil, tab: _ClosureTables, n0, grid: Grid,
             tmp *= half_rho2
             row += tmp
         return np.matmul(tab.Tinv, work.dH_m, out=work.dH_mtil)[micro]
+    np.square(rho, out=half_rho2)
+    half_rho2 *= 0.5
     phi = electric_potential(rho, n0, grid)
     np.square(u, out=dH_rho)
     dH_rho *= 0.5
@@ -587,26 +645,29 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
     nx = grid.nx
     rho, psi, mtil = _split_pack(state, tab)
     sw = _SplitWork(tab.nv, nx, work)
+    # the macro flow's two rows; a micro flow takes the first
+    stage = work.buf(("split", "stage"), (2, nx))
+    k = work.buf(("split", "k"), (2, nx))
 
     def flow_micro(a: int, h: float):
         sw.mt[...] = mtil
+        sw.begin_micro(rho, tab, a)
 
-        def rhs(y, out):
-            sw.mt[a] = y[0]
-            d = grid.deriv(_split_derivs(rho, psi, sw.mt, tab, state.n0, grid, sw,
-                                         micro=a), out=out, work=work)
-            d *= -tab.D[a]
-            return [d]
+        def rhs(s, out):
+            sw.mt[a] = s[0]
+            grid.deriv(_split_derivs(rho, psi, sw.mt, tab, state.n0, grid, sw, micro=a),
+                       out=out, work=work)
+            out *= -tab.D[a]
+            return [out]
 
-        mtil[a] = _rk4([mtil[a]], rhs, h, work, "split", (nx,))[0]
+        mtil[a] = _rk4([mtil[a]], rhs, h, stage, k[0])
 
     def flow_macro(h: float):
-        def rhs(y, out):
-            d = grid.deriv(_split_derivs(y[0], y[1], mtil, tab, state.n0, grid, sw),
-                           out=out, work=work)
-            return np.negative(d, out=d)
+        def rhs(s, out):
+            grid.deriv(_split_derivs(*s, mtil, tab, state.n0, grid, sw), out=out, work=work)
+            return np.negative(out, out=out)
 
-        rho[...], psi[...] = _rk4([rho, psi], rhs, h, work, "split", (2, nx))
+        rho[...], psi[...] = _rk4([rho, psi], rhs, h, stage, k)
 
     for a in range(tab.nv):
         flow_micro(a, 0.5 * dt)

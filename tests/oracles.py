@@ -3,10 +3,11 @@
 Each states a quantity directly, independently of the way the library
 derives it: the inhomogeneity measure gamma_n, the published four-field
 polynomials, the S_n re-centering sum, the full bracket metric, the
-multi-stream invariants, and the general paths of `MultiPoly` addition
-and scaling and of the congruence, which the library's short-cuts past
-zero operands must match. Test modules import them with
-`from oracles import ...` (pytest puts this directory on `sys.path`).
+multi-stream invariants, and the general paths of `MultiPoly` addition,
+scaling and float evaluation and of the congruence, which the library's
+short-cuts past zero operands and unit coefficients must match. Test
+modules import them with `from oracles import ...` (pytest puts this
+directory on `sys.path`).
 """
 
 from fractions import Fraction
@@ -101,6 +102,27 @@ def combine_general(p: MultiPoly, q: MultiPoly, sign: int) -> MultiPoly:
     for k, c in q._num.items():
         out[k] = out.get(k, 0) + c * mb
     return _make(p.nvars, {k: c for k, c in out.items() if c}, da)
+
+
+def compile_float_general(p: MultiPoly):
+    """The float evaluator of p with every factor multiplied out: the
+    coefficient, unit or not, times each values[i] ** e with e != 0 (e = 1
+    as values[i] itself), the terms added to 0.0 in `sorted_terms` order."""
+    compiled = [(float(c), exps) for exps, c in p.sorted_terms()]
+
+    def evaluate(values):
+        acc = 0.0
+        for c, exps in compiled:
+            term = c
+            for v, e in zip(values, exps):
+                if e == 1:
+                    term = term * v
+                elif e:
+                    term = term * v ** e
+            acc = acc + term
+        return acc
+
+    return evaluate
 
 
 def scale_general(p: MultiPoly, n: int, d: int) -> MultiPoly:

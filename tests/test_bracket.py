@@ -237,11 +237,12 @@ def test_verify_builds_each_derivative_and_entry_once():
     assert counts["bracket.identities"] == 3 * 7 + 3 * 4
     # every alpha_nm and beta_nmk of the 3 x 3 bracket built once
     assert counts["moments.entries"] == 9 + 27
-    # gradients of mu_0..mu_6 (7 * 3) and of gamma_1..gamma_3 (3 * 3), the
-    # Hessians of mu_1 and mu_2 (2 * 9; the beta pairs with n >= m come
-    # from the gradients of the 6 alpha pairs, 6 * 3), and the 27
-    # d(alpha_nm)/dnu_k of the antisymmetry check
-    assert summary["calls"]["poly.diff"] == 21 + 9 + 18 + 18 + 27
+    # gradients of mu_0..mu_6 (7 * 3) and of gamma_2..gamma_3 (2 * 3; the
+    # zero gamma_1 is not differentiated), the Hessians of mu_1 and mu_2
+    # (2 * 9; the beta pairs with n >= m come from the gradients of the 6
+    # alpha pairs, 6 * 3), and the 27 d(alpha_nm)/dnu_k of the
+    # antisymmetry check
+    assert summary["calls"]["poly.diff"] == 21 + 6 + 18 + 18 + 27
 
 
 @pytest.mark.parametrize("heights", ["1,1,1,-1,-2", "1,1,1,1,1,-1,-1,-1,-1,-1"],

@@ -190,6 +190,19 @@ def test_closure_eos_no_solution_from_any_start(capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_closure_eos_names_moments_outside_the_range(capsys):
+    # mu_1 = -nu_1^2/4 <= 0 has no solution for mu_1 > 0; the error used to
+    # be the first Newton start's "stalled (no descent direction)"
+    argv = ["closure", "eos", "--family", "waterbag", "--heights", "1,1,-2"]
+    assert main([*argv, "--mu", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no Newton start solves mu = [0.1]: "
+                                   "the moments may lie outside the range of waterbag(N=3)")
+    assert main([*argv, "--mu=-0.1"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "nu = [0.632455532034]"
+
+
 @pytest.mark.parametrize("argv", [
     ["burby", "--level", "2"],                    # no --mu
     ["burby", "--level", "2", "--mu", "1"],       # one value for two variables

@@ -1,17 +1,19 @@
 """Exact polynomial arithmetic."""
 
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydroclosures.poly import MultiPoly
 
-from oracles import combine_general, poly_vars, scale_general
+from oracles import combine_general, compile_float_general, poly_vars, scale_general
 
 
 def random_poly(rng: random.Random, nvars: int, max_deg: int = 6,
@@ -117,6 +119,57 @@ def test_compile_float_matches_exact():
     for pt in ([0.5, -1.25], [2.0, 3.0]):
         exact = p.eval([Fraction(v) for v in pt])
         assert abs(f(pt) - float(exact)) < 1e-12
+
+
+@st.composite
+def evaluator_cases(draw, max_nvars=3):
+    """A polynomial whose coefficients are often 1 or -1, with constant
+    terms and the zero polynomial among them, and one list of values per
+    variable; values include -0.0, +-inf and NaN."""
+    nvars = draw(st.integers(1, max_nvars))
+    coef = st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]),
+                     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars), coef,
+                                 max_size=5))
+    # |v| <= 1e50 keeps a float v ** 3 clear of Python's OverflowError
+    value = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf,
+                                       math.nan]),
+                      st.floats(-1e50, 1e50))
+    size = draw(st.integers(1, 4))
+    values = [draw(st.lists(value, min_size=size, max_size=size)) for _ in range(nvars)]
+    return MultiPoly(nvars, terms), values
+
+
+def _bits(x):
+    return type(x), np.asarray(x, dtype=np.float64).view(np.uint64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(evaluator_cases())
+def test_compile_float_bit_identical_to_multiplying_every_factor(case):
+    """Leaving out a unit coefficient changes no bit: 1.0 * x is x, NaN
+    payload and the sign of zero included. Floats and float64 arrays."""
+    p, values = case
+    fast, general = p.compile_float(), compile_float_general(p)
+    with np.errstate(all="ignore"):
+        for j in range(len(values[0])):
+            point = [v[j] for v in values]
+            assert _bits(fast(point)) == _bits(general(point))
+        arrays = [np.array(v) for v in values]
+        assert _bits(fast(arrays)) == _bits(general(arrays))
+
+
+def test_compile_float_edge_polynomials():
+    x, y = poly_vars(2)
+    nan, inf = math.nan, math.inf
+    for p in (MultiPoly.zero(2), MultiPoly.const(2, 1), MultiPoly.const(2, -1),
+              x, -x, x * y - y, x ** 2 + 1):
+        for point in ([-0.0, 2.0], [inf, -0.0], [nan, -inf], [-0.0, -0.0]):
+            assert _bits(p.compile_float()(point)) == \
+                _bits(compile_float_general(p)(point))
+    # the first add to 0.0 turns a -0.0 sum into +0.0, as before
+    assert _bits(x.compile_float()([-0.0, 1.0])) == (float, 0)
+    assert _bits((-x).compile_float()([0.0, 1.0])) == (float, 0)
 
 
 @pytest.mark.parametrize("text, term", [

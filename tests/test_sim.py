@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from hydroclosures.sim import (RHO_FLOOR, FieldState, Grid, SimulationError,
                                WaveBreakError, Workspace, cfl_dt,
                                check_wave_breaking, diagnostics,
                                electric_potential, poisson_solve, rhs_fluid,
-                               run_fluid, single_mode_state, step,
+                               rhs_streams, run_fluid, single_mode_state, step,
                                step_streams, two_stream_state, write_snapshot)
 
 from oracles import stream_diagnostics
@@ -219,11 +220,17 @@ def test_density_floor_enforced():
     ([("rho", 3, np.nan)], "non-finite field values"),
     ([("rho", 3, np.inf)], "non-finite field values"),
     ([("u", 5, np.nan)], "non-finite field values"),
+    ([("u", 5, -np.inf)], "non-finite field values"),
     ([("nu", (1, 7), np.inf)], "non-finite field values"),
+    ([("nu", (0, 2), np.nan)], "non-finite field values"),
     # the density test comes first, whatever else is wrong
     ([("u", 5, np.nan), ("rho", 9, 0.0)], "density fell below"),
-], ids=["rho-floor", "rho-minus-inf", "rho-nan", "rho-inf", "u-nan", "nu-inf",
-        "floor-before-nan"])
+    ([("rho", 3, np.nan), ("rho", 9, 0.0)], "density fell below"),
+    # a finite value whose square overflows hides no fault
+    ([("u", 5, 1e200), ("nu", (1, 7), np.inf)], "non-finite field values"),
+], ids=["rho-floor", "rho-minus-inf", "rho-nan", "rho-inf", "u-nan", "u-minus-inf",
+        "nu-inf", "nu-nan", "floor-before-nan", "floor-before-rho-nan",
+        "overflow-and-inf"])
 def test_check_state_messages(faults, message):
     grid = Grid(L=TWO_PI, nx=32)
     state = single_mode_state(grid, BurbyClosure(2), eps=1e-3, nu_base=[0.1, 0.4])
@@ -231,6 +238,18 @@ def test_check_state_messages(faults, message):
     for field, index, value in faults:
         getattr(state, field)[index] = value
     with pytest.raises(SimulationError, match=message):
+        _check_state(state)
+
+
+@pytest.mark.parametrize("field, index", [("rho", 3), ("u", 5), ("nu", (1, 7))])
+def test_check_state_passes_finite_values_whose_squares_overflow(field, index):
+    # the quick test sums squares, which overflow to inf here: a false
+    # alarm that the exact tests clear
+    grid = Grid(L=TWO_PI, nx=32)
+    state = single_mode_state(grid, BurbyClosure(2), eps=1e-3, nu_base=[0.1, 0.4])
+    getattr(state, field)[index] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         _check_state(state)
 
 
@@ -278,9 +297,11 @@ def test_micro_rows_bit_identical_to_all_rows(closure):
                        for p in phases[2:]])
         mtil = tab.T.T @ (rho * nu)
         expected = _micro_rows_reference(rho, psi, mtil, tab)
-        # one workspace for every row, in the order of a split step
+        # one workspace for every row, in the order of a split step, and
+        # each flow's preparation before its row
         work = _SplitWork(tab.nv, grid.nx)
         for a in [*range(tab.nv), *reversed(range(tab.nv))]:
+            work.begin_micro(rho, tab, a)
             got = _split_derivs(rho, psi, mtil, tab, 1.0, grid, work, micro=a)
             assert np.array_equal(got, expected[a])
             for k in range(tab.nv):
@@ -445,13 +466,26 @@ def test_a_step_takes_the_same_transforms(monkeypatch, closure, nu_base, scheme,
     assert counts == {"rfft": 3 * per_step, "irfft": 3 * per_step}
 
 
+@pytest.mark.parametrize("method", ["spectral", "fd2"])
+def test_stream_rates_solve_E_in_the_derivative_call_bit_for_bit(method):
+    # E rides in the derivative's batch as one more row; a row's transform
+    # does not depend on the rows beside it
+    grid = Grid(L=TWO_PI, nx=32, method=method)
+    state = two_stream_state(grid, eps=1e-2)
+    d_av, d_v = rhs_streams(state, grid)
+    E = poisson_solve(np.sum(state.a, axis=0), state.n0, grid)
+    assert np.array_equal(d_av, -grid.deriv(state.a * state.v))
+    assert np.array_equal(d_v, grid.deriv(state.v) * -state.v + E)
+
+
 def test_a_stream_step_takes_the_same_transforms(monkeypatch):
     grid = Grid(L=TWO_PI, nx=32)
     state, work = two_stream_state(grid), Workspace()
     counts = _count_transforms(monkeypatch)
     for _ in range(3):
         state = step_streams(state, grid, 0.01, work=work)
-    assert counts == {"rfft": 3 * 8, "irfft": 3 * 8}  # 4 stages x (E + derivative)
+    # 4 stages x 1: E is solved in the derivative's own transforms
+    assert counts == {"rfft": 3 * 4, "irfft": 3 * 4}
 
 
 # Bytes one more step may take beyond what it holds when it starts, in
@@ -505,8 +539,8 @@ def test_a_step_without_a_workspace_allocates_no_more_than_before(scheme):
 # that a run's workspace holds after one step of burby 2 at nx = 4096. Each
 # rk4 keeps its stage state and one rate buffer that stages 2 to 4 share:
 # for rk4, 4 stage and 6 rate rows beside rhs_fluid's 17; for split, 2 stage
-# rows and 1 + 2 rate rows (micro, macro) beside its other buffers' 19.
-# Measured 27 and 24; a rate buffer per stage holds 39 and 34.
+# and 2 rate rows, whose first rows the micro flows take, beside its other
+# buffers' 19. Measured 27 and 23; a rate buffer per stage holds 39 and 34.
 WORKSPACE_ROWS = {"rk4": 27, "split": 25}
 
 
