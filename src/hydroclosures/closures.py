@@ -26,7 +26,6 @@ import functools
 from collections import defaultdict
 from fractions import Fraction
 from math import comb
-from itertools import combinations_with_replacement
 from numbers import Rational
 from typing import Callable, Sequence
 
@@ -111,8 +110,8 @@ class MomentAlgebra:
 
     @memoized
     def bracket_entry(self, n: int, m: int, k: int | None = None) -> MultiPoly:
-        """alpha_nm (k None) or beta_nmk of `moments`, which the flatness
-        and the antisymmetry checks both read."""
+        """alpha_nm (k None) or beta_nmk of `moments`, which
+        `check_flatness` and `moments.alpha_beta_in_mu` read."""
         return (moments.mu_alpha_entry(self, n, m) if k is None
                 else moments.mu_beta_entry(self, n, m, k))
 
@@ -543,6 +542,8 @@ def burby_mu(m: int, n: int) -> MultiPoly:
       mu_n(nu_n..nu_m) = sum_{k=0}^n C(n,k) nu_m^{n-k} mu_k^{(m-n-1)}(nu_{k+n}..nu_{m-1}),
 
     as a polynomial in the m variables nu_1..nu_m (homogeneous, degree n+1).
+    This is the published closure: `BurbyClosure` takes its mu_2 from it, and
+    its verify suite compares every generated mu_n with it.
     """
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
@@ -563,32 +564,6 @@ def burby_mu(m: int, n: int) -> MultiPoly:
         return out
 
     return rec(n, tuple(range(n - 1, m)))
-
-
-def burby_mu_closed(m: int, n: int) -> MultiPoly:
-    """Closed form: (1/(n+1)) sum over ordered tuples n <= i_1..i_{n+1} <= m
-    with i_1+...+i_{n+1} = n(m+1) of nu_{i_1}...nu_{i_{n+1}}, for
-    1 <= n <= m, as a polynomial in the m variables nu_1..nu_m.
-    """
-    if not 1 <= n <= m:
-        raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
-    target = n * (m + 1)
-    acc = MultiPoly.zero(m)
-    for combo in combinations_with_replacement(range(n, m + 1), n + 1):
-        if sum(combo) != target:
-            continue
-        # count ordered tuples for this multiset
-        mult = 1
-        rem = n + 1
-        for idx in set(combo):
-            c = combo.count(idx)
-            mult *= comb(rem, c)
-            rem -= c
-        exps = [0] * m
-        for idx in combo:
-            exps[idx - 1] += 1
-        acc = acc + MultiPoly.monomial(m, exps, Fraction(mult, n + 1))
-    return acc
 
 
 def _nth_root_fraction(x: Fraction, k: int) -> Fraction:
@@ -734,8 +709,9 @@ class BurbyClosure(ClosureFamily):
 
     def identities(self) -> list[tuple[str, bool, str]]:
         m, sign = self.m, self._sign
-        ok = all(burby_mu(m, n) == burby_mu_closed(m, n) == sign ** n * self.mu(n)
-                 for n in range(1, m + 1))
+        # the generated mu_n against the published closure: "recursion" is
+        # the mu_2 recurrence, "closed form" the published `burby_mu`
+        ok = all(burby_mu(m, n) == sign ** n * self.mu(n) for n in range(1, m + 1))
         err, bound = self.round_trip_error()
         return [("recursion equals closed form", ok, ""),
                 ("inversion round trip", err <= bound,

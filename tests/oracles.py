@@ -2,8 +2,9 @@
 
 Each states a quantity directly, independently of the way the library
 derives it: the inhomogeneity measure gamma_n, the published four-field
-polynomials, the S_n re-centering sum, the full bracket metric, the
-multi-stream invariants, and the general paths of `MultiPoly` addition,
+polynomials, the closed form of the Burby moments, the S_n re-centering
+sum, the full bracket metric, the antisymmetry residuals of a bracket,
+the multi-stream invariants, and the general paths of `MultiPoly` addition,
 scaling and float evaluation and of the congruence, which the library's
 short-cuts past zero operands and unit coefficients must match. Test
 modules import them with `from oracles import ...` (pytest puts this
@@ -11,6 +12,7 @@ directory on `sys.path`).
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, gcd
 from typing import Sequence
 
@@ -71,12 +73,67 @@ def fourfield_family(kappa) -> dict:
     return {"mu": mu, "S": S, "names": names}
 
 
+def burby_mu_closed(m: int, n: int) -> MultiPoly:
+    """Closed form: (1/(n+1)) sum over ordered tuples n <= i_1..i_{n+1} <= m
+    with i_1+...+i_{n+1} = n(m+1) of nu_{i_1}...nu_{i_{n+1}}, for
+    1 <= n <= m, as a polynomial in the m variables nu_1..nu_m.
+    """
+    if not 1 <= n <= m:
+        raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
+    target = n * (m + 1)
+    acc = MultiPoly.zero(m)
+    for combo in combinations_with_replacement(range(n, m + 1), n + 1):
+        if sum(combo) != target:
+            continue
+        # count ordered tuples for this multiset
+        mult = 1
+        rem = n + 1
+        for idx in set(combo):
+            c = combo.count(idx)
+            mult *= comb(rem, c)
+            rem -= c
+        exps = [0] * m
+        for idx in combo:
+            exps[idx - 1] += 1
+        acc = acc + MultiPoly.monomial(m, exps, Fraction(mult, n + 1))
+    return acc
+
+
 def full_metric(closure):
     """Metric of the full partially-decoupled bracket: the canonical
     (rho, u) block [[0,1],[1,0]] plus the microscopic metric."""
     pad = [0] * closure.nu_count
     return ratmat.as_matrix([[0, 1, *pad], [1, 0, *pad],
                              *([0, 0, *row] for row in closure.metric.g)])
+
+
+def symmetry_residuals(hb) -> list:
+    """(n, m, r) for each entry r = alpha_nm - alpha_mn of the bracket hb
+    (a `bracket.HydroBracket`) that is not identically zero."""
+    out = []
+    for n in range(hb.nfields):
+        for m in range(n + 1, hb.nfields):
+            r = hb.alpha[n][m] - hb.alpha[m][n]
+            if not r.is_zero:
+                out.append((n, m, r))
+    return out
+
+
+def antisymmetry_residuals(hb) -> list:
+    """(n, m, k, r) for each violation r of d(alpha_nm)/du_k = beta_nmk + beta_mnk."""
+    out = []
+    for n in range(hb.nfields):
+        for m in range(hb.nfields):
+            for k in range(hb.nfields):
+                r = hb.alpha[n][m].diff(k) - hb.beta[n][m][k] - hb.beta[m][n][k]
+                if not r.is_zero:
+                    out.append((n, m, k, r))
+    return out
+
+
+def is_antisymmetric(hb) -> bool:
+    """Whether alpha is symmetric and d(alpha_nm)/du_k = beta_nmk + beta_mnk."""
+    return not symmetry_residuals(hb) and not antisymmetry_residuals(hb)
 
 
 def stream_diagnostics(state, grid):

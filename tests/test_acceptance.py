@@ -17,15 +17,14 @@ from hydroclosures.bracket import check_flatness
 from hydroclosures.closures import (BurbyClosure, ColdClosure,
                                     FourFieldClosure, GenericClosure,
                                     MultiDeltaClosure, WaterbagClosure,
-                                    burby_mu, burby_mu_closed,
-                                    multidelta_normal_map, waterbag_mu,
+                                    burby_mu, multidelta_normal_map, waterbag_mu,
                                     waterbag_s)
 from hydroclosures.moments import p_from_mu
 from hydroclosures.poly import MultiPoly
 from hydroclosures.sim import (FieldState, Grid, run_fluid, single_mode_state,
                                step, step_streams, two_stream_state)
 
-from oracles import fourfield_family, full_metric, s_from_mu
+from oracles import burby_mu_closed, fourfield_family, full_metric, s_from_mu
 
 F = Fraction
 TWO_PI = 2.0 * math.pi

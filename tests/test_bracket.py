@@ -1,4 +1,5 @@
-"""Hydrodynamic bracket antisymmetry, flatness, signatures and Casimirs."""
+"""Hydrodynamic bracket antisymmetry (by the oracle), flatness, signatures
+and Casimirs."""
 
 import sys
 from fractions import Fraction
@@ -20,7 +21,8 @@ from hydroclosures.moments import alpha_beta_in_mu
 from hydroclosures.poly import MultiPoly
 from hydroclosures.ratmat import as_matrix
 
-from oracles import full_metric, poly_vars
+from oracles import (antisymmetry_residuals, full_metric, is_antisymmetric, poly_vars,
+                     symmetry_residuals)
 
 F = Fraction
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -29,31 +31,31 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def test_mu_bracket_antisymmetric_for_families():
     for c in (MultiDeltaClosure(2), WaterbagClosure([F(1), F(1), F(-2)]),
               BurbyClosure(3), FourFieldClosure(F(1, 2))):
-        assert alpha_beta_in_mu(c).is_antisymmetric
+        assert is_antisymmetric(alpha_beta_in_mu(c))
     # summing beta_nmk and beta_mnk gives d(alpha_nm)/dnu_k for any mu_n:
     # closures that fail flatness keep an antisymmetric bracket
     for mu2, metric in (("nu1^3 + nu2^3", [[0, 1], [1, 0]]), ("nu1^2*nu2", [[1, 0], [0, 1]])):
         c = GenericClosure(MultiPoly.parse(mu2), Metric(metric))
         assert not check_flatness(c).ok
-        assert alpha_beta_in_mu(c).is_antisymmetric
+        assert is_antisymmetric(alpha_beta_in_mu(c))
 
 
 def test_antisymmetry_negative_control():
-    # verify's "bracket antisymmetry" check must be able to fail: one
-    # perturbed beta entry breaks d(alpha_nm)/dnu_k = beta_nmk + beta_mnk,
-    # one perturbed alpha entry breaks the symmetry of alpha
+    # the oracle's antisymmetry check must be able to fail: one perturbed
+    # beta entry breaks d(alpha_nm)/dnu_k = beta_nmk + beta_mnk, one
+    # perturbed alpha entry breaks the symmetry of alpha
     hb = alpha_beta_in_mu(BurbyClosure(3))
-    assert hb.is_antisymmetric
+    assert is_antisymmetric(hb)
     one = MultiPoly.const(hb.nfields, 1)
     n, m, k = 0, 2, 1
     beta = [[list(cell) for cell in row] for row in hb.beta]
     beta[n][m][k] = beta[n][m][k] + one
     bad = HydroBracket(hb.nfields, hb.alpha, beta)
-    assert not bad.is_antisymmetric
-    assert (n, m, k) in [r[:3] for r in bad.antisymmetry_residuals()]
+    assert not is_antisymmetric(bad)
+    assert (n, m, k) in [r[:3] for r in antisymmetry_residuals(bad)]
     alpha = [list(row) for row in hb.alpha]
     alpha[0][1] = alpha[0][1] + one
-    assert HydroBracket(hb.nfields, alpha, hb.beta).symmetry_residuals()
+    assert symmetry_residuals(HydroBracket(hb.nfields, alpha, hb.beta))
 
 
 def test_flatness_all_families():
@@ -145,7 +147,7 @@ def reference_check_flatness(closure, size=None):
                     checks.append(FlatnessCheck(
                         name=f"beta[{first},{second};{k + 1}]", ok=res_b.is_zero,
                         residual="" if res_b.is_zero else res_b.to_text(closure.nu_names)))
-    return FlatnessReport(family=closure.name, checks=checks)
+    return FlatnessReport(checks=checks)
 
 
 def _generic(mu2_text, rows=None):
@@ -218,15 +220,16 @@ def traced(fn):
 
 
 def test_verify_builds_each_derivative_and_entry_once():
-    """Counters of verify's full checks (flatness, antisymmetry, identities)
-    on waterbag N = 5 (nv = 3), recorded when the gradient, Hessian-row and
-    entry caches went in. `verify` itself certifies a waterbag closure, so
-    the checks run directly, through the names the tracer patches."""
+    """Counters of the full checks (flatness, the oracle's antisymmetry,
+    identities) on waterbag N = 5 (nv = 3), recorded when the gradient,
+    Hessian-row and entry caches went in. `verify` itself certifies a
+    waterbag closure and builds no bracket, so the checks run directly,
+    through the names the tracer patches."""
     closure = WaterbagClosure([F(1), F(1), F(1), F(-1), F(-2)])
 
     def full_checks():
         assert bracket.check_flatness(closure).ok
-        assert moments.alpha_beta_in_mu(closure).is_antisymmetric
+        assert is_antisymmetric(moments.alpha_beta_in_mu(closure))
         assert all(ok for _, ok, _ in closure.identities())
 
     summary = traced(full_checks)
@@ -249,8 +252,7 @@ def test_verify_builds_each_derivative_and_entry_once():
                          ids=["N5", "N10"])
 def test_verify_certifies_waterbag_without_expanding_mu(heights):
     # the power-sum certificate runs check_flatness once, over its formal
-    # ring, flatness then decides antisymmetry, and no mu_n past mu_2 is
-    # expanded
+    # ring, no bracket is built, and no mu_n past mu_2 is expanded
     closure = WaterbagClosure([F(h) for h in heights.split(",")])
     nv = closure.nu_count
     rep = Report("verify")
@@ -309,19 +311,19 @@ def _verify_checks(closure):
 @settings(max_examples=25, deadline=None)
 @given(random_cubics())
 def test_flatness_decides_antisymmetry(closure):
-    # g symmetric: d_k(grad mu_n . g . grad mu_m) is the sum of the two
-    # Hessian pairings, so flat cells give d_k alpha_nm = beta_nmk + beta_mnk;
-    # verify skips the bracket when flat and must report the same verdict
-    antisymmetric = alpha_beta_in_mu(closure).is_antisymmetric
-    checks = _verify_checks(closure)
-    if checks["flatness identities"]:
-        assert antisymmetric
-    assert checks["bracket antisymmetry"] == antisymmetric
+    # the product-rule lemma of docs/waterbag_certificate.md: the entry
+    # formulas give d_k alpha_nm = beta_nmk + beta_mnk for any mu_n, flat or
+    # not, so verify reports antisymmetry without building the bracket
+    assert is_antisymmetric(alpha_beta_in_mu(closure))
+    assert _verify_checks(closure)["bracket antisymmetry"]
 
 
-@pytest.mark.parametrize("closure", [BurbyClosure(3), MultiDeltaClosure(3)],
-                         ids=["burby3", "multidelta3"])
+@pytest.mark.parametrize("closure", [
+    BurbyClosure(3), MultiDeltaClosure(3),
+    GenericClosure(MultiPoly.parse("nu1^3 + nu2^3"), Metric([[0, 1], [1, 0]]))],
+    ids=["burby3", "multidelta3", "not-flat"])
 def test_verify_builds_no_bracket_when_flat(closure):
+    # nor when not flat: antisymmetry holds by the lemma either way
     summary = traced(lambda: _verify_checks(closure))
     assert summary["calls"]["bracket.flatness"] == 1
     assert "moments.alpha_beta" not in summary["calls"]
@@ -361,8 +363,8 @@ def test_casimir_set():
     c = BurbyClosure(3)
     cas = casimirs(c)
     assert len(cas) == c.N
-    kinds = [d.kind for d in cas.densities]
+    kinds = [d.kind for d in cas]
     assert kinds == ["mass", "psi", "rho_nu", "rho_nu", "rho_nu"]
-    assert cas.densities[0].description == "rho"
-    assert "u - (rho/2)" in cas.densities[1].description
-    assert cas.densities[2].description == "rho*nu1"
+    assert cas[0].description == "rho"
+    assert "u - (rho/2)" in cas[1].description
+    assert cas[2].description == "rho*nu1"

@@ -3,11 +3,10 @@
 `verify` certifies a waterbag closure from its heights, metric, mu_1 and
 mu_2 and N-free formal identity checks, the flatness cells among them by
 `check_flatness` over the formal ring; when any of that fails it runs the
-full flatness and identity checks, and the antisymmetry check when the
-closure is not flat. These tests hold the
-certificate to the full checks: the same report on valid heights, a
-decline and the same failures on perturbed closures, and a formal step
-that does fail without the relation q_1 = 1/2.
+full flatness and identity checks. These tests hold the certificate to
+the full checks: the same report on valid heights, a decline and the
+same failures on perturbed closures, and a formal step that does fail
+without the relation q_1 = 1/2.
 """
 
 from fractions import Fraction

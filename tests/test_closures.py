@@ -16,8 +16,7 @@ from hydroclosures.closures import (BurbyClosure, ColdClosure,
                                     _newton_starts, _nth_root_fraction,
                                     FourFieldClosure, GenericClosure, Metric,
                                     MultiDeltaClosure, WaterbagClosure,
-                                    burby_invert, burby_mu, burby_mu_closed,
-                                    equation_of_state, multidelta_inverse_map,
+                                    burby_invert, burby_mu, equation_of_state, multidelta_inverse_map,
                                     multidelta_mu, multidelta_normal_map,
                                     newton_invert, waterbag_inverse_map,
                                     waterbag_mu, waterbag_normal_map,
@@ -25,7 +24,7 @@ from hydroclosures.closures import (BurbyClosure, ColdClosure,
 from hydroclosures.moments import DensityError, p_from_mu
 from hydroclosures.poly import MultiPoly
 
-from oracles import fourfield_family, gamma_n, poly_vars, s_from_mu
+from oracles import burby_mu_closed, fourfield_family, gamma_n, poly_vars, s_from_mu
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"

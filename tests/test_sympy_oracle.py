@@ -35,9 +35,13 @@ def generic(mu2: str, metric):
 CASES = {
     "fourfield-1/2": lambda: FourFieldClosure(F(1, 2)),
     "burby-3": lambda: BurbyClosure(3),
+    "burby-4": lambda: BurbyClosure(4),
+    "burby-5": lambda: BurbyClosure(5),
     "multidelta-2": lambda: MultiDeltaClosure(2),
+    "multidelta-3": lambda: MultiDeltaClosure(3),
     "waterbag-1,1,-2": lambda: WaterbagClosure([F(1), F(1), F(-2)]),
     "waterbag-2,-1,1,-2": lambda: WaterbagClosure([F(2), F(-1), F(1), F(-2)]),
+    "waterbag-1,1,1,-1,-2": lambda: WaterbagClosure([F(1), F(1), F(1), F(-1), F(-2)]),
     "cubic-mixed-metric": generic("nu1^3 + nu1*nu2^2 + nu2^3", [[2, 1], [1, -1]]),
     "cubic-three-vars": generic("nu1*nu3^2 + nu2^2*nu3", [[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
     "cubic-not-flat": generic("nu1^3 + nu2^3", [[0, 1], [1, 0]]),
@@ -112,8 +116,9 @@ ENTRY_SIZE = 3
 FLATNESS_SIZE = {"cubic-mixed-metric": 3, "cubic-three-vars": 3}
 GAMMA_TERMS = ("alpha: m mu_(m-1) gamma_n", "alpha: n mu_(n-1) gamma_m",
                "beta: n gamma_m d_k mu_(n-1)", "beta: m mu_(m-1) d_k gamma_n")
-HOMOGENEOUS = ("burby-3", "multidelta-2", "fourfield-1/2", "cubic-mixed-metric",
-               "cubic-three-vars", "cubic-not-flat")
+HOMOGENEOUS = ("burby-3", "burby-4", "burby-5", "multidelta-2", "multidelta-3",
+               "fourfield-1/2", "cubic-mixed-metric", "cubic-three-vars",
+               "cubic-not-flat")
 
 
 def sympy_bracket(closure, size: int, drop=()) -> tuple[dict, dict, dict]:
