@@ -2,15 +2,18 @@
 
 A hydrodynamic bracket is stored through its coefficient data only:
 the symmetric matrix alpha and the derivative-coefficient tensor beta
-(beta_nm = sum_k beta_nmk * d_x u_k).  Entries are exact MultiPoly, so
-every identity check reduces to "normal form of a difference is the zero
-polynomial".
+(beta_nm = sum_k beta_nmk * d_x u_k).  Entries are exact MultiPoly in a
+canonical form, so every identity check is one equality of two
+polynomials.
 
 The Jacobi identity is certified through flatness: a closure whose
 normal-variable parameterization satisfies the algebraic identities
 checked by `check_flatness` has a bracket congruent to one with constant
 metric, which satisfies Jacobi automatically. Antisymmetry needs no check:
-the entry formulas of `moments` give it for any mu_n (see `check_flatness`).
+the entry formulas of `moments` give it for any mu_n. The same
+product-rule lemma settles the mirrored and diagonal flatness cells once
+the independent ones hold, so only those are computed (see
+`check_flatness`).
 """
 
 from __future__ import annotations
@@ -68,37 +71,55 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
 
     This is the one list of the bracket cells. It reads the closure only
     through `grad_pair(n, m)`, `hessian_pair(n, m)` and `partials(p)` (the
-    left sides of (b) and the dp/dnu_k, as tuples over k), `bracket_entry`
-    and `nu_names`, which a `ClosureFamily` and the formal ring of the
-    waterbag certificate both supply.
+    left sides of (b) and the dp/dnu_k, as tuples over k), `grad(n)` (for
+    the number of k), `bracket_entry` and `nu_names`, which a
+    `ClosureFamily` and the formal ring of the waterbag certificate both
+    supply.
 
-    As g is symmetric, d/dnu_k of the left side of (a) is the sum of the
-    left sides of (b) at (n, m) and at (m, n). So only the pairs n < m pair
-    Hessian rows, and the other left sides of (b) come from the gradient
-    of (a). Antisymmetry, d alpha_nm/dnu_k = beta_nmk + beta_mnk, needs no
-    cell: the entry formulas of `moments` give it for any mu_n, flat or not
-    (the product-rule lemma of docs/waterbag_certificate.md).
+    Only the independent cells are computed: (a) for n <= m and (b) for
+    n < m. Each is one comparison of canonical forms, and its residual is
+    formed only when it fails. The other cells follow from the product-rule
+    lemma of docs/waterbag_certificate.md. As g is symmetric, d/dnu_k of the
+    left side of (a) is the sum of the left sides of (b) at (n, m) and at
+    (m, n); and the entry formulas of `moments` give
+    d alpha_nm/dnu_k = beta_nmk + beta_mnk for any mu_n, flat or not. So
+    (b) at (m, n; k) passes when (a) at (n, m) and (b) at (n, m; k) do, and
+    (b) at (n, n; k) passes when (a) at (n, n) does. A cell whose premise
+    fails is computed from d/dnu_k of the left side of (a), minus the left
+    side of (b) at (n, m; k) (for n = m, half of it), so the report is
+    the same, cell for cell, as that of computing every cell. The same
+    lemma makes antisymmetry need no cell.
     """
     if size is None:
         size = closure.flatness_size
     checks = []
 
-    def add(name, res):
+    def cell(name, lhs, entry):
+        ok = lhs == entry
         checks.append(FlatnessCheck(
-            name=name, ok=res.is_zero,
-            residual="" if res.is_zero else res.to_text(closure.nu_names)))
+            name=name, ok=ok, residual="" if ok else (lhs - entry).to_text(closure.nu_names)))
+        return ok
 
     for n in range(1, size + 1):
         for m in range(n, size + 1):
             lhs_a = closure.grad_pair(n, m)
-            add(f"alpha[{n},{m}]", lhs_a - closure.bracket_entry(n, m))
-            dlhs_a = closure.partials(lhs_a)
-            lhs_b = [d / 2 for d in dlhs_a] if n == m else closure.hessian_pair(n, m)
-            for k, lhs in enumerate(lhs_b):
-                add(f"beta[{n},{m};{k + 1}]", lhs - closure.bracket_entry(n, m, k))
-            if n != m:
-                for k, (d, lhs) in enumerate(zip(dlhs_a, lhs_b)):
-                    add(f"beta[{m},{n};{k + 1}]", d - lhs - closure.bracket_entry(m, n, k))
+            alpha_ok = cell(f"alpha[{n},{m}]", lhs_a, closure.bracket_entry(n, m))
+            if n == m:
+                lhs_b = None
+                implied = [alpha_ok] * len(closure.grad(n))
+            else:
+                lhs_b = closure.hessian_pair(n, m)
+                beta_ok = [cell(f"beta[{n},{m};{k + 1}]", lhs, closure.bracket_entry(n, m, k))
+                           for k, lhs in enumerate(lhs_b)]
+                implied = [alpha_ok and ok for ok in beta_ok]
+            dlhs_a = None if all(implied) else closure.partials(lhs_a)
+            for k, ok in enumerate(implied):
+                name = f"beta[{m},{n};{k + 1}]"
+                if ok:
+                    checks.append(FlatnessCheck(name=name, ok=True))
+                else:
+                    lhs = dlhs_a[k] / 2 if lhs_b is None else dlhs_a[k] - lhs_b[k]
+                    cell(name, lhs, closure.bracket_entry(m, n, k))
     return FlatnessReport(checks=checks)
 
 

@@ -242,10 +242,10 @@ def test_verify_builds_each_derivative_and_entry_once():
     assert counts["moments.entries"] == 9 + 27
     # gradients of mu_0..mu_6 (7 * 3) and of gamma_2..gamma_3 (2 * 3; the
     # zero gamma_1 is not differentiated), the Hessians of mu_1 and mu_2
-    # (2 * 9; the beta pairs with n >= m come from the gradients of the 6
-    # alpha pairs, 6 * 3), and the 27 d(alpha_nm)/dnu_k of the
-    # antisymmetry check
-    assert summary["calls"]["poly.diff"] == 21 + 6 + 18 + 18 + 27
+    # (2 * 9, for the beta pairs n < m; the cells with n >= m follow from
+    # the product-rule lemma, so no alpha side is differentiated), and the
+    # 27 d(alpha_nm)/dnu_k of the antisymmetry check
+    assert summary["calls"]["poly.diff"] == 21 + 6 + 18 + 27
 
 
 @pytest.mark.parametrize("heights", ["1,1,1,-1,-2", "1,1,1,1,1,-1,-1,-1,-1,-1"],
@@ -300,6 +300,53 @@ def test_three_index_flatness_agrees_with_full_check(closure):
     # a counterexample
     assert (check_flatness(closure, size=3).ok
             == check_flatness(closure, size=closure.flatness_size).ok)
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_cubics())
+def test_implied_cells_match_the_reference(closure):
+    # most random cubics are not flat, so this drives the cells whose
+    # premise fails, which check_flatness computes instead of implying
+    for size in (closure.nu_count, closure.nu_count + 1):
+        want = reference_check_flatness(closure, size)
+        got = check_flatness(closure, size)
+        assert [(c.name, c.ok, c.residual) for c in got.checks] == \
+            [(c.name, c.ok, c.residual) for c in want.checks], size
+
+
+class _OffAlphaSide:
+    """A flat closure whose (a) side at one pair (n, m) is off by `extra`;
+    every (b) side still holds."""
+
+    def __init__(self, closure, pair, extra):
+        self._closure, self._pair, self._extra = closure, pair, extra
+
+    def __getattr__(self, name):
+        return getattr(self._closure, name)
+
+    def grad_pair(self, n, m):
+        lhs = self._closure.grad_pair(n, m)
+        return lhs + self._extra if (n, m) == self._pair else lhs
+
+
+@pytest.mark.parametrize("pair", [(1, 2), (1, 1)])
+def test_implied_cells_need_the_alpha_premise(pair):
+    # random cubics rarely if ever fail alpha[n,m] while passing a
+    # beta[n,m;k] whose mirror fails (none in 400 draws), so this double
+    # does: the cells that alpha would imply are computed, from d_k of its
+    # (a) side
+    closure = MultiDeltaClosure(2)
+    names = closure.nu_names
+    xi, eta = poly_vars(2)
+    extra = xi * eta if pair == (1, 2) else xi ** 2 * eta
+    n, m = pair
+    report = check_flatness(_OffAlphaSide(closure, pair, extra))
+    d1, d2 = extra.diff(0), extra.diff(1)
+    want = [(f"alpha[{n},{m}]", extra),
+            (f"beta[{m},{n};1]", d1 if n != m else d1 / 2),
+            (f"beta[{m},{n};2]", d2 if n != m else d2 / 2)]
+    assert [(c.name, c.residual) for c in report.failures()] == \
+        [(name, res.to_text(names)) for name, res in want]
 
 
 def _verify_checks(closure):

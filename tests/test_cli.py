@@ -275,15 +275,19 @@ def test_closure_eos_inverts_once():
     assert summary["calls"]["closures.invert"] == 1
 
 
-@pytest.mark.parametrize("argv, entries, muls", [
-    (["verify", "--family", "burby", "--level", "6"], 237, 264),
-    (["verify", "--family", "multidelta", "--M", "3"], 74, 200)], ids=["burby-6", "multidelta-3"])
-def test_verify_multiplies_no_zero_in_flatness(monkeypatch, argv, entries, muls):
+@pytest.mark.parametrize("argv, identities, entries, muls", [
+    (["verify", "--family", "burby", "--level", "6"], 237, 111, 230),
+    (["verify", "--family", "multidelta", "--M", "3"], 74, 34, 160)],
+    ids=["burby-6", "multidelta-3"])
+def test_verify_multiplies_no_zero_in_flatness(monkeypatch, argv, identities, entries, muls):
     """Work counters of two homogeneous verify runs. Every gamma_n is zero, so
     the entries are those of the Benney chain and no product in
-    check_flatness has a zero factor. The entry and identity counts are
-    those of every earlier version; poly.mul.calls was 1421 and 516 while
-    zero products were still formed."""
+    check_flatness has a zero factor. The identity counts are those of
+    every earlier version. Only the independent cells build an entry:
+    size(size+1)/2 alpha and nv size(size-1)/2 beta, where every cell
+    was built before (237 and 74). poly.mul.calls was 1421 and 516 while
+    zero products were still formed, then 264 and 200 while every cell
+    was built."""
     mul, flatness = MultiPoly.__mul__, bracket.check_flatness
     depth, products, zero_operands = [0], [0], []
 
@@ -308,7 +312,7 @@ def test_verify_multiplies_no_zero_in_flatness(monkeypatch, argv, entries, muls)
     rc, _, summary = traced_main(argv)
     assert rc == 0
     assert summary["counts"]["moments.entries"] == entries
-    assert summary["counts"]["bracket.identities"] == entries
+    assert summary["counts"]["bracket.identities"] == identities
     assert products[0] > 0 and zero_operands == []
     assert summary["calls"]["poly.mul"] == muls
 

@@ -144,19 +144,33 @@ def _bits(x):
     return type(x), np.asarray(x, dtype=np.float64).view(np.uint64).tolist()
 
 
+def _bits_any_nan(x):
+    """_bits with every NaN read as "nan", whatever its sign and payload."""
+    a = np.asarray(x, dtype=np.float64)
+    bits = a.view(np.uint64).astype(object)
+    bits[np.isnan(a)] = "nan"
+    return type(x), bits.tolist()
+
+
 @settings(max_examples=300, deadline=None)
 @given(evaluator_cases())
 def test_compile_float_bit_identical_to_multiplying_every_factor(case):
-    """Leaving out a unit coefficient changes no bit: 1.0 * x is x, NaN
-    payload and the sign of zero included. Floats and float64 arrays."""
+    """Leaving out a unit coefficient changes no bit: 1.0 * x is x, the
+    sign of zero included. Floats and float64 arrays.
+
+    A NaN result is compared only as NaN. Where two NaNs meet, IEEE 754
+    leaves open which sign and payload survive, and CPython 3.11's
+    specializing interpreter computes float + and * inline, with another
+    operand order than float_add and float_mul: the same a + b of a -NaN
+    and math.nan gives +NaN on early calls and -NaN after warm-up."""
     p, values = case
     fast, general = p.compile_float(), compile_float_general(p)
     with np.errstate(all="ignore"):
         for j in range(len(values[0])):
             point = [v[j] for v in values]
-            assert _bits(fast(point)) == _bits(general(point))
+            assert _bits_any_nan(fast(point)) == _bits_any_nan(general(point))
         arrays = [np.array(v) for v in values]
-        assert _bits(fast(arrays)) == _bits(general(arrays))
+        assert _bits_any_nan(fast(arrays)) == _bits_any_nan(general(arrays))
 
 
 def test_compile_float_edge_polynomials():
