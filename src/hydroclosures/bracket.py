@@ -1,10 +1,10 @@
 """Symbolic hydrodynamic brackets: verification of the flatness identities.
 
-A hydrodynamic bracket is stored through its coefficient data only:
-the symmetric matrix alpha and the derivative-coefficient tensor beta
-(beta_nm = sum_k beta_nmk * d_x u_k).  Entries are exact MultiPoly in a
-canonical form, so every identity check is one equality of two
-polynomials.
+A hydrodynamic bracket is given by its coefficient data only: the
+symmetric matrix alpha and the derivative-coefficient tensor beta
+(beta_nm = sum_k beta_nmk * d_x u_k), whose entries the formulas of
+`moments` give. Entries are exact MultiPoly in a canonical form, so
+every identity check is one equality of two polynomials.
 
 The Jacobi identity is certified through flatness: a closure whose
 normal-variable parameterization satisfies the algebraic identities
@@ -20,18 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
-class HydroBracket:
-    """Coefficients (alpha, beta) of a hydrodynamic bracket.
-
-    alpha[n][m] and beta[n][m][k] are polynomials in `nfields` variables;
-    beta[n][m][k] multiplies the x-derivative of variable k.
-    """
-
-    nfields: int
-    alpha: list
-    beta: list
+from .moments import mu_alpha_entry, mu_beta_entry
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +61,9 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
     This is the one list of the bracket cells. It reads the closure only
     through `grad_pair(n, m)`, `hessian_pair(n, m)` and `partials(p)` (the
     left sides of (b) and the dp/dnu_k, as tuples over k), `grad(n)` (for
-    the number of k), `bracket_entry` and `nu_names`, which a
-    `ClosureFamily` and the formal ring of the waterbag certificate both
-    supply.
+    the number of k), what the entry formulas of `moments` read and
+    `nu_names`, which a `ClosureFamily` and the formal ring of the waterbag
+    certificate both supply.
 
     Only the independent cells are computed: (a) for n <= m and (b) for
     n < m. Each is one comparison of canonical forms, and its residual is
@@ -103,13 +92,13 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
     for n in range(1, size + 1):
         for m in range(n, size + 1):
             lhs_a = closure.grad_pair(n, m)
-            alpha_ok = cell(f"alpha[{n},{m}]", lhs_a, closure.bracket_entry(n, m))
+            alpha_ok = cell(f"alpha[{n},{m}]", lhs_a, mu_alpha_entry(closure, n, m))
             if n == m:
                 lhs_b = None
                 implied = [alpha_ok] * len(closure.grad(n))
             else:
                 lhs_b = closure.hessian_pair(n, m)
-                beta_ok = [cell(f"beta[{n},{m};{k + 1}]", lhs, closure.bracket_entry(n, m, k))
+                beta_ok = [cell(f"beta[{n},{m};{k + 1}]", lhs, mu_beta_entry(closure, n, m, k))
                            for k, lhs in enumerate(lhs_b)]
                 implied = [alpha_ok and ok for ok in beta_ok]
             dlhs_a = None if all(implied) else closure.partials(lhs_a)
@@ -119,7 +108,7 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
                     checks.append(FlatnessCheck(name=name, ok=True))
                 else:
                     lhs = dlhs_a[k] / 2 if lhs_b is None else dlhs_a[k] - lhs_b[k]
-                    cell(name, lhs, closure.bracket_entry(m, n, k))
+                    cell(name, lhs, mu_beta_entry(closure, m, n, k))
     return FlatnessReport(checks=checks)
 
 

@@ -16,9 +16,9 @@ forms of degree <= 1 (and q_2, q_3), the recurrence and gamma_n residuals
 in that ring, and the flatness cells by `bracket.check_flatness` over the
 ring, `PowerSums`, a `closures.MomentAlgebra` like every closure. A
 formal zero is a real zero; a formal non-zero proves nothing, and the
-caller then runs the full checks. Antisymmetry needs no certificate: it
-holds for every closure (see `check_flatness`), and `verify` builds no
-bracket to report it.
+closure then runs the full checks (`WaterbagClosure.certified`).
+Antisymmetry needs no certificate: it holds for every closure (see
+`check_flatness`), and `verify` builds no bracket to report it.
 docs/waterbag_certificate.md gives the argument.
 """
 

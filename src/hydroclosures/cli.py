@@ -6,8 +6,8 @@ Simulation/config schema is documented in docs/config.md.
 
 Only `simulate` and `compare` import the solver (`sim`) and numpy, inside
 the functions that use them; `verify` and `closure` run on the exact
-engine alone and start without either. Likewise only `verify` loads the
-waterbag certificate (`certificate`), on first use.
+engine alone and start without either. Likewise the waterbag certificate
+(`certificate`) loads only when a waterbag closure first proves itself.
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ def _parse_fraction(s) -> Fraction:
 
 
 # the keys each family takes; the CLI drops the flags a family does not take
-_FAMILY_KEYS = {"cold": (), "multidelta": ("M",), "waterbag": ("heights",),
+_FAMILY_KEYS = {"multidelta": ("M",), "waterbag": ("heights",),
                 "burby": ("level", "branch"), "fourfield": ("kappa",),
-                "generic": ("mu2", "metric")}
+                "generic": ("mu2", "metric"), "cold": ()}
 
 
 def closure_from_spec(spec: dict) -> ClosureFamily:
@@ -171,15 +171,9 @@ def _spec_from_args(args) -> dict:
 def _verify_one(closure: ClosureFamily, rep: Report):
     name = closure.name
     with rep.phase("flatness"):
-        certified = _waterbag_certified(closure)
-        if certified:
-            flat, detail = True, ""
-        else:
-            fl = bracket.check_flatness(closure)
-            closure.drop_flatness_pairings()
-            flat = fl.ok
-            detail = "; ".join(f"{c.name}: {c.residual}" for c in fl.failures()[:3])
-    rep.add(f"{name}: flatness identities", flat, detail)
+        fl = closure.flatness()
+    rep.add(f"{name}: flatness identities", fl.ok,
+            "; ".join(f"{c.name}: {c.residual}" for c in fl.failures()[:3]))
     if closure.nu_count:
         # the entry formulas make every closure's bracket antisymmetric, flat
         # or not (the lemma of docs/waterbag_certificate.md)
@@ -187,21 +181,9 @@ def _verify_one(closure: ClosureFamily, rep: Report):
         # a closure is never built on a degenerate metric
         rep.add(f"{name}: metric nondegenerate (signature {closure.metric.signature})", True)
     with rep.phase("identities"):
-        identities = (closure.identities(gamma_certified=True) if certified
-                      else closure.identities())
+        identities = closure.identities()
     for check, ok, detail in identities:
         rep.add(f"{name}: {check}", ok, detail)
-
-
-def _waterbag_certified(closure: ClosureFamily) -> bool:
-    """Whether the power-sum certificate proves the flatness and gamma_n
-    checks of a waterbag closure (docs/waterbag_certificate.md).
-    Every other family, and a waterbag closure it cannot prove, takes the
-    full checks."""
-    if not (isinstance(closure, WaterbagClosure) and closure.nu_count):
-        return False
-    from .certificate import certify_waterbag  # verify's only user: kept out of start-up
-    return certify_waterbag(closure)
 
 
 def _level_range(text: str) -> range:
@@ -345,12 +327,36 @@ def _build_initial(spec: dict, grid: sim.Grid, closure: ClosureFamily) -> sim.Fi
     _reject_unknown(spec, _INITIAL_KEYS, "initial")
     if spec.get("type", "single_mode") != "single_mode":
         raise ValueError(f"unknown initial condition {spec.get('type')!r}")
-    return sim.single_mode_state(
+    return _checked_start(sim.single_mode_state(
         grid, closure,
         n0=float(spec.get("n0", 1.0)), eps=float(spec.get("eps", 1e-3)),
         u0=float(spec.get("u0", 0.0)),
         nu_base=[float(v) for v in spec.get("nu_base", [])],
-        nu_eps=[float(v) for v in spec.get("nu_eps", [])])
+        nu_eps=[float(v) for v in spec.get("nu_eps", [])]))
+
+
+def _checked_start(state: sim.FieldState) -> sim.FieldState:
+    """`state`, once it passes the solver's own state check, which would
+    otherwise fail the run at its first step."""
+    from . import sim
+    try:
+        sim._check_state(state)
+    except sim.SimulationError as e:
+        raise ValueError(f"initial state: {e}") from None
+    return state
+
+
+def _build_streams(spec: dict, grid: sim.Grid) -> sim.StreamState:
+    """The two-stream state of the `streams` block, whose stream densities
+    n0 (1 +- eps cos(2 pi x / L)) / 2 must be positive (NaN fails every test)."""
+    from . import sim
+    _reject_unknown(spec, ("n0", "v0", "eps"), "streams")
+    n0, v0, eps = (float(spec.get("n0", 1.0)), float(spec.get("v0", 0.2)),
+                   float(spec.get("eps", 1e-3)))
+    if not (0 < n0 < math.inf and math.isfinite(v0) and abs(eps) < 1):
+        raise ValueError("streams need a finite n0 > 0, a finite v0 and |eps| < 1, "
+                         f"got n0 = {n0}, v0 = {v0}, eps = {eps}")
+    return sim.two_stream_state(grid, n0=n0, v0=v0, eps=eps)
 
 
 def cmd_simulate(args) -> int:
@@ -387,16 +393,14 @@ def cmd_simulate(args) -> int:
     rep.add("run completed", True, f"{len(result.records)} records")
     r0 = result.records[0]
 
-    def drift(get, scale):
-        return max(abs(get(r) - get(r0)) for r in result.records) / max(abs(scale), 1e-30)
+    def add_drift(name, get, scale):
+        d = max(abs(get(r) - get(r0)) for r in result.records) / max(abs(scale), 1e-30)
+        rep.add(f"{name} drift < 1e-6", d < 1e-6, f"{d:.2e}")
 
-    rep.add("H drift < 1e-6", drift(lambda r: r.H, r0.H) < 1e-6,
-            f"{drift(lambda r: r.H, r0.H):.2e}")
-    rep.add("mass drift < 1e-6", drift(lambda r: r.C_mass, r0.C_mass) < 1e-6,
-            f"{drift(lambda r: r.C_mass, r0.C_mass):.2e}")
+    add_drift("H", lambda r: r.H, r0.H)
+    add_drift("mass", lambda r: r.C_mass, r0.C_mass)
     for k in range(closure.nu_count):
-        d = drift(lambda r, k=k: r.C_nu[k], r0.C_nu[k] or r0.C_mass)
-        rep.add(f"C_{k + 1} drift < 1e-6", d < 1e-6, f"{d:.2e}")
+        add_drift(f"C_{k + 1}", lambda r, k=k: r.C_nu[k], r0.C_nu[k] or r0.C_mass)
     return rep.emit(args.json, outdir)
 
 
@@ -414,20 +418,17 @@ def cmd_compare(args) -> int:
     try:
         cfg = load_config(args.config, _COMPARE_KEYS)
         grid = _build_grid(cfg["grid"])
-        streams = dict(cfg.get("streams", {}))
-        _reject_unknown(streams, ("n0", "v0", "eps"), "streams")
+        s_s = _build_streams(dict(cfg.get("streams", {})), grid)
         scheme, dt, t_end, _, _ = _build_run(cfg)
         tol = float(cfg.get("tolerance", 1e-6))
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tolerance must be finite and > 0, got {tol}")
+        rho, u, xi, eta = multidelta_normal_map(list(s_s.a), list(s_s.v))
+        s_f = _checked_start(sim.FieldState(rho, u, np.array([xi[0], eta[0]]), s_s.n0))
     except (KeyError, TypeError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    sst = sim.two_stream_state(grid, n0=float(streams.get("n0", 1.0)),
-                               v0=float(streams.get("v0", 0.2)),
-                               eps=float(streams.get("eps", 1e-3)))
     md = MultiDeltaClosure(2)
-    rho, u, xi, eta = multidelta_normal_map(list(sst.a), list(sst.v))
-    fst = sim.FieldState(rho, u, np.array([xi[0], eta[0]]), sst.n0)
-    s_f, s_s = fst, sst
     broke = None
     work = sim.Workspace()  # one for both steppers: their steps never overlap
     for _ in range(int(round(t_end / dt))):
@@ -456,9 +457,7 @@ def cmd_compare(args) -> int:
 
 
 def _add_family_flags(p):
-    p.add_argument("--family", required=True,
-                   choices=["multidelta", "waterbag", "burby", "fourfield",
-                            "generic", "cold"])
+    p.add_argument("--family", required=True, choices=list(_FAMILY_KEYS))
     p.add_argument("--level", type=int, help="level m (burby) / stream count")
     p.add_argument("--levels", help="level range lo..hi (burby)")
     p.add_argument("--M", type=int, help="stream count (multidelta)")

@@ -3,12 +3,12 @@
 One engine, `ClosureFamily`, generates every family's moments mu_n
 (mu_0 = 1) by one recurrence from the family's data: its normal
 variables nu, a constant symmetric metric g and a single cubic mu_2.
-Its base, `MomentAlgebra`, derives gamma_n, the gradients and the
-bracket entries from the mu_n, for closures and for the formal ring of
-the waterbag certificate alike; the `memoized` decorator keeps each
-result in one per-instance memo. A family adds only its parameters, the
-identities its verify suite checks and, where one exists, an explicit
-inversion.
+Its base, `MomentAlgebra`, derives gamma_n and the gradients from the
+mu_n, for closures and for the formal ring of the waterbag certificate
+alike; the `memoized` decorator keeps each result in one per-instance
+memo. A family adds only its parameters, the identities its verify suite
+checks, where one exists an explicit inversion, and where it has one its
+own proof of flatness (the waterbag certificate).
 
 Families: multi-delta (M cold streams), waterbag (piecewise-constant
 distribution with fixed bag heights), the delta-derivative closure with
@@ -29,7 +29,7 @@ from math import comb
 from numbers import Rational
 from typing import Callable, Sequence
 
-from . import moments, ratmat
+from . import bracket, moments, ratmat
 from .poly import MultiPoly
 
 
@@ -85,7 +85,7 @@ def memoized(method):
 
 class MomentAlgebra:
     """What a closure derives from its moments mu_n, each built once:
-    gamma_n, the gradients of mu_n and gamma_n, and the bracket entries.
+    gamma_n and the gradients of mu_n and gamma_n.
     A subclass supplies `mu(n)`, `partials(p)` (the dp/dnu_k, as a tuple
     over k) and `euler(p)` (nu . grad p)."""
 
@@ -107,13 +107,6 @@ class MomentAlgebra:
     def gamma_grad(self, n: int) -> tuple[MultiPoly, ...]:
         """The partials of gamma_n, differentiated once."""
         return self.partials(self.gamma(n))
-
-    @memoized
-    def bracket_entry(self, n: int, m: int, k: int | None = None) -> MultiPoly:
-        """alpha_nm (k None) or beta_nmk of `moments`, which
-        `check_flatness` and `moments.alpha_beta_in_mu` read."""
-        return (moments.mu_alpha_entry(self, n, m) if k is None
-                else moments.mu_beta_entry(self, n, m, k))
 
 
 class ClosureFamily(MomentAlgebra):
@@ -208,12 +201,6 @@ class ClosureFamily(MomentAlgebra):
         return [[g_ij * b_j for g_ij, b_j in zip(g_i, b) if g_ij and not b_j.is_zero]
                 for g_i in g]
 
-    def drop_flatness_pairings(self):
-        """Forget the Hessian rows and raised products that only
-        `check_flatness` reads; the recurrence reads those of mu_2."""
-        self._memo.pop("_hessian", None)
-        self._memo["_raised"] = {m: r for m, r in self._memo["_raised"].items() if m == 2}
-
     @memoized
     def derived(self, make: Callable):
         """make(self), built once: what another layer derives from it."""
@@ -226,6 +213,10 @@ class ClosureFamily(MomentAlgebra):
     @memoized
     def _mu_float(self, n: int) -> Callable:
         return self.mu(n).compile_float()
+
+    def flatness(self) -> bracket.FlatnessReport:
+        """The verify suite's flatness cells: those of `bracket.check_flatness`."""
+        return bracket.check_flatness(self)
 
     def identities(self) -> list[tuple[str, bool, str]]:
         """The family's own (name, ok, detail) checks for the verify suite;
@@ -461,13 +452,23 @@ class WaterbagClosure(ClosureFamily):
     def Lambda(self) -> Fraction:
         return Fraction(-1, 2 * self.heights[-1])
 
-    def identities(self, gamma_certified: bool = False) -> list[tuple[str, bool, str]]:
-        """The gamma_n identity for n = 1..2N-3, unless `certify_waterbag`
-        has proved it, and the S_n constant terms."""
+    @functools.cached_property
+    def certified(self) -> bool:
+        """Whether the power-sum certificate proves the flatness and gamma_n
+        checks (docs/waterbag_certificate.md); if not, they run in full."""
+        from .certificate import certify_waterbag  # loaded on first use: start-up never imports it
+        return certify_waterbag(self)
+
+    def flatness(self) -> bracket.FlatnessReport:
+        return bracket.FlatnessReport() if self.certified else super().flatness()
+
+    def identities(self) -> list[tuple[str, bool, str]]:
+        """The gamma_n identity for n = 1..2N-3, unless the certificate
+        proves it, and the S_n constant terms."""
         a = self.heights
         span = range(1, 2 * self.N - 2)
-        gamma_ok = gamma_certified or all(waterbag_gamma_residual(self, n).is_zero
-                                          for n in span)
+        gamma_ok = self.certified or all(waterbag_gamma_residual(self, n).is_zero
+                                         for n in span)
         s_zero = waterbag_s_at_zero(a, span[-1])
         s_ok = all(s_zero[n] == Fraction(1 + (-1) ** n, (n + 1) * 2 ** (n + 1) * a[-1] ** n)
                    for n in span[1:])

@@ -7,12 +7,12 @@ Fractions, MultiPoly values and floats or numpy arrays alike.
 
 Also houses the formulas of the microscopic bracket coefficients
 (alpha, beta) in the mu-variables, read from what a closure derives
-from its mu_n (`closures.MomentAlgebra`, which memoizes each entry),
-and the bracket they assemble. A term with a zero factor is never
-multiplied out, and a gamma term is not even looked up when its gamma
-factor is zero. For a homogeneous closure (multi-delta, Burby, the
-four-field family, homogeneous cubics: gamma_n = 0 for every n) the
-entries are then those of the Benney moment chain,
+from its mu_n (`closures.MomentAlgebra`), and the bracket they
+assemble. A term with a zero factor is never multiplied out, and a
+gamma term is not even looked up when its gamma factor is zero. For a
+homogeneous closure (multi-delta, Burby, the four-field family,
+homogeneous cubics: gamma_n = 0 for every n) the entries are then those
+of the Benney moment chain,
 
   alpha_nm = (n+m) mu_{n+m-1},   beta_nmk = n d_k mu_{n+m-1}
 
@@ -22,10 +22,10 @@ Phys. Lett. A 211, 1996).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .bracket import HydroBracket
 from .poly import MultiPoly
 
 
@@ -95,13 +95,26 @@ def mu_beta_entry(closure, n: int, m: int, k: int) -> MultiPoly:
     return out
 
 
-def alpha_beta_in_mu(closure):
+@dataclass(frozen=True)
+class HydroBracket:
+    """Coefficients (alpha, beta) of a hydrodynamic bracket.
+
+    alpha[n][m] and beta[n][m][k] are polynomials in `nfields` variables;
+    beta[n][m][k] multiplies the x-derivative of variable k.
+    """
+
+    nfields: int
+    alpha: list
+    beta: list
+
+
+def alpha_beta_in_mu(closure) -> HydroBracket:
     """The microscopic hydrodynamic bracket of a closure in mu-variables,
     with every entry expressed as a polynomial in the normal variables."""
     size = closure.nu_count
-    alpha = [[closure.bracket_entry(n, m) for m in range(1, size + 1)]
+    alpha = [[mu_alpha_entry(closure, n, m) for m in range(1, size + 1)]
              for n in range(1, size + 1)]
-    beta = [[[closure.bracket_entry(n, m, k) for k in range(size)]
+    beta = [[[mu_beta_entry(closure, n, m, k) for k in range(size)]
              for m in range(1, size + 1)]
             for n in range(1, size + 1)]
     return HydroBracket(nfields=size, alpha=alpha, beta=beta)

@@ -109,7 +109,7 @@ def full_metric(closure):
 
 def symmetry_residuals(hb) -> list:
     """(n, m, r) for each entry r = alpha_nm - alpha_mn of the bracket hb
-    (a `bracket.HydroBracket`) that is not identically zero."""
+    (a `moments.HydroBracket`) that is not identically zero."""
     out = []
     for n in range(hb.nfields):
         for m in range(n + 1, hb.nfields):

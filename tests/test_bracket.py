@@ -5,19 +5,19 @@ import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydroclosures import bracket, moments, ratmat
-from hydroclosures.bracket import (FlatnessCheck, FlatnessReport, HydroBracket,
-                                   casimirs, check_flatness)
+from hydroclosures import bracket, certificate, moments, ratmat
+from hydroclosures.bracket import FlatnessCheck, FlatnessReport, casimirs, check_flatness
 from hydroclosures.cli import Report, _verify_one
 from hydroclosures.closures import (BurbyClosure, FourFieldClosure,
                                     GenericClosure, Metric, MultiDeltaClosure,
                                     WaterbagClosure)
-from hydroclosures.moments import alpha_beta_in_mu
+from hydroclosures.moments import HydroBracket, alpha_beta_in_mu
 from hydroclosures.poly import MultiPoly
 from hydroclosures.ratmat import as_matrix
 
@@ -221,10 +221,10 @@ def traced(fn):
 
 def test_verify_builds_each_derivative_and_entry_once():
     """Counters of the full checks (flatness, the oracle's antisymmetry,
-    identities) on waterbag N = 5 (nv = 3), recorded when the gradient,
-    Hessian-row and entry caches went in. `verify` itself certifies a
-    waterbag closure and builds no bracket, so the checks run directly,
-    through the names the tracer patches."""
+    identities) on waterbag N = 5 (nv = 3), recorded when the gradient
+    and Hessian-row caches went in. `verify` itself certifies a waterbag
+    closure and builds no bracket, so the certificate is switched off and
+    the checks run directly, through the names the tracer patches."""
     closure = WaterbagClosure([F(1), F(1), F(1), F(-1), F(-2)])
 
     def full_checks():
@@ -232,14 +232,16 @@ def test_verify_builds_each_derivative_and_entry_once():
         assert is_antisymmetric(moments.alpha_beta_in_mu(closure))
         assert all(ok for _, ok, _ in closure.identities())
 
-    summary = traced(full_checks)
+    with mock.patch.object(certificate, "certify_waterbag", return_value=False):
+        summary = traced(full_checks)
     # the S_n check reads the nu = 0 velocities, never the expansion
     assert "closures.waterbag_s" not in summary["calls"]
     counts = summary["counts"]
     # 3 alpha and 2 * 3 beta cells per pair n < m, 1 + 3 per n = m
     assert counts["bracket.identities"] == 3 * 7 + 3 * 4
-    # every alpha_nm and beta_nmk of the 3 x 3 bracket built once
-    assert counts["moments.entries"] == 9 + 27
+    # the entries of the 6 alpha and 9 beta cells check_flatness computes,
+    # then every alpha_nm and beta_nmk of the 3 x 3 bracket, each once
+    assert counts["moments.entries"] == 15 + 36
     # gradients of mu_0..mu_6 (7 * 3) and of gamma_2..gamma_3 (2 * 3; the
     # zero gamma_1 is not differentiated), the Hessians of mu_1 and mu_2
     # (2 * 9, for the beta pairs n < m; the cells with n >= m follow from
@@ -374,15 +376,6 @@ def test_verify_builds_no_bracket_when_flat(closure):
     summary = traced(lambda: _verify_checks(closure))
     assert summary["calls"]["bracket.flatness"] == 1
     assert "moments.alpha_beta" not in summary["calls"]
-
-
-def test_verify_drops_the_flatness_only_pairings():
-    # once check_flatness returns, only the raised products of mu_2, which
-    # the recurrence reads, stay memoized
-    closure = BurbyClosure(4)
-    assert _verify_checks(closure)["flatness identities"]
-    assert memo_args(closure, "_hessian") == []
-    assert memo_args(closure, "_raised") == [2]
 
 
 def test_signature_helper():

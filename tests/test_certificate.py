@@ -59,6 +59,14 @@ def test_certificate_agrees_with_the_full_checks(heights):
     assert all(c["ok"] for c in full)
 
 
+def test_identities_alone_take_the_certificate():
+    # a waterbag closure proves its own gamma_n check, whoever asks for its
+    # identities: they pass without expanding any mu_n past mu_2
+    closure = WaterbagClosure([F(1), F(1), F(1), F(-1), F(-2)])
+    assert all(ok for _, ok, _ in closure.identities())
+    assert max(closure._memo["mu"]) <= 2
+
+
 class PerturbedMu2(WaterbagClosure):
     """mu_2 of heights with one entry changed, under the true metric."""
 

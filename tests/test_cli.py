@@ -483,11 +483,25 @@ BAD_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("case", [*BAD_RUNS, *BAD_GRIDS])
+# initial data that ran and wrote a FAIL report (exit 1): a density at or
+# below zero somewhere, or non-finite fields
+BAD_INITIALS = {
+    "zero-n0": {"n0": 0},
+    "negative-n0": {"n0": -1},
+    "large-eps": {"eps": 2},
+    "nan-n0": {"n0": float("nan")},
+    "inf-n0": {"n0": float("inf")},
+    "nan-u0": {"u0": float("nan")},
+    "inf-u0": {"u0": float("inf")},
+}
+
+
+@pytest.mark.parametrize("case", [*BAD_RUNS, *BAD_GRIDS, *BAD_INITIALS])
 def test_simulate_rejects_bad_run_settings(tmp_path, capsys, case):
     integ, output = BAD_RUNS.get(case, ({}, {}))
     cfg = json.loads(json.dumps(COLD_CONFIG))
     cfg["grid"].update(BAD_GRIDS.get(case, {}))
+    cfg["initial"].update(BAD_INITIALS.get(case, {}))
     cfg["integrator"].update(integ)
     cfg["output"].update(output)
     out = tmp_path / "run"
@@ -524,16 +538,40 @@ def test_simulate_rejects_wrong_nu_list_length(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# streams that crashed with a traceback (n0 <= 0, NaN v0) or ran on a
+# negative stream density, and tolerances that passed vacuously (inf) or
+# exited 1 (NaN, negative)
+BAD_STREAMS = {
+    "zero-stream-n0": {"n0": 0},
+    "negative-stream-n0": {"n0": -1},
+    "inf-stream-n0": {"n0": float("inf")},
+    "nan-v0": {"v0": float("nan")},
+    "inf-v0": {"v0": float("inf")},
+    "unit-eps": {"eps": 1},
+    "nan-eps": {"eps": float("nan")},
+}
+BAD_TOLERANCES = {
+    "inf-tolerance": float("inf"),
+    "nan-tolerance": float("nan"),
+    "zero-tolerance": 0,
+    "negative-tolerance": -1e-6,
+}
+
+
 @pytest.mark.parametrize("case", [*(c for c, (_, output) in BAD_RUNS.items() if not output),
-                                  *BAD_GRIDS])
+                                  *BAD_GRIDS, *BAD_STREAMS, *BAD_TOLERANCES])
 def test_compare_rejects_bad_integrator(tmp_path, capsys, case):
     cfg = json.loads(json.dumps(COMPARE_CONFIG))
     cfg["grid"].update(BAD_GRIDS.get(case, {}))
     cfg["integrator"].update(BAD_RUNS.get(case, ({}, {}))[0])
+    cfg["streams"].update(BAD_STREAMS.get(case, {}))
+    cfg["tolerance"] = BAD_TOLERANCES.get(case, cfg["tolerance"])
     out = tmp_path / "cmp"
     assert main(["compare", "--config", write_config(tmp_path, cfg),
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
     assert not out.exists()
 
 

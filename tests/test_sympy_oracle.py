@@ -9,7 +9,7 @@ with one shifted index must not, so the comparison can fail.
 
 `sympy_bracket` goes on from those moments to every alpha_nm and beta_nmk,
 and `sympy_failing_cells` to every flatness cell, each written in full (no
-symmetry is used). The entries must equal `closure.bracket_entry` and the
+symmetry is used). The entries must equal those of `moments` and the
 failing cells those of `check_flatness`; with one gamma term dropped, the
 entries must disagree on a waterbag closure, where the gamma_n are live.
 """
@@ -20,6 +20,7 @@ import pytest
 import sympy
 
 from hydroclosures.bracket import check_flatness
+from hydroclosures.moments import mu_alpha_entry, mu_beta_entry
 from hydroclosures.closures import (BurbyClosure, FourFieldClosure, GenericClosure,
                                     Metric, MultiDeltaClosure, WaterbagClosure)
 from hydroclosures.poly import MultiPoly
@@ -176,10 +177,15 @@ def sympy_failing_cells(closure, size: int) -> set[str]:
     return failing
 
 
+def entry(closure, n, m, k=None):
+    """alpha_nm (k None) or beta_nmk of `moments`."""
+    return mu_alpha_entry(closure, n, m) if k is None else mu_beta_entry(closure, n, m, k)
+
+
 def entries_disagreeing(closure, alpha, beta) -> list:
     nv = closure.nu_count
     return [key for key, expr in [*alpha.items(), *beta.items()]
-            if as_terms(expr, nv) != dict(closure.bracket_entry(*key).terms)]
+            if as_terms(expr, nv) != dict(entry(closure, *key).terms)]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
