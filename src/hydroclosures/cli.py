@@ -431,14 +431,16 @@ def cmd_compare(args) -> int:
     md = MultiDeltaClosure(2)
     broke = None
     work = sim.Workspace()  # one for both steppers: their steps never overlap
-    for _ in range(int(round(t_end / dt))):
-        s_f = sim.step(s_f, md, grid, dt, scheme=scheme, work=work)
-        s_s = sim.step_streams(s_s, grid, dt, work=work)
-        try:
+    try:
+        for _ in range(int(round(t_end / dt))):
+            s_f = sim.step(s_f, md, grid, dt, scheme=scheme, work=work)
+            s_s = sim.step_streams(s_s, grid, dt, work=work)
             sim.check_wave_breaking(s_s, grid)
-        except sim.WaveBreakError as e:
-            broke = str(e)
-            break
+    except sim.WaveBreakError as e:
+        broke = str(e)  # the comparison up to the break still holds
+    except sim.SimulationError as e:
+        rep.add("run completed", False, str(e))
+        return rep.emit(args.json, outdir)
     nuv = list(s_f.nu)
     mu_vals = [md.mu_value(k, nuv) for k in range(1, 4)]
     psi = s_f.u - s_f.rho * mu_vals[0]

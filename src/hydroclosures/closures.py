@@ -546,22 +546,39 @@ def burby_mu(m: int, n: int) -> MultiPoly:
     This is the published closure: `BurbyClosure` takes its mu_2 from it, and
     its verify suite compares every generated mu_n with it.
     """
+    return _burby_closed(m, n, {})
+
+
+def _burby_closed(m: int, n: int, memo: dict) -> MultiPoly:
+    """`burby_mu(m, n)`, keeping the recursion's subproblems in `memo`,
+    which every n at level m can share."""
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
 
-    @functools.cache
+    def term(coef, *powers: tuple[int, int]) -> MultiPoly:
+        # coef times nu_(i+1)^e over the (i, e) pairs, built directly
+        exps = [0] * m
+        for i, e in powers:
+            exps[i] += e
+        return MultiPoly.monomial(m, exps, coef)
+
     def rec(l: int, args: tuple[int, ...]) -> MultiPoly:
         # args: global variable indices standing in for (nu_l, ..., nu_level)
+        out = memo.get((l, args))
+        if out is not None:
+            return out
         if not args or l < 0:
-            return MultiPoly.zero(m)
-        if len(args) == 1:
-            return MultiPoly.variable(m, args[0]) ** (l + 1) / (l + 1)
-        last = MultiPoly.variable(m, args[-1])
-        out = MultiPoly.variable(m, args[0]) * last ** l
-        for k in range(1, l + 1):
-            sub = rec(k, args[k:-1])
-            if not sub.is_zero:
-                out = out + comb(l, k) * last ** (l - k) * sub
+            out = MultiPoly.zero(m)
+        elif len(args) == 1:
+            out = term(Fraction(1, l + 1), (args[0], l + 1))
+        else:
+            last = args[-1]
+            out = term(1, (args[0], 1), (last, l))
+            for k in range(1, l + 1):
+                sub = rec(k, args[k:-1])
+                if not sub.is_zero:
+                    out = out + term(comb(l, k), (last, l - k)) * sub
+        memo[l, args] = out
         return out
 
     return rec(n, tuple(range(n - 1, m)))
@@ -659,6 +676,14 @@ class BurbyClosure(ClosureFamily):
                          names, _antidiag_metric(m, sign),
                          burby_mu(m, 2) if m >= 2 else MultiPoly.zero(m))
 
+    def closed_form(self, n: int) -> MultiPoly:
+        """The published mu_n, `burby_mu(m, n)`: mu_2 is the constructor's
+        seed, and the other n share the subproblems of the recursion in
+        this closure's memo."""
+        if n == 2 and self.m >= 2:
+            return self._mu2
+        return _burby_closed(self.m, n, self._memo["closed_form"])
+
     def sample_round_trip(self) -> tuple[list[Fraction], list[float], tuple]:
         """(nu, mu, back): nu = (1/2, ..., 1/2, 2 * branch sign), its float
         moments mu_1..mu_m and their inversion, for verify and casimir."""
@@ -712,7 +737,7 @@ class BurbyClosure(ClosureFamily):
         m, sign = self.m, self._sign
         # the generated mu_n against the published closure: "recursion" is
         # the mu_2 recurrence, "closed form" the published `burby_mu`
-        ok = all(burby_mu(m, n) == sign ** n * self.mu(n) for n in range(1, m + 1))
+        ok = all(self.closed_form(n) == sign ** n * self.mu(n) for n in range(1, m + 1))
         err, bound = self.round_trip_error()
         return [("recursion equals closed form", ok, ""),
                 ("inversion round trip", err <= bound,

@@ -21,6 +21,11 @@ equality of (nvars, denominator, numerator dict), and an identity check is
 just "subtract and test for the empty map".  `terms` presents a polynomial
 as a read-only {exponent tuple: Fraction} mapping.  Terms keep the order in
 which arithmetic first produced them, and `eval` visits them in that order.
+At a rational point `eval` stays in integers: it sums the numerators of
+the terms over one common denominator, drops a term at its first zero
+factor, and makes one Fraction at the end.  `variable` and `monomial`
+build their single term directly, without the constructor's pass over a
+mapping.
 """
 
 from __future__ import annotations
@@ -43,6 +48,19 @@ def _pack(exps: tuple[int, ...]) -> int:
     for e in exps:
         key = (key << _BITS) | e
     return key
+
+
+def _checked_key(nvars: int, exps) -> int:
+    """The packed key of `exps`, which must be nvars nonnegative ints of
+    total degree at most MAX_DEGREE."""
+    exps = tuple(int(e) for e in exps)
+    if len(exps) != nvars:
+        raise ValueError(f"exponent tuple {exps} does not match nvars={nvars}")
+    if any(e < 0 for e in exps):
+        raise ValueError(f"negative exponent in {exps}")
+    if sum(exps) > MAX_DEGREE:
+        raise ValueError(f"total degree of {exps} exceeds {MAX_DEGREE}")
+    return _pack(exps)
 
 
 def _unpack(key: int, nvars: int) -> tuple[int, ...]:
@@ -92,14 +110,7 @@ class MultiPoly:
         clean: dict[int, Fraction] = {}
         if terms:
             for exps, coef in terms.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != nvars:
-                    raise ValueError(f"exponent tuple {exps} does not match nvars={nvars}")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                if sum(exps) > MAX_DEGREE:
-                    raise ValueError(f"total degree of {exps} exceeds {MAX_DEGREE}")
-                key = _pack(exps)
+                key = _checked_key(nvars, exps)
                 c = clean.get(key, 0) + Fraction(coef)
                 if c:
                     clean[key] = c
@@ -134,14 +145,19 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
+        nvars = int(nvars)
         if not 0 <= index < nvars:
             raise IndexError(f"variable index {index} out of range for nvars={nvars}")
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, {exps: Fraction(1)})
+        # degree 1 in the top field, exponent 1 in the field of `index`
+        key = (1 << _BITS * nvars) | (1 << _BITS * (nvars - 1 - int(index)))
+        return _wrap(nvars, {key: 1}, 1)
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coef=1) -> "MultiPoly":
-        return cls(nvars, {tuple(exps): Fraction(coef)})
+        c = Fraction(coef)
+        nvars = int(nvars)
+        key = _checked_key(nvars, exps)
+        return _wrap(nvars, {key: c.numerator} if c else {}, c.denominator)
 
     # -- predicates -----------------------------------------------------
 
@@ -316,11 +332,19 @@ class MultiPoly:
     def eval(self, values: Sequence):
         """Evaluate at `values` (Fractions, floats, MultiPoly...).
 
-        The result lives in whatever ring the values live in; with all-Fraction
-        input it is an exact Fraction.
+        The result lives in whatever ring the values live in; with all-rational
+        input (ints and Fractions) it is an exact Fraction. Such a point is
+        written over one common denominator L, values[i] = P_i / L. A term
+        of degree d is then an integer over den * L^d, which L^(top - d)
+        lifts to den * L^top, top the largest degree: the lifted numerators
+        are summed as integers, a term stopping at its first zero factor,
+        and one Fraction is made at the end. Any other point is evaluated
+        term by term in the values' own arithmetic, in term order.
         """
         if len(values) != self.nvars:
             raise ValueError(f"expected {self.nvars} values, got {len(values)}")
+        if all(isinstance(v, (int, Fraction)) for v in values):
+            return self._eval_rational(values)
         acc = None
         nvars, den = self.nvars, self._den
         for key, num in self._num.items():
@@ -330,6 +354,28 @@ class MultiPoly:
                     term = term * v ** e
             acc = term if acc is None else acc + term
         return Fraction(0) if acc is None else acc
+
+    def _eval_rational(self, values: Sequence) -> Fraction:
+        if not self._num:
+            return Fraction(0)
+        nvars = self.nvars
+        L = lcm(*(v.denominator for v in values))
+        P = [v.numerator * (L // v.denominator) for v in reversed(values)]
+        top = max(self._num) >> (_BITS * nvars)
+        # L^(top - degree) lifts a term of lower degree to den * L^top
+        lift = [L ** e for e in range(top, -1, -1)] if L != 1 else None
+        total = 0
+        for key, t in self._num.items():
+            for p in P:  # last variable first: it sits in the lowest field
+                e = key & _MASK
+                key >>= _BITS
+                if e:
+                    t *= p ** e
+                    if not t:
+                        break
+            else:
+                total += t if lift is None else t * lift[key]
+        return Fraction(total, self._den * L ** top)
 
     def compile_float(self):
         """Return a fast float evaluator f(values) usable with numpy arrays.

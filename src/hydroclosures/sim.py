@@ -304,11 +304,12 @@ class _ClosureTables:
 def _check_state(state: FieldState):
     rho, u, nu = state.rho, state.u, state.nu
     # a quick pass: a NaN in rho makes min(rho) NaN, and a NaN or inf
-    # anywhere makes the sum of squares non-finite. The sum can overflow
-    # on finite data (vdot, unlike dot, does not warn then), so when it
-    # fails, the exact tests below decide.
+    # anywhere makes the sum of the values non-finite. The sums are numpy
+    # reductions, not a BLAS dot, which may spread a large grid over
+    # threads. A sum of finite values can overflow (numpy warns then), so
+    # when the quick pass fails, the exact tests below decide.
     if rho.min() >= RHO_FLOOR and math.isfinite(
-            float(np.vdot(rho, rho)) + float(np.vdot(u, u)) + float(np.vdot(nu, nu))):
+            float(rho.sum()) + float(u.sum()) + float(nu.sum())):
         return
     if np.any(rho < RHO_FLOOR):
         raise SimulationError(f"density fell below {RHO_FLOOR} at t={state.t}")

@@ -5,8 +5,9 @@ derives it: the inhomogeneity measure gamma_n, the published four-field
 polynomials, the closed form of the Burby moments, the S_n re-centering
 sum, the full bracket metric, the antisymmetry residuals of a bracket,
 the multi-stream invariants, and the general paths of `MultiPoly` addition,
-scaling and float evaluation and of the congruence, which the library's
-short-cuts past zero operands and unit coefficients must match. Test
+scaling and float and exact evaluation and of the matrix inverse and the
+congruence, which the library's short-cuts past zero operands and unit
+coefficients and its sparse kernels must match. Test
 modules import them with `from oracles import ...` (pytest puts this
 directory on `sys.path`).
 """
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from hydroclosures import ratmat
-from hydroclosures.poly import MultiPoly, _make
+from hydroclosures.poly import MultiPoly, _make, _unpack
 from hydroclosures.sim import poisson_solve
 
 
@@ -189,12 +190,46 @@ def scale_general(p: MultiPoly, n: int, d: int) -> MultiPoly:
     return _make(p.nvars, {k: c * n for k, c in p._num.items()}, p._den * d)
 
 
+def eval_general(p: MultiPoly, values):
+    """p at `values`, term by term in the values' own arithmetic: each
+    term's Fraction coefficient times values[i] ** e for e != 0, the terms
+    summed in term order; Fraction(0) for the zero polynomial."""
+    acc = None
+    for key, num in p._num.items():
+        term = Fraction(num, p._den)
+        for v, e in zip(values, _unpack(key, p.nvars)):
+            if e:
+                term = term * v ** e
+        acc = term if acc is None else acc + term
+    return Fraction(0) if acc is None else acc
+
+
+def inverse_dense(a) -> tuple:
+    """Exact inverse by Gauss-Jordan elimination with partial pivoting on
+    the dense augmented matrix [a | I]."""
+    n = len(a)
+    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
+           for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ZeroDivisionError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        p = aug[col][col]
+        aug[col] = [x / p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
 def congruence_dense(g) -> tuple:
     """(T, d) with T^t g T = diag(d) by symmetric Gaussian elimination in
     which every column operation updates every entry, zero addend or not."""
     n = len(g)
     a = [list(row) for row in g]
-    t = [list(row) for row in ratmat.identity(n)]
+    t = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
     def col_op(dst, src, factor):
         for r in range(n):

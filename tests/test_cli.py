@@ -276,7 +276,7 @@ def test_closure_eos_inverts_once():
 
 
 @pytest.mark.parametrize("argv, identities, entries, muls", [
-    (["verify", "--family", "burby", "--level", "6"], 237, 111, 230),
+    (["verify", "--family", "burby", "--level", "6"], 237, 111, 157),
     (["verify", "--family", "multidelta", "--M", "3"], 74, 34, 160)],
     ids=["burby-6", "multidelta-3"])
 def test_verify_multiplies_no_zero_in_flatness(monkeypatch, argv, identities, entries, muls):
@@ -287,7 +287,8 @@ def test_verify_multiplies_no_zero_in_flatness(monkeypatch, argv, identities, en
     size(size+1)/2 alpha and nv size(size-1)/2 beta, where every cell
     was built before (237 and 74). poly.mul.calls was 1421 and 516 while
     zero products were still formed, then 264 and 200 while every cell
-    was built."""
+    was built; burby-6 then read 230 while its closed forms were rebuilt
+    for each n and took variable powers by multiplication."""
     mul, flatness = MultiPoly.__mul__, bracket.check_flatness
     depth, products, zero_operands = [0], [0], []
 
@@ -315,6 +316,19 @@ def test_verify_multiplies_no_zero_in_flatness(monkeypatch, argv, identities, en
     assert summary["counts"]["bracket.identities"] == identities
     assert products[0] > 0 and zero_operands == []
     assert summary["calls"]["poly.mul"] == muls
+
+
+def test_verify_builds_each_burby_closed_form_once():
+    """Work counters of `verify --family burby --levels 1..11`. Each closure
+    keeps the subproblems of its published closed forms in one memo shared
+    by every n, with mu_2 the constructor's seed, builds the variable
+    powers they hold as monomials, and no variable or monomial goes
+    through the validating constructor. poly.mul.calls and poly.init.calls
+    were 4144 and 601 while `burby_mu` rebuilt its recursion for each n."""
+    rc, _, summary = traced_main(["verify", "--family", "burby", "--levels", "1..11"])
+    assert rc == 0
+    assert summary["calls"]["poly.mul"] == 2782
+    assert summary["counts"].get("poly.init.calls", 0) == 0
 
 
 def test_verify_burby_level_8_round_trip(capsys):
@@ -613,6 +627,23 @@ def test_compare_subcommand(tmp_path, capsys):
     assert report["ok"] is True
     names = [c["name"] for c in report["checks"]]
     assert any(n.startswith("P_3") for n in names)
+
+
+def test_compare_reports_a_failing_step(tmp_path, capsys):
+    # a finite but huge stream speed passes the config checks, and the
+    # fluid's first step drains the density: a FAIL check and exit 1, as
+    # `simulate` reports it, where it used to end in a traceback
+    cfg = json.loads(json.dumps(COMPARE_CONFIG))
+    cfg["streams"]["v0"] = 1e10
+    out = tmp_path / "cmp"
+    with pytest.warns(UserWarning, match="CFL"):
+        rc = main(["compare", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert rc == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["ok"] is False
+    assert [(c["name"], c["ok"]) for c in report["checks"]] == [("run completed", False)]
+    assert report["checks"][0]["detail"] == "density fell below 1e-12 at t=0.0"
+    assert "[FAIL] run completed: density fell below" in capsys.readouterr().out
 
 
 def test_branch_flag(capsys):

@@ -228,6 +228,23 @@ def test_level_recursion_equals_closed_form():
             burby_mu_closed(m, n)
 
 
+def test_closure_closed_forms_equal_burby_mu():
+    """A closure's closed forms share one memo over n, whatever order they
+    are asked in; each is still `burby_mu(m, n)`, term order included."""
+    for m in range(1, 17):
+        expect = [burby_mu(m, n) for n in range(1, m + 1)]
+        for branch in ("plus", "minus") if m % 2 else ("plus",):
+            for order in (1, -1):
+                c = BurbyClosure(m, branch)
+                got = {n: c.closed_form(n) for n in range(1, m + 1)[::order]}
+                got = [got[n] for n in range(1, m + 1)]
+                assert got == expect, (m, branch)
+                assert [list(p.terms) for p in got] == [list(p.terms) for p in expect]
+    for m, n in ((1, 2), (3, 0), (3, 4)):
+        with pytest.raises(ValueError, match="1 <= n <= m"):
+            BurbyClosure(m).closed_form(n)
+
+
 def test_level_truncation_and_top():
     for m in range(1, 7):
         assert burby_mu(m, m) == MultiPoly.monomial(

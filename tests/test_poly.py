@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from hydroclosures.poly import MultiPoly
 
-from oracles import combine_general, compile_float_general, poly_vars, scale_general
+from oracles import (combine_general, compile_float_general, eval_general, poly_vars,
+                     scale_general)
 
 
 def random_poly(rng: random.Random, nvars: int, max_deg: int = 6,
@@ -363,3 +364,61 @@ def test_copy_and_pickle_round_trip(roundtrip):
     assert back * q == p * q  # the rebuilt object computes like the original
     with pytest.raises(AttributeError):
         back.nvars = 3
+
+
+# ints and Fractions of both signs, zero among them
+RATIONALS = st.one_of(st.integers(-6, 6),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 3).flatmap(
+    lambda nv: st.tuples(polys(nvars=nv, max_deg=5), st.lists(RATIONALS, min_size=nv,
+                                                                 max_size=nv))))
+def test_rational_eval_equals_the_fraction_loop(case):
+    p, point = case
+    value = p.eval(point)
+    assert value == eval_general(p, point)
+    assert type(value) is Fraction
+
+
+def test_rational_eval_edge_points():
+    x, y, z = poly_vars(3)
+    p = Fraction(3, 4) * x ** 2 * y - 5 * z ** 3 + Fraction(1, 6) + x  # mixed degrees
+    points = [[0, 0, 0], [Fraction(0), 2, -1], [-1, Fraction(-1, 2), Fraction(2, 3)],
+              [True, 3, Fraction(5, 7)], [Fraction(1, 2)] * 3]
+    for point in points:
+        assert p.eval(point) == eval_general(p, point)
+    for q in (MultiPoly.zero(3), MultiPoly.const(3, Fraction(-2, 3))):
+        assert q.eval([1, Fraction(1, 2), 0]) == eval_general(q, [1, Fraction(1, 2), 0])
+        assert type(q.eval([1, 2, 3])) is Fraction
+    # no variables: the constant itself
+    assert MultiPoly.const(0, Fraction(5, 3)).eval([]) == Fraction(5, 3)
+    assert MultiPoly.zero(0).eval(()) == 0 and type(MultiPoly.zero(0).eval(())) is Fraction
+
+
+def test_eval_at_a_float_point_keeps_the_term_by_term_loop():
+    # a point holding any float is evaluated in float arithmetic, term by
+    # term in term order, bit for bit as the general loop does
+    rng = random.Random(5)
+    for _ in range(200):
+        p = random_poly(rng, 3)
+        point = [Fraction(rng.randint(-4, 4), 3), 0.1 * rng.randint(-9, 9), rng.randint(-2, 2)]
+        value = p.eval(point)
+        expect = eval_general(p, point)
+        assert value == expect and type(value) is type(expect)
+
+
+def test_variable_and_monomial_build_canonical_polynomials():
+    for nvars in range(1, 4):
+        for i in range(nvars):
+            exps = tuple(int(j == i) for j in range(nvars))
+            assert MultiPoly.variable(nvars, i) == MultiPoly(nvars, {exps: 1})
+            assert list(MultiPoly.variable(nvars, i).terms) == [exps]
+    with pytest.raises(IndexError):
+        MultiPoly.variable(2, 2)
+    assert MultiPoly.monomial(2, (1, 3), Fraction(-4, 6)) == MultiPoly(2, {(1, 3): Fraction(-2, 3)})
+    assert MultiPoly.monomial(2, (1, 3), 0) == MultiPoly.zero(2)
+    for exps, message in (((1,), "does not match"), ((1, -1), "negative exponent")):
+        with pytest.raises(ValueError, match=message):
+            MultiPoly.monomial(2, exps)

@@ -1,13 +1,14 @@
-"""The sparse congruence against the dense loop it replaced."""
+"""The sparse inverse and congruence against the dense loops they replaced."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydroclosures import ratmat
 
-from oracles import congruence_dense
+from oracles import congruence_dense, inverse_dense
 
 F = Fraction
 # zero-heavy, so that the sparse column operations skip entries
@@ -58,3 +59,51 @@ def test_sparse_congruence_equals_the_dense_loop(rows):
         for j in range(n):
             tgt = sum(T[k][i] * g[k][l] * T[l][j] for k in range(n) for l in range(n))
             assert tgt == (d[i] if i == j else 0)
+
+
+@st.composite
+def square(draw):
+    n = draw(st.integers(0, 5))
+    return [[draw(ENTRIES) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def permutation_like(draw):
+    # one nonzero per row and column, as in the antidiagonal and block
+    # off-diagonal metrics
+    n = draw(st.integers(1, 6))
+    perm = draw(st.permutations(range(n)))
+    g = [[F(0)] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        g[i][j] = draw(NONZERO)
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(square(), permutation_like(), antidiagonal(), degenerate(),
+                 symmetric(zero_diagonal=True)))
+def test_sparse_inverse_equals_the_dense_loop(rows):
+    a = ratmat.as_matrix(rows)
+    try:
+        expect = inverse_dense(a)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="singular"):
+            ratmat.inverse(a)
+        return
+    inv = ratmat.inverse(a)
+    assert inv == expect
+    assert all(type(x) is Fraction for row in inv for x in row)
+
+
+def test_inverse_of_singular_and_empty_matrices():
+    assert ratmat.inverse(()) == ()
+    for rows in ([[0]], [[1, 2], [2, 4]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]]):
+        with pytest.raises(ZeroDivisionError, match="singular"):
+            ratmat.inverse(ratmat.as_matrix(rows))
+
+
+def test_congruence_rejects_an_asymmetric_matrix():
+    # an entry whose mirror is zero, and two nonzero mirrors that differ
+    for rows in ([[0, 1], [0, 0]], [[1, 2], [3, 1]]):
+        with pytest.raises(ValueError, match="symmetric"):
+            ratmat.congruence_diagonalize(ratmat.as_matrix(rows))

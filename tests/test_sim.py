@@ -243,13 +243,40 @@ def test_check_state_messages(faults, message):
 
 @pytest.mark.parametrize("field, index", [("rho", 3), ("u", 5), ("nu", (1, 7))])
 def test_check_state_passes_finite_values_whose_squares_overflow(field, index):
-    # the quick test sums squares, which overflow to inf here: a false
-    # alarm that the exact tests clear
+    # finite values whose squares overflow to inf: no fault and no warning
     grid = Grid(L=TWO_PI, nx=32)
     state = single_mode_state(grid, BurbyClosure(2), eps=1e-3, nu_base=[0.1, 0.4])
     getattr(state, field)[index] = 1e200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        _check_state(state)
+
+
+@pytest.mark.parametrize("field, index", [("rho", [3, 4]), ("u", [5, 6]),
+                                          ("nu", [(1, 7), (1, 8)])])
+def test_check_state_passes_finite_values_whose_sum_overflows(field, index):
+    # the quick test's sum overflows to inf: a false alarm that the exact
+    # tests clear
+    grid = Grid(L=TWO_PI, nx=32)
+    state = single_mode_state(grid, BurbyClosure(2), eps=1e-3, nu_base=[0.1, 0.4])
+    for i in index:
+        getattr(state, field)[i] = 1.5e308
+    with np.errstate(over="ignore"):
+        _check_state(state)
+
+
+def test_check_state_makes_no_blas_call(monkeypatch):
+    # a BLAS dot spreads a large grid over threads unless they are pinned
+    def blas(*args, **kwargs):
+        raise AssertionError("BLAS call in _check_state")
+
+    for name in ("dot", "vdot", "inner", "matmul"):
+        monkeypatch.setattr(np, name, blas)
+    grid = Grid(L=TWO_PI, nx=16384)
+    state = single_mode_state(grid, BurbyClosure(2), eps=1e-3, nu_base=[0.1, 0.4])
+    _check_state(state)
+    state.nu[1, 7] = np.nan
+    with pytest.raises(SimulationError, match="non-finite field values"):
         _check_state(state)
 
 
