@@ -27,7 +27,7 @@ from . import bracket
 from .closures import (BurbyClosure, ClosureFamily, ColdClosure,
                        FourFieldClosure, GenericClosure, Metric,
                        MultiDeltaClosure, WaterbagClosure, closed_moments,
-                       multidelta_normal_map)
+                       multidelta_normal_map, require_integer)
 from .moments import p_from_mu
 from .poly import MultiPoly
 
@@ -66,8 +66,7 @@ class Report:
 
     def emit(self, as_json: bool, out: Path | None = None) -> int:
         doc = self.as_dict()
-        if out is not None:
-            out.mkdir(parents=True, exist_ok=True)
+        if out is not None:  # made by `_out_dir` before the command's work
             (out / "report.json").write_text(json.dumps(doc, indent=2) + "\n")
         if as_json:
             print(json.dumps(doc, indent=2))
@@ -112,9 +111,9 @@ def closure_from_spec(spec: dict) -> ClosureFamily:
     if family == "cold":
         return ColdClosure()
     if family == "multidelta":
-        return MultiDeltaClosure(int(spec.get("M", 2)))
+        return MultiDeltaClosure(spec.get("M", 2))
     if family == "burby":
-        return BurbyClosure(int(spec.get("level", 2)), branch=spec.get("branch", "plus"))
+        return BurbyClosure(spec.get("level", 2), branch=spec.get("branch", "plus"))
     if family == "fourfield":
         return FourFieldClosure(_parse_fraction(spec.get("kappa", 0)))
     if family == "waterbag":
@@ -210,20 +209,35 @@ def _check_levels(args):
         raise ValueError("--levels replaces --level: give one, not both")
 
 
+class _OutDirError(Exception):
+    """An --out directory that cannot be made: `main` reports it, exit 2."""
+
+
+def _out_dir(out: str | None, *subdirs: str) -> Path | None:
+    """The --out directory with its `subdirs`, made before a command's work,
+    so that one that cannot be made (it names a file, say) ends it at once."""
+    try:
+        for d in ("", *subdirs) if out is not None else ():
+            (Path(out) / d).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise _OutDirError(f"cannot make the --out directory: {e}") from None
+    return None if out is None else Path(out)
+
+
 def cmd_verify(args) -> int:
     rep = Report("verify")
     try:
         _check_levels(args)
-        if args.levels is not None:
-            for m in _level_range(args.levels):
-                _verify_one(closure_from_spec(
-                    {"family": "burby", "level": m, "branch": args.branch}), rep)
-        else:
-            _verify_one(closure_from_spec(_spec_from_args(args)), rep)
+        specs = ([_spec_from_args(args)] if args.levels is None else
+                 [{"family": "burby", "level": m, "branch": args.branch}
+                  for m in _level_range(args.levels)])
+        outdir = _out_dir(args.out)
+        for spec in specs:
+            _verify_one(closure_from_spec(spec), rep)
     except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    return rep.emit(args.json, Path(args.out) if args.out else None)
+    return rep.emit(args.json, outdir)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +286,6 @@ def cmd_closure(args) -> int:
         print("closed moments:",
               [round(float(v), 12) for v in closed])
         return 0
-    print(f"error: unknown closure action {args.action!r}", file=sys.stderr)
-    return 2
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +315,8 @@ def _build_run(cfg: dict) -> tuple[str, float, float, int, int]:
     _reject_unknown(output, _OUTPUT_KEYS, "output")
     scheme = integ.get("scheme", "rk4")
     dt, t_end = float(integ["dt"]), float(integ["t_end"])
-    stride, snapshots = int(output.get("stride", 1)), int(output.get("snapshots", 0))
+    stride = require_integer("output stride", output.get("stride", 1))
+    snapshots = require_integer("output snapshots", output.get("snapshots", 0))
     if scheme not in ("rk4", "split"):
         raise ValueError(f"integrator scheme must be 'rk4' or 'split', got {scheme!r}")
     # a run takes round(t_end / dt) steps; NaN fails every comparison
@@ -362,19 +375,17 @@ def _build_streams(spec: dict, grid: sim.Grid) -> sim.StreamState:
 def cmd_simulate(args) -> int:
     from . import sim
     rep = Report("simulate")
-    outdir = Path(args.out)
     try:
         cfg = load_config(args.config, _SIMULATE_KEYS)
         grid = _build_grid(cfg["grid"])
         closure = closure_from_spec(cfg["closure"])
         state = _build_initial(cfg.get("initial", {}), grid, closure)
         scheme, dt, t_end, stride, snapshots = _build_run(cfg)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, OSError, TypeError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _out_dir(args.out, "snapshots")
     snapdir = outdir / "snapshots"
-    snapdir.mkdir(exist_ok=True)
     count = [0]
 
     def on_record(s, rec):
@@ -414,7 +425,6 @@ def cmd_compare(args) -> int:
 
     from . import sim
     rep = Report("compare")
-    outdir = Path(args.out) if args.out else None
     try:
         cfg = load_config(args.config, _COMPARE_KEYS)
         grid = _build_grid(cfg["grid"])
@@ -425,9 +435,10 @@ def cmd_compare(args) -> int:
             raise ValueError(f"tolerance must be finite and > 0, got {tol}")
         rho, u, xi, eta = multidelta_normal_map(list(s_s.a), list(s_s.v))
         s_f = _checked_start(sim.FieldState(rho, u, np.array([xi[0], eta[0]]), s_s.n0))
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, OSError, TypeError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    outdir = _out_dir(args.out)
     md = MultiDeltaClosure(2)
     broke = None
     work = sim.Workspace()  # one for both steppers: their steps never overlap
@@ -504,6 +515,9 @@ def main(argv=None) -> int:
         rc = args.fn(args)
         sys.stdout.flush()
         return rc
+    except _OutDirError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader went away (e.g. `| head`): drop the rest of the output
         # quietly, including the flush at interpreter exit

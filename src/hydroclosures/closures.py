@@ -26,11 +26,18 @@ import functools
 from collections import defaultdict
 from fractions import Fraction
 from math import comb
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Callable, Sequence
 
 from . import bracket, moments, ratmat
 from .poly import MultiPoly
+
+
+def require_integer(what: str, value):
+    """`value`, which must be an Integral but not a bool: 2.9 is refused, not truncated."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 class Metric:
@@ -208,11 +215,15 @@ class ClosureFamily(MomentAlgebra):
 
     def mu_value(self, n: int, nu_values):
         """Fast numeric evaluation of mu_n (floats or numpy arrays)."""
-        return self._mu_float(n)(nu_values)
+        return self.float_eval("mu", n)(nu_values)
 
     @memoized
-    def _mu_float(self, n: int) -> Callable:
-        return self.mu(n).compile_float()
+    def float_eval(self, of: str, n: int):
+        """The compiled float evaluator of mu_n (of="mu") or gamma_n ("gamma"),
+        or the tuple of those of grad mu_n ("grad"): every float value's source."""
+        if of == "grad":
+            return tuple(p.compile_float() for p in self.grad(n))
+        return getattr(self, of)(n).compile_float()
 
     def flatness(self) -> bracket.FlatnessReport:
         """The verify suite's flatness cells: those of `bracket.check_flatness`."""
@@ -277,7 +288,7 @@ def _offdiag_block_metric(b: int) -> Metric:
 
 class MultiDeltaClosure(ClosureFamily):
     def __init__(self, M: int):
-        if M < 1:
+        if require_integer("stream count M", M) < 1:
             raise ValueError("need at least one stream")
         self.M = M
         names = [f"xi{k}" for k in range(2, M + 1)] + [f"eta{k}" for k in range(2, M + 1)]
@@ -642,7 +653,8 @@ def burby_invert(closure: BurbyClosure, mu_values: Sequence,
         nu_m = -nu_m
     nu = [0] * (m - 1) + [nu_m]
     for n in range(m - 1, 0, -1):
-        chi = closure.mu(n).eval([0] * n + nu[n:])
+        point = [0] * n + nu[n:]
+        chi = closure.mu(n).eval(point) if exact else closure.mu_value(n, point)
         nu[n - 1] = (mu_values[n - 1] - chi) / (sign * nu_m) ** n
     return tuple(nu)
 
@@ -663,7 +675,7 @@ class BurbyClosure(ClosureFamily):
     """
 
     def __init__(self, m: int, branch: str = "plus"):
-        if m < 1:
+        if require_integer("level", m) < 1:
             raise ValueError("level must be >= 1")
         if branch not in ("plus", "minus"):
             raise ValueError("branch must be 'plus' or 'minus'")
@@ -705,8 +717,8 @@ class BurbyClosure(ClosureFamily):
         each chi_n, subtraction and division) perturb the moments it works
         from by a few u more, amplified by the same J^-1: C = 4 allows for
         them. Measured on both branches for m <= 23, err / (kappa u) stays
-        below 0.96 (0.15 at m = 23 minus, where kappa = 3.9e6 and err =
-        6.5e-11); an error of 10^3 kappa u fails.
+        below 0.63 (0.17 at m = 23 minus, where kappa = 3.9e6 and err =
+        7.2e-11); an error of 10^3 kappa u fails.
         """
         nu, mus, back = self.sample_round_trip()
         err = max(abs(b - float(v)) / abs(float(v)) for b, v in zip(back, nu))
@@ -717,20 +729,15 @@ class BurbyClosure(ClosureFamily):
         nu: the relative change of the recovered nu per relative change of
         the moments mus = mu(nu).
 
-        J is evaluated in floats from the cached gradients. mu_n depends on
-        nu_n..nu_m only, so J is upper triangular, and each column of J^-1
-        takes one O(m^2) back-substitution.
+        J is evaluated by the compiled gradients. mu_n depends on nu_n..nu_m
+        only, so J is upper triangular, and `_solve_float` finds each column
+        of J^-1 by back-substitution alone.
         """
         m = self.m
         x = [float(v) for v in nu]
-        J = [[0.0] * (n - 1) + [p.eval(x) for p in self.grad(n)[n - 1:]]
-             for n in range(1, m + 1)]
-        inv = [[0.0] * m for _ in range(m)]
-        for j in range(m):
-            for i in range(j, -1, -1):
-                acc = float(i == j) - sum(J[i][k] * inv[k][j] for k in range(i + 1, j + 1))
-                inv[i][j] = acc / J[i][i]
-        return max(sum(abs(inv[i][j] * mus[j]) for j in range(m)) / abs(x[i])
+        J = [[f(x) for f in self.float_eval("grad", n)] for n in range(1, m + 1)]
+        inv = _solve_float(J, [[float(i == j) for i in range(m)] for j in range(m)])
+        return max(sum(abs(inv[j][i] * mus[j]) for j in range(m)) / abs(x[i])
                    for i in range(m))
 
     def identities(self) -> list[tuple[str, bool, str]]:
@@ -829,7 +836,7 @@ def newton_invert(closure: ClosureFamily, mu_target: Sequence,
     """Solve mu(nu) = mu_target by damped Newton iteration, to a residual
     below 1e-12 within 100 steps.
 
-    The Jacobian rows are the closure's cached gradients; the step is halved
+    The Jacobian rows are the closure's compiled gradients; the step is halved
     until the residual norm decreases. Convergence is local: for families
     with several branches the caller should seed `guess` near the wanted
     branch. Without a guess the iteration starts from [s] * nv with
@@ -844,8 +851,6 @@ def newton_invert(closure: ClosureFamily, mu_target: Sequence,
         raise ValueError(f"expected {nv} moment values")
     if not nv:
         return ()
-    jac_polys = [[p.compile_float() for p in closure.grad(n)] for n in range(1, nv + 1)]
-
     def residual(pt):
         return [closure.mu_value(n, pt) - t for n, t in enumerate(target, start=1)]
 
@@ -857,8 +862,8 @@ def newton_invert(closure: ClosureFamily, mu_target: Sequence,
         for _ in range(100):
             if norm(r) < 1e-12:
                 return tuple(x)
-            J = [[jac_polys[i][k](x) for k in range(nv)] for i in range(nv)]
-            step = _solve_float(J, [-v for v in r])
+            J = [[f(x) for f in closure.float_eval("grad", n)] for n in range(1, nv + 1)]
+            step, = _solve_float(J, [[-v for v in r]])
             lam = 1.0
             for _ in range(30):
                 x_new = [xi + lam * si for xi, si in zip(x, step)]
@@ -886,10 +891,11 @@ def newton_invert(closure: ClosureFamily, mu_target: Sequence,
                          f"outside the range of {closure.name} (first start: {first})") from first
 
 
-def _solve_float(A: list[list[float]], b: list[float]) -> list[float]:
-    """Small dense solve with partial pivoting."""
+def _solve_float(A: list[list[float]], B: list[list[float]]) -> list[list[float]]:
+    """x with A x = b for each b in B, by one dense elimination with partial
+    pivoting; each x is bit for bit the one b alone gives."""
     n = len(A)
-    M = [row[:] + [bi] for row, bi in zip(A, b)]
+    M = [row[:] + [b[i] for b in B] for i, row in enumerate(A)]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(M[r][col]))
         if abs(M[piv][col]) < 1e-300:
@@ -898,12 +904,12 @@ def _solve_float(A: list[list[float]], b: list[float]) -> list[float]:
         for r in range(col + 1, n):
             f = M[r][col] / M[col][col]
             if f:
-                for c in range(col, n + 1):
-                    M[r][c] -= f * M[col][c]
-    x = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        x[r] = (M[r][n] - sum(M[r][c] * x[c] for c in range(r + 1, n))) / M[r][r]
-    return x
+                M[r][col:] = [a - f * p for a, p in zip(M[r][col:], M[col][col:])]
+    X = [[0.0] * n for _ in B]
+    for k, x in enumerate(X, start=n):
+        for r in range(n - 1, -1, -1):
+            x[r] = (M[r][k] - sum(M[r][c] * x[c] for c in range(r + 1, n))) / M[r][r]
+    return X
 
 
 def equation_of_state(closure: ClosureFamily, mu_observed: Sequence,
@@ -922,4 +928,4 @@ def closed_moments(closure: ClosureFamily, nu: Sequence) -> tuple:
     """The closed moments mu_{N-1}..mu_{2N-3} at the normal variables `nu`."""
     nv = closure.nu_count
     nu = [float(v) for v in nu]
-    return tuple(closure.mu(n).eval(nu) for n in range(nv + 1, 2 * nv + 2))
+    return tuple(closure.mu_value(n, nu) for n in range(nv + 1, 2 * nv + 2))

@@ -19,13 +19,13 @@ the denominator (gcd(den, *numerators) == 1, den == 1 for the zero
 polynomial).  The form is canonical, so equality of polynomials is
 equality of (nvars, denominator, numerator dict), and an identity check is
 just "subtract and test for the empty map".  `terms` presents a polynomial
-as a read-only {exponent tuple: Fraction} mapping.  Terms keep the order in
-which arithmetic first produced them, and `eval` visits them in that order.
-At a rational point `eval` stays in integers: it sums the numerators of
-the terms over one common denominator, drops a term at its first zero
-factor, and makes one Fraction at the end.  `variable` and `monomial`
-build their single term directly, without the constructor's pass over a
-mapping.
+as a read-only {exponent tuple: Fraction} mapping, in the order in which
+arithmetic first produced the terms.  `eval` is exact at a rational point:
+it sums the numerators of the terms over one common denominator, drops a
+term at its first zero factor, and makes one Fraction at the end.  Float
+values come only from the evaluator `compile_float` returns, which `eval`
+calls at any other point.  `variable` and `monomial` build their single
+term directly, without the constructor's pass over a mapping.
 """
 
 from __future__ import annotations
@@ -330,32 +330,18 @@ class MultiPoly:
                                   if k >> top}, self._den)
 
     def eval(self, values: Sequence):
-        """Evaluate at `values` (Fractions, floats, MultiPoly...).
-
-        The result lives in whatever ring the values live in; with all-rational
-        input (ints and Fractions) it is an exact Fraction. Such a point is
+        """Evaluate at `values`: by `compile_float()` unless all are ints and
+        Fractions, when the result is an exact Fraction. Such a point is
         written over one common denominator L, values[i] = P_i / L. A term
         of degree d is then an integer over den * L^d, which L^(top - d)
         lifts to den * L^top, top the largest degree: the lifted numerators
         are summed as integers, a term stopping at its first zero factor,
-        and one Fraction is made at the end. Any other point is evaluated
-        term by term in the values' own arithmetic, in term order.
+        and one Fraction is made at the end.
         """
         if len(values) != self.nvars:
             raise ValueError(f"expected {self.nvars} values, got {len(values)}")
-        if all(isinstance(v, (int, Fraction)) for v in values):
-            return self._eval_rational(values)
-        acc = None
-        nvars, den = self.nvars, self._den
-        for key, num in self._num.items():
-            term = Fraction(num, den)
-            for v, e in zip(values, _unpack(key, nvars)):
-                if e:
-                    term = term * v ** e
-            acc = term if acc is None else acc + term
-        return Fraction(0) if acc is None else acc
-
-    def _eval_rational(self, values: Sequence) -> Fraction:
+        if not all(isinstance(v, (int, Fraction)) for v in values):
+            return self.compile_float()(values)
         if not self._num:
             return Fraction(0)
         nvars = self.nvars
@@ -383,11 +369,13 @@ class MultiPoly:
         A term is its float coefficient times its nonzero factors
         values[i] ** e, multiplied left to right; a unit coefficient is left
         out, as 1.0 * x is x bit for bit. The terms are added to 0.0 in
-        `sorted_terms` order, so a -0.0 sum comes out as +0.0."""
+        `sorted_terms` order, so a -0.0 sum comes out as +0.0. A coefficient
+        is its numerator / den, rounded once, as float() of its Fraction is."""
+        nvars, den = self.nvars, self._den
         compiled = []
-        for exps, c in self.sorted_terms():
-            factors = [(i, e) for i, e in enumerate(exps) if e]
-            compiled.append((None if c == 1 and factors else float(c), factors))
+        for key, num in sorted(self._num.items(), reverse=True):
+            factors = [(i, e) for i, e in enumerate(_unpack(key, nvars)) if e]
+            compiled.append((None if num == den and factors else num / den, factors))
 
         def evaluate(values):
             acc = 0.0

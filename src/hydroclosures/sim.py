@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,7 +51,7 @@ from functools import cached_property
 import numpy as np
 
 from . import ratmat
-from .closures import ClosureFamily
+from .closures import ClosureFamily, require_integer
 
 RHO_FLOOR = 1e-12
 WAVE_BREAK_SLOPE = -1e3
@@ -117,10 +116,7 @@ class Grid:
     def __post_init__(self):
         if not 0 < self.L < math.inf:  # NaN fails the comparison too
             raise ValueError(f"domain length L must be finite and > 0, got {self.L}")
-        # numpy integers are registered as Integral; bool is one too
-        if not isinstance(self.nx, numbers.Integral) or isinstance(self.nx, bool):
-            raise ValueError(f"grid nx must be an integer, got {self.nx!r}")
-        if self.nx < 8:
+        if require_integer("grid nx", self.nx) < 8:
             raise ValueError("need at least 8 cells")
         if self.method not in ("spectral", "fd2"):
             raise ValueError("method must be 'spectral' or 'fd2'")
@@ -271,20 +267,18 @@ def electric_potential(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
 
 
 class _ClosureTables:
-    """Per-closure compiled evaluators for mu_1, mu_2, gamma_2 and the
-    gradients of mu_1 and mu_2, kept in the closure's memo by
-    `closure.derived`; they hold no reference back to the closure."""
+    """Per-closure float evaluators for mu_1, mu_2, gamma_2 and the
+    gradients of mu_1 and mu_2 from `closure.float_eval`, kept in the
+    closure's memo by `closure.derived`; they hold no reference back to it."""
 
     def __init__(self, closure: ClosureFamily):
         nv = closure.nu_count
         self.nv = nv
         self.g = np.array([[float(x) for x in row] for row in closure.metric.g],
                           dtype=float).reshape(nv, nv)
-        self.mu1 = closure.mu(1).compile_float()
-        self.mu2 = closure.mu(2).compile_float()
-        self.dmu1 = [p.compile_float() for p in closure.grad(1)]
-        self.dmu2 = [p.compile_float() for p in closure.grad(2)]
-        self.gamma2 = closure.gamma(2).compile_float()
+        self.mu1, self.mu2 = closure.float_eval("mu", 1), closure.float_eval("mu", 2)
+        self.dmu1, self.dmu2 = closure.float_eval("grad", 1), closure.float_eval("grad", 2)
+        self.gamma2 = closure.float_eval("gamma", 2)
         # exact congruence T^t g T = diag(d) for the split scheme
         if nv:
             T, d = ratmat.congruence_diagonalize(closure.metric.g)

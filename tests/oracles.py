@@ -4,9 +4,10 @@ Each states a quantity directly, independently of the way the library
 derives it: the inhomogeneity measure gamma_n, the published four-field
 polynomials, the closed form of the Burby moments, the S_n re-centering
 sum, the full bracket metric, the antisymmetry residuals of a bracket,
-the multi-stream invariants, and the general paths of `MultiPoly` addition,
-scaling and float and exact evaluation and of the matrix inverse and the
-congruence, which the library's short-cuts past zero operands and unit
+the multi-stream invariants, the condition number of the Burby inversion
+by triangular back-substitution, and the general paths of `MultiPoly`
+addition, scaling and float and exact evaluation and of the matrix inverse
+and the congruence, which the library's short-cuts past zero operands and unit
 coefficients and its sparse kernels must match. Test
 modules import them with `from oracles import ...` (pytest puts this
 directory on `sys.path`).
@@ -202,6 +203,23 @@ def eval_general(p: MultiPoly, values):
                 term = term * v ** e
         acc = term if acc is None else acc + term
     return Fraction(0) if acc is None else acc
+
+
+def inversion_condition_backsub(closure, nu, mus) -> float:
+    """kappa of `BurbyClosure.inversion_condition` by its triangular loop:
+    J = dmu/dnu from the gradients evaluated term by term (`eval_general`),
+    and each column of J^-1 by its own back-substitution over rows j..0."""
+    m = closure.m
+    x = [float(v) for v in nu]
+    J = [[0.0] * (n - 1) + [eval_general(p, x) for p in closure.grad(n)[n - 1:]]
+         for n in range(1, m + 1)]
+    inv = [[0.0] * m for _ in range(m)]
+    for j in range(m):
+        for i in range(j, -1, -1):
+            acc = float(i == j) - sum(J[i][k] * inv[k][j] for k in range(i + 1, j + 1))
+            inv[i][j] = acc / J[i][i]
+    return max(sum(abs(inv[i][j] * mus[j]) for j in range(m)) / abs(x[i])
+               for i in range(m))
 
 
 def inverse_dense(a) -> tuple:

@@ -348,7 +348,7 @@ def test_verify_burby_round_trip_high_levels(capsys, argv):
     # at the former sample point ((k+1)/2)(-1)^k even exact back-substitution
     # from the correctly rounded moments missed the 1e-12 bound at m = 14
     # and 15 (plus) and 11 and 15 (minus); (1/2, ..., 1/2, 2s) keeps it.
-    # 23 minus errs 6.5e-11 there, within its condition bound
+    # 23 minus errs 7.2e-11 there, within its condition bound
     assert main(["verify", "--family", "burby", *argv]) == 0
     assert "FAIL" not in capsys.readouterr().out
 
@@ -379,6 +379,11 @@ def test_closure_from_spec_defaults_and_errors():
                  {"family": "quartic"}, {"family": ["burby"]}, {}):
         with pytest.raises(ValueError):
             closure_from_spec(spec)
+    # integer keys are integers, never truncated: level 2.9 built m = 2
+    for key, family in (("level", "burby"), ("M", "multidelta")):
+        for value in (2.9, 2.0, True, "2"):
+            with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+                closure_from_spec({"family": family, key: value})
 
 
 def test_family_flags_alias_and_ignored(capsys):
@@ -480,6 +485,21 @@ BAD_RUNS = {
     "null-dt": ({"dt": None}, {}),
     "zero-stride": ({}, {"stride": 0}),
     "negative-snapshots": ({}, {"snapshots": -1}),
+    # truncated by int(): stride 1.9 recorded every step, snapshots 0.5 became 0
+    "fractional-stride": ({}, {"stride": 1.9}),
+    "bool-stride": ({}, {"stride": True}),
+    "fractional-snapshots": ({}, {"snapshots": 0.5}),
+    "string-snapshots": ({}, {"snapshots": "2"}),
+}
+
+
+# closure integer keys that int() truncated: level 2.9 ran burby(m=2),
+# level true burby(m=1)
+BAD_CLOSURES = {
+    "fractional-level": {"family": "burby", "level": 2.9},
+    "bool-level": {"family": "burby", "level": True},
+    "float-M": {"family": "multidelta", "M": 2.0},
+    "string-M": {"family": "multidelta", "M": "3"},
 }
 
 
@@ -510,10 +530,11 @@ BAD_INITIALS = {
 }
 
 
-@pytest.mark.parametrize("case", [*BAD_RUNS, *BAD_GRIDS, *BAD_INITIALS])
+@pytest.mark.parametrize("case", [*BAD_RUNS, *BAD_GRIDS, *BAD_INITIALS, *BAD_CLOSURES])
 def test_simulate_rejects_bad_run_settings(tmp_path, capsys, case):
     integ, output = BAD_RUNS.get(case, ({}, {}))
     cfg = json.loads(json.dumps(COLD_CONFIG))
+    cfg["closure"] = BAD_CLOSURES.get(case, cfg["closure"])
     cfg["grid"].update(BAD_GRIDS.get(case, {}))
     cfg["initial"].update(BAD_INITIALS.get(case, {}))
     cfg["integrator"].update(integ)
@@ -604,6 +625,36 @@ def test_commands_reject_the_other_commands_keys(tmp_path, capsys, command, key,
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: unknown config keys") and key in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_missing_config_file_exits_2(tmp_path, capsys, command):
+    # a FileNotFoundError traceback, exit 1, before
+    out = tmp_path / "o"
+    assert main([command, "--config", str(tmp_path / "missing.json"),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: [Errno 2] No such file or directory: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "compare"])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
+    # a FileExistsError traceback, exit 1, before, and verify's came only
+    # after all its work
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    if command == "verify":
+        argv = ["verify", "--family", "cold"]
+    else:
+        config = COMPARE_CONFIG if command == "compare" else COLD_CONFIG
+        argv = [command, "--config", write_config(tmp_path, config)]
+    assert main([*argv, "--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot make the --out directory: ")
+    assert taken.read_text() == "kept\n"
 
 
 def test_compare_honours_scheme(tmp_path, capsys):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from hydroclosures import closures
 from hydroclosures.closures import (BurbyClosure, ColdClosure,
-                                    _newton_starts, _nth_root_fraction,
+                                    _newton_starts, _nth_root_fraction, _solve_float,
                                     FourFieldClosure, GenericClosure, Metric,
                                     MultiDeltaClosure, WaterbagClosure,
                                     burby_invert, burby_mu, equation_of_state, multidelta_inverse_map,
@@ -24,7 +24,8 @@ from hydroclosures.closures import (BurbyClosure, ColdClosure,
 from hydroclosures.moments import DensityError, p_from_mu
 from hydroclosures.poly import MultiPoly
 
-from oracles import burby_mu_closed, fourfield_family, gamma_n, poly_vars, s_from_mu
+from oracles import (burby_mu_closed, fourfield_family, gamma_n,
+                     inversion_condition_backsub, poly_vars, s_from_mu)
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -376,9 +377,18 @@ BURBY_LEVELS = [(m, branch) for m in range(1, 24)
 
 @pytest.mark.parametrize("m, branch", BURBY_LEVELS)
 def test_round_trip_within_its_condition_bound(m, branch):
-    # a fixed 1e-12 bound failed 23 minus (rel err 6.5e-11, kappa = 3.9e6)
+    # a fixed 1e-12 bound fails 23 minus (rel err 7.2e-11, kappa = 3.9e6)
     err, bound = BurbyClosure(m, branch=branch).round_trip_error()
     assert err <= bound
+
+
+@pytest.mark.parametrize("m, branch", BURBY_LEVELS)
+def test_inversion_condition_equals_the_back_substitution(m, branch):
+    # J^-1 by `_solve_float` columns over the compiled gradients: the same
+    # kappa, bit for bit, as each column's triangular back-substitution
+    closure = BurbyClosure(m, branch=branch)
+    nu, mus, _ = closure.sample_round_trip()
+    assert closure.inversion_condition(nu, mus) == inversion_condition_backsub(closure, nu, mus)
 
 
 @pytest.mark.parametrize("m, branch", [(5, "plus"), (14, "plus"), (23, "plus"),
@@ -582,6 +592,47 @@ def test_equation_of_state_multidelta_newton():
     closed = equation_of_state(c, mu_obs, guess=[0.5, 1.0])
     for j, val in enumerate(closed, start=3):
         assert abs(val - c.mu_value(j, nu)) < 1e-10
+
+
+@pytest.mark.parametrize("make, mu_obs", [
+    (lambda: BurbyClosure(3), [0.1, 0.2, 0.3]),
+    (lambda: MultiDeltaClosure(3), [0.07, 0.107, 0.0247, 0.02387]),
+    (lambda: WaterbagClosure([F(1), F(1), F(-2)]), [-0.0225]),
+    (lambda: FourFieldClosure(F(1, 2)), [0.3, 0.5]),
+], ids=["burby3", "multidelta3", "waterbag3", "fourfield"])
+def test_equation_of_state_compiles_each_polynomial_once(monkeypatch, make, mu_obs):
+    # the inversion and the closed moments read the closure's float_eval
+    # memo, so a repeated call compiles nothing
+    closure = make()
+    compiled = []
+    original = MultiPoly.compile_float
+
+    def counted(p):
+        compiled.append(p)
+        return original(p)
+
+    monkeypatch.setattr(MultiPoly, "compile_float", counted)
+    first = equation_of_state(closure, mu_obs)
+    assert compiled
+    compiled.clear()
+    assert equation_of_state(closure, mu_obs) == first
+    assert not compiled
+
+
+def test_solve_float_solves_each_right_hand_side_as_alone():
+    # one elimination for several right-hand sides, with row swaps; each
+    # solution bit for bit that of its right-hand side alone
+    rng = random.Random(2)
+    for n in range(1, 8):
+        A = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+        B = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(3)]
+        X = _solve_float(A, B)
+        assert X == [_solve_float(A, [b])[0] for b in B]
+        for x, b in zip(X, B):
+            assert max(abs(sum(a * v for a, v in zip(row, x)) - bi)
+                       for row, bi in zip(A, b)) < 1e-9
+    with pytest.raises(RuntimeError, match="singular"):
+        _solve_float([[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0]])
 
 
 def test_newton_invert_recovers_point():

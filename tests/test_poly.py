@@ -187,6 +187,20 @@ def test_compile_float_edge_polynomials():
     assert _bits((-x).compile_float()([0.0, 1.0])) == (float, 0)
 
 
+def test_compile_float_coefficients_are_the_floats_of_the_fractions():
+    # a coefficient is its numerator over the common denominator, not
+    # reduced, in one int division: the float of its reduced Fraction, as
+    # both divisions round correctly, digits beyond a float's included
+    x, y = poly_vars(2)
+    rng = random.Random(3)
+    for _ in range(300):
+        a, b = (Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(1, 300)),
+                         rng.randint(1, 10 ** rng.randint(1, 300))) for _ in range(2))
+        f = (a * x + b * y).compile_float()
+        assert _bits(f([1.0, 0.0])) == _bits(float(a))
+        assert _bits(f([0.0, 1.0])) == _bits(float(b))
+
+
 @pytest.mark.parametrize("text, term", [
     ("nu1*-2", "nu1*-2"),
     ("nu1 * - 2", "nu1 *-2"),
@@ -397,16 +411,18 @@ def test_rational_eval_edge_points():
     assert MultiPoly.zero(0).eval(()) == 0 and type(MultiPoly.zero(0).eval(())) is Fraction
 
 
-def test_eval_at_a_float_point_keeps_the_term_by_term_loop():
-    # a point holding any float is evaluated in float arithmetic, term by
-    # term in term order, bit for bit as the general loop does
+def test_eval_at_a_float_point_is_the_compiled_evaluator():
+    # a point holding any float, or an array, is evaluated by compile_float():
+    # one float semantics, bit for bit
     rng = random.Random(5)
     for _ in range(200):
         p = random_poly(rng, 3)
         point = [Fraction(rng.randint(-4, 4), 3), 0.1 * rng.randint(-9, 9), rng.randint(-2, 2)]
-        value = p.eval(point)
-        expect = eval_general(p, point)
-        assert value == expect and type(value) is type(expect)
+        assert _bits(p.eval(point)) == _bits(p.compile_float()(point))
+        arrays = [np.array([0.5, -1.25]), np.array([0.1, 3.0]), np.array([-2.0, 0.0])]
+        assert _bits(p.eval(arrays)) == _bits(p.compile_float()(arrays))
+    with pytest.raises(ValueError, match="expected 2 values"):
+        MultiPoly.variable(2, 0).eval([0.5])
 
 
 def test_variable_and_monomial_build_canonical_polynomials():

@@ -361,6 +361,20 @@ def test_hamiltonian_decomposition():
     assert abs(rec.H - kinetic - rec.field_energy) < 1e-14
 
 
+@pytest.mark.parametrize("make", [ColdClosure, lambda: BurbyClosure(3),
+                                  lambda: MultiDeltaClosure(3)],
+                         ids=["cold", "burby3", "multidelta3"])
+def test_closure_tables_read_the_closure_evaluators(make):
+    closure = make()
+    tab = closure.derived(_ClosureTables)
+    assert tab.mu1 is closure.float_eval("mu", 1)
+    assert tab.mu2 is closure.float_eval("mu", 2)
+    assert tab.dmu1 is closure.float_eval("grad", 1)
+    assert tab.dmu2 is closure.float_eval("grad", 2)
+    assert tab.gamma2 is closure.float_eval("gamma", 2)
+    assert len(tab.dmu1) == len(tab.dmu2) == closure.nu_count
+
+
 def test_closure_tables_do_not_pin_the_closure():
     # the tables are built once per closure, and both are freed together
     grid = Grid(L=TWO_PI, nx=32)
