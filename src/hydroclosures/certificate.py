@@ -119,13 +119,14 @@ class PowerSums(MomentAlgebra):
 
     def _chain(self, p: MultiPoly, image) -> MultiPoly:
         """The derivation sending q_j to image(j) and Lambda to 0, at p."""
-        return sum((c * image(j) for j, c in self._coords(p).items()),
-                   MultiPoly.zero(self.nvars))
+        return MultiPoly.sum_of_products(
+            self.nvars, ((c, image(j)) for j, c in self._coords(p).items()))
 
     def _pair(self, a: dict, b: dict, rule) -> MultiPoly:
         """sum_ij a_i b_j rule(i, j)."""
-        return sum((ai * bj * rule(i, j) for i, ai in a.items() if not ai.is_zero
-                    for j, bj in b.items()), MultiPoly.zero(self.nvars))
+        return MultiPoly.sum_of_products(
+            self.nvars, ((ai * bj, rule(i, j)) for i, ai in a.items() if not ai.is_zero
+                         for j, bj in b.items()))
 
     @memoized
     def _gram(self, i: int, j: int) -> MultiPoly:

@@ -179,27 +179,27 @@ class ClosureFamily(MomentAlgebra):
 
     def grad_pair(self, n: int, m: int) -> MultiPoly:
         """grad mu_n . g . grad mu_m."""
-        return self._pair(self.grad(n), m)
+        return self._pair(self.grad(n), self._raised(m))
 
     def hessian_pair(self, n: int, m: int) -> tuple[MultiPoly, ...]:
         """((d/dnu_k grad mu_n) . g . grad mu_m for k = 1..nv)."""
-        return tuple(self._pair(row, m) for row in self._hessian(n))
+        raised = self._raised(m)
+        return tuple(self._pair(row, raised) for row in self._hessian(n))
 
     @memoized
     def _hessian(self, n: int) -> tuple[tuple[MultiPoly, ...], ...]:
         return tuple(map(self.partials, self.grad(n)))
 
-    def _pair(self, row: Sequence[MultiPoly], m: int) -> MultiPoly:
-        """row . g . grad mu_m, with the products summed one by one in
-        (i, j) order: that order is the term order of every mu_n, which
-        float evaluation follows."""
-        raised = self._raised(m)
-        acc = MultiPoly.zero(self.nu_count)
-        for a_i, gb_i in zip(row, raised):
-            if not a_i.is_zero:
-                for gb in gb_i:
-                    acc = acc + a_i * gb
-        return acc
+    def _pair(self, row: Sequence[MultiPoly], raised: list[list[MultiPoly]]) -> MultiPoly:
+        """row . g . grad mu_m, given `_raised(m)`: its products in (i, j)
+        order, summed by one `MultiPoly.sum_of_products`. That order gives
+        every mu_n the term order `MultiPoly.terms` documents, the order in
+        which arithmetic first produced the terms. No value depends on it:
+        `compile_float` sorts the terms, and `eval` at a rational point is
+        exact."""
+        return MultiPoly.sum_of_products(
+            self.nu_count, [(a_i, gb) for a_i, gb_i in zip(row, raised)
+                            if not a_i.is_zero for gb in gb_i])
 
     @memoized
     def _raised(self, m: int) -> list[list[MultiPoly]]:
@@ -565,6 +565,7 @@ def _burby_closed(m: int, n: int, memo: dict) -> MultiPoly:
     which every n at level m can share."""
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
+    one = MultiPoly.const(m, 1)
 
     def term(coef, *powers: tuple[int, int]) -> MultiPoly:
         # coef times nu_(i+1)^e over the (i, e) pairs, built directly
@@ -584,11 +585,12 @@ def _burby_closed(m: int, n: int, memo: dict) -> MultiPoly:
             out = term(Fraction(1, l + 1), (args[0], l + 1))
         else:
             last = args[-1]
-            out = term(1, (args[0], 1), (last, l))
+            pairs = [(term(1, (args[0], 1), (last, l)), one)]
             for k in range(1, l + 1):
                 sub = rec(k, args[k:-1])
                 if not sub.is_zero:
-                    out = out + term(comb(l, k), (last, l - k)) * sub
+                    pairs.append((term(comb(l, k), (last, l - k)), sub))
+            out = MultiPoly.sum_of_products(m, pairs)
         memo[l, args] = out
         return out
 
@@ -813,13 +815,17 @@ class ColdClosure(ClosureFamily):
 
 
 def _newton_starts(scale: float, nv: int) -> list[list[float]]:
-    """The default Newton starts, all of magnitude `scale`: all positive
+    """The default Newton starts: four of magnitude `scale`, all positive
     first, then alternating signs (+-+-..., then -+-+...), then all
-    negative; repeats are dropped."""
+    negative; then the ramp scale (2k+1)/nv over k = 0..nv-1 and its
+    negative, whose components differ in magnitude, for the points where
+    every equal-magnitude start meets a singular Jacobian. Repeats are
+    dropped."""
     alt = [(-1.0) ** i for i in range(nv)]
-    signs = [[1.0] * nv, alt, [-s for s in alt], [-1.0] * nv]
+    ramp = [(2 * k + 1) / nv for k in range(nv)]
+    rows = [[1.0] * nv, alt, [-s for s in alt], [-1.0] * nv, ramp, [-r for r in ramp]]
     starts = []
-    for row in signs:
+    for row in rows:
         x = [s * scale for s in row]
         if x not in starts:
             starts.append(x)
@@ -841,7 +847,7 @@ def newton_invert(closure: ClosureFamily, mu_target: Sequence,
     with several branches the caller should seed `guess` near the wanted
     branch. Without a guess the iteration starts from [s] * nv with
     s = |mu_2|^(1/3) (1e-3 when nv < 2 or mu_2 = 0) and, if that fails,
-    from the sign-flipped starts of `_newton_starts` in turn. When every
+    from the sign-flipped and ramp starts of `_newton_starts` in turn. When every
     start fails, an InversionError names the moments and the first start's
     error. A closure with no normal variables has the empty solution.
     """

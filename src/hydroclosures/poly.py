@@ -25,7 +25,9 @@ it sums the numerators of the terms over one common denominator, drops a
 term at its first zero factor, and makes one Fraction at the end.  Float
 values come only from the evaluator `compile_float` returns, which `eval`
 calls at any other point.  `variable` and `monomial` build their single
-term directly, without the constructor's pass over a mapping.
+term directly, without the constructor's pass over a mapping, and
+`sum_of_products` sums many products x * y into one numerator dict with the
+value and the term order of the sequential sum.
 """
 
 from __future__ import annotations
@@ -243,36 +245,63 @@ class MultiPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        a, b = self._num, q._num
-        if not a or not b:
-            return _wrap(self.nvars, {}, 1)
-        shift = _BITS * self.nvars
-        # the product of the grlex-leading monomials leads the product
-        degree = (max(a) + max(b)) >> shift
-        if degree > MAX_DEGREE:
-            raise ValueError(f"product of total degree {degree} exceeds {MAX_DEGREE}")
-        out: dict[int, int] = {}
-        get = out.get
-        b_items = list(b.items())
-        if q is self:
-            # square: pairs j > i once, doubled.  A product first appears at
-            # its least (i, j), which has i <= j, so the key order is that of
-            # the full double loop below.
-            for i, (k1, c1) in enumerate(b_items):
-                k = k1 + k1
-                out[k] = get(k, 0) + c1 * c1
-                c1 += c1
-                for k2, c2 in b_items[i + 1:]:
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
-        else:
-            for k1, c1 in a.items():
-                for k2, c2 in b_items:
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
-        return _make(self.nvars, {k: c for k, c in out.items() if c}, self._den * q._den)
+        return MultiPoly.sum_of_products(self.nvars, [(self, q)])
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(nvars: int, pairs) -> "MultiPoly":
+        """sum x * y over the (x, y) in `pairs`, equal to the sequential
+        `acc = acc + x * y` from zero in value and in `terms` order; one
+        pair is the product `__mul__` returns.
+
+        Every product is multiplied straight into one numerator dict over
+        the lcm of the pair denominators, a pair with a zero factor is
+        skipped, and one gcd pass reduces the sum at the end. A product's
+        keys are met in the double loop over the terms of x, then of y, and
+        a new key joins at its first appearance; after each addend the keys
+        it brought to zero are dropped, so a key that cancels and comes back
+        later is appended again, as `_combine` appends it."""
+        pairs = [(x, y) for x, y in pairs if x._num and y._num]
+        if not pairs:
+            return _wrap(nvars, {}, 1)
+        den = lcm(*[x._den * y._den for x, y in pairs])
+        shift = _BITS * nvars
+        out: dict[int, int] = {}
+        get, values = out.get, out.values()
+        for x, y in pairs:
+            if x.nvars != nvars or y.nvars != nvars:
+                raise ValueError(f"variable-count mismatch: {x.nvars} and {y.nvars}"
+                                 f" vs {nvars}")
+            a, b = x._num, y._num
+            degree = (max(a) + max(b)) >> shift
+            if degree > MAX_DEGREE:
+                raise ValueError(f"product of total degree {degree} exceeds {MAX_DEGREE}")
+            lift = den // (x._den * y._den)
+            b_items = list(b.items())
+            if x is y:
+                # square: pairs j > i once, doubled.  A product first appears
+                # at its least (i, j), which has i <= j, so the key order is
+                # that of the full double loop below.
+                for i, (k1, c1) in enumerate(b_items):
+                    c1 *= lift
+                    k = k1 + k1
+                    out[k] = get(k, 0) + c1 * b[k1]
+                    c1 += c1
+                    for k2, c2 in b_items[i + 1:]:
+                        k = k1 + k2
+                        out[k] = get(k, 0) + c1 * c2
+            else:
+                for k1, c1 in a.items():
+                    c1 *= lift
+                    for k2, c2 in b_items:
+                        k = k1 + k2
+                        out[k] = get(k, 0) + c1 * c2
+            if 0 in values:
+                # only keys this addend touched can be zero
+                for k in [k for k, c in out.items() if not c]:
+                    del out[k]
+        return _make(nvars, out, den)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -6,7 +6,8 @@ polynomials, the closed form of the Burby moments, the S_n re-centering
 sum, the full bracket metric, the antisymmetry residuals of a bracket,
 the multi-stream invariants, the condition number of the Burby inversion
 by triangular back-substitution, and the general paths of `MultiPoly`
-addition, scaling and float and exact evaluation and of the matrix inverse
+addition, multiplication, scaling and float and exact evaluation and of
+the matrix inverse
 and the congruence, which the library's short-cuts past zero operands and unit
 coefficients and its sparse kernels must match. Test
 modules import them with `from oracles import ...` (pytest puts this
@@ -161,6 +162,16 @@ def combine_general(p: MultiPoly, q: MultiPoly, sign: int) -> MultiPoly:
     for k, c in q._num.items():
         out[k] = out.get(k, 0) + c * mb
     return _make(p.nvars, {k: c for k, c in out.items() if c}, da)
+
+
+def mul_general(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """p * q by the full double loop over the terms of p, then of q, square
+    or not, zero operand or not; a key joins at its first appearance."""
+    out = {}
+    for k1, c1 in p._num.items():
+        for k2, c2 in q._num.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return _make(p.nvars, {k: c for k, c in out.items() if c}, p._den * q._den)
 
 
 def compile_float_general(p: MultiPoly):

@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hydroclosures import bracket, certificate, moments, ratmat
@@ -292,6 +292,60 @@ def random_cubics(draw):
         else:
             rows[i][i] = F(1) if kind == "identity" else draw(coef)
     return GenericClosure(MultiPoly(nv, terms), Metric(rows))
+
+
+# The flat homogeneous binary cubics c0 x^3 + c1 x^2 y + c2 x y^2 + c3 y^3
+# under three metrics: the flatness cells cut out one quadric Q(c) times
+# the coordinate ideal (a sympy elimination, ROADMAP item 5), so a nonzero
+# cubic is flat iff Q = 0. Each entry: metric, Q, and c with Q(c) = 0
+# solved from any c (one coefficient that Q is linear in, where it can).
+def _solve_antidiagonal(c0, c1, c2, c3):
+    if c3:
+        return c1 * c2 / (9 * c3), c1, c2, c3
+    if c0:
+        return c0, c1, c2, c1 * c2 / (9 * c0)
+    return c0, c1, 0, c3
+
+
+def _solve_identity(c0, c1, c2, c3):
+    if c2:
+        return (c1 * c1 - 3 * c1 * c3 + c2 * c2) / (3 * c2), c1, c2, c3
+    return c0, c1, c2, (c1 * c1 + c2 * c2 - 3 * c0 * c2) / (3 * c1) if c1 else c3
+
+
+def _solve_split(c0, c1, c2, c3):
+    if c2:
+        return (c1 * c1 + 3 * c1 * c3 - c2 * c2) / (3 * c2), c1, c2, c3
+    return c0, c1, c2, (3 * c0 * c2 - c1 * c1 + c2 * c2) / (3 * c1) if c1 else c3
+
+
+BINARY_CUBIC_QUADRICS = {
+    "0,1;1,0": (lambda c0, c1, c2, c3: 9 * c0 * c3 - c1 * c2, _solve_antidiagonal),
+    "1,0;0,1": (lambda c0, c1, c2, c3: 3 * c0 * c2 - c1 * c1 + 3 * c1 * c3 - c2 * c2,
+                _solve_identity),
+    "1,0;0,-1": (lambda c0, c1, c2, c3: 3 * c0 * c2 - c1 * c1 - 3 * c1 * c3 + c2 * c2,
+                 _solve_split),
+}
+
+
+@settings(max_examples=180, deadline=None)
+@given(st.sampled_from(sorted(BINARY_CUBIC_QUADRICS)),
+       st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), min_size=4,
+                max_size=4),
+       st.booleans())
+def test_flat_binary_cubics_are_the_quadric(metric, coefs, on_quadric):
+    # an oracle independent of the recurrence: half the draws lie on Q = 0
+    # and must pass every cell, the others (Q != 0 but for a chance zero)
+    # must fail one
+    quadric, solve = BINARY_CUBIC_QUADRICS[metric]
+    if on_quadric:
+        coefs = solve(*coefs)
+        assert quadric(*coefs) == 0
+    exps = [(3, 0), (2, 1), (1, 2), (0, 3)]
+    mu2 = MultiPoly(2, {e: c for e, c in zip(exps, coefs)})
+    assume(not mu2.is_zero)
+    g = Metric([[F(x) for x in row.split(",")] for row in metric.split(";")])
+    assert GenericClosure(mu2, g).flatness().ok == (quadric(*coefs) == 0)
 
 
 @settings(max_examples=25, deadline=None)

@@ -176,6 +176,16 @@ def test_closure_eos_retries_sign_flipped_newton_starts(capsys):
     assert np.allclose(json.loads(first[len("nu = "):]), [1.0, -1.0], atol=1e-12)
 
 
+def test_closure_eos_tries_ramp_newton_starts(capsys):
+    # the moments of nu = (0.3, 0.5, 0.7): every start of equal-magnitude
+    # components fails (the first at a singular Jacobian), and the command
+    # exited 2 saying the moments may lie outside the closure's range
+    assert main(["closure", "eos", "--family", "waterbag", "--heights", "1,1,1,-1,-2",
+                 "--mu=-0.0025,0.02726851851851852,-0.002545949074074073"]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "nu = [0.3, 0.5, 0.7]"
+
+
 @pytest.mark.parametrize("family", [["cold"], ["multidelta", "--M", "1"],
                                     ["waterbag", "--heights", "1,-1"]],
                          ids=["cold", "multidelta-M1", "waterbag-N2"])
@@ -276,8 +286,8 @@ def test_closure_eos_inverts_once():
 
 
 @pytest.mark.parametrize("argv, identities, entries, muls", [
-    (["verify", "--family", "burby", "--level", "6"], 237, 111, 157),
-    (["verify", "--family", "multidelta", "--M", "3"], 74, 34, 160)],
+    (["verify", "--family", "burby", "--level", "6"], 237, 111, 79),
+    (["verify", "--family", "multidelta", "--M", "3"], 74, 34, 70)],
     ids=["burby-6", "multidelta-3"])
 def test_verify_multiplies_no_zero_in_flatness(monkeypatch, argv, identities, entries, muls):
     """Work counters of two homogeneous verify runs. Every gamma_n is zero, so
@@ -288,16 +298,30 @@ def test_verify_multiplies_no_zero_in_flatness(monkeypatch, argv, identities, en
     was built before (237 and 74). poly.mul.calls was 1421 and 516 while
     zero products were still formed, then 264 and 200 while every cell
     was built; burby-6 then read 230 while its closed forms were rebuilt
-    for each n and took variable powers by multiplication."""
+    for each n and took variable powers by multiplication, and 157 and 160
+    while each product of a pairing or of a closed form went through
+    `MultiPoly.__mul__` instead of `MultiPoly.sum_of_products`. The
+    pairs handed to that kernel are checked for zero factors too."""
     mul, flatness = MultiPoly.__mul__, bracket.check_flatness
+    kernel = MultiPoly.sum_of_products
     depth, products, zero_operands = [0], [0], []
+
+    def zero_factor(self, other):
+        return self.is_zero or (other.is_zero if isinstance(other, MultiPoly) else other == 0)
 
     def checked_mul(self, other):
         if depth[0]:
             products[0] += 1
-            if self.is_zero or (other.is_zero if isinstance(other, MultiPoly) else other == 0):
+            if zero_factor(self, other):
                 zero_operands.append((self, other))
         return mul(self, other)
+
+    def checked_kernel(nvars, pairs):
+        pairs = list(pairs)
+        if depth[0]:
+            products[0] += len(pairs)
+            zero_operands.extend(pair for pair in pairs if zero_factor(*pair))
+        return kernel(nvars, pairs)
 
     def checked_flatness(*args, **kwargs):
         depth[0] += 1
@@ -309,6 +333,7 @@ def test_verify_multiplies_no_zero_in_flatness(monkeypatch, argv, identities, en
     # patched before the tracer wraps them; it puts these back on uninstall
     monkeypatch.setattr(MultiPoly, "__mul__", checked_mul)
     monkeypatch.setattr(MultiPoly, "__rmul__", checked_mul)
+    monkeypatch.setattr(MultiPoly, "sum_of_products", staticmethod(checked_kernel))
     monkeypatch.setattr(bracket, "check_flatness", checked_flatness)
     rc, _, summary = traced_main(argv)
     assert rc == 0
@@ -324,10 +349,13 @@ def test_verify_builds_each_burby_closed_form_once():
     by every n, with mu_2 the constructor's seed, builds the variable
     powers they hold as monomials, and no variable or monomial goes
     through the validating constructor. poly.mul.calls and poly.init.calls
-    were 4144 and 601 while `burby_mu` rebuilt its recursion for each n."""
+    were 4144 and 601 while `burby_mu` rebuilt its recursion for each n;
+    poly.mul.calls was 2782 while the products of the pairings and of the
+    closed forms went through `MultiPoly.__mul__`, which the tracer counts,
+    instead of `MultiPoly.sum_of_products`, which it does not."""
     rc, _, summary = traced_main(["verify", "--family", "burby", "--levels", "1..11"])
     assert rc == 0
-    assert summary["calls"]["poly.mul"] == 2782
+    assert summary["calls"]["poly.mul"] == 1131
     assert summary["counts"].get("poly.init.calls", 0) == 0
 
 
@@ -415,7 +443,8 @@ def test_simulate_diagnostics_columns_with_micro_fields(tmp_path):
     path = write_config(tmp_path, cfg)
     out = tmp_path / "run"
     assert main(["simulate", "--config", path, "--out", str(out)]) == 0
-    header = open(out / "diagnostics.csv").readline().strip().split(",")
+    with open(out / "diagnostics.csv") as f:
+        header = f.readline().strip().split(",")
     assert header == ["t", "H", "C_mass", "C_psi", "C_1", "C_2",
                       "momentum", "field_energy"]
 

@@ -540,7 +540,7 @@ def test_generator_reproduces_waterbag():
 
 def _double_loop_mu(closure, top):
     """mu_1..mu_top by the recurrence with grad mu_n . g . grad mu_2 summed
-    product by product over (i, j), the order float evaluation follows."""
+    product by product over (i, j)."""
     nv, g = closure.nu_count, closure.metric.g
     mu = {0: MultiPoly.const(nv, 1), 1: closure.mu(1), 2: closure.mu(2)}
 
@@ -560,9 +560,10 @@ def _double_loop_mu(closure, top):
 
 
 def test_generated_mu_keep_the_double_loop_term_order():
-    # MultiPoly.eval and the compiled evaluators visit terms in insertion
-    # order, so a pairing that sums g . grad mu_2 row by row first would
-    # change the float results of closed_moments and burby_invert
+    # MultiPoly.terms lists the terms in the order arithmetic first produced
+    # them, and a pairing that sums g . grad mu_2 row by row first would
+    # change that order; no value depends on it (compile_float sorts the
+    # terms and eval at a rational point is exact)
     c = GenericClosure(MultiPoly.parse("nu1^3 + nu1*nu2^2 + nu2^3"),
                        Metric([[F(2), F(1)], [F(1), F(-1)]]))
     want = _double_loop_mu(c, 7)
@@ -644,8 +645,11 @@ def test_newton_invert_recovers_point():
 
 
 def test_newton_default_start_first_then_sign_flips():
+    ramp = [(1 / 3) * 2.0, 2.0, (5 / 3) * 2.0]
     assert _newton_starts(2.0, 3) == [[2.0, 2.0, 2.0], [2.0, -2.0, 2.0],
-                                      [-2.0, 2.0, -2.0], [-2.0, -2.0, -2.0]]
+                                      [-2.0, 2.0, -2.0], [-2.0, -2.0, -2.0],
+                                      ramp, [-r for r in ramp]]
+    # with one variable the ramp is the first start again
     assert _newton_starts(0.5, 1) == [[0.5], [-0.5]]
 
 

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from hydroclosures.poly import MultiPoly
 
-from oracles import (combine_general, compile_float_general, eval_general, poly_vars,
-                     scale_general)
+from oracles import (combine_general, compile_float_general, eval_general, mul_general,
+                     poly_vars, scale_general)
 
 
 def random_poly(rng: random.Random, nvars: int, max_deg: int = 6,
@@ -316,7 +316,7 @@ def test_terms_view_is_read_only_mapping():
 def test_identity_short_cuts_match_the_general_path(pair):
     # p + 0, 0 + p, p - 0, 0 - p, 1 * p, p * 1 and p / 1 skip the loops of
     # _combine and _scale; their results must be those loops' results in
-    # value, denominator and key order (the order eval follows)
+    # value, denominator and key order (the order `terms` documents)
     p, q = pair
     zero = MultiPoly.zero(p.nvars)
     cases = [(p + 0, combine_general(p, zero, 1)), (p + zero, combine_general(p, zero, 1)),
@@ -349,7 +349,8 @@ def reference_product_order(a: MultiPoly, b: MultiPoly) -> list:
 
 
 def test_term_order_is_double_loop_order():
-    # eval adds terms in this order, so float results depend on it
+    # `terms` documents this order; no value depends on it, as compile_float
+    # sorts the terms and eval at a rational point is exact
     rng = random.Random(9)
     for _ in range(300):
         nvars = rng.randint(1, 3)
@@ -359,6 +360,77 @@ def test_term_order_is_double_loop_order():
         assert list((a * a).terms) == reference_product_order(a, a)
         expected = list(a.terms) + [e for e in b.terms if e not in a.terms]
         assert list((a + b).terms) == [e for e in expected if (a + b).terms.get(e)]
+
+
+def sequential_sum_of_products(nvars: int, pairs) -> MultiPoly:
+    """The loop `MultiPoly.sum_of_products` replaces, acc = acc + x * y, by
+    the general paths of addition and multiplication."""
+    acc = MultiPoly.zero(nvars)
+    for x, y in pairs:
+        acc = combine_general(acc, mul_general(x, y), 1)
+    return acc
+
+
+@st.composite
+def product_lists(draw):
+    """(nvars, pairs) for sum_of_products: factors from a small pool with
+    mixed denominators and the zero polynomial, squares (x is y), and
+    addends that cancel an earlier product or bring it back."""
+    nvars = draw(st.integers(1, 3))
+    pool = draw(st.lists(polys(nvars=nvars, max_deg=3), min_size=1, max_size=4))
+    pool.append(MultiPoly.zero(nvars))
+    pairs = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["any", "square", "cancel", "repeat"]))
+        if kind in ("cancel", "repeat") and pairs:
+            x, y = draw(st.sampled_from(pairs))
+            pairs.append((-x if kind == "cancel" else x, y))
+        else:
+            x = draw(st.sampled_from(pool))
+            pairs.append((x, x if kind == "square" else draw(st.sampled_from(pool))))
+    return nvars, pairs
+
+
+@settings(max_examples=400, deadline=None)
+@given(product_lists())
+def test_sum_of_products_is_the_sequential_sum(case):
+    nvars, pairs = case
+    got = MultiPoly.sum_of_products(nvars, pairs)
+    want = sequential_sum_of_products(nvars, pairs)
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+    assert got._den == want._den and 0 not in got._num.values()
+    for x, y in pairs:  # a product is the kernel's one-pair sum
+        assert list((x * y)._num.items()) == list(mul_general(x, y)._num.items())
+        assert (x * y)._den == mul_general(x, y)._den
+
+
+def test_sum_of_products_appends_a_key_that_cancels_and_comes_back():
+    x, y = poly_vars(2)
+    one = MultiPoly.const(2, 1)
+    # x*y joins, x joins, x*y cancels, x*y comes back after x
+    pairs = [(x, y), (x, one), (-x, y), (x / 3, 3 * y)]
+    got = MultiPoly.sum_of_products(2, pairs)
+    assert list(got.terms) == [(1, 0), (1, 1)]
+    assert list(got.terms) == list(sequential_sum_of_products(2, pairs).terms)
+    # a square and a zero factor among mixed denominators
+    p = x / 2 + y / 3
+    pairs = [(p, p), (MultiPoly.zero(2), y), (x / 5, -x / 4)]
+    got = MultiPoly.sum_of_products(2, pairs)
+    # (x/2 + y/3)^2 - x^2/20, expanded by hand
+    assert got == MultiPoly(2, {(2, 0): Fraction(1, 5), (1, 1): Fraction(1, 3),
+                                (0, 2): Fraction(1, 9)})
+    assert list(got.terms) == list(sequential_sum_of_products(2, pairs).terms)
+    assert MultiPoly.sum_of_products(2, []) == MultiPoly.zero(2)
+    assert MultiPoly.sum_of_products(2, [(x, x), (x, -x)]) == MultiPoly.zero(2)
+
+
+def test_sum_of_products_checks_variable_counts_and_degree():
+    with pytest.raises(ValueError, match="variable-count"):
+        MultiPoly.sum_of_products(2, [(MultiPoly.variable(2, 0), MultiPoly.variable(3, 0))])
+    x = MultiPoly.monomial(1, (40000,))
+    with pytest.raises(ValueError, match="65535"):
+        MultiPoly.sum_of_products(1, [(x, x)])
 
 
 @pytest.mark.parametrize("roundtrip", [
