@@ -87,8 +87,28 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
+# the exceptions that mean bad input: one line on stderr, exit 2, no traceback
+_BAD_INPUT = (KeyError, OSError, TypeError, ValueError, ArithmeticError)
+
+
+class _Refused(Exception):
+    """Bad input, with its message: `main` prints it and returns 2."""
+
+
+@contextlib.contextmanager
+def _refuse(prefix: str):
+    """Re-raise a bad-input exception of the block as `_Refused`, after `prefix`."""
+    try:
+        yield
+    except _BAD_INPUT as e:
+        raise _Refused(f"{prefix}: {e}") from None
+
+
 def _parse_fraction(s) -> Fraction:
-    return Fraction(str(s))
+    try:
+        return Fraction(str(s))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"invalid rational {str(s)!r}") from None
 
 
 # the keys each family takes; the CLI drops the flags a family does not take
@@ -101,13 +121,15 @@ def closure_from_spec(spec: dict) -> ClosureFamily:
     """Build a closure family from a config dict {'family': ..., params}.
 
     Defaults: M = 2, level = 2 on branch 'plus', kappa = 0; waterbag needs
-    'heights' and generic needs 'mu2'. Unknown keys raise ValueError.
+    a list 'heights' and generic a string 'mu2'. Unknown keys and values
+    of the wrong type raise ValueError.
     """
-    spec = dict(spec)
-    family = spec.pop("family", None)
+    if not isinstance(spec, dict):
+        raise ValueError(f"closure must be an object, got {spec!r}")
+    family = spec.get("family")
     if not isinstance(family, str) or family not in _FAMILY_KEYS:
         raise ValueError(f"unknown closure family {family!r}")
-    _reject_unknown(spec, _FAMILY_KEYS[family], "closure")
+    _reject_unknown(spec, ("family", *_FAMILY_KEYS[family]), "closure")
     if family == "cold":
         return ColdClosure()
     if family == "multidelta":
@@ -117,11 +139,11 @@ def closure_from_spec(spec: dict) -> ClosureFamily:
     if family == "fourfield":
         return FourFieldClosure(_parse_fraction(spec.get("kappa", 0)))
     if family == "waterbag":
-        if "heights" not in spec:
-            raise ValueError("waterbag closure needs 'heights'")
+        if not isinstance(spec.get("heights"), list):
+            raise ValueError(f"waterbag needs a list 'heights', got {spec.get('heights')!r}")
         return WaterbagClosure([_parse_fraction(h) for h in spec["heights"]])
-    if "mu2" not in spec:
-        raise ValueError("generic closure needs 'mu2'")
+    if not isinstance(spec.get("mu2"), str):
+        raise ValueError(f"generic needs a string 'mu2', got {spec.get('mu2')!r}")
     mu2 = MultiPoly.parse(spec["mu2"])
     metric = _metric_from_spec(spec.get("metric"), mu2.nvars)
     if metric.dim < mu2.nvars:
@@ -137,14 +159,16 @@ def _metric_from_spec(text, nvars: int) -> Metric:
         return Metric([[int(i + j == nvars - 1) for j in range(nvars)]
                        for i in range(nvars)])
     if isinstance(text, str):
-        rows = [[_parse_fraction(v) for v in row.split(",")]
-                for row in text.split(";")]
-    else:
-        rows = [[_parse_fraction(v) for v in row] for row in text]
-    return Metric(rows)
+        text = [row.split(",") for row in text.split(";")]
+    if not (isinstance(text, list) and all(isinstance(row, list) for row in text)):
+        raise ValueError(f"metric must be a string or a list of rows, got {text!r}")
+    return Metric([[_parse_fraction(v) for v in row] for row in text])
 
 
 def _reject_unknown(d: dict, allowed, where: str):
+    """Refuse `d` unless it is an object whose keys are among `allowed`."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be an object, got {d!r}")
     extra = set(d) - set(allowed)
     if extra:
         raise ValueError(f"unknown {where} keys: {sorted(extra)}")
@@ -209,24 +233,18 @@ def _check_levels(args):
         raise ValueError("--levels replaces --level: give one, not both")
 
 
-class _OutDirError(Exception):
-    """An --out directory that cannot be made: `main` reports it, exit 2."""
-
-
 def _out_dir(out: str | None, *subdirs: str) -> Path | None:
     """The --out directory with its `subdirs`, made before a command's work,
     so that one that cannot be made (it names a file, say) ends it at once."""
-    try:
+    with _refuse("error: cannot make the --out directory"):
         for d in ("", *subdirs) if out is not None else ():
             (Path(out) / d).mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise _OutDirError(f"cannot make the --out directory: {e}") from None
     return None if out is None else Path(out)
 
 
 def cmd_verify(args) -> int:
     rep = Report("verify")
-    try:
+    with _refuse("error"):
         _check_levels(args)
         specs = ([_spec_from_args(args)] if args.levels is None else
                  [{"family": "burby", "level": m, "branch": args.branch}
@@ -234,9 +252,6 @@ def cmd_verify(args) -> int:
         outdir = _out_dir(args.out)
         for spec in specs:
             _verify_one(closure_from_spec(spec), rep)
-    except (ValueError, ZeroDivisionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     return rep.emit(args.json, outdir)
 
 
@@ -246,17 +261,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_closure(args) -> int:
-    try:
+    with _refuse("error"):
         _check_levels(args)
         closure = closure_from_spec(_spec_from_args(args))
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        if args.action == "show" and args.nmax is not None and args.nmax < 1:
+            raise ValueError(f"--nmax must be >= 1, got {args.nmax}")
     names = closure.nu_names
     if args.action == "show":
-        if args.nmax is not None and args.nmax < 1:
-            print(f"error: --nmax must be >= 1, got {args.nmax}", file=sys.stderr)
-            return 2
         nmax = args.nmax or max(2 * closure.nu_count + 1, 2)
         for n in range(1, nmax + 1):
             print(f"mu_{n} = {closure.mu(n).to_text(names)}")
@@ -271,7 +282,7 @@ def cmd_closure(args) -> int:
             print(f"recovered nu = {[round(v, 12) for v in back]}")
         return 0
     if args.action == "eos":
-        try:
+        with _refuse("error"):
             if not args.mu and closure.nu_count:
                 raise ValueError("eos needs --mu")
             mu_obs = [float(v) for v in args.mu.split(",")] if args.mu else []
@@ -279,9 +290,6 @@ def cmd_closure(args) -> int:
                 raise ValueError(f"--mu values must be finite, got {args.mu}")
             nu = closure.invert(mu_obs)
             closed = closed_moments(closure, nu)
-        except (ValueError, RuntimeError) as e:  # RuntimeError: Newton failed
-            print(f"error: {e}", file=sys.stderr)
-            return 2
         print(f"nu = {[round(float(v), 12) for v in nu]}")
         print("closed moments:",
               [round(float(v), 12) for v in closed])
@@ -310,7 +318,7 @@ def load_config(path, keys) -> dict:
 def _build_run(cfg: dict) -> tuple[str, float, float, int, int]:
     """(scheme, dt, t_end, stride, snapshots) of the `integrator` and
     `output` blocks, checked so that a run takes a step of a known scheme."""
-    integ, output = dict(cfg["integrator"]), dict(cfg.get("output", {}))
+    integ, output = cfg["integrator"], cfg.get("output", {})
     _reject_unknown(integ, _INTEGRATOR_KEYS, "integrator")
     _reject_unknown(output, _OUTPUT_KEYS, "output")
     scheme = integ.get("scheme", "rk4")
@@ -375,15 +383,12 @@ def _build_streams(spec: dict, grid: sim.Grid) -> sim.StreamState:
 def cmd_simulate(args) -> int:
     from . import sim
     rep = Report("simulate")
-    try:
+    with _refuse("config error"):
         cfg = load_config(args.config, _SIMULATE_KEYS)
         grid = _build_grid(cfg["grid"])
         closure = closure_from_spec(cfg["closure"])
         state = _build_initial(cfg.get("initial", {}), grid, closure)
         scheme, dt, t_end, stride, snapshots = _build_run(cfg)
-    except (KeyError, OSError, TypeError, ValueError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     outdir = _out_dir(args.out, "snapshots")
     snapdir = outdir / "snapshots"
     count = [0]
@@ -425,19 +430,16 @@ def cmd_compare(args) -> int:
 
     from . import sim
     rep = Report("compare")
-    try:
+    with _refuse("config error"):
         cfg = load_config(args.config, _COMPARE_KEYS)
         grid = _build_grid(cfg["grid"])
-        s_s = _build_streams(dict(cfg.get("streams", {})), grid)
+        s_s = _build_streams(cfg.get("streams", {}), grid)
         scheme, dt, t_end, _, _ = _build_run(cfg)
         tol = float(cfg.get("tolerance", 1e-6))
         if not 0 < tol < math.inf:
             raise ValueError(f"tolerance must be finite and > 0, got {tol}")
         rho, u, xi, eta = multidelta_normal_map(list(s_s.a), list(s_s.v))
         s_f = _checked_start(sim.FieldState(rho, u, np.array([xi[0], eta[0]]), s_s.n0))
-    except (KeyError, OSError, TypeError, ValueError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
     outdir = _out_dir(args.out)
     md = MultiDeltaClosure(2)
     broke = None
@@ -515,8 +517,8 @@ def main(argv=None) -> int:
         rc = args.fn(args)
         sys.stdout.flush()
         return rc
-    except _OutDirError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except _Refused as e:
+        print(e, file=sys.stderr)
         return 2
     except BrokenPipeError:
         # the reader went away (e.g. `| head`): drop the rest of the output

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 from numbers import Integral, Rational
 from typing import Callable, Sequence
 
@@ -647,6 +647,8 @@ def burby_invert(closure: BurbyClosure, mu_values: Sequence,
         nu_m = _nth_root_fraction((m + 1) * abs(mu_values[-1]), m + 1)
     else:
         radic = float((m + 1) * abs(mu_m))
+        if not isfinite(radic):
+            raise ValueError(f"leading moment mu_m = {mu_m} overflows: (m+1)|mu_m| = {radic}")
         nu_m = radic ** (1.0 / (m + 1))
         # one Newton step: the float power can be an ulp off, and the
         # back-substitution below amplifies that error
@@ -658,6 +660,8 @@ def burby_invert(closure: BurbyClosure, mu_values: Sequence,
         point = [0] * n + nu[n:]
         chi = closure.mu(n).eval(point) if exact else closure.mu_value(n, point)
         nu[n - 1] = (mu_values[n - 1] - chi) / (sign * nu_m) ** n
+    if not exact and not all(map(isfinite, nu)):
+        raise ValueError(f"the inversion of mu = {mu_values} is not finite: nu = {nu}")
     return tuple(nu)
 
 
@@ -783,7 +787,7 @@ class FourFieldClosure(ClosureFamily):
 
 class GenericClosure(ClosureFamily):
     """A closure given directly by its cubic mu_2 and metric, in the
-    variables nu1..nu_k.
+    variables nu1..nu_k; a mu_2 of total degree above 3 raises ValueError.
 
     An arbitrary mu_2 is not known to be flat, so its verify suite checks
     flatness over two indices beyond nu_count (the off-column cells) and
@@ -791,6 +795,9 @@ class GenericClosure(ClosureFamily):
     """
 
     def __init__(self, mu2: MultiPoly, metric: Metric):
+        if (mu2.total_degree() or 0) > 3:
+            raise ValueError(f"mu_2 must be a cubic, of total degree <= 3, "
+                             f"got degree {mu2.total_degree()}")
         names = [f"nu{k}" for k in range(1, metric.dim + 1)]
         super().__init__("generic", names, metric, mu2)
 
@@ -847,9 +854,11 @@ def newton_invert(closure: ClosureFamily, mu_target: Sequence,
     with several branches the caller should seed `guess` near the wanted
     branch. Without a guess the iteration starts from [s] * nv with
     s = |mu_2|^(1/3) (1e-3 when nv < 2 or mu_2 = 0) and, if that fails,
-    from the sign-flipped and ramp starts of `_newton_starts` in turn. When every
-    start fails, an InversionError names the moments and the first start's
-    error. A closure with no normal variables has the empty solution.
+    from the sign-flipped and ramp starts of `_newton_starts` in turn; a start
+    fails when it stalls, meets a singular Jacobian, does not converge or
+    overflows. When every start fails, an InversionError names the moments
+    and the first start's error. A closure with no normal variables has the
+    empty solution.
     """
     nv = closure.nu_count
     target = [float(v) for v in mu_target]
@@ -891,7 +900,7 @@ def newton_invert(closure: ClosureFamily, mu_target: Sequence,
     for x in _newton_starts(scale, nv):
         try:
             return solve(x)
-        except RuntimeError as e:
+        except (RuntimeError, OverflowError) as e:
             first = first or e
     raise InversionError(f"no Newton start solves mu = {target}: the moments may lie "
                          f"outside the range of {closure.name} (first start: {first})") from first

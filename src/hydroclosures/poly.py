@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping as _MappingABC
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from numbers import Rational
 from typing import Iterator, Mapping, Sequence
 
@@ -279,24 +279,11 @@ class MultiPoly:
                 raise ValueError(f"product of total degree {degree} exceeds {MAX_DEGREE}")
             lift = den // (x._den * y._den)
             b_items = list(b.items())
-            if x is y:
-                # square: pairs j > i once, doubled.  A product first appears
-                # at its least (i, j), which has i <= j, so the key order is
-                # that of the full double loop below.
-                for i, (k1, c1) in enumerate(b_items):
-                    c1 *= lift
-                    k = k1 + k1
-                    out[k] = get(k, 0) + c1 * b[k1]
-                    c1 += c1
-                    for k2, c2 in b_items[i + 1:]:
-                        k = k1 + k2
-                        out[k] = get(k, 0) + c1 * c2
-            else:
-                for k1, c1 in a.items():
-                    c1 *= lift
-                    for k2, c2 in b_items:
-                        k = k1 + k2
-                        out[k] = get(k, 0) + c1 * c2
+            for k1, c1 in a.items():
+                c1 *= lift
+                for k2, c2 in b_items:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
             if 0 in values:
                 # only keys this addend touched can be zero
                 for k in [k for k, c in out.items() if not c]:
@@ -399,12 +386,17 @@ class MultiPoly:
         values[i] ** e, multiplied left to right; a unit coefficient is left
         out, as 1.0 * x is x bit for bit. The terms are added to 0.0 in
         `sorted_terms` order, so a -0.0 sum comes out as +0.0. A coefficient
-        is its numerator / den, rounded once, as float() of its Fraction is."""
+        is its numerator / den, rounded once, as float() of its Fraction is;
+        one beyond the float range is +-inf, as a float product past it is."""
         nvars, den = self.nvars, self._den
         compiled = []
         for key, num in sorted(self._num.items(), reverse=True):
             factors = [(i, e) for i, e in enumerate(_unpack(key, nvars)) if e]
-            compiled.append((None if num == den and factors else num / den, factors))
+            try:
+                c = None if num == den and factors else num / den
+            except OverflowError:
+                c = inf if num > 0 else -inf
+            compiled.append((c, factors))
 
         def evaluate(values):
             acc = 0.0

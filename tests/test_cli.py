@@ -9,13 +9,17 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hydroclosures import bracket
-from hydroclosures.cli import closure_from_spec, main
+from hydroclosures.cli import _FAMILY_KEYS, closure_from_spec, main
 from hydroclosures.poly import MultiPoly
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -529,6 +533,18 @@ BAD_CLOSURES = {
     "bool-level": {"family": "burby", "level": True},
     "float-M": {"family": "multidelta", "M": 2.0},
     "string-M": {"family": "multidelta", "M": "3"},
+    # values of the wrong type: an AttributeError traceback (mu2), heights
+    # read one character at a time, or a TypeError's message
+    "int-mu2": {"family": "generic", "mu2": 5},
+    "string-heights": {"family": "waterbag", "heights": "1,1,-2"},
+    "int-metric": {"family": "generic", "mu2": "nu1^3", "metric": 5},
+    "string-rows": {"family": "generic", "mu2": "nu1^3", "metric": ["1"]},
+    "list-closure": [],
+    # a ZeroDivisionError traceback
+    "zero-denominator-kappa": {"family": "fourfield", "kappa": "1/0"},
+    "zero-denominator-height": {"family": "waterbag", "heights": [1, "1/0", -2]},
+    "zero-denominator-metric": {"family": "generic", "mu2": "nu1^3", "metric": [["1/0"]]},
+    "quartic-mu2": {"family": "generic", "mu2": "nu1^4"},
 }
 
 
@@ -575,6 +591,22 @@ def test_simulate_rejects_bad_run_settings(tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.startswith("config error: ")
     assert not out.exists()  # rejected before any step
+
+
+@pytest.mark.parametrize("case, message", [
+    ("int-mu2", "generic needs a string 'mu2', got 5"),
+    ("string-heights", "waterbag needs a list 'heights', got '1,1,-2'"),
+    ("int-metric", "metric must be a string or a list of rows, got 5"),
+    ("string-rows", "metric must be a string or a list of rows, got ['1']"),
+    ("list-closure", "closure must be an object, got []"),
+    ("zero-denominator-kappa", "invalid rational '1/0'"),
+    ("zero-denominator-height", "invalid rational '1/0'"),
+    ("zero-denominator-metric", "invalid rational '1/0'"),
+    ("quartic-mu2", "mu_2 must be a cubic, of total degree <= 3, got degree 4"),
+])
+def test_closure_from_spec_names_the_bad_value(case, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        closure_from_spec(BAD_CLOSURES[case])
 
 
 # normal-variable lists of the wrong length for burby level 2 (2 normal
@@ -767,3 +799,196 @@ def test_readme_lists_exact_commands():
 @pytest.mark.parametrize("line", readme_commands())
 def test_readme_command_exits_0(line, capsys):
     assert main(shlex.split(line)[1:]) == 0, capsys.readouterr().out
+
+
+# inputs that ended in a traceback (exit 1), printed a nan (exit 0) or
+# named a zero denominator as `Fraction(1, 0)`
+@pytest.mark.parametrize("argv, message", [
+    (["closure", "show", "--family", "fourfield", "--kappa", "1/0"],
+     "error: invalid rational '1/0'\n"),
+    (["verify", "--family", "fourfield", "--kappa", "1/0"],
+     "error: invalid rational '1/0'\n"),
+    (["closure", "show", "--family", "waterbag", "--heights", "1,1/0,-2"],
+     "error: invalid rational '1/0'\n"),
+    (["closure", "show", "--family", "generic", "--mu2", "nu1^30000*nu2"],
+     "error: mu_2 must be a cubic, of total degree <= 3, got degree 30001\n"),
+    (["closure", "eos", "--family", "generic", "--mu2", "nu1^30000*nu2", "--mu", "1,1"],
+     "error: mu_2 must be a cubic, of total degree <= 3, got degree 30001\n"),
+    (["verify", "--family", "generic", "--mu2", "nu1^30000*nu2"],
+     "error: mu_2 must be a cubic, of total degree <= 3, got degree 30001\n"),
+    (["closure", "eos", "--family", "burby", "--level", "2", "--mu", "1e308,1e308"],
+     "error: leading moment mu_m = 1e+308 overflows: (m+1)|mu_m| = inf\n"),
+    (["closure", "eos", "--family", "burby", "--level", "2", "--mu", "1e308,1e-300"],
+     "error: the inversion of mu = [1e+308, 1e-300] is not finite: nu = [inf, "),
+    (["closure", "eos", "--family", "multidelta", "--mu", "1e300,1e300"],
+     "error: no Newton start solves mu = [1e+300, 1e+300]: "),
+], ids=["kappa-flag", "kappa-verify", "heights-flag", "show-quartic", "eos-quartic",
+        "verify-quartic", "burby-eos-overflow", "burby-eos-inf-nu", "newton-overflow"])
+def test_flag_inputs_that_crashed_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# no input ends in a traceback
+# ---------------------------------------------------------------------------
+
+# every value a mutated input may take: none makes a run longer than about
+# 100 steps or a grid larger than 64 points
+ODD_VALUES = [None, True, False, -1, 0, 1, 2, 0.5, 1e308, -1e308, "x", "1/0", "",
+              "-1", "0.5", "1e308", "nan", "nu1^30000*nu2", [], [0], [1, -1], {}, {"x": 1}]
+ODD_KEYS = ["x", "L", "nx", "dt", "family", "level", "M", "heights", "kappa", "mu2",
+            "metric", "nu_base", "v0", "stride", "tolerance"]
+GRID8 = {"L": 6.283185307179586, "nx": 8}
+RUN5 = {"scheme": "rk4", "dt": 0.05, "t_end": 0.25}
+SIMULATE_BASES = [
+    {"grid": GRID8, "closure": {"family": "cold"}, "integrator": RUN5,
+     "initial": {"type": "single_mode", "n0": 1.0, "eps": 1e-3}, "output": {"stride": 2}},
+    {"grid": {**GRID8, "method": "fd2"}, "closure": {"family": "burby", "level": 2},
+     "integrator": {**RUN5, "scheme": "split"},
+     "initial": {"eps": 1e-5, "nu_base": [0.05, 0.5], "nu_eps": [1e-6, 1e-6]},
+     "output": {"stride": 1, "snapshots": 2}},
+    {"grid": GRID8, "closure": {"family": "waterbag", "heights": [1, "1", -2]},
+     "integrator": RUN5, "initial": {"nu_base": [0.1]}},
+    {"grid": GRID8, "closure": {"family": "generic", "mu2": "nu1^2*nu2",
+                                "metric": [[0, 1], ["1", 0]]},
+     "integrator": RUN5, "initial": {"nu_base": [0.1, 0.2]}},
+    {"grid": GRID8, "closure": {"family": "fourfield", "kappa": "1/2"},
+     "integrator": RUN5, "initial": {"nu_base": [0.1, 0.2]}},
+    {"grid": GRID8, "closure": {"family": "multidelta", "M": 2}, "integrator": RUN5},
+]
+COMPARE_BASE = {"grid": GRID8, "streams": {"n0": 1.0, "v0": 0.2, "eps": 1e-3},
+                "integrator": {"dt": 0.05, "t_end": 0.25}, "tolerance": 1e-2}
+
+FAMILY_FLAGS = [
+    ("verify", {"--family": "burby", "--level": "2"}),
+    ("verify", {"--family": "generic", "--mu2": "nu1^2*nu2", "--metric": "0,1;1,0"}),
+    ("closure show", {"--family": "fourfield", "--kappa": "1/2", "--nmax": "3"}),
+    ("closure casimir", {"--family": "waterbag", "--heights": "1,1,-2"}),
+    ("closure eos", {"--family": "burby", "--level": "2", "--mu": "0.33,2.667"}),
+    ("closure eos", {"--family": "multidelta", "--M": "2", "--mu": "0.36,0.324"}),
+]
+# argparse itself checks these flags' types and choices: their values are
+# drawn from what it takes, so that every draw reaches the command
+FLAG_VALUES = {"--family": list(_FAMILY_KEYS),
+               "--branch": ["plus", "minus"],
+               **dict.fromkeys(("--level", "--M", "--nmax"), ["-1", "0", "1", "3"])}
+TEXT_VALUES = ["", "x", "1/0", "-1", "0", "0.5", "1e308", "nan", "inf", ",", ";", "1..0",
+               "1..3", "1,1/0,-2", "1,-1", "1e308,1e308", "1e300,1e300", "0,1;1,0",
+               "0;0", "nu1^2*nu2", "nu1^30000*nu2", "nu1^4", "nu3"]
+FLAGS = ["--family", "--level", "--levels", "--M", "--heights", "--kappa", "--mu2",
+         "--metric", "--branch"]
+
+
+def _paths(node, path=()):
+    """(path, value) of `node` and of every value inside it."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield from _paths(v, (*path, k))
+
+
+def _mutated(doc, path, op, value, key="x"):
+    """A copy of `doc` with one change at `path`: its value replaced by
+    `value` or dropped ("replace", "drop"), or `value` added to it, under
+    `key` in an object ("add")."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    value = json.loads(json.dumps(value))
+    if op == "replace":
+        parent[path[-1]] = value
+    elif op == "drop":
+        del parent[path[-1]]
+    else:
+        node = parent[path[-1]] if path else doc
+        if isinstance(node, dict):
+            node[key] = value
+        else:
+            node.append(value)
+    return doc
+
+
+@st.composite
+def mutated_configs(draw):
+    """(command, config): a small valid simulate or compare config with one
+    change."""
+    command = draw(st.sampled_from(["simulate", "compare"]))
+    base = draw(st.sampled_from(SIMULATE_BASES)) if command == "simulate" else COMPARE_BASE
+    path, node = draw(st.sampled_from(list(_paths(base))))
+    ops = (["replace", "drop"] if path else []) + \
+        (["add"] if isinstance(node, (dict, list)) else [])
+    return command, _mutated(base, path, draw(st.sampled_from(ops)),
+                             draw(st.sampled_from(ODD_VALUES)), draw(st.sampled_from(ODD_KEYS)))
+
+
+@st.composite
+def mutated_flags(draw):
+    """argv: a valid verify or closure command with one family flag
+    replaced, dropped or added."""
+    command, flags = draw(st.sampled_from(FAMILY_FLAGS))
+    flags = dict(flags)
+    op = draw(st.sampled_from(["replace", "drop", "add"]))
+    if op == "drop":
+        # --family is required: argparse, not the command, refuses its absence
+        del flags[draw(st.sampled_from(sorted(set(flags) - {"--family"})))]
+    else:
+        flag = draw(st.sampled_from(
+            sorted(flags) if op == "replace" else
+            FLAGS + ["--nmax", "--mu"] if command.startswith("closure") else FLAGS))
+        flags[flag] = draw(st.sampled_from(FLAG_VALUES.get(flag, TEXT_VALUES)))
+    return [*command.split(), *(f"{k}={v}" for k, v in flags.items())]
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    """(exit code, stderr) of `main(argv)`, with its stdout dropped, and with
+    the solver's CFL warning and numpy's floating-point warnings (a huge
+    but finite n0 or L overflows) ignored: they are warnings, not
+    tracebacks, but `-W error` would raise them."""
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "dt=.* exceeds CFL estimate", UserWarning)
+        warnings.filterwarnings("ignore", "(overflow|invalid value|divide by zero) encountered",
+                                RuntimeWarning)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    return rc, err.getvalue()
+
+
+def _check_exit(rc, err):
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.startswith(("error: ", "config error: ")) and err.count("\n") == 1, err
+
+
+# each example ended in a traceback
+@example(("simulate", _mutated(SIMULATE_BASES[4], ("closure", "kappa"), "replace", "1/0")))
+@example(("simulate", _mutated(SIMULATE_BASES[3], ("closure", "metric", 1, 0), "replace",
+                               "1/0")))
+@example(("simulate", _mutated(SIMULATE_BASES[3], ("closure", "mu2"), "replace", 1)))
+@example(("simulate", _mutated(SIMULATE_BASES[0], ("initial",), "replace", [])))
+@example(("simulate", _mutated(SIMULATE_BASES[4], ("closure", "kappa"), "replace", 1e308)))
+@settings(max_examples=80, deadline=None)
+@given(mutated_configs())
+def test_no_config_ends_in_a_traceback(case):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(cfg))
+        _check_exit(*_run_quietly([command, "--config", str(path),
+                                   "--out", str(Path(tmp) / "out")]))
+
+
+# each example ended in a traceback
+@example(["closure", "show", "--family=fourfield", "--kappa=1/0"])
+@example(["closure", "show", "--family=waterbag", "--heights=1,1/0,-2"])
+@example(["closure", "show", "--family=generic", "--mu2=nu1^30000*nu2"])
+@example(["closure", "eos", "--family=multidelta", "--M=2", "--mu=1e300,1e300"])
+@settings(max_examples=80, deadline=None)
+@given(mutated_flags())
+def test_no_family_flags_end_in_a_traceback(argv):
+    _check_exit(*_run_quietly(argv))

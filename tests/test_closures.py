@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hydroclosures import closures
-from hydroclosures.closures import (BurbyClosure, ColdClosure,
+from hydroclosures.closures import (BurbyClosure, ColdClosure, InversionError,
                                     _newton_starts, _nth_root_fraction, _solve_float,
                                     FourFieldClosure, GenericClosure, Metric,
                                     MultiDeltaClosure, WaterbagClosure,
@@ -328,6 +328,18 @@ def test_level_signature_split():
         assert sorted(sig, reverse=True) == [(m + 1) // 2, m // 2]
 
 
+def test_float_inversions_never_return_a_non_finite_nu():
+    # (m+1)|mu_m| overflowed to inf, and the inversion returned (nan, nan);
+    # a Newton start from |mu_2|^(1/3) = 1e100 overflowed in a power
+    c = BurbyClosure(2)
+    with pytest.raises(ValueError, match=r"overflows: \(m\+1\)\|mu_m\| = inf"):
+        c.invert([1e308, 1e308])
+    with pytest.raises(ValueError, match=r"is not finite: nu = \[inf, "):
+        c.invert([1e308, 1e-300])
+    with pytest.raises(InversionError, match="no Newton start solves"):
+        newton_invert(MultiDeltaClosure(2), [1e300, 1e300])
+
+
 def test_burby_invert_rejects_bad_branch():
     with pytest.raises(ValueError):
         BurbyClosure(2, branch="sideways")
@@ -528,6 +540,16 @@ def test_generated_mu_and_gamma_equal_direct_formulas(case):
         want = direct(n)
         assert c.mu(n) == want, (case, n)
         assert c.gamma(n) == gamma_n(want, n), (case, n)
+
+
+def test_generic_closure_takes_a_cubic_at_most():
+    g = Metric([[0, 1], [1, 0]])
+    for text in ("nu1^2*nu2 + nu2^2", "nu1*nu2 + 1", "nu2", "3"):
+        assert GenericClosure(MultiPoly.parse(text, varnames=["nu1", "nu2"]), g).nu_count == 2
+    assert GenericClosure(MultiPoly.zero(2), g).mu(3).is_zero
+    for text, degree in (("nu1^3*nu2", 4), ("nu1^30000*nu2", 30001)):
+        with pytest.raises(ValueError, match=f"total degree <= 3, got degree {degree}"):
+            GenericClosure(MultiPoly.parse(text), g)
 
 
 def test_generator_reproduces_waterbag():

@@ -201,6 +201,16 @@ def test_compile_float_coefficients_are_the_floats_of_the_fractions():
         assert _bits(f([0.0, 1.0])) == _bits(float(b))
 
 
+def test_compile_float_coefficient_past_the_float_range_is_inf():
+    # float() of such a Fraction raises OverflowError, which ended a
+    # simulate run of fourfield kappa = 1e308 in a traceback
+    x, y = poly_vars(2)
+    big = Fraction(10) ** 400
+    assert (big * x + y).compile_float()([2.0, 1.0]) == math.inf
+    assert (x - big * y).compile_float()([1.0, 0.5]) == -math.inf
+    assert MultiPoly.const(2, -big).compile_float()([0.0, 0.0]) == -math.inf
+
+
 @pytest.mark.parametrize("text, term", [
     ("nu1*-2", "nu1*-2"),
     ("nu1 * - 2", "nu1 *-2"),
