@@ -27,8 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import bracket
-from .closures import (MomentAlgebra, memoized, mu_recurrence, waterbag_gamma_residual,
-                       waterbag_tails)
+from .closures import (MomentAlgebra, _power_sum, memoized, mu_recurrence,
+                       waterbag_gamma_residual, waterbag_tails)
 from .poly import MultiPoly
 
 
@@ -185,6 +185,6 @@ def _hypotheses_hold(closure) -> bool:
             gram = sum(x * y for x, y in zip(u, raised[l]) if x and y)
             if gram != 2 * lam - (1 / a[k] if k == l else 0):
                 return False
-    q = [sum((ak * t ** j for ak, t in zip(a, tails)), MultiPoly.zero(nv)) for j in (1, 2, 3)]
+    q = [_power_sum(a, tails, j, MultiPoly.zero(nv)) for j in (1, 2, 3)]
     return (q[0] == Fraction(1, 2) and closure.mu(1) == -q[1] / 2 + lam / 4
             and closure.mu(2) == q[2] / 3 + lam ** 2 / 6)

@@ -10,6 +10,12 @@ memo. A family adds only its parameters, the identities its verify suite
 checks, where one exists an explicit inversion, and where it has one its
 own proof of flatness (the waterbag certificate).
 
+The multi-delta and waterbag moments share one structure: each is a power
+sum sum_k a_k x_k^j (`_power_sum`) over coordinates affine in nu, the stream
+velocities or the waterbag tails and contour velocities. Every waterbag form
+(the tails of mu_n, S_n and the inverse map) is built from one construction,
+the contour partial sums h_k of `_contour_sums`.
+
 Families: multi-delta (M cold streams), waterbag (piecewise-constant
 distribution with fixed bag heights), the delta-derivative closure with
 its anti-triangular moment system, inverted explicitly from the cached
@@ -25,6 +31,7 @@ from __future__ import annotations
 import functools
 from collections import defaultdict
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, isfinite
 from numbers import Integral, Rational
 from typing import Callable, Sequence
@@ -265,7 +272,8 @@ def mu_recurrence(closure, n: int) -> MultiPoly:
 
 
 def multidelta_mu(M: int, n: int) -> MultiPoly:
-    """mu_n = sum_{k=2}^{M} xi_k eta_k^n over (xi_2..xi_M, eta_2..eta_M).
+    """mu_n = sum_{k=2}^{M} xi_k eta_k^n over (xi_2..xi_M, eta_2..eta_M), the
+    power sum of `_power_sum`.
 
     M = 1 has no normal variables and every mu_n vanishes (cold limit)."""
     if M < 1:
@@ -273,10 +281,8 @@ def multidelta_mu(M: int, n: int) -> MultiPoly:
     if n < 1:
         raise ValueError("moment index must be >= 1")
     nv = 2 * (M - 1)
-    acc = MultiPoly.zero(nv)
-    for k in range(M - 1):
-        acc = acc + MultiPoly.variable(nv, k) * MultiPoly.variable(nv, M - 1 + k) ** n
-    return acc
+    x = [MultiPoly.variable(nv, i) for i in range(nv)]
+    return _power_sum(x[:M - 1], x[M - 1:], n, MultiPoly.zero(nv))
 
 
 def _offdiag_block_metric(b: int) -> Metric:
@@ -337,113 +343,87 @@ def multidelta_inverse_map(rho, u, xi: Sequence, eta: Sequence):
 
 
 def _check_heights(a: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The heights as Fractions: at least two, summing to zero, and no partial
+    sum sigma_1..sigma_{N-1} zero, so a_N = -sigma_{N-1} is not zero either."""
     a = tuple(Fraction(x) for x in a)
-    N = len(a)
-    if N < 2:
+    if len(a) < 2:
         raise ValueError("need at least two heights")
     if sum(a) != 0:
         raise ValueError("heights must sum to zero (compact support)")
-    sigma = Fraction(0)
-    for k in range(N - 1):
-        sigma += a[k]
+    for k, sigma in enumerate(accumulate(a[:-1]), start=1):
         if sigma == 0:
-            raise ValueError(f"degenerate heights: partial sum sigma_{k + 1} = 0")
-    if a[-1] == 0:
-        raise ValueError("last height must be nonzero")
+            raise ValueError(f"degenerate heights: partial sum sigma_{k} = 0")
     return a
 
 
-def _sigmas(a: Sequence[Fraction]) -> list[Fraction]:
-    out, acc = [], Fraction(0)
-    for x in a:
-        acc += x
-        out.append(acc)
-    return out
+def _power_sum(a: Sequence, x: Sequence, j: int, start=0):
+    """start + sum_k a_k x_k^j over the pairs of `a` and `x`: the form of
+    every multi-delta and waterbag moment, over any ring."""
+    return sum((ak * xk ** j for ak, xk in zip(a, x)), start)
 
 
-def _wb_nu_poly(nv: int, l: int) -> MultiPoly:
-    # boundary conventions nu_0 = 0, nu_{N-1} = 1
-    if l == 0:
-        return MultiPoly.zero(nv)
-    if l == nv + 1:
-        return MultiPoly.const(nv, 1)
-    return MultiPoly.variable(nv, l - 1)
+def _contour_sums(sigma: Sequence, nu: Sequence) -> list:
+    """h_k = sum_{l<k} (nu_l - nu_{l-1})/sigma_l for k = 1..N, with nu_0 = 0
+    and nu_{N-1} = 1 (so h_1 = 0): the one construction of the waterbag
+    contours, over Fractions, floats, numpy arrays or `MultiPoly`."""
+    steps = ((hi - lo) / s for lo, hi, s in zip([0, *nu], [*nu, 1], sigma))
+    return list(accumulate(steps, initial=0))
 
 
 def waterbag_mu(a: Sequence, n: int) -> MultiPoly:
-    """mu_n of the waterbag family as an exact polynomial in nu_1..nu_{N-2}.
+    """mu_n of the waterbag family as an exact polynomial in nu_1..nu_{N-2}:
+    the power sum
 
-    mu_n = ((-1)^n/(n+1)) ( sum_{k<N} a_k (1/(2a_N)
-             + sum_{l=k}^{N-1} (nu_l - nu_{l-1})/sigma_l)^{n+1}
-             + 1/(2^{n+1} a_N^n) ).
+      mu_n = ((-1)^n/(n+1)) ( sum_{k<N} a_k L_k^{n+1} + 1/(2^{n+1} a_N^n) )
+
+    over the tails L_k of `waterbag_tails`.
     """
     if n < 1:
         raise ValueError("moment index must be >= 1")
     a = _check_heights(a)
-    acc = MultiPoly.const(len(a) - 2, Fraction(1, 2 ** (n + 1) * a[-1] ** n))
-    for ak, tail in zip(a, waterbag_tails(a)):
-        acc = acc + ak * tail ** (n + 1)
-    return acc * Fraction((-1) ** n, n + 1)
+    last = MultiPoly.const(len(a) - 2, Fraction(1, 2 ** (n + 1) * a[-1] ** n))
+    return _power_sum(a, waterbag_tails(a), n + 1, last) * Fraction((-1) ** n, n + 1)
 
 
 def waterbag_tails(a: Sequence) -> list[MultiPoly]:
-    """The forms L_k = 1/(2a_N) + sum_{l=k..N-1} (nu_l - nu_{l-1})/sigma_l,
-    k = 1..N-1, of `waterbag_mu`. With nu_{N-1} = 1 each is affine in nu
-    with the constant term Lambda = -1/(2a_N)."""
+    """The forms L_k = 1/(2a_N) + h_N - h_k, k = 1..N-1, of `waterbag_mu`,
+    over the contour sums h_k of `_contour_sums` in the variables nu. With
+    nu_{N-1} = 1 each is affine in nu with the constant term
+    Lambda = -1/(2a_N)."""
     a = _check_heights(a)
-    N = len(a)
-    nv = N - 2
-    sigma = _sigmas(a)
-    base = MultiPoly.const(nv, Fraction(1, 2 * a[-1]))
-    # tails[k] = 1/(2aN) + sum_{l=k+1..N-1} (nu_l - nu_{l-1})/sigma_l, 0-based k
-    tails = [base] * (N - 1)
-    for k in range(N - 2, -1, -1):
-        step = (_wb_nu_poly(nv, k + 1) - _wb_nu_poly(nv, k)) / sigma[k]
-        tails[k] = (tails[k + 1] if k + 1 < N - 1 else base) + step
-    return tails
+    nv = len(a) - 2
+    h = _contour_sums(list(accumulate(a)), [MultiPoly.variable(nv, i) for i in range(nv)])
+    top = MultiPoly.const(nv, Fraction(1, 2 * a[-1])) + h[-1]
+    return [top - hk for hk in h[:-1]]
 
 
 def waterbag_s(a: Sequence, n: int) -> MultiPoly:
-    """S_n = -(1/(n+1)) sum_k a_k eta_k^{n+1}, the u-centered moments.
-
-    eta_1 = (1/2) sum_{k>=2} a_k (sum_{l<k} (nu_l - nu_{l-1})/sigma_l)^2 and
-    eta_k = eta_1 + sum_{l<k} (nu_l - nu_{l-1})/sigma_l; degree 2n, not
-    homogeneous. The verify suite reads its constant terms from
-    `waterbag_s_at_zero`; this expansion is their test oracle.
+    """S_n = -(1/(n+1)) sum_k a_k v_k^{n+1}, the u-centered moments, over the
+    contour velocities v_k = `waterbag_inverse_map(a, 1, 0, nu)` at the
+    variables nu: degree 2n, not homogeneous. The verify suite reads its
+    constant terms from `waterbag_s_at_zero`, the same map at nu = 0; this
+    expansion is their test oracle.
     """
     if n < 0:
         raise ValueError("moment index must be nonnegative")
     a = _check_heights(a)
-    N = len(a)
-    nv = N - 2
-    sigma = _sigmas(a)
-    # heads[k] = sum_{l=1..k} (nu_l - nu_{l-1})/sigma_l, 0-based entry k-1
-    heads = [MultiPoly.zero(nv)]
-    for l in range(N - 1):
-        step = (_wb_nu_poly(nv, l + 1) - _wb_nu_poly(nv, l)) / sigma[l]
-        heads.append(heads[-1] + step)
-    eta1 = MultiPoly.zero(nv)
-    for k in range(1, N):
-        eta1 = eta1 + Fraction(a[k], 2) * heads[k] ** 2
-    acc = MultiPoly.zero(nv)
-    for k in range(N):
-        acc = acc + a[k] * (eta1 + heads[k]) ** (n + 1)
-    return acc * Fraction(-1, n + 1)
+    nv = len(a) - 2
+    v = waterbag_inverse_map(a, 1, 0, [MultiPoly.variable(nv, i) for i in range(nv)])
+    return _power_sum(a, v, n + 1, MultiPoly.zero(nv)) * Fraction(-1, n + 1)
 
 
 def waterbag_s_at_zero(a: Sequence, top: int) -> tuple[Fraction, ...]:
     """The constant terms of `waterbag_s(a, n)` for n = 0..top without
     expanding S_n: -(1/(n+1)) sum_k a_k v_k^{n+1} over the contour
     velocities v_k at nu = 0 (rho = 1, u = 0), found once."""
-    v = waterbag_inverse_map(a, Fraction(1), 0, [0] * (len(a) - 2))
-    return tuple(-sum(ak * vk ** (n + 1) for ak, vk in zip(a, v)) / (n + 1)
-                 for n in range(top + 1))
+    v = waterbag_inverse_map(a, 1, 0, [0] * (len(a) - 2))
+    return tuple(-_power_sum(a, v, n + 1) / (n + 1) for n in range(top + 1))
 
 
 def waterbag_metric(a: Sequence) -> Metric:
     """Diagonal metric g_kk = -sigma_k sigma_{k+1} / a_{k+1}."""
     a = _check_heights(a)
-    sigma = _sigmas(a)
+    sigma = list(accumulate(a))
     nv = len(a) - 2
     rows = [[Fraction(0)] * nv for _ in range(nv)]
     for k in range(nv):
@@ -496,11 +476,12 @@ def waterbag_gamma_residual(closure, n: int) -> MultiPoly:
 
 
 def _waterbag_constants(a: Sequence, values: Sequence):
-    """Heights and partial sums sigma_k, as Fractions for rational `values`,
-    else as floats: a Fraction times a float64 array is an object array."""
+    """Heights and partial sums sigma_k, as Fractions for rational or
+    `MultiPoly` `values`, else as floats: a Fraction times a float64 array
+    is an object array."""
     a = _check_heights(a)
-    sigma = _sigmas(a)
-    if all(isinstance(x, Rational) for x in values):
+    sigma = list(accumulate(a))
+    if all(isinstance(x, (Rational, MultiPoly)) for x in values):
         return a, sigma
     return [float(x) for x in a], [float(x) for x in sigma]
 
@@ -517,29 +498,23 @@ def waterbag_normal_map(a: Sequence, v: Sequence):
     rho = -sum(ak * vk for ak, vk in zip(a, v))
     moments.require_positive_density(rho)
     u = -sum(ak * vk * vk for ak, vk in zip(a, v)) / (2 * rho)
-    nu = []
-    acc = 0
-    for k in range(len(a) - 2):
-        acc = acc + sigma[k] * (v[k + 1] - v[k])
-        nu.append(acc / rho)
-    return rho, u, tuple(nu)
+    steps = (s * (hi - lo) for s, lo, hi in zip(sigma, v, v[1:-1]))
+    return rho, u, tuple(x / rho for x in accumulate(steps, initial=0))[1:]
 
 
 def waterbag_inverse_map(a: Sequence, rho, u, nu: Sequence):
-    """Inverse map: recover the contour velocities from (rho, u, nu)."""
-    N = len(a)
-    if len(nu) != N - 2:
+    """Inverse map: the contour velocities v_k = v_1 + rho h_k from
+    (rho, u, nu), over the contour sums h_k of `_contour_sums`, with
+    v_1 = u + (rho/2) sum_k a_k h_k^2. Exact for rational input, float64 for
+    floats and numpy arrays, and polynomial for `MultiPoly` nu (`waterbag_s`)."""
+    if len(nu) != len(a) - 2:
         raise ValueError("nu must have N-2 entries")
     a, sigma = _waterbag_constants(a, (rho, u, *nu))
     rho = _exact(rho)
     moments.require_positive_density(rho)
-    nu_full = [0, *nu, 1]  # nu_0 = 0, nu_{N-1} = 1
-    # partial sums sum_{l<k} (nu_l - nu_{l-1})/sigma_l for k = 1..N
-    heads = [0]
-    for l in range(N - 1):
-        heads.append(heads[-1] + (nu_full[l + 1] - nu_full[l]) / sigma[l])
-    v1 = u + (rho / 2) * sum(a[k] * heads[k] ** 2 for k in range(1, N))
-    return tuple(v1 + rho * heads[k] for k in range(N))
+    h = _contour_sums(sigma, nu)
+    v1 = u + (rho / 2) * _power_sum(a, h, 2)
+    return tuple(v1 + rho * hk for hk in h)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ by triangular back-substitution, and the general paths of `MultiPoly`
 addition, multiplication, scaling and float and exact evaluation and of
 the matrix inverse
 and the congruence, which the library's short-cuts past zero operands and unit
-coefficients and its sparse kernels must match. Test
+coefficients and its sparse kernels must match, and the waterbag and
+multi-delta closed forms and maps loop by loop, each with its own pass over
+the contour partial sums, which the library's one contour construction and
+one power sum must match. Test
 modules import them with `from oracles import ...` (pytest puts this
 directory on `sys.path`).
 """
@@ -290,3 +293,113 @@ def congruence_dense(g) -> tuple:
             if a[i][j]:
                 col_op(j, i, -a[i][j] / a[i][i])
     return tuple(tuple(row) for row in t), tuple(a[i][i] for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# Waterbag and multi-delta closed forms, loop by loop. Each takes valid
+# heights a_1..a_N (Fractions); sigma_k = a_1 + ... + a_k.
+# ---------------------------------------------------------------------------
+
+
+def _partial_sums(a) -> list:
+    out, acc = [], Fraction(0)
+    for x in a:
+        acc += x
+        out.append(acc)
+    return out
+
+
+def _wb_nu(nv: int, l: int) -> MultiPoly:
+    """nu_l as a polynomial, with nu_0 = 0 and nu_{N-1} = 1."""
+    if l == 0:
+        return MultiPoly.zero(nv)
+    if l == nv + 1:
+        return MultiPoly.const(nv, 1)
+    return MultiPoly.variable(nv, l - 1)
+
+
+def waterbag_tails_loop(a) -> list:
+    """L_k = 1/(2a_N) + sum_{l=k..N-1} (nu_l - nu_{l-1})/sigma_l, k = 1..N-1,
+    summed backwards from L_{N-1}."""
+    N, nv = len(a), len(a) - 2
+    sigma = _partial_sums(a)
+    base = MultiPoly.const(nv, Fraction(1, 2 * a[-1]))
+    tails = [base] * (N - 1)
+    for k in range(N - 2, -1, -1):
+        step = (_wb_nu(nv, k + 1) - _wb_nu(nv, k)) / sigma[k]
+        tails[k] = (tails[k + 1] if k + 1 < N - 1 else base) + step
+    return tails
+
+
+def waterbag_mu_loop(a, n: int) -> MultiPoly:
+    """((-1)^n/(n+1)) (sum_{k<N} a_k L_k^{n+1} + 1/(2^{n+1} a_N^n))."""
+    acc = MultiPoly.const(len(a) - 2, Fraction(1, 2 ** (n + 1) * a[-1] ** n))
+    for ak, tail in zip(a, waterbag_tails_loop(a)):
+        acc = acc + ak * tail ** (n + 1)
+    return acc * Fraction((-1) ** n, n + 1)
+
+
+def waterbag_s_loop(a, n: int) -> MultiPoly:
+    """-(1/(n+1)) sum_k a_k (eta_1 + h_k)^{n+1}, with the partial sums h_k
+    summed forwards and eta_1 = (1/2) sum_{k>=2} a_k h_k^2."""
+    N, nv = len(a), len(a) - 2
+    sigma = _partial_sums(a)
+    heads = [MultiPoly.zero(nv)]
+    for l in range(N - 1):
+        heads.append(heads[-1] + (_wb_nu(nv, l + 1) - _wb_nu(nv, l)) / sigma[l])
+    eta1 = MultiPoly.zero(nv)
+    for k in range(1, N):
+        eta1 = eta1 + Fraction(a[k], 2) * heads[k] ** 2
+    acc = MultiPoly.zero(nv)
+    for k in range(N):
+        acc = acc + a[k] * (eta1 + heads[k]) ** (n + 1)
+    return acc * Fraction(-1, n + 1)
+
+
+def _wb_constants(a, values):
+    """Heights and partial sums, as floats unless every value is rational."""
+    sigma = _partial_sums(a)
+    if all(isinstance(x, (int, Fraction)) for x in values):
+        return a, sigma
+    return [float(x) for x in a], [float(x) for x in sigma]
+
+
+def waterbag_inverse_map_loop(a, rho, u, nu) -> tuple:
+    """The contour velocities from (rho, u, nu), over numbers or arrays."""
+    N = len(a)
+    a, sigma = _wb_constants(a, (rho, u, *nu))
+    rho = Fraction(rho) if isinstance(rho, int) else rho
+    nu_full = [0, *nu, 1]
+    heads = [0]
+    for l in range(N - 1):
+        heads.append(heads[-1] + (nu_full[l + 1] - nu_full[l]) / sigma[l])
+    v1 = u + (rho / 2) * sum(a[k] * heads[k] ** 2 for k in range(1, N))
+    return tuple(v1 + rho * heads[k] for k in range(N))
+
+
+def waterbag_normal_map_loop(a, v) -> tuple:
+    """(rho, u, nu) from the contour velocities, over numbers or arrays."""
+    a, sigma = _wb_constants(a, v)
+    rho = -sum(ak * vk for ak, vk in zip(a, v))
+    u = -sum(ak * vk * vk for ak, vk in zip(a, v)) / (2 * rho)
+    nu, acc = [], 0
+    for k in range(len(a) - 2):
+        acc = acc + sigma[k] * (v[k + 1] - v[k])
+        nu.append(acc / rho)
+    return rho, u, tuple(nu)
+
+
+def waterbag_s_at_zero_loop(a, top: int) -> tuple:
+    """-(1/(n+1)) sum_k a_k v_k^{n+1} at nu = 0, rho = 1, u = 0, n = 0..top."""
+    v = waterbag_inverse_map_loop(a, Fraction(1), 0, [0] * (len(a) - 2))
+    return tuple(-sum(ak * vk ** (n + 1) for ak, vk in zip(a, v)) / (n + 1)
+                 for n in range(top + 1))
+
+
+def multidelta_mu_loop(M: int, n: int) -> MultiPoly:
+    """sum_{k=2}^{M} xi_k eta_k^n over (xi_2..xi_M, eta_2..eta_M)."""
+    nv = 2 * (M - 1)
+    acc = MultiPoly.zero(nv)
+    for k in range(M - 1):
+        acc = acc + MultiPoly.variable(nv, k) * MultiPoly.variable(nv, M - 1 + k) ** n
+    return acc

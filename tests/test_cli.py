@@ -559,6 +559,8 @@ BAD_GRIDS = {
     "float-nx": {"nx": 64.0},
     "bool-nx": {"nx": True},
     "string-nx": {"nx": "64"},
+    # finite, but numpy warned "overflow encountered in multiply" first
+    "huge-L": {"L": 1e308},
 }
 
 
@@ -572,6 +574,8 @@ BAD_INITIALS = {
     "inf-n0": {"n0": float("inf")},
     "nan-u0": {"u0": float("nan")},
     "inf-u0": {"u0": float("inf")},
+    # finite, but mean(rho) overflowed: a numpy warning and a FAIL report
+    "huge-n0": {"n0": 1e308},
 }
 
 
@@ -585,11 +589,13 @@ def test_simulate_rejects_bad_run_settings(tmp_path, capsys, case):
     cfg["integrator"].update(integ)
     cfg["output"].update(output)
     out = tmp_path / "run"
-    assert main(["simulate", "--config", write_config(tmp_path, cfg),
-                 "--out", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing may be printed before the error
+        assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: ")
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
     assert not out.exists()  # rejected before any step
 
 
@@ -645,6 +651,9 @@ BAD_STREAMS = {
     "inf-v0": {"v0": float("inf")},
     "unit-eps": {"eps": 1},
     "nan-eps": {"eps": float("nan")},
+    # finite, but a numpy overflow warning came first (v0), or a FAIL report (n0)
+    "huge-v0": {"v0": 1e308},
+    "huge-stream-n0": {"n0": 1e308},
 }
 BAD_TOLERANCES = {
     "inf-tolerance": float("inf"),
@@ -663,11 +672,13 @@ def test_compare_rejects_bad_integrator(tmp_path, capsys, case):
     cfg["streams"].update(BAD_STREAMS.get(case, {}))
     cfg["tolerance"] = BAD_TOLERANCES.get(case, cfg["tolerance"])
     out = tmp_path / "cmp"
-    assert main(["compare", "--config", write_config(tmp_path, cfg),
-                 "--out", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: ")
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
     assert not out.exists()
 
 
@@ -716,6 +727,35 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot make the --out directory: ")
     assert taken.read_text() == "kept\n"
+
+
+def test_compare_streams_at_rest(tmp_path, capsys, monkeypatch):
+    # streams at rest have P_1 = P_2 = P_3 = 0, and the deviation from them
+    # is absolute: dividing by max|P_k| = 0 gave NaN, a warning and exit 1
+    cfg = json.loads(json.dumps(COMPARE_CONFIG))
+    cfg["streams"]["v0"] = 0
+    path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", "--config", path, "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks] == [
+        *(f"P_{k} max relative deviation < 1e-06" for k in range(4)),
+        "no wave breaking in window"]
+    assert all(c["ok"] for c in checks)
+    # negative control: a fluid that drifts where the streams rest fails P_1
+    from hydroclosures import cli
+    from hydroclosures.closures import multidelta_normal_map
+
+    def drifting(a, v):
+        rho, u, xi, eta = multidelta_normal_map(a, v)
+        return rho, u + 1e-3, xi, eta
+
+    monkeypatch.setattr(cli, "multidelta_normal_map", drifting)
+    assert main(["compare", "--config", path]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"\[FAIL\] P_1 max relative deviation < 1e-06: \S+ \(absolute: P_k = 0\)",
+                     out), out
 
 
 def test_compare_honours_scheme(tmp_path, capsys):

@@ -20,12 +20,15 @@ from hydroclosures.closures import (BurbyClosure, ColdClosure, InversionError,
                                     multidelta_mu, multidelta_normal_map,
                                     newton_invert, waterbag_inverse_map,
                                     waterbag_mu, waterbag_normal_map,
-                                    waterbag_s, waterbag_s_at_zero)
+                                    waterbag_s, waterbag_s_at_zero, waterbag_tails)
 from hydroclosures.moments import DensityError, p_from_mu
 from hydroclosures.poly import MultiPoly
 
 from oracles import (burby_mu_closed, fourfield_family, gamma_n,
-                     inversion_condition_backsub, poly_vars, s_from_mu)
+                     inversion_condition_backsub, multidelta_mu_loop, poly_vars,
+                     s_from_mu, waterbag_inverse_map_loop, waterbag_mu_loop,
+                     waterbag_normal_map_loop, waterbag_s_at_zero_loop, waterbag_s_loop,
+                     waterbag_tails_loop)
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -138,6 +141,9 @@ def test_waterbag_height_validation():
         WaterbagClosure([F(1), F(-1), F(1), F(-1)])  # zero partial sum
     with pytest.raises(ValueError):
         WaterbagClosure([F(1)])
+    # a zero last height makes the partial sum before it zero
+    with pytest.raises(ValueError, match="partial sum sigma_3 = 0"):
+        WaterbagClosure([F(1), F(1), F(-2), F(0)])
 
 
 def test_waterbag_single_bag_constants():
@@ -157,9 +163,10 @@ def test_waterbag_s_constant_terms():
 
 
 @st.composite
-def waterbag_heights(draw):
-    """Valid heights for N = 3..6: nonzero partial sums, a_N = -sum of the rest."""
-    N = draw(st.integers(3, 6))
+def waterbag_heights(draw, low=3, high=6):
+    """Valid heights for N = low..high: nonzero partial sums, a_N = -sum of
+    the rest."""
+    N = draw(st.integers(low, high))
     a = [F(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.integers(1, 2)))
          for _ in range(N - 1)]
     sigma = [sum(a[:k + 1]) for k in range(N - 1)]
@@ -176,6 +183,70 @@ def test_waterbag_s_at_zero_equals_expanded_constant(a):
     assert len(consts) == top + 1
     for n in range(top + 1):
         assert consts[n] == waterbag_s(a, n).constant_term(), (a, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(waterbag_heights(2, 7), st.integers(0, 5))
+def test_waterbag_closed_forms_match_their_loops(a, n):
+    # one contour construction and one power sum give every closed form
+    # exactly as its own loop does
+    assert waterbag_tails(a) == waterbag_tails_loop(a)
+    if n:
+        assert waterbag_mu(a, n) == waterbag_mu_loop(a, n)
+    assert waterbag_s(a, n) == waterbag_s_loop(a, n)
+    assert waterbag_s_at_zero(a, 5) == waterbag_s_at_zero_loop(a, 5)
+
+
+@pytest.mark.parametrize("M", range(1, 5))
+def test_multidelta_mu_matches_its_loop(M):
+    for n in range(1, 6):
+        assert multidelta_mu(M, n) == multidelta_mu_loop(M, n)
+
+
+RATIONALS = st.fractions(-3, 3, max_denominator=6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(waterbag_heights(3, 7), st.data())
+def test_polynomial_contour_map_evaluates_to_the_rational_map(a, data):
+    nv = len(a) - 2
+    rho = data.draw(st.fractions(F(1, 4), 3, max_denominator=6))
+    u = data.draw(RATIONALS)
+    nu = data.draw(st.lists(RATIONALS, min_size=nv, max_size=nv))
+    v = waterbag_inverse_map(a, rho, u, nu)
+    assert v == waterbag_inverse_map_loop(a, rho, u, nu)
+    assert [vk.eval(nu) for vk in waterbag_inverse_map(a, rho, u, poly_vars(nv))] == list(v)
+    assert waterbag_normal_map(a, v) == waterbag_normal_map_loop(a, v) == (rho, u, tuple(nu))
+
+
+FLOATS = st.floats(-3, 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(waterbag_heights(2, 7), st.data())
+def test_float_contour_maps_match_their_loops_bit_for_bit(a, data):
+    nv = len(a) - 2
+    rho = data.draw(st.floats(0.25, 3))
+    u = data.draw(FLOATS)
+    nu = data.draw(st.lists(FLOATS, min_size=nv, max_size=nv))
+
+    def bits(values):
+        return [x.hex() for x in values]
+
+    v = waterbag_inverse_map(a, rho, u, nu)
+    assert all(type(x) is float for x in v)
+    assert bits(v) == bits(waterbag_inverse_map_loop(a, rho, u, nu))
+    rho2, u2, nu2 = waterbag_normal_map(a, v)
+    assert all(type(x) is float for x in (rho2, u2, *nu2))
+    want = waterbag_normal_map_loop(a, v)
+    assert bits([rho2, u2, *nu2]) == bits([want[0], want[1], *want[2]])
+    # numpy rows: the same bits, point by point
+    rows = waterbag_inverse_map(a, np.array([rho, 2 * rho]), np.array([u, -u]),
+                                [np.array([x, x / 3]) for x in nu])
+    want = waterbag_inverse_map_loop(a, np.array([rho, 2 * rho]), np.array([u, -u]),
+                                     [np.array([x, x / 3]) for x in nu])
+    assert all(r.dtype == np.float64 and r.tobytes() == w.tobytes()
+               for r, w in zip(rows, want))
 
 
 def test_waterbag_gamma_identity():

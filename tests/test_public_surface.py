@@ -25,6 +25,10 @@ ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 SOURCES = sorted((ROOT / "demos").glob("*.py")) + [README]
 LIBRARY = sorted((ROOT / "src" / "hydroclosures").glob("*.py"))
+# the interpreter with this one's development mode and warning options, so
+# that a run under `python -X dev -W error` holds the subprocesses to them too
+PYTHON = [sys.executable, *(["-X", "dev"] if sys.flags.dev_mode else []),
+          *(f"-W{option}" for option in sys.warnoptions)]
 # kept for the waterbag contour oracle in `compare` and the linear-theory
 # oracle on the roadmap, which will be their first callers
 NO_USER_YET = {"waterbag_normal_map", "multidelta_inverse_map"}
@@ -73,7 +77,7 @@ def test_public_surface(path):
     if path.suffix == ".py":
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
+        run = subprocess.run([*PYTHON, str(path)], cwd=ROOT, env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
 
@@ -113,7 +117,7 @@ def test_exact_commands_never_import_the_solver():
         "print(json.dumps([codes, at_start,\n"
         "                  sorted({'numpy', 'hydroclosures.sim'} & set(sys.modules))]))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+    run = subprocess.run([*PYTHON, "-c", script], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     codes, at_start, loaded = json.loads(run.stdout)
