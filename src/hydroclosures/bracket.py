@@ -78,9 +78,20 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
     side of (b) at (n, m; k) (for n = m, half of it), so the report is
     the same, cell for cell, as that of computing every cell. The same
     lemma makes antisymmetry need no cell.
+
+    A `ClosureFamily` whose mu_n are those of its own `mu`, mu_1 =
+    (1/2) nu . g^-1 nu and mu_n for n >= 3 by the recurrence, satisfies
+    (a) and (b) at n = 1 and (a) at n = 2 for every mu_2, flat or not
+    (docs/waterbag_certificate.md, "Cells the recurrence proves"), and so
+    their mirrors by the lemma: for such a closure these cells pass without
+    being computed, and at n = 2 only (b) for m > 2 is built. Any other
+    object, such as the certificate's formal ring or a subclass that
+    overrides `mu`, has every independent cell computed.
     """
+    from .closures import ClosureFamily  # closures imports this module
     if size is None:
         size = closure.flatness_size
+    proven = isinstance(closure, ClosureFamily) and type(closure).mu is ClosureFamily.mu
     checks = []
 
     def cell(name, lhs, entry):
@@ -89,25 +100,37 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
             name=name, ok=ok, residual="" if ok else (lhs - entry).to_text(closure.nu_names)))
         return ok
 
+    def passed(name):
+        checks.append(FlatnessCheck(name=name, ok=True))
+        return True
+
     for n in range(1, size + 1):
+        ks = range(len(closure.grad(n)))
         for m in range(n, size + 1):
-            lhs_a = closure.grad_pair(n, m)
-            alpha_ok = cell(f"alpha[{n},{m}]", lhs_a, mu_alpha_entry(closure, n, m))
+            name = f"alpha[{n},{m}]"
+            if proven and n <= 2:
+                lhs_a, alpha_ok = None, passed(name)
+            else:
+                lhs_a = closure.grad_pair(n, m)
+                alpha_ok = cell(name, lhs_a, mu_alpha_entry(closure, n, m))
+            lhs_b = None
             if n == m:
-                lhs_b = None
-                implied = [alpha_ok] * len(closure.grad(n))
+                implied = [alpha_ok] * len(ks)
+            elif proven and n == 1:
+                implied = [passed(f"beta[{n},{m};{k + 1}]") for k in ks]
             else:
                 lhs_b = closure.hessian_pair(n, m)
                 beta_ok = [cell(f"beta[{n},{m};{k + 1}]", lhs, mu_beta_entry(closure, n, m, k))
                            for k, lhs in enumerate(lhs_b)]
                 implied = [alpha_ok and ok for ok in beta_ok]
-            dlhs_a = None if all(implied) else closure.partials(lhs_a)
+            dlhs_a = None if all(implied) else closure.partials(
+                closure.grad_pair(n, m) if lhs_a is None else lhs_a)
             for k, ok in enumerate(implied):
                 name = f"beta[{m},{n};{k + 1}]"
                 if ok:
-                    checks.append(FlatnessCheck(name=name, ok=True))
+                    passed(name)
                 else:
-                    lhs = dlhs_a[k] / 2 if lhs_b is None else dlhs_a[k] - lhs_b[k]
+                    lhs = dlhs_a[k] / 2 if n == m else dlhs_a[k] - lhs_b[k]
                     cell(name, lhs, mu_beta_entry(closure, m, n, k))
     return FlatnessReport(checks=checks)
 

@@ -337,10 +337,28 @@ def _build_run(cfg: dict) -> tuple[str, float, float, int, int]:
     return scheme, dt, t_end, stride, snapshots
 
 
+@contextlib.contextmanager
+def _float_errors(block: str):
+    """Raise numpy's overflow and invalid-value warnings inside as errors
+    that name the config `block`: a finite value whose float64 work
+    overflows is bad input, and the user is told where it is."""
+    import numpy as np
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as e:
+        raise FloatingPointError(f"{block}: {e}") from None
+
+
 def _build_grid(spec: dict) -> sim.Grid:
     from . import sim
     _reject_unknown(spec, _GRID_KEYS, "grid")
-    return sim.Grid(L=float(spec["L"]), nx=spec["nx"], method=spec.get("method", "spectral"))
+    grid = sim.Grid(L=float(spec["L"]), nx=spec["nx"], method=spec.get("method", "spectral"))
+    with _float_errors("grid"):
+        # what L alone decides: the starts' cosine mode (a huge L overflows
+        # its phase) and the spectral tables (a tiny one overflows k^2)
+        grid.mode, grid.ik, grid.k2
+    return grid
 
 
 def _build_initial(spec: dict, grid: sim.Grid, closure: ClosureFamily) -> sim.FieldState:
@@ -348,12 +366,13 @@ def _build_initial(spec: dict, grid: sim.Grid, closure: ClosureFamily) -> sim.Fi
     _reject_unknown(spec, _INITIAL_KEYS, "initial")
     if spec.get("type", "single_mode") != "single_mode":
         raise ValueError(f"unknown initial condition {spec.get('type')!r}")
-    return _checked_start(sim.single_mode_state(
-        grid, closure,
-        n0=float(spec.get("n0", 1.0)), eps=float(spec.get("eps", 1e-3)),
-        u0=float(spec.get("u0", 0.0)),
-        nu_base=[float(v) for v in spec.get("nu_base", [])],
-        nu_eps=[float(v) for v in spec.get("nu_eps", [])]))
+    with _float_errors("initial"):
+        return _checked_start(sim.single_mode_state(
+            grid, closure,
+            n0=float(spec.get("n0", 1.0)), eps=float(spec.get("eps", 1e-3)),
+            u0=float(spec.get("u0", 0.0)),
+            nu_base=[float(v) for v in spec.get("nu_base", [])],
+            nu_eps=[float(v) for v in spec.get("nu_eps", [])]))
 
 
 def _checked_start(state: sim.FieldState) -> sim.FieldState:
@@ -367,9 +386,12 @@ def _checked_start(state: sim.FieldState) -> sim.FieldState:
     return state
 
 
-def _build_streams(spec: dict, grid: sim.Grid) -> sim.StreamState:
+def _build_streams(spec: dict, grid: sim.Grid) -> tuple[sim.StreamState, sim.FieldState]:
     """The two-stream state of the `streams` block, whose stream densities
-    n0 (1 +- eps cos(2 pi x / L)) / 2 must be positive (NaN fails every test)."""
+    n0 (1 +- eps cos(2 pi x / L)) / 2 must be positive (NaN fails every test),
+    and the multi-delta fluid state it maps to."""
+    import numpy as np
+
     from . import sim
     _reject_unknown(spec, ("n0", "v0", "eps"), "streams")
     n0, v0, eps = (float(spec.get("n0", 1.0)), float(spec.get("v0", 0.2)),
@@ -377,15 +399,16 @@ def _build_streams(spec: dict, grid: sim.Grid) -> sim.StreamState:
     if not (0 < n0 < math.inf and math.isfinite(v0) and abs(eps) < 1):
         raise ValueError("streams need a finite n0 > 0, a finite v0 and |eps| < 1, "
                          f"got n0 = {n0}, v0 = {v0}, eps = {eps}")
-    return sim.two_stream_state(grid, n0=n0, v0=v0, eps=eps)
+    with _float_errors("streams"):
+        s_s = sim.two_stream_state(grid, n0=n0, v0=v0, eps=eps)
+        rho, u, xi, eta = multidelta_normal_map(list(s_s.a), list(s_s.v))
+        return s_s, _checked_start(sim.FieldState(rho, u, np.array([xi[0], eta[0]]), s_s.n0))
 
 
 def cmd_simulate(args) -> int:
     from . import sim
-    import numpy as np
     rep = Report("simulate")
-    # a start that overflows or is invalid in float64 is bad input
-    with _refuse("config error"), np.errstate(over="raise", invalid="raise"):
+    with _refuse("config error"):
         cfg = load_config(args.config, _SIMULATE_KEYS)
         grid = _build_grid(cfg["grid"])
         closure = closure_from_spec(cfg["closure"])
@@ -432,16 +455,14 @@ def cmd_compare(args) -> int:
 
     from . import sim
     rep = Report("compare")
-    with _refuse("config error"), np.errstate(over="raise", invalid="raise"):
+    with _refuse("config error"):
         cfg = load_config(args.config, _COMPARE_KEYS)
         grid = _build_grid(cfg["grid"])
-        s_s = _build_streams(cfg.get("streams", {}), grid)
+        s_s, s_f = _build_streams(cfg.get("streams", {}), grid)
         scheme, dt, t_end, _, _ = _build_run(cfg)
         tol = float(cfg.get("tolerance", 1e-6))
         if not 0 < tol < math.inf:
             raise ValueError(f"tolerance must be finite and > 0, got {tol}")
-        rho, u, xi, eta = multidelta_normal_map(list(s_s.a), list(s_s.v))
-        s_f = _checked_start(sim.FieldState(rho, u, np.array([xi[0], eta[0]]), s_s.n0))
     outdir = _out_dir(args.out)
     md = MultiDeltaClosure(2)
     broke = None

@@ -195,7 +195,15 @@ class ClosureFamily(MomentAlgebra):
 
     @memoized
     def _hessian(self, n: int) -> tuple[tuple[MultiPoly, ...], ...]:
-        return tuple(map(self.partials, self.grad(n)))
+        """Row i holds the d/dnu_k dmu_n/dnu_i. Each entry with k >= i is
+        differentiated once and read back for its mirror (k, i): `diff`
+        keeps term order, so both orders give the same polynomial with the
+        same `terms` order."""
+        rows: list[tuple[MultiPoly, ...]] = []
+        for i, d_i in enumerate(self.grad(n)):
+            rows.append(tuple(rows[k][i] if k < i else d_i.diff(k)
+                              for k in range(self.nu_count)))
+        return tuple(rows)
 
     def _pair(self, row: Sequence[MultiPoly], raised: list[list[MultiPoly]]) -> MultiPoly:
         """row . g . grad mu_m, given `_raised(m)`: its products in (i, j)

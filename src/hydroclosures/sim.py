@@ -148,6 +148,11 @@ class Grid:
         return _frozen(self.k[1:] ** 2)
 
     @cached_property
+    def mode(self) -> np.ndarray:
+        """cos(2 pi x / L), the one cosine mode every start perturbs with."""
+        return _frozen(np.cos(2.0 * np.pi * self.x / self.L))
+
+    @cached_property
     def cut(self) -> int:
         """Last wavenumber index kept by the 2/3 dealiasing rule."""
         return int((2.0 / 3.0) * (self.nx // 2))
@@ -709,8 +714,7 @@ def single_mode_state(grid: Grid, closure: ClosureFamily, n0: float = 1.0,
         if values and len(values) != nv:
             raise ValueError(f"{name} needs {nv} values for {closure.name} "
                              f"(or none), got {len(values)}")
-    x = grid.x
-    c = np.cos(2.0 * np.pi * x / grid.L)
+    c = grid.mode
     rho = n0 * (1.0 + eps * c)
     u = np.full(grid.nx, float(u0))
     nu_base = nu_base or [0.0] * nv
@@ -723,7 +727,7 @@ def single_mode_state(grid: Grid, closure: ClosureFamily, n0: float = 1.0,
 def two_stream_state(grid: Grid, n0: float = 1.0, v0: float = 0.5,
                      eps: float = 1e-3) -> StreamState:
     """Two symmetric counter-propagating streams with a small density mode."""
-    c = np.cos(2.0 * np.pi * grid.x / grid.L)
+    c = grid.mode
     a = np.array([0.5 * n0 * (1.0 + eps * c), 0.5 * n0 * (1.0 - eps * c)])
     v = np.array([np.full(grid.nx, v0), np.full(grid.nx, -v0)])
     return StreamState(a, v, n0)

@@ -224,7 +224,11 @@ def test_verify_builds_each_derivative_and_entry_once():
     identities) on waterbag N = 5 (nv = 3), recorded when the gradient
     and Hessian-row caches went in. `verify` itself certifies a waterbag
     closure and builds no bracket, so the certificate is switched off and
-    the checks run directly, through the names the tracer patches."""
+    the checks run directly, through the names the tracer patches. The
+    entries were 15 + 36, and the diffs 21 + 6 + 18 + 27, while the cells
+    the recurrence proves were computed and each Hessian built both orders
+    of every mixed partial; they are 4 + 36 and 21 + 6 + 6 + 27 since
+    neither is."""
     closure = WaterbagClosure([F(1), F(1), F(1), F(-1), F(-2)])
 
     def full_checks():
@@ -239,15 +243,17 @@ def test_verify_builds_each_derivative_and_entry_once():
     counts = summary["counts"]
     # 3 alpha and 2 * 3 beta cells per pair n < m, 1 + 3 per n = m
     assert counts["bracket.identities"] == 3 * 7 + 3 * 4
-    # the entries of the 6 alpha and 9 beta cells check_flatness computes,
+    # the entries of the cells check_flatness computes, alpha[3,3] and
+    # beta[2,3;k] (the recurrence proves the rows n = 1 and alpha n = 2),
     # then every alpha_nm and beta_nmk of the 3 x 3 bracket, each once
-    assert counts["moments.entries"] == 15 + 36
+    assert counts["moments.entries"] == 4 + 36
     # gradients of mu_0..mu_6 (7 * 3) and of gamma_2..gamma_3 (2 * 3; the
-    # zero gamma_1 is not differentiated), the Hessians of mu_1 and mu_2
-    # (2 * 9, for the beta pairs n < m; the cells with n >= m follow from
-    # the product-rule lemma, so no alpha side is differentiated), and the
-    # 27 d(alpha_nm)/dnu_k of the antisymmetry check
-    assert summary["calls"]["poly.diff"] == 21 + 6 + 18 + 27
+    # zero gamma_1 is not differentiated), the Hessian of mu_2 (6, one per
+    # unordered pair (i, k), for the beta pair (2, 3); the cells with n >= m
+    # follow from the product-rule lemma, so no alpha side is
+    # differentiated), and the 27 d(alpha_nm)/dnu_k of the antisymmetry
+    # check
+    assert summary["calls"]["poly.diff"] == 21 + 6 + 6 + 27
 
 
 @pytest.mark.parametrize("heights", ["1,1,1,-1,-2", "1,1,1,1,1,-1,-1,-1,-1,-1"],
@@ -358,16 +364,102 @@ def test_three_index_flatness_agrees_with_full_check(closure):
             == check_flatness(closure, size=closure.flatness_size).ok)
 
 
+def _cells(report):
+    return [(c.name, c.ok, c.residual) for c in report.checks]
+
+
+class _Delegate:
+    """A closure's attributes through an object that is not a
+    `ClosureFamily`: `check_flatness` computes every independent cell of it."""
+
+    def __init__(self, closure):
+        self._closure = closure
+
+    def __getattr__(self, name):
+        return getattr(self._closure, name)
+
+
 @settings(max_examples=25, deadline=None)
 @given(random_cubics())
 def test_implied_cells_match_the_reference(closure):
     # most random cubics are not flat, so this drives the cells whose
-    # premise fails, which check_flatness computes instead of implying
+    # premise fails, which check_flatness computes instead of implying,
+    # and the cells the recurrence proves, which hold flat or not
     for size in (closure.nu_count, closure.nu_count + 1):
-        want = reference_check_flatness(closure, size)
-        got = check_flatness(closure, size)
-        assert [(c.name, c.ok, c.residual) for c in got.checks] == \
-            [(c.name, c.ok, c.residual) for c in want.checks], size
+        want = _cells(reference_check_flatness(closure, size))
+        assert _cells(check_flatness(_Delegate(closure), size)) == want, size
+        assert _cells(check_flatness(closure, size)) == want, size
+    assert _cells(closure.flatness()) == \
+        _cells(reference_check_flatness(closure, closure.flatness_size))
+
+
+FAMILIES = {
+    **{f"burby{m}": (lambda m=m: BurbyClosure(m)) for m in range(1, 9)},
+    **{f"burby{m}-minus": (lambda m=m: BurbyClosure(m, branch="minus")) for m in (1, 3, 5, 7)},
+    **{f"multidelta{M}": (lambda M=M: MultiDeltaClosure(M)) for M in range(1, 5)},
+    **{f"fourfield{k}": (lambda k=k: FourFieldClosure(F(k))) for k in (0, 1, -3)},
+    # a generic cubic with every kind of monomial, under a full symmetric
+    # metric (no zero entry): not flat, and every gamma_n is nonzero
+    "generic-full-metric": lambda: _generic(
+        "nu1^3 + 2*nu1*nu2*nu3 - nu2*nu3^2 + nu1*nu2 - 3*nu3 + 1/2",
+        [[F(2), F(1), F(-1)], [F(1), F(3), F(1, 2)], [F(-1), F(1, 2), F(-1)]]),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_flatness_matches_the_reference(family):
+    # `flatness` passes the cells the recurrence proves without computing
+    # them; its report is that of computing every cell
+    closure = FAMILIES[family]()
+    got = closure.flatness()
+    assert _cells(got) == _cells(reference_check_flatness(closure, closure.flatness_size))
+    assert got.ok == (family != "generic-full-metric")
+
+
+@pytest.mark.parametrize("family", ["burby4", "multidelta3", "fourfield1",
+                                    "generic-full-metric"])
+def test_hessian_builds_each_mixed_partial_once(family):
+    # an entry below the diagonal is read back from its mirror: `diff` keeps
+    # term order, so it is the polynomial, in the term order, that
+    # differentiating in the other order gives
+    closure = FAMILIES[family]()
+    for n in range(1, 5):
+        grad = closure.grad(n)
+        for i, row in enumerate(closure._hessian(n)):
+            for k, entry in enumerate(row):
+                want = grad[i].diff(k)
+                assert entry == want and list(entry.terms.items()) == list(want.terms.items())
+
+
+class _OwnMu(BurbyClosure):
+    """A Burby closure whose `mu` is its own method, returning the same
+    mu_n: `check_flatness` cannot know that the recurrence built them."""
+
+    def mu(self, n):
+        return super().mu(n)
+
+
+def test_only_a_family_with_its_own_mu_skips_the_proven_cells():
+    # a family skips the n = 1 row and the alpha row n = 2; an object that
+    # is not a ClosureFamily (as the certificate's formal ring is not), or
+    # a family that overrides `mu`, has every independent cell computed
+    closure = BurbyClosure(4)
+    size, nv = closure.flatness_size, closure.nu_count
+    cells = size * (size + 1) // 2 + nv * size * size  # alpha n <= m, beta all
+    # alpha for n <= m and beta for n < m; without the proven cells, alpha
+    # from n = 3 on and beta from n = 2 on: (size - 1)(size - 2)/2 pairs each
+    every = size * (size + 1) // 2 + nv * size * (size - 1) // 2
+    unproven = (1 + nv) * (size - 1) * (size - 2) // 2
+    want = _cells(reference_check_flatness(closure, size))
+    # through `bracket.check_flatness`, the name the tracer patches
+    for check, entries in ((lambda: bracket.check_flatness(closure), unproven),
+                           (closure.flatness, unproven),
+                           (lambda: bracket.check_flatness(_Delegate(closure)), every),
+                           (lambda: bracket.check_flatness(_OwnMu(4)), every)):
+        summary = traced(check)
+        assert summary["counts"]["bracket.identities"] == cells
+        assert summary["counts"]["moments.entries"] == entries
+        assert _cells(check()) == want
 
 
 class _OffAlphaSide:

@@ -290,22 +290,25 @@ def test_closure_eos_inverts_once():
 
 
 @pytest.mark.parametrize("argv, identities, entries, muls", [
-    (["verify", "--family", "burby", "--level", "6"], 237, 111, 79),
-    (["verify", "--family", "multidelta", "--M", "3"], 74, 34, 70)],
+    (["verify", "--family", "burby", "--level", "6"], 237, 70, 48),
+    (["verify", "--family", "multidelta", "--M", "3"], 74, 15, 47)],
     ids=["burby-6", "multidelta-3"])
 def test_verify_multiplies_no_zero_in_flatness(monkeypatch, argv, identities, entries, muls):
     """Work counters of two homogeneous verify runs. Every gamma_n is zero, so
     the entries are those of the Benney chain and no product in
     check_flatness has a zero factor. The identity counts are those of
-    every earlier version. Only the independent cells build an entry:
-    size(size+1)/2 alpha and nv size(size-1)/2 beta, where every cell
-    was built before (237 and 74). poly.mul.calls was 1421 and 516 while
-    zero products were still formed, then 264 and 200 while every cell
-    was built; burby-6 then read 230 while its closed forms were rebuilt
-    for each n and took variable powers by multiplication, and 157 and 160
-    while each product of a pairing or of a closed form went through
-    `MultiPoly.__mul__` instead of `MultiPoly.sum_of_products`. The
-    pairs handed to that kernel are checked for zero factors too."""
+    every earlier version. Only the independent cells that the recurrence
+    does not prove build an entry: alpha for 3 <= n <= m and beta for
+    2 <= n < m. Every cell was built once (237 and 74), then the
+    independent ones, size(size+1)/2 alpha and nv size(size-1)/2 beta
+    (111 and 34). poly.mul.calls was 1421 and 516 while zero products were
+    still formed, then 264 and 200 while every cell was built; burby-6 then
+    read 230 while its closed forms were rebuilt for each n and took
+    variable powers by multiplication, 157 and 160 while each product of a
+    pairing or of a closed form went through `MultiPoly.__mul__` instead
+    of `MultiPoly.sum_of_products`, and 79 and 70 while the n = 1 row and
+    the alpha row n = 2 were computed. The pairs handed to that kernel are
+    checked for zero factors too."""
     mul, flatness = MultiPoly.__mul__, bracket.check_flatness
     kernel = MultiPoly.sum_of_products
     depth, products, zero_operands = [0], [0], []
@@ -356,10 +359,11 @@ def test_verify_builds_each_burby_closed_form_once():
     were 4144 and 601 while `burby_mu` rebuilt its recursion for each n;
     poly.mul.calls was 2782 while the products of the pairings and of the
     closed forms went through `MultiPoly.__mul__`, which the tracer counts,
-    instead of `MultiPoly.sum_of_products`, which it does not."""
+    instead of `MultiPoly.sum_of_products`, which it does not, and 1131
+    while the flatness cells the recurrence proves were computed."""
     rc, _, summary = traced_main(["verify", "--family", "burby", "--levels", "1..11"])
     assert rc == 0
-    assert summary["calls"]["poly.mul"] == 1131
+    assert summary["calls"]["poly.mul"] == 734
     assert summary["counts"].get("poly.init.calls", 0) == 0
 
 
@@ -561,6 +565,10 @@ BAD_GRIDS = {
     "string-nx": {"nx": "64"},
     # finite, but numpy warned "overflow encountered in multiply" first
     "huge-L": {"L": 1e308},
+    # finite and positive, but the wavenumbers overflowed: a FAIL report
+    # after numpy's warnings (1e-308), or k^2 = inf in the field solve
+    "tiny-L": {"L": 1e-300},
+    "subnormal-dx-L": {"L": 1e-308},
 }
 
 
@@ -579,6 +587,18 @@ BAD_INITIALS = {
 }
 
 
+# the cases that overflow in float64, and the config block the error names:
+# it named numpy's operation alone ("config error: overflow encountered in
+# multiply"), so the user had to guess which value was at fault
+FLOAT_ERROR_BLOCKS = {"huge-L": "grid", "tiny-L": "grid", "subnormal-dx-L": "grid",
+                      "huge-n0": "initial", "huge-v0": "streams", "huge-stream-n0": "streams"}
+
+
+def config_error_prefix(case: str) -> str:
+    block = FLOAT_ERROR_BLOCKS.get(case)
+    return f"config error: {block}: overflow encountered in " if block else "config error: "
+
+
 @pytest.mark.parametrize("case", [*BAD_RUNS, *BAD_GRIDS, *BAD_INITIALS, *BAD_CLOSURES])
 def test_simulate_rejects_bad_run_settings(tmp_path, capsys, case):
     integ, output = BAD_RUNS.get(case, ({}, {}))
@@ -595,7 +615,8 @@ def test_simulate_rejects_bad_run_settings(tmp_path, capsys, case):
                      "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(config_error_prefix(case))
+    assert captured.err.count("\n") == 1
     assert not out.exists()  # rejected before any step
 
 
@@ -678,7 +699,8 @@ def test_compare_rejects_bad_integrator(tmp_path, capsys, case):
                      "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(config_error_prefix(case))
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 
