@@ -17,6 +17,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -26,8 +27,8 @@ from typing import TYPE_CHECKING
 from . import bracket
 from .closures import (BurbyClosure, ClosureFamily, ColdClosure,
                        FourFieldClosure, GenericClosure, Metric,
-                       MultiDeltaClosure, WaterbagClosure, closed_moments,
-                       multidelta_normal_map, require_integer)
+                       MultiDeltaClosure, WaterbagClosure, _antidiag_metric,
+                       closed_moments, multidelta_normal_map, require_integer)
 from .moments import p_from_mu
 from .poly import MultiPoly
 
@@ -111,7 +112,7 @@ def _parse_fraction(s) -> Fraction:
         raise ValueError(f"invalid rational {str(s)!r}") from None
 
 
-# the keys each family takes; the CLI drops the flags a family does not take
+# the keys each family takes, from a config or from the flags of the same names
 _FAMILY_KEYS = {"multidelta": ("M",), "waterbag": ("heights",),
                 "burby": ("level", "branch"), "fourfield": ("kappa",),
                 "generic": ("mu2", "metric"), "cold": ()}
@@ -121,8 +122,10 @@ def closure_from_spec(spec: dict) -> ClosureFamily:
     """Build a closure family from a config dict {'family': ..., params}.
 
     Defaults: M = 2, level = 2 on branch 'plus', kappa = 0; waterbag needs
-    a list 'heights' and generic a string 'mu2'. Unknown keys and values
-    of the wrong type raise ValueError.
+    a list 'heights' and generic a string 'mu2' in the variables
+    nu1..nuk, k the metric's size, by default the highest index in mu2.
+    Unknown keys, other variable names and values of the wrong type raise
+    ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError(f"closure must be an object, got {spec!r}")
@@ -144,20 +147,17 @@ def closure_from_spec(spec: dict) -> ClosureFamily:
         return WaterbagClosure([_parse_fraction(h) for h in spec["heights"]])
     if not isinstance(spec.get("mu2"), str):
         raise ValueError(f"generic needs a string 'mu2', got {spec.get('mu2')!r}")
-    mu2 = MultiPoly.parse(spec["mu2"])
-    metric = _metric_from_spec(spec.get("metric"), mu2.nvars)
-    if metric.dim < mu2.nvars:
+    top = max(map(int, re.findall(r"\bnu(\d+)\b", spec["mu2"])), default=0)
+    metric = _metric_from_spec(spec.get("metric"), top)
+    if metric.dim < top:
         raise ValueError("metric smaller than the variable count of mu2")
-    if metric.dim > mu2.nvars:
-        mu2 = MultiPoly.parse(spec["mu2"],
-                              varnames=[f"nu{i + 1}" for i in range(metric.dim)])
+    mu2 = MultiPoly.parse(spec["mu2"], varnames=[f"nu{i + 1}" for i in range(metric.dim)])
     return GenericClosure(mu2, metric)
 
 
 def _metric_from_spec(text, nvars: int) -> Metric:
-    if text is None:  # default: antidiagonal ones
-        return Metric([[int(i + j == nvars - 1) for j in range(nvars)]
-                       for i in range(nvars)])
+    if text is None:
+        return _antidiag_metric(nvars)
     if isinstance(text, str):
         text = [row.split(",") for row in text.split(";")]
     if not (isinstance(text, list) and all(isinstance(row, list) for row in text)):
@@ -175,15 +175,13 @@ def _reject_unknown(d: dict, allowed, where: str):
 
 
 def _spec_from_args(args) -> dict:
-    """The closure spec of the family flags; --level doubles as the stream
-    count of multidelta, and flags the family does not take are ignored."""
-    flags = {"M": args.M if args.M is not None else args.level,
-             "level": args.level, "branch": args.branch, "kappa": args.kappa,
-             "heights": args.heights.split(",") if args.heights else None,
+    """The closure spec of the family flags given, each under the config key
+    of its name: `closure_from_spec` refuses a flag the family does not
+    take as it refuses that key."""
+    flags = {"M": args.M, "level": args.level, "branch": args.branch, "kappa": args.kappa,
+             "heights": None if args.heights is None else args.heights.split(","),
              "mu2": args.mu2, "metric": args.metric}
-    return {"family": args.family,
-            **{k: flags[k] for k in _FAMILY_KEYS[args.family]
-               if flags[k] not in (None, "")}}
+    return {"family": args.family, **{k: v for k, v in flags.items() if v is not None}}
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +244,9 @@ def cmd_verify(args) -> int:
     rep = Report("verify")
     with _refuse("error"):
         _check_levels(args)
-        specs = ([_spec_from_args(args)] if args.levels is None else
-                 [{"family": "burby", "level": m, "branch": args.branch}
-                  for m in _level_range(args.levels)])
+        spec = _spec_from_args(args)
+        specs = ([spec] if args.levels is None else
+                 [{**spec, "level": m} for m in _level_range(args.levels)])
         outdir = _out_dir(args.out)
         for spec in specs:
             _verify_one(closure_from_spec(spec), rep)
@@ -499,14 +497,14 @@ def cmd_compare(args) -> int:
 
 def _add_family_flags(p):
     p.add_argument("--family", required=True, choices=list(_FAMILY_KEYS))
-    p.add_argument("--level", type=int, help="level m (burby) / stream count")
+    p.add_argument("--level", type=int, help="level m (burby)")
     p.add_argument("--levels", help="level range lo..hi (burby)")
     p.add_argument("--M", type=int, help="stream count (multidelta)")
     p.add_argument("--heights", help="comma-separated waterbag heights")
     p.add_argument("--kappa", help="four-field parameter")
     p.add_argument("--mu2", help="generating cubic, e.g. 'nu1^2*nu2'")
     p.add_argument("--metric", help="metric rows, e.g. '0,1;1,0'")
-    p.add_argument("--branch", choices=["plus", "minus"], default="plus")
+    p.add_argument("--branch", choices=["plus", "minus"], help="odd-level branch (burby)")
 
 
 def main(argv=None) -> int:

@@ -10,20 +10,22 @@ memo. A family adds only its parameters, the identities its verify suite
 checks, where one exists an explicit inversion, and where it has one its
 own proof of flatness (the waterbag certificate).
 
-The multi-delta and waterbag moments share one structure: each is a power
-sum sum_k a_k x_k^j (`_power_sum`) over coordinates affine in nu, the stream
-velocities or the waterbag tails and contour velocities. Every waterbag form
-(the tails of mu_n, S_n and the inverse map) is built from one construction,
-the contour partial sums h_k of `_contour_sums`.
+A family is its seed (g, mu_2). The closed forms of its other mu_n are
+test oracles (`tests/oracles.py`), but for the published Burby closure,
+`burby_mu`, which its verify suite compares with every generated mu_n.
+The multi-delta and waterbag seeds are power sums sum_k a_k x_k^j
+(`_power_sum`) over coordinates affine in nu, the stream velocities or
+the waterbag tails; every waterbag form (the tails, S_n and the inverse
+map) is built from one construction, the contour sums h_k of
+`_contour_sums`.
 
 Families: multi-delta (M cold streams), waterbag (piecewise-constant
 distribution with fixed bag heights), the delta-derivative closure with
 its anti-triangular moment system, inverted explicitly from the cached
 mu_n, the four-field closure with free parameter kappa, the cold fluid,
-and a generic family given directly by mu_2 and g. The direct formulas
-for mu_n supply each family's mu_2 and the identities its verify suite
-checks; the maps between physical and normal variables are plain
-functions, exact for exact input and float64 for float64 arrays.
+and a generic family given directly by mu_2 and g. The maps between
+physical and normal variables are plain functions, exact for exact
+input and float64 for float64 arrays.
 """
 
 from __future__ import annotations
@@ -279,20 +281,6 @@ def mu_recurrence(closure, n: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 
-def multidelta_mu(M: int, n: int) -> MultiPoly:
-    """mu_n = sum_{k=2}^{M} xi_k eta_k^n over (xi_2..xi_M, eta_2..eta_M), the
-    power sum of `_power_sum`.
-
-    M = 1 has no normal variables and every mu_n vanishes (cold limit)."""
-    if M < 1:
-        raise ValueError("need at least one stream")
-    if n < 1:
-        raise ValueError("moment index must be >= 1")
-    nv = 2 * (M - 1)
-    x = [MultiPoly.variable(nv, i) for i in range(nv)]
-    return _power_sum(x[:M - 1], x[M - 1:], n, MultiPoly.zero(nv))
-
-
 def _offdiag_block_metric(b: int) -> Metric:
     rows = [[Fraction(0)] * (2 * b) for _ in range(2 * b)]
     for i in range(b):
@@ -301,13 +289,19 @@ def _offdiag_block_metric(b: int) -> Metric:
 
 
 class MultiDeltaClosure(ClosureFamily):
+    """M cold streams, in the variables (xi_2..xi_M, eta_2..eta_M), seeded by
+    mu_2 = sum_k xi_k eta_k^2; M = 1 has none, and every mu_n vanishes
+    (the cold limit)."""
+
     def __init__(self, M: int):
         if require_integer("stream count M", M) < 1:
             raise ValueError("need at least one stream")
         self.M = M
+        nv = 2 * (M - 1)
+        x = [MultiPoly.variable(nv, i) for i in range(nv)]
         names = [f"xi{k}" for k in range(2, M + 1)] + [f"eta{k}" for k in range(2, M + 1)]
         super().__init__(f"multidelta(M={M})", names, _offdiag_block_metric(M - 1),
-                         multidelta_mu(M, 2))
+                         _power_sum(x[:M - 1], x[M - 1:], 2, MultiPoly.zero(nv)))
 
 
 def _exact(x):
@@ -378,26 +372,11 @@ def _contour_sums(sigma: Sequence, nu: Sequence) -> list:
     return list(accumulate(steps, initial=0))
 
 
-def waterbag_mu(a: Sequence, n: int) -> MultiPoly:
-    """mu_n of the waterbag family as an exact polynomial in nu_1..nu_{N-2}:
-    the power sum
-
-      mu_n = ((-1)^n/(n+1)) ( sum_{k<N} a_k L_k^{n+1} + 1/(2^{n+1} a_N^n) )
-
-    over the tails L_k of `waterbag_tails`.
-    """
-    if n < 1:
-        raise ValueError("moment index must be >= 1")
-    a = _check_heights(a)
-    last = MultiPoly.const(len(a) - 2, Fraction(1, 2 ** (n + 1) * a[-1] ** n))
-    return _power_sum(a, waterbag_tails(a), n + 1, last) * Fraction((-1) ** n, n + 1)
-
-
 def waterbag_tails(a: Sequence) -> list[MultiPoly]:
-    """The forms L_k = 1/(2a_N) + h_N - h_k, k = 1..N-1, of `waterbag_mu`,
-    over the contour sums h_k of `_contour_sums` in the variables nu. With
-    nu_{N-1} = 1 each is affine in nu with the constant term
-    Lambda = -1/(2a_N)."""
+    """The forms L_k = 1/(2a_N) + h_N - h_k, k = 1..N-1, whose power sums
+    give the waterbag mu_n, over the contour sums h_k of `_contour_sums` in
+    the variables nu. With nu_{N-1} = 1 each is affine in nu with the
+    constant term Lambda = -1/(2a_N)."""
     a = _check_heights(a)
     nv = len(a) - 2
     h = _contour_sums(list(accumulate(a)), [MultiPoly.variable(nv, i) for i in range(nv)])
@@ -440,12 +419,19 @@ def waterbag_metric(a: Sequence) -> Metric:
 
 
 class WaterbagClosure(ClosureFamily):
+    """N bags of fixed heights, seeded by the power sum over the tails L_k
+    of `waterbag_tails`
+
+      mu_2 = (1/3) ( sum_{k<N} a_k L_k^3 + 1/(8 a_N^2) ).
+    """
+
     def __init__(self, heights: Sequence):
         a = _check_heights(heights)
         self.heights = a
         names = [f"nu{k}" for k in range(1, len(a) - 1)]
+        last = MultiPoly.const(len(a) - 2, Fraction(1, 8 * a[-1] ** 2))
         super().__init__(f"waterbag(N={len(a)})", names, waterbag_metric(a),
-                         waterbag_mu(a, 2))
+                         _power_sum(a, waterbag_tails(a), 3, last) * Fraction(1, 3))
 
     @property
     def Lambda(self) -> Fraction:

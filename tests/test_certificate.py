@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 from hydroclosures import bracket, certificate
 from hydroclosures.certificate import PowerSums, certify_waterbag, formal_residuals
 from hydroclosures.cli import Report, _verify_one
-from hydroclosures.closures import Metric, WaterbagClosure, waterbag_mu
+from hydroclosures.closures import Metric, WaterbagClosure
+
+from oracles import waterbag_mu_loop
 
 F = Fraction
 
@@ -75,7 +77,7 @@ class PerturbedMu2(WaterbagClosure):
         other = list(heights)
         other[0] += 1
         other[-1] -= 1
-        self._mu2 = waterbag_mu(other, 2)
+        self._mu2 = waterbag_mu_loop(other, 2)
 
 
 class PerturbedMetric(WaterbagClosure):

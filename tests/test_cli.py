@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hydroclosures import bracket
+from hydroclosures import bracket, cli
 from hydroclosures.cli import _FAMILY_KEYS, closure_from_spec, main
 from hydroclosures.poly import MultiPoly
 
@@ -422,12 +422,47 @@ def test_closure_from_spec_defaults_and_errors():
                 closure_from_spec({"family": family, key: value})
 
 
-def test_family_flags_alias_and_ignored(capsys):
-    # --level is the stream count of multidelta; flags of other families
-    # are ignored rather than rejected
-    assert main(["closure", "show", "--family", "multidelta", "--level", "3",
-                 "--nmax", "1", "--kappa", "1/2", "--heights", "1,-1"]) == 0
-    assert capsys.readouterr().out == "mu_1 = 1 * xi2*eta2 + 1 * xi3*eta3\n"
+def test_flags_a_family_does_not_take_exit_2(capsys):
+    # each was dropped silently and exited 0: --level was also the stream
+    # count of multidelta, and the other families' flags were ignored
+    for argv, keys in [
+        (["closure", "show", "--family", "multidelta", "--level", "3", "--nmax", "1",
+          "--kappa", "1/2", "--heights", "1,-1"], ['heights', 'kappa', 'level']),
+        (["closure", "show", "--family", "multidelta", "--level", "3"], ['level']),
+        (["verify", "--family", "waterbag", "--heights", "1,1,-2", "--kappa", "3"], ['kappa']),
+        (["verify", "--family", "burby", "--levels", "1..2", "--kappa", "2",
+          "--heights", "1,-1"], ['heights', 'kappa']),
+        (["closure", "eos", "--family", "cold", "--branch", "plus"], ['branch']),
+    ]:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: unknown closure keys: {keys}\n")
+
+
+@pytest.mark.parametrize("mu2, metric", [
+    ("x1*y1^2", None), ("x1*y1^2", "1,0;0,1"),
+    ("x1^2*x2", None), ("x1^2*x2", "1,0,0;0,1,0;0,0,1"),
+])
+def test_generic_mu2_takes_only_nu_variables(mu2, metric, capsys):
+    # mu2 was parsed under two naming rules: alone, x1*y1^2 was read as
+    # nu1^3 and x1^2*x2 built; under a metric, either was refused
+    spec = {"family": "generic", "mu2": mu2, **({} if metric is None else {"metric": metric})}
+    with pytest.raises(ValueError, match=r"^unknown variable 'x1'$"):
+        closure_from_spec(spec)
+    argv = ["closure", "show", "--family", "generic", f"--mu2={mu2}"]
+    assert main(argv + ([] if metric is None else [f"--metric={metric}"])) == 2
+    assert capsys.readouterr() == ("", "error: unknown variable 'x1'\n")
+
+
+def test_generic_mu2_under_a_larger_metric(capsys):
+    metric = "1,0,0;0,1,0;0,0,1"
+    closure = closure_from_spec({"family": "generic", "mu2": "nu1^2*nu2", "metric": metric})
+    assert closure.mu(2) == MultiPoly.parse("nu1^2*nu2", nvars=3)
+    assert main(["closure", "show", "--family", "generic", "--mu2", "nu1^2*nu2",
+                 "--metric", metric, "--nmax", "2"]) == 0
+    assert capsys.readouterr().out == ("mu_1 = 1/2 * nu1^2 + 1/2 * nu2^2 + 1/2 * nu3^2\n"
+                                       "mu_2 = 1 * nu1^2*nu2\n")
+    with pytest.raises(ValueError, match="metric smaller than the variable count of mu2"):
+        closure_from_spec({"family": "generic", "mu2": "nu1^2*nu3", "metric": "0,1;1,0"})
 
 
 def test_simulate_artifacts_and_exit_code(tmp_path, capsys):
@@ -942,6 +977,46 @@ TEXT_VALUES = ["", "x", "1/0", "-1", "0", "0.5", "1e308", "nan", "inf", ",", ";"
                "0;0", "nu1^2*nu2", "nu1^30000*nu2", "nu1^4", "nu3"]
 FLAGS = ["--family", "--level", "--levels", "--M", "--heights", "--kappa", "--mu2",
          "--metric", "--branch"]
+
+
+# a valid value of each family flag, for adding it where it is foreign
+FAMILY_FLAG_SAMPLES = {"--level": "3", "--M": "3", "--heights": "1,1,-2", "--kappa": "1/2",
+                       "--mu2": "nu1^2*nu2", "--metric": "0,1;1,0", "--branch": "minus"}
+
+
+def _config_twin(flags: dict) -> dict:
+    """The config `closure` block that names what the family `flags` do."""
+    convert = {"--level": int, "--M": int, "--heights": lambda v: v.split(",")}
+    return {k[2:]: convert.get(k, str)(v) for k, v in flags.items()
+            if k in ("--family", *FAMILY_FLAG_SAMPLES)}
+
+
+# each FAMILY_FLAGS entry as it is and with each flag its family does not take
+PARITY_CASES = {
+    f"{command}-{flags['--family']}-{extra or 'own'}":
+        (command, {**flags, **({} if extra is None else {extra: FAMILY_FLAG_SAMPLES[extra]})})
+    for command, flags in FAMILY_FLAGS
+    for extra in [None, *sorted(FAMILY_FLAG_SAMPLES.keys() - flags.keys()
+                                - {f"--{k}" for k in _FAMILY_KEYS[flags["--family"]]})]}
+
+
+@pytest.mark.parametrize("command, flags", PARITY_CASES.values(), ids=PARITY_CASES)
+def test_flags_and_config_build_the_same_closure(command, flags, monkeypatch, capsys):
+    # flags name a closure as the config keys of their names do: both build
+    # the same closure, or both refuse it with the same message
+    built, build = [], cli.closure_from_spec
+    monkeypatch.setattr(cli, "closure_from_spec",
+                        lambda spec: built.append(build(spec)) or built[-1])
+    rc = main([*command.split(), *(f"{k}={v}" for k, v in flags.items())])
+    err = capsys.readouterr().err
+    try:
+        twin = closure_from_spec(_config_twin(flags))
+    except ValueError as e:
+        assert (rc, built, err) == (2, [], f"error: {e}\n")
+        return
+    assert rc == 0 and len(built) == 1
+    assert built[0].name == twin.name
+    assert [built[0].mu(n) for n in range(1, 5)] == [twin.mu(n) for n in range(1, 5)]
 
 
 def _paths(node, path=()):

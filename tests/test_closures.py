@@ -17,9 +17,9 @@ from hydroclosures.closures import (BurbyClosure, ColdClosure, InversionError,
                                     FourFieldClosure, GenericClosure, Metric,
                                     MultiDeltaClosure, WaterbagClosure,
                                     burby_invert, burby_mu, equation_of_state, multidelta_inverse_map,
-                                    multidelta_mu, multidelta_normal_map,
+                                    multidelta_normal_map,
                                     newton_invert, waterbag_inverse_map,
-                                    waterbag_mu, waterbag_normal_map,
+                                    waterbag_normal_map,
                                     waterbag_s, waterbag_s_at_zero, waterbag_tails)
 from hydroclosures.moments import DensityError, p_from_mu
 from hydroclosures.poly import MultiPoly
@@ -42,9 +42,9 @@ GOLDEN = Path(__file__).parent / "golden"
 def test_multidelta_small_cases():
     # M=2, variables (xi_2, eta_2): mu_n = xi * eta^n
     xi, eta = poly_vars(2)
-    assert multidelta_mu(2, 1) == xi * eta
-    assert multidelta_mu(2, 3) == xi * eta ** 3
     c = MultiDeltaClosure(2)
+    assert c.mu(1) == xi * eta
+    assert c.mu(3) == xi * eta ** 3
     assert c.nu_count == 2
     assert c.metric.signature == (1, 1)
 
@@ -149,10 +149,11 @@ def test_waterbag_height_validation():
 def test_waterbag_single_bag_constants():
     # N=2: no normal variables; mu_2 = 1/(12 a1^2)
     a1 = F(3)
-    mu2 = waterbag_mu([a1, -a1], 2)
+    mu2 = WaterbagClosure([a1, -a1]).mu(2)
+    assert mu2 == waterbag_mu_loop([a1, -a1], 2)
     assert mu2.nvars == 0
     assert mu2.constant_term() == F(1, 12 * a1 ** 2)
-    assert waterbag_mu([a1, -a1], 1).is_zero
+    assert waterbag_mu_loop([a1, -a1], 1).is_zero
 
 
 def test_waterbag_s_constant_terms():
@@ -189,18 +190,19 @@ def test_waterbag_s_at_zero_equals_expanded_constant(a):
 @given(waterbag_heights(2, 7), st.integers(0, 5))
 def test_waterbag_closed_forms_match_their_loops(a, n):
     # one contour construction and one power sum give every closed form
-    # exactly as its own loop does
+    # exactly as its own loop does, and the closure, from its seed, mu_n
     assert waterbag_tails(a) == waterbag_tails_loop(a)
     if n:
-        assert waterbag_mu(a, n) == waterbag_mu_loop(a, n)
+        assert WaterbagClosure(a).mu(n) == waterbag_mu_loop(a, n)
     assert waterbag_s(a, n) == waterbag_s_loop(a, n)
     assert waterbag_s_at_zero(a, 5) == waterbag_s_at_zero_loop(a, 5)
 
 
 @pytest.mark.parametrize("M", range(1, 5))
 def test_multidelta_mu_matches_its_loop(M):
+    c = MultiDeltaClosure(M)
     for n in range(1, 6):
-        assert multidelta_mu(M, n) == multidelta_mu_loop(M, n)
+        assert c.mu(n) == multidelta_mu_loop(M, n)
 
 
 RATIONALS = st.fractions(-3, 3, max_denominator=6)
@@ -582,10 +584,10 @@ WATERBAG_ORACLE_HEIGHTS = {3: [F(1), F(1), F(-2)],
 
 # (closure, its mu_n by a direct formula independent of the mu_2 recurrence)
 ORACLE_CASES = {
-    "multidelta-M1": (lambda: MultiDeltaClosure(1), lambda n: multidelta_mu(1, n)),
-    "multidelta-M2": (lambda: MultiDeltaClosure(2), lambda n: multidelta_mu(2, n)),
-    "multidelta-M3": (lambda: MultiDeltaClosure(3), lambda n: multidelta_mu(3, n)),
-    "multidelta-M5": (lambda: MultiDeltaClosure(5), lambda n: multidelta_mu(5, n)),
+    "multidelta-M1": (lambda: MultiDeltaClosure(1), lambda n: multidelta_mu_loop(1, n)),
+    "multidelta-M2": (lambda: MultiDeltaClosure(2), lambda n: multidelta_mu_loop(2, n)),
+    "multidelta-M3": (lambda: MultiDeltaClosure(3), lambda n: multidelta_mu_loop(3, n)),
+    "multidelta-M5": (lambda: MultiDeltaClosure(5), lambda n: multidelta_mu_loop(5, n)),
     "cold": (ColdClosure, lambda n: MultiPoly.zero(0)),
     "fourfield-1/2": (lambda: FourFieldClosure(F(1, 2)),
                       lambda n: fourfield_family(F(1, 2))["mu"][n - 1]),
@@ -596,7 +598,7 @@ ORACLE_CASES = {
     **{f"burby-m{m}-minus": (lambda m=m: BurbyClosure(m, branch="minus"),
                              _burby_direct(m, -1))
        for m in (1, 3, 7)},
-    **{f"waterbag-N{N}": (lambda a=a: WaterbagClosure(a), lambda n, a=a: waterbag_mu(a, n))
+    **{f"waterbag-N{N}": (lambda a=a: WaterbagClosure(a), lambda n, a=a: waterbag_mu_loop(a, n))
        for N, a in WATERBAG_ORACLE_HEIGHTS.items()},
 }
 
@@ -628,7 +630,7 @@ def test_generator_reproduces_waterbag():
     c = WaterbagClosure(heights)
     gen = GenericClosure(c.mu(2), c.metric)
     for n in range(1, 2 * c.N - 2):
-        assert gen.mu(n) == waterbag_mu(heights, n)
+        assert gen.mu(n) == waterbag_mu_loop(heights, n)
 
 
 def _double_loop_mu(closure, top):

@@ -3,7 +3,8 @@ the library holds no code that only the tests use.
 
 Every name in `hydroclosures.__all__` must resolve, and every name that a
 demo or the README's library example imports from `hydroclosures` must be
-in `__all__`; each demo must also run to completion as a script. Every
+in `__all__`; each demo must also run to completion as a script, and the
+README's example must print what its comments say. Every
 public top-level function and class of `src/hydroclosures` must have a
 user outside the tests; reference formulas that only tests read live in
 `tests/oracles.py`.
@@ -74,12 +75,17 @@ def test_public_surface(path):
     imported = root_imports(code)
     assert imported, f"{path.name} imports nothing from hydroclosures"
     assert imported <= set(hydroclosures.__all__), imported - set(hydroclosures.__all__)
-    if path.suffix == ".py":
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        run = subprocess.run([*PYTHON, str(path)], cwd=ROOT, env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert run.returncode == 0, run.stderr
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    script = [str(path)] if path.suffix == ".py" else ["-c", code]
+    run = subprocess.run([*PYTHON, *script], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    if path.suffix == ".md":
+        # the first two prints carry their output as a comment, up to any ':'
+        said = re.findall(r"^print\(.*\)\s+# ([^:\n]*)", code, re.M)[:2]
+        assert said == ["1 * nu2*nu3^2", "True"]
+        assert run.stdout.splitlines()[:2] == said
 
 
 def test_library_holds_no_test_only_code():
