@@ -151,7 +151,7 @@ def casimirs(closure) -> tuple[CasimirDensity, ...]:
     bracket: total mass, the psi-integral, and one rho*nu_k per
     microscopic variable."""
     names = closure.nu_names
-    ginv = closure.metric.inverse() if closure.nu_count else ()
+    ginv = closure.metric.inverse()
     quad = []
     for i in range(closure.nu_count):
         for j in range(closure.nu_count):

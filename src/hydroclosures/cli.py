@@ -544,6 +544,11 @@ def main(argv=None) -> int:
     except _Refused as e:
         print(e, file=sys.stderr)
         return 2
+    except MemoryError:
+        # too much exact work asked for (say, a large --nmax or a generic
+        # closure in many variables): one line, not a traceback
+        print("error: out of memory; ask for less work", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader went away (e.g. `| head`): drop the rest of the output
         # quietly, including the flush at interpreter exit

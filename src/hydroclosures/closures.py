@@ -50,13 +50,15 @@ def require_integer(what: str, value):
 
 
 class Metric:
-    """Constant symmetric rational metric with exact signature."""
+    """Constant symmetric rational metric g, factored once by congruence,
+    T^t g T = diag(d): its signature, g^-1 and the frame inverse T^-1 all
+    come from the factors T and d, exactly."""
 
     def __init__(self, rows: Sequence[Sequence]):
-        mat = ratmat.as_matrix(rows)
-        if not ratmat.is_symmetric(mat):
-            raise ValueError("metric must be symmetric")
-        object.__setattr__(self, "g", mat)
+        g = ratmat.as_matrix(rows)
+        T, d = ratmat.congruence_diagonalize(g)  # ValueError unless symmetric
+        for name, value in (("g", g), ("T", T), ("d", d)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Metric is immutable")
@@ -67,10 +69,28 @@ class Metric:
 
     @functools.cached_property
     def signature(self) -> tuple[int, int]:
-        return ratmat.signature(self.g)
+        """(positive count, negative count); ValueError on a degenerate g."""
+        if not all(self.d):
+            raise ValueError("degenerate metric (zero eigenvalue)")
+        pos = sum(1 for x in self.d if x > 0)
+        return pos, len(self.d) - pos
+
+    @functools.cached_property
+    def _dinv_tt(self) -> ratmat.Matrix:
+        """D^-1 T^t: row k is column k of T over d_k (the signature's
+        ValueError on a degenerate g)."""
+        self.signature
+        return tuple(tuple(x / dk if x else x for x in col)
+                     for col, dk in zip(zip(*self.T), self.d))
 
     def inverse(self) -> ratmat.Matrix:
-        return ratmat.inverse(self.g)
+        """g^-1 = T D^-1 T^t."""
+        return ratmat.product(self.T, self._dinv_tt)
+
+    @functools.cached_property
+    def Tinv(self) -> ratmat.Matrix:
+        """T^-1 = D^-1 T^t g."""
+        return ratmat.product(self._dinv_tt, self.g)
 
     def __eq__(self, other):
         return isinstance(other, Metric) and self.g == other.g
@@ -148,8 +168,7 @@ class ClosureFamily(MomentAlgebra):
             raise ValueError("metric dimension does not match variable count")
         if mu2.nvars != self.nu_count:
             raise ValueError("mu_2 variable count does not match the metric")
-        if self.nu_count:
-            metric.signature  # ValueError on a degenerate g, as mu_1 reads g^-1
+        metric.signature  # ValueError on a degenerate g, as mu_1 reads g^-1
         self.metric = metric
         self._mu2 = mu2
 
@@ -173,7 +192,7 @@ class ClosureFamily(MomentAlgebra):
         if n == 2:
             return self._mu2
         if n == 1:
-            ginv = self.metric.inverse() if nv else ()
+            ginv = self.metric.inverse()
             x = [MultiPoly.variable(nv, i) for i in range(nv)]
             return sum((Fraction(ginv[i][j], 2) * x[i] * x[j]
                         for i in range(nv) for j in range(nv) if ginv[i][j]),

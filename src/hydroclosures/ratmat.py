@@ -1,15 +1,20 @@
-"""Small exact linear algebra over Fractions.
+"""Small exact linear algebra over Fractions: one factorization and one
+product.
 
-Used for metric inverses (the quadratic invariant 0.5 * nu . g^-1 nu) and
-for computing the signature of a constant symmetric metric by congruence
-(symmetric pivoting), avoiding any floating-point sign misclassification.
+A constant symmetric metric g is factored once, by congruence (symmetric
+pivoting): T^t g T = diag(d). Everything else follows from (T, d) without
+another elimination: the signature is the signs of d, with no
+floating-point sign misclassification; g^-1 = T D^-1 T^t gives the
+quadratic invariant 0.5 * nu . g^-1 nu; and T^-1 = D^-1 T^t g is the
+inverse frame of the split scheme. `closures.Metric` holds the factors.
 
-Both kernels skip zeros. They keep a matrix as sparse rows (or columns):
-one {index: entry} dict per row, holding its nonzero entries only, and an
-entry that cancels is deleted, so every key is a nonzero entry. A zero test
-is a key lookup, and an update visits only the nonzero entries of the row
-it adds, so a permutation-like metric (antidiagonal, block off-diagonal)
-costs a few Fraction operations per row instead of n. The results are
+Both kernels skip zeros. The congruence keeps its working matrix as sparse
+rows and T as sparse columns: one {index: entry} dict each, holding its
+nonzero entries only, and an entry that cancels is deleted, so every key
+is a nonzero entry. A zero test is a key lookup, and an update visits only
+the nonzero entries of the row it adds, so a permutation-like metric
+(antidiagonal, block off-diagonal) costs a few Fraction operations per row
+instead of n. The product multiplies nonzero entries only. The results are
 those of the dense loops, entry for entry.
 """
 
@@ -30,46 +35,6 @@ def as_matrix(rows: Sequence[Sequence]) -> Matrix:
     if any(len(row) != n for row in mat):
         raise ValueError("matrix must be square")
     return mat
-
-
-def is_symmetric(a: Matrix) -> bool:
-    n = len(a)
-    return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
-
-
-def inverse(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination with partial pivoting, on
-    the sparse rows of [a | I]."""
-    n = len(a)
-    aug = [{j: x for j, x in enumerate(row) if x} for row in a]
-    for i, row in enumerate(aug):
-        row[n + i] = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if col in aug[r]), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        prow = aug[col]
-        p = prow[col]
-        if p != 1:
-            prow = aug[col] = {j: x / p for j, x in prow.items()}
-        for r, row in enumerate(aug):
-            f = row.get(col) if r != col else None
-            if f is not None:
-                f = -f
-                for j, x in prow.items():
-                    y = row.get(j)
-                    y = f * x if y is None else y + f * x
-                    if y:
-                        row[j] = y
-                    else:
-                        del row[j]
-    out = [[_ZERO] * n for _ in range(n)]
-    for i, row in enumerate(aug):
-        for j, x in row.items():
-            if j >= n:  # the left half is now the identity
-                out[i][j - n] = x
-    return tuple(map(tuple, out))
 
 
 def congruence_diagonalize(g: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
@@ -139,13 +104,17 @@ def congruence_diagonalize(g: Matrix) -> tuple[Matrix, tuple[Fraction, ...]]:
     return tuple(map(tuple, T)), tuple(a[i].get(i, _ZERO) for i in range(n))
 
 
-def signature(g: Matrix) -> tuple[int, int]:
-    """(positive count, negative count) of the symmetric matrix g.
-
-    Raises on a degenerate metric (a zero in the congruence diagonal).
-    """
-    _, d = congruence_diagonalize(as_matrix(g))
-    if any(x == 0 for x in d):
-        raise ValueError("degenerate metric (zero eigenvalue)")
-    pos = sum(1 for x in d if x > 0)
-    return pos, len(d) - pos
+def product(a: Matrix, b: Matrix) -> Matrix:
+    """The exact product a b of two n x n matrices, from their nonzero
+    entries only."""
+    brows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = {}
+        for k, x in enumerate(row):
+            if x:
+                for j, y in brows[k]:
+                    z = acc.get(j)
+                    acc[j] = x * y if z is None else z + x * y
+        out.append(tuple(acc.get(j, _ZERO) for j in range(len(brows))))
+    return tuple(out)

@@ -50,7 +50,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import ratmat
 from .closures import ClosureFamily, require_integer
 
 RHO_FLOOR = 1e-12
@@ -279,21 +278,16 @@ class _ClosureTables:
     def __init__(self, closure: ClosureFamily):
         nv = closure.nu_count
         self.nv = nv
-        self.g = np.array([[float(x) for x in row] for row in closure.metric.g],
-                          dtype=float).reshape(nv, nv)
+        # g and the split scheme's frame: the metric's one exact congruence
+        # T^t g T = diag(d), and T^-1
+        m = closure.metric
+        self.g, self.T, self.Tinv = (
+            np.array([[float(x) for x in row] for row in a], dtype=float).reshape(nv, nv)
+            for a in (m.g, m.T, m.Tinv))
+        self.D = np.array([float(x) for x in m.d])
         self.mu1, self.mu2 = closure.float_eval("mu", 1), closure.float_eval("mu", 2)
         self.dmu1, self.dmu2 = closure.float_eval("grad", 1), closure.float_eval("grad", 2)
         self.gamma2 = closure.float_eval("gamma", 2)
-        # exact congruence T^t g T = diag(d) for the split scheme
-        if nv:
-            T, d = ratmat.congruence_diagonalize(closure.metric.g)
-            self.T = np.array([[float(x) for x in row] for row in T])
-            self.Tinv = np.array([[float(x) for x in row]
-                                  for row in ratmat.inverse(T)])
-            self.D = np.array([float(x) for x in d])
-        else:
-            self.T = self.Tinv = np.zeros((0, 0))
-            self.D = np.zeros(0)
         # per Tinv row a: the columns k that micro flow a reads from dH/dm,
         # and those it zeroes
         self.live = [np.flatnonzero(row).tolist() for row in self.Tinv]

@@ -12,10 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from hydroclosures import ratmat
 from hydroclosures.bracket import check_flatness
 from hydroclosures.closures import (BurbyClosure, ColdClosure,
-                                    FourFieldClosure, GenericClosure,
+                                    FourFieldClosure, GenericClosure, Metric,
                                     MultiDeltaClosure, WaterbagClosure,
                                     burby_mu, multidelta_normal_map, waterbag_s)
 from hydroclosures.moments import p_from_mu
@@ -112,7 +111,7 @@ def test_criterion_5_waterbag_identities():
 
 def test_criterion_6_signatures():
     def full_sig(c):
-        return ratmat.signature(full_metric(c))
+        return Metric(full_metric(c)).signature
 
     ok = all(full_sig(MultiDeltaClosure(M)) == (M, M) for M in range(2, 5))
     wb_cases = [

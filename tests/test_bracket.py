@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hydroclosures import bracket, certificate, moments, ratmat
+from hydroclosures import bracket, certificate, moments
 from hydroclosures.bracket import FlatnessCheck, FlatnessReport, casimirs, check_flatness
 from hydroclosures.cli import Report, _verify_one
 from hydroclosures.closures import (BurbyClosure, FourFieldClosure,
@@ -525,11 +525,8 @@ def test_verify_builds_no_bracket_when_flat(closure):
 
 
 def test_signature_helper():
-    assert ratmat.signature([[F(0), F(1)], [F(1), F(0)]]) == (1, 1)
     assert Metric([[F(0), F(1)], [F(1), F(0)]]).signature == (1, 1)
     assert MultiDeltaClosure(3).metric.signature == (2, 2)
-    with pytest.raises(ValueError):
-        ratmat.signature([[F(0)]])
     with pytest.raises(ValueError):
         _ = Metric([[F(0)]]).signature
 
@@ -542,7 +539,7 @@ def test_full_metric_block_structure():
                         [F(0), F(0), F(0), F(1)],
                         [F(0), F(0), F(1), F(0)]])
     assert g == expect
-    assert ratmat.signature(g) == (2, 2)
+    assert Metric(g).signature == (2, 2)
 
 
 def test_casimir_set():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from hydroclosures import bracket, cli
 from hydroclosures.cli import _FAMILY_KEYS, closure_from_spec, main
+from hydroclosures.closures import ClosureFamily
 from hydroclosures.poly import MultiPoly
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -150,6 +151,19 @@ def test_closure_show_rejects_nmax_below_1(capsys, nmax):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --nmax must be >= 1, got {nmax}\n"
+
+
+def test_running_out_of_memory_exits_2(monkeypatch, capsys):
+    # a generic closure in many variables can exhaust memory in the moment
+    # recurrence; the kernel is made to raise here instead
+    def exhausted(self, n):
+        raise MemoryError
+
+    monkeypatch.setattr(ClosureFamily, "mu", exhausted)
+    assert main(["closure", "show", "--family", "generic", "--mu2", "nu20"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory; ask for less work\n"
 
 
 def test_closure_casimir(capsys):
