@@ -6,11 +6,11 @@ pseudo-spectral with a 2/3 dealiasing mask (default) or 2nd-order central
 differences. The electric field comes from the spectral Poisson solve
 with a neutralizing background and zero-mean gauge. Each `Grid` builds its
 spectral operators (wavenumbers, i*k, the dealiasing cut and k^2) once, on
-first use, and every derivative and field solve on that grid reuses them.
-Derivatives of several fields are taken in one batched call. The stream
-model adds E after its derivative, so its Poisson solve shares that
-call's one rfft and one irfft; the fluid model cannot, as phi enters
-dH/drho before dH/drho is differentiated.
+first use, and one transform, `Grid._spectral`, takes every spectral
+derivative and field solve on it. Derivatives of several fields are taken
+in one batched call. The stream model adds E after its derivative, so its
+field is one more row of that call; the fluid model's cannot be, as phi
+enters dH/drho before dH/drho is differentiated.
 A run (`run_fluid`, the CLI's `compare`) makes one `Workspace` and hands it
 to every step. It holds the full-grid temporaries of a step: the rk4 stage
 state, the one rate buffer that stages 2 to 4 share, the batched-derivative
@@ -161,33 +161,42 @@ class Grid:
         """d/dx along the last axis, with 2/3 dealiasing (spectral) or
         central differences; a 2-D `f` is differentiated row by row.
 
-        Given `field_op`, the last row of a 2-D `f` is a neutral source s
-        instead, and the last row of the result is its zero-mean field, of
-        spectrum rfft(s) / field_op on the nonzero wavenumbers. The
-        spectral method takes it in the derivative's own rfft and irfft:
-        each row is transformed on its own, so its bits do not depend on
-        the batch.
+        Given `field_op`, the last row of a 2-D `f` is a neutral source
+        instead, and the last row of the result its field (`_spectral`),
+        which fd2 takes alone through the transform. The result goes to
+        `out` (a fresh array if None), and the spectrum to `work`."""
+        if self.method == "spectral":
+            return self._spectral(f, out, work, field_op)
+        df = np.empty_like(f) if out is None else out
+        g, d = (f, df) if field_op is None else (f[:-1], df[:-1])
+        np.subtract(g[..., 2:], g[..., :-2], out=d[..., 1:-1])
+        np.subtract(g[..., 1], g[..., -1], out=d[..., 0])
+        np.subtract(g[..., 0], g[..., -2], out=d[..., -1])
+        d /= 2 * self.dx
+        if field_op is not None:
+            self._spectral(f[-1:], df[-1:], work, field_op)
+        return df
 
-        The result goes to `out` (a fresh array if None), and the spectrum
-        to a buffer of `work`."""
-        if self.method == "fd2":
-            df = np.empty_like(f) if out is None else out
-            g, d = (f, df) if field_op is None else (f[:-1], df[:-1])
-            np.subtract(g[..., 2:], g[..., :-2], out=d[..., 1:-1])
-            np.subtract(g[..., 1], g[..., -1], out=d[..., 0])
-            np.subtract(g[..., 0], g[..., -2], out=d[..., -1])
-            d /= 2 * self.dx
-            if field_op is not None:
-                _field_solve(f[-1], self, field_op, out=df[-1])
-            return df
-        cut = self.cut + 1
+    def _spectral(self, f: np.ndarray, out: np.ndarray | None = None,
+                  work: Workspace = _FRESH, field_op: np.ndarray | None = None) -> np.ndarray:
+        """The grid's one spectral transform: the rfft of the rows of `f`
+        into `work`'s spectrum buffer, each derivative row's kept band times
+        i*k and the rest zeroed, and the irfft into `out`. Given `field_op`
+        (on the nonzero wavenumbers), the last row of a 2-D `f` is a neutral
+        source s and becomes its zero-mean field, of spectrum rfft(s) /
+        field_op. Each row is transformed on its own, so its bits do not
+        depend on the batch."""
         fh = np.fft.rfft(f, axis=-1, out=work.buf(
             "spectrum", f.shape[:-1] + (self.nx // 2 + 1,), complex))
-        dh = fh if field_op is None else fh[:-1]
-        dh[..., :cut] *= self.ik[:cut]
-        dh[..., cut:] = 0.0
+        dh = fh
         if field_op is not None:
-            _divide_spectrum(fh[-1], field_op)
+            dh, field = fh[:-1], fh[-1]
+            field[0] = 0.0
+            field[1:] /= field_op
+        if len(dh):  # a field solve alone has no derivative row
+            cut = self.cut + 1
+            dh[..., :cut] *= self.ik[:cut]
+            dh[..., cut:] = 0.0
         return np.fft.irfft(fh, n=self.nx, axis=-1, out=out)
 
     def integral(self, f: np.ndarray) -> float:
@@ -232,37 +241,21 @@ class DiagnosticRecord:
 
 
 def _neutral_source(rho: np.ndarray, n0: float, out: np.ndarray | None = None) -> np.ndarray:
-    """rho - n0, once neutrality mean(rho) = n0 holds to 1e-10 (otherwise
-    no periodic field exists)."""
-    if abs(float(rho.sum()) / rho.size - n0) > 1e-10:
+    """rho - n0, once neutrality mean(rho) = n0 holds to 1e-10 relative to
+    n0 (otherwise no periodic field exists)."""
+    if abs(float(rho.sum()) / rho.size - n0) > 1e-10 * n0:
         raise SimulationError("neutrality violated: mean(rho) != n0")
     return np.subtract(rho, n0, out=out)
 
 
-def _divide_spectrum(fh: np.ndarray, op: np.ndarray):
-    """Turn the spectrum of a neutral source into that of its zero-mean
-    field, in place: fh / op, with `op` given on the nonzero wavenumbers."""
-    fh[0] = 0.0
-    fh[1:] /= op
-
-
-def _field_solve(src: np.ndarray, grid: Grid, op: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """The zero-mean periodic field of the neutral source `src`, of
-    spectrum rfft(src) / op."""
-    fh = np.fft.rfft(src)
-    _divide_spectrum(fh, op)
-    return np.fft.irfft(fh, n=grid.nx, out=out)
-
-
 def poisson_solve(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
     """E with dE/dx = rho - n0, periodic, zero mean."""
-    return _field_solve(_neutral_source(rho, n0), grid, grid.ik[1:])
+    return grid._spectral(_neutral_source(rho, n0)[None], field_op=grid.ik[1:])[0]
 
 
 def electric_potential(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
     """phi with d^2phi/dx^2 = -(rho - n0), E = -dphi/dx, zero mean."""
-    return _field_solve(_neutral_source(rho, n0), grid, grid.k2)
+    return grid._spectral(_neutral_source(rho, n0)[None], field_op=grid.k2)[0]
 
 
 # ---------------------------------------------------------------------------

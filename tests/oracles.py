@@ -1,7 +1,8 @@
 """Reference formulas that only the tests read.
 
 Each states a quantity directly, independently of the way the library
-derives it: the inhomogeneity measure gamma_n, the published four-field
+derives it: a polynomial under the linear substitution nu -> T nu, the
+inhomogeneity measure gamma_n, the published four-field
 polynomials, the closed form of the Burby moments, the S_n re-centering
 sum, the full bracket metric, the antisymmetry residuals of a bracket,
 the multi-stream invariants, the condition number of the Burby inversion
@@ -32,6 +33,23 @@ from hydroclosures.sim import poisson_solve
 def poly_vars(nvars: int) -> list[MultiPoly]:
     """The list [x_0, ..., x_{nvars-1}] as polynomials."""
     return [MultiPoly.variable(nvars, i) for i in range(nvars)]
+
+
+def linear_substitution(p: MultiPoly, T) -> MultiPoly:
+    """p(T nu): every variable x_i replaced by sum_j T_ij x_j, and each term
+    expanded by repeated multiplication."""
+    n = p.nvars
+    x = poly_vars(n)
+    images = [sum((Fraction(t) * x_j for t, x_j in zip(row, x)), MultiPoly.zero(n))
+              for row in T]
+    out = MultiPoly.zero(n)
+    for exps, c in p.terms.items():
+        term = MultiPoly.const(n, c)
+        for image, e in zip(images, exps):
+            for _ in range(e):
+                term = term * image
+        out = out + term
+    return out
 
 
 def gamma_n(mu_poly: MultiPoly, n: int) -> MultiPoly:

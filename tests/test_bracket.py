@@ -21,8 +21,8 @@ from hydroclosures.moments import HydroBracket, alpha_beta_in_mu
 from hydroclosures.poly import MultiPoly
 from hydroclosures.ratmat import as_matrix
 
-from oracles import (antisymmetry_residuals, full_metric, is_antisymmetric, poly_vars,
-                     symmetry_residuals)
+from oracles import (antisymmetry_residuals, full_metric, inverse_dense, is_antisymmetric,
+                     linear_substitution, poly_vars, symmetry_residuals)
 
 F = Fraction
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -414,6 +414,49 @@ def test_family_flatness_matches_the_reference(family):
     got = closure.flatness()
     assert _cells(got) == _cells(reference_check_flatness(closure, closure.flatness_size))
     assert got.ok == (family != "generic-full-metric")
+
+
+# The closures of the covariance test, each with whether it is flat: the
+# verify-sparse cubic under its antidiagonal metric, and x^2 y under the
+# identity, which is not
+COVARIANT_FAMILIES = {
+    "burby2": (lambda: BurbyClosure(2), True),
+    "burby3": (lambda: BurbyClosure(3), True),
+    "multidelta2": (lambda: MultiDeltaClosure(2), True),
+    "fourfield1/2": (lambda: FourFieldClosure(F(1, 2)), True),
+    "verify-sparse-cubic": (lambda: _generic("nu1*nu3^2 + nu2^2*nu3"), True),
+    "waterbag1,2,-1,-2": (lambda: WaterbagClosure([F(1), F(2), F(-1), F(-2)]), True),
+    "x2y-identity": (lambda: _generic("nu1^2*nu2", [[F(1), F(0)], [F(0), F(1)]]), False),
+}
+
+
+@pytest.mark.parametrize("family", COVARIANT_FAMILIES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_closures_are_gl_covariant(family, data):
+    # under nu = T nu' the metric becomes g' = T^-1 g T^-t: mu_1 is
+    # invariant, the Euler operator commutes with T and every pairing is a
+    # g-contraction, so (mu_2 o T, g') generates mu_n o T and gives every
+    # flatness cell the verdict of (mu_2, g)
+    make, flat = COVARIANT_FAMILIES[family]
+    closure = make()
+    nv = closure.nu_count
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    T = data.draw(st.lists(st.lists(entry, min_size=nv, max_size=nv),
+                           min_size=nv, max_size=nv))
+    try:
+        Tinv = inverse_dense(T)
+    except ZeroDivisionError:
+        assume(False)
+    g = closure.metric.g
+    g_new = [[sum(Tinv[i][a] * g[a][b] * Tinv[j][b] for a in range(nv) for b in range(nv))
+              for j in range(nv)] for i in range(nv)]
+    moved = GenericClosure(linear_substitution(closure.mu(2), T), Metric(g_new))
+    for n in range(1, 6):
+        assert moved.mu(n) == linear_substitution(closure.mu(n), T)
+    cells = [(c.name, c.ok) for c in check_flatness(closure, nv + 1).checks]
+    assert [(c.name, c.ok) for c in check_flatness(moved, nv + 1).checks] == cells
+    assert all(ok for _, ok in cells) == flat
 
 
 @pytest.mark.parametrize("family", ["burby4", "multidelta3", "fourfield1",

@@ -71,6 +71,31 @@ def test_poisson_rejects_nonneutral():
     grid = Grid(L=TWO_PI, nx=64)
     with pytest.raises(SimulationError):
         poisson_solve(np.full(grid.nx, 1.5), 1.0, grid)
+    # a mean twice a tiny n0: an absolute 1e-10 bound returned E = 0
+    with pytest.raises(SimulationError, match="neutrality"):
+        poisson_solve(np.full(grid.nx, 2e-12), 1e-12, grid)
+
+
+@pytest.mark.parametrize("n0", [1e6, 1e7])
+def test_neutrality_holds_at_a_large_n0(n0):
+    # one ulp of 1e6 is 1.2e-10: an absolute bound failed these runs at
+    # step 34 (n0 = 1e6) and step 62 (n0 = 1e7)
+    grid, closure = Grid(L=TWO_PI, nx=64), ColdClosure()
+    state = single_mode_state(grid, closure, n0=n0, eps=1e-3)
+    for _ in range(100):
+        state = step(state, closure, grid, 1e-4)
+    assert abs(state.rho.mean() - n0) <= 1e-14 * n0
+
+
+@pytest.mark.parametrize("method", ["spectral", "fd2"])
+def test_field_solves_scale_with_the_wavenumber(method):
+    # at k = 1 a division by k and one by k^2 agree; here k = 6 pi / 5
+    grid = Grid(L=5.0, nx=64, method=method)
+    k, eps = 2.0 * math.pi * 3 / grid.L, 1e-3
+    rho = 1.0 + eps * np.cos(k * grid.x)
+    E, phi = poisson_solve(rho, 1.0, grid), electric_potential(rho, 1.0, grid)
+    assert np.max(np.abs(E - eps * np.sin(k * grid.x) / k)) < 1e-15
+    assert np.max(np.abs(phi - eps * np.cos(k * grid.x) / k ** 2)) < 1e-15
 
 
 def test_uniform_state_is_an_equilibrium():
