@@ -59,25 +59,22 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
     only the first gradient factor carries the x-derivative.
 
     This is the one list of the bracket cells. It reads the closure only
-    through `grad_pair(n, m)`, `hessian_pair(n, m)` and `partials(p)` (the
-    left sides of (b) and the dp/dnu_k, as tuples over k), `grad(n)` (for
-    the number of k), what the entry formulas of `moments` read and
-    `nu_names`, which a `ClosureFamily` and the formal ring of the waterbag
-    certificate both supply.
+    through `grad_pair(n, m)` and `hessian_pair(n, m)` (the left sides of
+    (a) and (b), the latter as a tuple over k), `grad(n)` (for the number
+    of k), what the entry formulas of `moments` read and `nu_names`, which
+    a `ClosureFamily` and the formal ring of the waterbag certificate both
+    supply.
 
-    Only the independent cells are computed: (a) for n <= m and (b) for
-    n < m. Each is one comparison of canonical forms, and its residual is
-    formed only when it fails. The other cells follow from the product-rule
-    lemma of docs/waterbag_certificate.md. As g is symmetric, d/dnu_k of the
-    left side of (a) is the sum of the left sides of (b) at (n, m) and at
-    (m, n); and the entry formulas of `moments` give
-    d alpha_nm/dnu_k = beta_nmk + beta_mnk for any mu_n, flat or not. So
-    (b) at (m, n; k) passes when (a) at (n, m) and (b) at (n, m; k) do, and
-    (b) at (n, n; k) passes when (a) at (n, n) does. A cell whose premise
-    fails is computed from d/dnu_k of the left side of (a), minus the left
-    side of (b) at (n, m; k) (for n = m, half of it), so the report is
-    the same, cell for cell, as that of computing every cell. The same
-    lemma makes antisymmetry need no cell.
+    A computed cell is one comparison of its left side with its entry, in
+    canonical form, and its residual is formed only when it fails. The
+    independent cells, (a) for n <= m and (b) for n < m, are always
+    computed. The product-rule lemma of docs/waterbag_certificate.md
+    settles the others: (b) at (m, n; k) passes when (a) at (n, m) and (b)
+    at (n, m; k) do, and (b) at (n, n; k) when (a) at (n, n) does. Such a
+    cell is reported as passed when its premise holds; when it fails, the
+    cell is computed from `hessian_pair(m, n)`, built once for the pair.
+    So the report is the same, cell for cell, as that of computing every
+    cell.
 
     A `ClosureFamily` whose mu_n are those of its own `mu`, mu_1 =
     (1/2) nu . g^-1 nu and mu_n for n >= 3 by the recurrence, satisfies
@@ -109,29 +106,23 @@ def check_flatness(closure, size: int | None = None) -> FlatnessReport:
         for m in range(n, size + 1):
             name = f"alpha[{n},{m}]"
             if proven and n <= 2:
-                lhs_a, alpha_ok = None, passed(name)
+                alpha_ok = passed(name)
             else:
-                lhs_a = closure.grad_pair(n, m)
-                alpha_ok = cell(name, lhs_a, mu_alpha_entry(closure, n, m))
-            lhs_b = None
+                alpha_ok = cell(name, closure.grad_pair(n, m), mu_alpha_entry(closure, n, m))
             if n == m:
                 implied = [alpha_ok] * len(ks)
             elif proven and n == 1:
                 implied = [passed(f"beta[{n},{m};{k + 1}]") for k in ks]
-            else:
-                lhs_b = closure.hessian_pair(n, m)
-                beta_ok = [cell(f"beta[{n},{m};{k + 1}]", lhs, mu_beta_entry(closure, n, m, k))
-                           for k, lhs in enumerate(lhs_b)]
-                implied = [alpha_ok and ok for ok in beta_ok]
-            dlhs_a = None if all(implied) else closure.partials(
-                closure.grad_pair(n, m) if lhs_a is None else lhs_a)
+            else:  # the cell before alpha_ok: an independent cell is always computed
+                implied = [cell(f"beta[{n},{m};{k + 1}]", lhs, mu_beta_entry(closure, n, m, k))
+                           and alpha_ok for k, lhs in enumerate(closure.hessian_pair(n, m))]
+            lhs_b = None if all(implied) else closure.hessian_pair(m, n)
             for k, ok in enumerate(implied):
                 name = f"beta[{m},{n};{k + 1}]"
                 if ok:
                     passed(name)
                 else:
-                    lhs = dlhs_a[k] / 2 if n == m else dlhs_a[k] - lhs_b[k]
-                    cell(name, lhs, mu_beta_entry(closure, m, n, k))
+                    cell(name, lhs_b[k], mu_beta_entry(closure, m, n, k))
     return FlatnessReport(checks=checks)
 
 

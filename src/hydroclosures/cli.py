@@ -165,6 +165,26 @@ def _metric_from_spec(text, nvars: int) -> Metric:
     return Metric([[_parse_fraction(v) for v in row] for row in text])
 
 
+def _number(key: str, value) -> float:
+    """`value` as a float: a number or a numeric string such as "1e-3".
+    Anything else, `true` and `false` included (not read as 1.0 and 0.0),
+    is refused with a message that names `key`."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{key} must be a number, got {value!r}")
+
+
+def _numbers(key: str, value) -> list[float]:
+    """The list `value` of numbers; a string is refused, not read one
+    character at a time."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list of numbers, got {value!r}")
+    return [_number(key, v) for v in value]
+
+
 def _reject_unknown(d: dict, allowed, where: str):
     """Refuse `d` unless it is an object whose keys are among `allowed`."""
     if not isinstance(d, dict):
@@ -320,7 +340,8 @@ def _build_run(cfg: dict) -> tuple[str, float, float, int, int]:
     _reject_unknown(integ, _INTEGRATOR_KEYS, "integrator")
     _reject_unknown(output, _OUTPUT_KEYS, "output")
     scheme = integ.get("scheme", "rk4")
-    dt, t_end = float(integ["dt"]), float(integ["t_end"])
+    dt = _number("integrator dt", integ["dt"])
+    t_end = _number("integrator t_end", integ["t_end"])
     stride = require_integer("output stride", output.get("stride", 1))
     snapshots = require_integer("output snapshots", output.get("snapshots", 0))
     if scheme not in ("rk4", "split"):
@@ -351,7 +372,8 @@ def _float_errors(block: str):
 def _build_grid(spec: dict) -> sim.Grid:
     from . import sim
     _reject_unknown(spec, _GRID_KEYS, "grid")
-    grid = sim.Grid(L=float(spec["L"]), nx=spec["nx"], method=spec.get("method", "spectral"))
+    grid = sim.Grid(L=_number("grid L", spec["L"]), nx=spec["nx"],
+                    method=spec.get("method", "spectral"))
     with _float_errors("grid"):
         # what L alone decides: the starts' cosine mode (a huge L overflows
         # its phase) and the spectral tables (a tiny one overflows k^2)
@@ -367,10 +389,11 @@ def _build_initial(spec: dict, grid: sim.Grid, closure: ClosureFamily) -> sim.Fi
     with _float_errors("initial"):
         return _checked_start(sim.single_mode_state(
             grid, closure,
-            n0=float(spec.get("n0", 1.0)), eps=float(spec.get("eps", 1e-3)),
-            u0=float(spec.get("u0", 0.0)),
-            nu_base=[float(v) for v in spec.get("nu_base", [])],
-            nu_eps=[float(v) for v in spec.get("nu_eps", [])]))
+            n0=_number("initial n0", spec.get("n0", 1.0)),
+            eps=_number("initial eps", spec.get("eps", 1e-3)),
+            u0=_number("initial u0", spec.get("u0", 0.0)),
+            nu_base=_numbers("initial nu_base", spec.get("nu_base", [])),
+            nu_eps=_numbers("initial nu_eps", spec.get("nu_eps", []))))
 
 
 def _checked_start(state: sim.FieldState) -> sim.FieldState:
@@ -392,8 +415,8 @@ def _build_streams(spec: dict, grid: sim.Grid) -> tuple[sim.StreamState, sim.Fie
 
     from . import sim
     _reject_unknown(spec, ("n0", "v0", "eps"), "streams")
-    n0, v0, eps = (float(spec.get("n0", 1.0)), float(spec.get("v0", 0.2)),
-                   float(spec.get("eps", 1e-3)))
+    n0, v0, eps = (_number(f"streams {key}", spec.get(key, default))
+                   for key, default in (("n0", 1.0), ("v0", 0.2), ("eps", 1e-3)))
     if not (0 < n0 < math.inf and math.isfinite(v0) and abs(eps) < 1):
         raise ValueError("streams need a finite n0 > 0, a finite v0 and |eps| < 1, "
                          f"got n0 = {n0}, v0 = {v0}, eps = {eps}")
@@ -458,7 +481,7 @@ def cmd_compare(args) -> int:
         grid = _build_grid(cfg["grid"])
         s_s, s_f = _build_streams(cfg.get("streams", {}), grid)
         scheme, dt, t_end, _, _ = _build_run(cfg)
-        tol = float(cfg.get("tolerance", 1e-6))
+        tol = _number("tolerance", cfg.get("tolerance", 1e-6))
         if not 0 < tol < math.inf:
             raise ValueError(f"tolerance must be finite and > 0, got {tol}")
     outdir = _out_dir(args.out)

@@ -422,10 +422,14 @@ def test_family_flatness_matches_the_reference(family):
 COVARIANT_FAMILIES = {
     "burby2": (lambda: BurbyClosure(2), True),
     "burby3": (lambda: BurbyClosure(3), True),
+    "burby4": (lambda: BurbyClosure(4), True),
     "multidelta2": (lambda: MultiDeltaClosure(2), True),
+    "multidelta3": (lambda: MultiDeltaClosure(3), True),
     "fourfield1/2": (lambda: FourFieldClosure(F(1, 2)), True),
     "verify-sparse-cubic": (lambda: _generic("nu1*nu3^2 + nu2^2*nu3"), True),
     "waterbag1,2,-1,-2": (lambda: WaterbagClosure([F(1), F(2), F(-1), F(-2)]), True),
+    "waterbag1,1,1,-1,-2": (
+        lambda: WaterbagClosure([F(1), F(1), F(1), F(-1), F(-2)]), True),
     "x2y-identity": (lambda: _generic("nu1^2*nu2", [[F(1), F(0)], [F(0), F(1)]]), False),
 }
 
@@ -436,8 +440,9 @@ COVARIANT_FAMILIES = {
 def test_closures_are_gl_covariant(family, data):
     # under nu = T nu' the metric becomes g' = T^-1 g T^-t: mu_1 is
     # invariant, the Euler operator commutes with T and every pairing is a
-    # g-contraction, so (mu_2 o T, g') generates mu_n o T and gives every
-    # flatness cell the verdict of (mu_2, g)
+    # g-contraction, so (mu_2 o T, g') generates mu_n o T, pairs gradients
+    # to the pairing o T and Hessian rows to sum_a T_ak (row a o T), and
+    # gives every flatness cell the verdict of (mu_2, g)
     make, flat = COVARIANT_FAMILIES[family]
     closure = make()
     nv = closure.nu_count
@@ -452,8 +457,15 @@ def test_closures_are_gl_covariant(family, data):
     g_new = [[sum(Tinv[i][a] * g[a][b] * Tinv[j][b] for a in range(nv) for b in range(nv))
               for j in range(nv)] for i in range(nv)]
     moved = GenericClosure(linear_substitution(closure.mu(2), T), Metric(g_new))
-    for n in range(1, 6):
+    for n in range(1, 7):
         assert moved.mu(n) == linear_substitution(closure.mu(n), T)
+    for n in range(1, nv + 2):
+        for m in range(1, nv + 2):
+            assert moved.grad_pair(n, m) == linear_substitution(closure.grad_pair(n, m), T)
+            rows = [linear_substitution(row, T) for row in closure.hessian_pair(n, m)]
+            assert list(moved.hessian_pair(n, m)) == [
+                sum((T[a][k] * rows[a] for a in range(nv)), MultiPoly.zero(nv))
+                for k in range(nv)]
     cells = [(c.name, c.ok) for c in check_flatness(closure, nv + 1).checks]
     assert [(c.name, c.ok) for c in check_flatness(moved, nv + 1).checks] == cells
     assert all(ok for _, ok in cells) == flat
@@ -507,10 +519,12 @@ def test_only_a_family_with_its_own_mu_skips_the_proven_cells():
 
 class _OffAlphaSide:
     """A flat closure whose (a) side at one pair (n, m) is off by `extra`;
-    every (b) side still holds."""
+    every (b) side still holds. It records the pairs `hessian_pair` is
+    built at."""
 
     def __init__(self, closure, pair, extra):
         self._closure, self._pair, self._extra = closure, pair, extra
+        self.hessian_calls = []
 
     def __getattr__(self, name):
         return getattr(self._closure, name)
@@ -519,25 +533,50 @@ class _OffAlphaSide:
         lhs = self._closure.grad_pair(n, m)
         return lhs + self._extra if (n, m) == self._pair else lhs
 
+    def hessian_pair(self, n, m):
+        self.hessian_calls.append((n, m))
+        return self._closure.hessian_pair(n, m)
+
+
+class _OffMirrorSide(_OffAlphaSide):
+    """`_OffAlphaSide` whose (b) sides at the mirror pair (m, n) are also
+    off, by `mirror_extra[k]` at each k."""
+
+    def __init__(self, closure, pair, extra, mirror_extra):
+        super().__init__(closure, pair, extra)
+        self._mirror_extra = mirror_extra
+
+    def hessian_pair(self, n, m):
+        lhs = super().hessian_pair(n, m)
+        if (m, n) != self._pair:
+            return lhs
+        return tuple(side + off for side, off in zip(lhs, self._mirror_extra))
+
 
 @pytest.mark.parametrize("pair", [(1, 2), (1, 1)])
 def test_implied_cells_need_the_alpha_premise(pair):
     # random cubics rarely if ever fail alpha[n,m] while passing a
-    # beta[n,m;k] whose mirror fails (none in 400 draws), so this double
-    # does: the cells that alpha would imply are computed, from d_k of its
-    # (a) side
+    # beta[n,m;k] whose mirror fails (none in 400 draws), so these doubles
+    # do: the cells that alpha would imply are computed from their own
+    # definition, hessian_pair(m, n), built once. With only the (a) side
+    # off they pass; with the mirror (b) sides off too, each fails by
+    # exactly its own perturbation
     closure = MultiDeltaClosure(2)
     names = closure.nu_names
     xi, eta = poly_vars(2)
     extra = xi * eta if pair == (1, 2) else xi ** 2 * eta
     n, m = pair
-    report = check_flatness(_OffAlphaSide(closure, pair, extra))
-    d1, d2 = extra.diff(0), extra.diff(1)
-    want = [(f"alpha[{n},{m}]", extra),
-            (f"beta[{m},{n};1]", d1 if n != m else d1 / 2),
-            (f"beta[{m},{n};2]", d2 if n != m else d2 / 2)]
-    assert [(c.name, c.residual) for c in report.failures()] == \
-        [(name, res.to_text(names)) for name, res in want]
+    mirror_extra = (eta, xi ** 2)
+    for double, want in (
+            (_OffAlphaSide(closure, pair, extra), [(f"alpha[{n},{m}]", extra)]),
+            (_OffMirrorSide(closure, pair, extra, mirror_extra),
+             [(f"alpha[{n},{m}]", extra),
+              *((f"beta[{m},{n};{k + 1}]", off) for k, off in enumerate(mirror_extra))])):
+        report = check_flatness(double)
+        assert [(c.name, c.residual) for c in report.failures()] == \
+            [(name, res.to_text(names)) for name, res in want]
+        calls = double.hessian_calls
+        assert calls.count((m, n)) == 1 and len(set(calls)) == len(calls)
 
 
 def _verify_checks(closure):

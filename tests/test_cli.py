@@ -710,6 +710,68 @@ def test_simulate_rejects_wrong_nu_list_length(tmp_path, capsys, case):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["nu_base", "nu_eps"])
+def test_simulate_rejects_a_nu_string(tmp_path, capsys, key):
+    # read one character at a time: "nu_base": "05" ran burby level 2 from
+    # nu = (0, 5) and exited 0
+    cfg = json.loads(json.dumps(COLD_CONFIG))
+    cfg["closure"] = {"family": "burby", "level": 2}
+    cfg["initial"][key] = "05"
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: initial {key} must be a list of numbers, got '05'\n"
+    assert not out.exists()
+
+
+# number keys that read true and false as 1.0 and 0.0: "dt": true ran with
+# dt = 1, and a compare "tolerance": true passed every P_k check against 1.0;
+# a string that is no number was refused without naming its key
+BOOL_NUMBERS = [
+    ("simulate", "grid", "L"), ("simulate", "initial", "n0"), ("simulate", "initial", "eps"),
+    ("simulate", "initial", "u0"), ("simulate", "initial", "nu_base"),
+    ("simulate", "initial", "nu_eps"), ("simulate", "integrator", "dt"),
+    ("simulate", "integrator", "t_end"), ("compare", "integrator", "dt"),
+    ("compare", "streams", "n0"), ("compare", "streams", "v0"), ("compare", "streams", "eps"),
+    ("compare", None, "tolerance"),
+]
+
+
+@pytest.mark.parametrize("value", [True, "fast"])
+@pytest.mark.parametrize("command, block, key", BOOL_NUMBERS)
+def test_number_keys_refuse_non_numbers(tmp_path, capsys, command, block, key, value):
+    cfg = json.loads(json.dumps(COMPARE_CONFIG if command == "compare" else COLD_CONFIG))
+    if command == "simulate":
+        cfg["closure"] = {"family": "burby", "level": 2}
+    (cfg[block] if block else cfg)[key] = [0.05, value] if key.startswith("nu_") else value
+    out = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = f"{block} {key}" if block else key
+    assert captured.err == f"config error: {name} must be a number, got {value!r}\n"
+    assert not out.exists()
+
+
+def test_number_keys_read_numeric_strings(tmp_path):
+    # a string that float() reads is a number: the run is the same
+    cfg = json.loads(json.dumps(COLD_CONFIG))
+    cfg["closure"] = {"family": "burby", "level": 2}
+    cfg["initial"].update(nu_base=[0.05, 0.5], nu_eps=[1e-6, 1e-6])
+    text = json.loads(json.dumps(cfg))
+    text["grid"]["L"] = "6.283185307179586"
+    text["initial"].update(n0="1", eps="1e-3", nu_base=["0.05", "0.5"], nu_eps=["1e-6", 1e-6])
+    text["integrator"].update(dt="0.01", t_end="0.5")
+    csvs = []
+    for name, c in (("number", cfg), ("text", text)):
+        assert main(["simulate", "--config", write_config(tmp_path, c, f"{name}.json"),
+                     "--out", str(tmp_path / name)]) == 0
+        csvs.append((tmp_path / name / "diagnostics.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
 # streams that crashed with a traceback (n0 <= 0, NaN v0) or ran on a
 # negative stream density, and tolerances that passed vacuously (inf) or
 # exited 1 (NaN, negative)

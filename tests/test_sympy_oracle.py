@@ -12,6 +12,10 @@ and `sympy_failing_cells` to every flatness cell, each written in full (no
 symmetry is used). The entries must equal those of `moments` and the
 failing cells those of `check_flatness`; with one gamma term dropped, the
 entries must disagree on a waterbag closure, where the gamma_n are live.
+
+The same derivation runs with mu_2's coefficients as symbols: for the
+homogeneous binary cubics, the ideal of the cells' equations must be one
+quadric times the coordinate ideal, under each of three metrics.
 """
 
 from fractions import Fraction
@@ -58,7 +62,20 @@ def symbols(nv: int) -> tuple:
     return sympy.symbols(f"x0:{nv}")
 
 
+def seed(closure) -> tuple:
+    """(g, mu_2) of `closure` in sympy: the two inputs the oracle reads."""
+    nv = closure.nu_count
+    g = sympy.Matrix(nv, nv, lambda i, j: rational(closure.metric.g[i][j]))
+    mu2 = sum((rational(c) * sympy.prod([v ** e for v, e in zip(symbols(nv), exps)])
+               for exps, c in closure.mu(2).terms.items()), sympy.Integer(0))
+    return g, mu2
+
+
 def sympy_moments(closure, top: int = TOP, shift: int = 0) -> dict:
+    return recurrence(*seed(closure), top, shift)
+
+
+def recurrence(g, mu2, top: int = TOP, shift: int = 0) -> dict:
     """{n: mu_n} for n = 1..top, as sympy expressions in x_0..x_{nv-1}:
 
       mu_1 = (1/2) x . g^-1 x,
@@ -66,13 +83,10 @@ def sympy_moments(closure, top: int = TOP, shift: int = 0) -> dict:
                   + n mu_{n-1} gamma_2) / (n + 2),
       gamma_n = (n+1) mu_n - x . grad mu_n,
 
-    with the index of the pairing's first factor moved down by `shift`."""
-    nv = closure.nu_count
-    x = sympy.Matrix(symbols(nv))
-    g = sympy.Matrix(nv, nv, lambda i, j: rational(closure.metric.g[i][j]))
-    mu = {0: sympy.Integer(1), 1: sympy.expand((x.T * g.inv() * x)[0] / 2),
-          2: sum((rational(c) * sympy.prod([v ** e for v, e in zip(x, exps)])
-                  for exps, c in closure.mu(2).terms.items()), sympy.Integer(0))}
+    with the index of the pairing's first factor moved down by `shift`.
+    mu_2 may have symbols of its own as coefficients."""
+    x = sympy.Matrix(symbols(g.rows))
+    mu = {0: sympy.Integer(1), 1: sympy.expand((x.T * g.inv() * x)[0] / 2), 2: mu2}
 
     def grad(p):
         return sympy.Matrix([p]).jacobian(x)
@@ -123,6 +137,10 @@ HOMOGENEOUS = ("burby-3", "burby-4", "burby-5", "multidelta-2", "multidelta-3",
 
 
 def sympy_bracket(closure, size: int, drop=()) -> tuple[dict, dict, dict]:
+    return bracket(*seed(closure), size, drop)
+
+
+def bracket(g, mu2, size: int, drop=()) -> tuple[dict, dict, dict]:
     """(mu, alpha, beta) for n, m = 1..size in sympy:
 
       gamma_n = (n+1) mu_n - x . grad mu_n,
@@ -131,8 +149,8 @@ def sympy_bracket(closure, size: int, drop=()) -> tuple[dict, dict, dict]:
                     - m mu_(m-1) d_k gamma_n,
 
     leaving out the GAMMA_TERMS named in `drop`."""
-    x = symbols(closure.nu_count)
-    mu = {0: sympy.Integer(1), **sympy_moments(closure, max(2 * size - 1, 2))}
+    x = symbols(g.rows)
+    mu = {0: sympy.Integer(1), **recurrence(g, mu2, max(2 * size - 1, 2))}
 
     def gamma(n):
         return (n + 1) * mu[n] - sum(xk * sympy.diff(mu[n], xk) for xk in x)
@@ -155,26 +173,29 @@ def sympy_bracket(closure, size: int, drop=()) -> tuple[dict, dict, dict]:
     return mu, alpha, beta
 
 
-def sympy_failing_cells(closure, size: int) -> set[str]:
-    """The flatness cells of n, m = 1..size whose residual does not expand
-    to 0: alpha[n,m] (n <= m) when grad mu_n . g . grad mu_m differs from
-    alpha, beta[n,m;k] when (d_k grad mu_n) . g . grad mu_m differs from
-    beta."""
-    nv = closure.nu_count
-    x = symbols(nv)
-    g = sympy.Matrix(nv, nv, lambda i, j: rational(closure.metric.g[i][j]))
-    mu, alpha, beta = sympy_bracket(closure, size)
+def cell_residuals(g, mu2, size: int) -> dict:
+    """{cell name: expanded residual} of the flatness cells of
+    n, m = 1..size: alpha[n,m] (n <= m) is grad mu_n . g . grad mu_m minus
+    alpha, beta[n,m;k] is (d_k grad mu_n) . g . grad mu_m minus beta."""
+    x = symbols(g.rows)
+    mu, alpha, beta = bracket(g, mu2, size)
     grad = {n: sympy.Matrix([mu[n]]).jacobian(x) for n in range(1, size + 1)}
-    failing = set()
+    residuals = {}
     for n in range(1, size + 1):
         for m in range(1, size + 1):
-            if n <= m and sympy.expand((grad[n] * g * grad[m].T)[0] - alpha[n, m]) != 0:
-                failing.add(f"alpha[{n},{m}]")
+            if n <= m:
+                residuals[f"alpha[{n},{m}]"] = sympy.expand(
+                    (grad[n] * g * grad[m].T)[0] - alpha[n, m])
             for k, xk in enumerate(x):
                 cell = sympy.diff(grad[n], xk) * g * grad[m].T
-                if sympy.expand(cell[0] - beta[n, m, k]) != 0:
-                    failing.add(f"beta[{n},{m};{k + 1}]")
-    return failing
+                residuals[f"beta[{n},{m};{k + 1}]"] = sympy.expand(cell[0] - beta[n, m, k])
+    return residuals
+
+
+def sympy_failing_cells(closure, size: int) -> set[str]:
+    """The flatness cells of n, m = 1..size whose residual does not expand
+    to 0."""
+    return {name for name, r in cell_residuals(*seed(closure), size).items() if r != 0}
 
 
 def entry(closure, n, m, k=None):
@@ -226,3 +247,56 @@ def test_homogeneous_entries_are_the_benney_chain(case):
     closure = CASES[case]()
     _, alpha, beta = sympy_bracket(closure, ENTRY_SIZE, drop=GAMMA_TERMS)
     assert entries_disagreeing(closure, alpha, beta) == []
+
+
+# ROADMAP item 6: the flat homogeneous binary cubics
+# c0 x^3 + c1 x^2 y + c2 x y^2 + c3 y^3 under three metrics. The
+# coefficients in x, y of every cell residual with n, m <= 3 are equations
+# in the c_i, and their ideal is Q <c0, c1, c2, c3> for one quadric Q.
+COEFS = sympy.symbols("c0:4")
+_c0, _c1, _c2, _c3 = COEFS
+BINARY_QUADRICS = {
+    "0,1;1,0": 9 * _c0 * _c3 - _c1 * _c2,
+    "1,0;0,1": 3 * _c0 * _c2 - _c1 ** 2 + 3 * _c1 * _c3 - _c2 ** 2,
+    "1,0;0,-1": 3 * _c0 * _c2 - _c1 ** 2 - 3 * _c1 * _c3 + _c2 ** 2,
+}
+
+
+@pytest.mark.parametrize("metric", sorted(BINARY_QUADRICS))
+def test_flat_binary_cubics_are_a_quadric_times_the_coordinates(metric):
+    x, y = symbols(2)
+    mu2 = sum(c * x ** (3 - i) * y ** i for i, c in enumerate(COEFS))
+    g = sympy.Matrix([[rational(v) for v in row.split(",")] for row in metric.split(";")])
+    equations = {coef for r in cell_residuals(g, mu2, 3).values() if r != 0
+                 for coef in sympy.Poly(r, x, y).coeffs()}
+    ideal = sympy.groebner(list(equations), *COEFS, order="grevlex", domain="QQ")
+    want = sympy.groebner([BINARY_QUADRICS[metric] * c for c in COEFS], *COEFS,
+                          order="grevlex", domain="QQ")
+    assert all(ideal.contains(f) for f in want.exprs)
+    assert all(want.contains(f) for f in equations)
+
+
+# frames T with T g' T^t = g for g' the antidiagonal metric: nu = T nu'
+# sends (mu_2, g) to (mu_2 o T, g'), so a cubic is flat under g exactly when
+# its image is flat under g' (the covariance of ROADMAP item 4; over C for
+# the identity, whose signature differs)
+CONGRUENT_FRAMES = {
+    "1,0;0,-1": [[1, sympy.Rational(1, 2)], [1, -sympy.Rational(1, 2)]],
+    "1,0;0,1": [[1, sympy.Rational(1, 2)], [sympy.I, -sympy.I / 2]],
+}
+
+
+@pytest.mark.parametrize("metric", sorted(CONGRUENT_FRAMES))
+def test_the_quadrics_pull_back_to_the_antidiagonal_one(metric):
+    x, y = symbols(2)
+    T = sympy.Matrix(CONGRUENT_FRAMES[metric])
+    g = sympy.Matrix([[rational(v) for v in row.split(",")] for row in metric.split(";")])
+    assert T * sympy.Matrix([[0, 1], [1, 0]]) * T.T == g
+    mu2 = sum(c * x ** (3 - i) * y ** i for i, c in enumerate(COEFS))
+    image = sympy.Poly(mu2.subs(dict(zip((x, y), T * sympy.Matrix([x, y]))),
+                                simultaneous=True), x, y)
+    moved = [image.coeff_monomial(x ** (3 - i) * y ** i) for i in range(4)]
+    ratio = sympy.cancel(BINARY_QUADRICS["0,1;1,0"].subs(dict(zip(COEFS, moved)),
+                                                          simultaneous=True)
+                         / BINARY_QUADRICS[metric])
+    assert ratio.free_symbols == set() and ratio != 0
