@@ -303,7 +303,7 @@ def cmd_closure(args) -> int:
         with _refuse("error"):
             if not args.mu and closure.nu_count:
                 raise ValueError("eos needs --mu")
-            mu_obs = [float(v) for v in args.mu.split(",")] if args.mu else []
+            mu_obs = [_number("--mu", v) for v in args.mu.split(",")] if args.mu else []
             if not all(map(math.isfinite, mu_obs)):
                 raise ValueError(f"--mu values must be finite, got {args.mu}")
             nu = closure.invert(mu_obs)

@@ -585,38 +585,14 @@ def _burby_closed(m: int, n: int, memo: dict) -> MultiPoly:
     return rec(n, tuple(range(n - 1, m)))
 
 
-def _nth_root_fraction(x: Fraction, k: int) -> Fraction:
-    """Exact k-th root of a positive rational; raises if not a perfect power."""
-    if x <= 0:
-        raise ValueError("need a positive radicand")
-
-    def iroot(v: int) -> int:
-        # integer Newton iteration from 2^ceil(bits/k) >= v^(1/k): it
-        # decreases to floor(v^(1/k)) and stops there
-        r = 1 << -(-v.bit_length() // k)
-        while True:
-            s = ((k - 1) * r + v // r ** (k - 1)) // k
-            if s >= r:
-                break
-            r = s
-        if r ** k != v:
-            raise ValueError(f"{v} is not a perfect {k}-th power")
-        return r
-
-    return Fraction(iroot(x.numerator), iroot(x.denominator))
-
-
-def burby_invert(closure: BurbyClosure, mu_values: Sequence,
-                 exact: bool = False) -> tuple:
+def burby_invert(closure: BurbyClosure, mu_values: Sequence) -> tuple:
     """Invert the closure's anti-triangular system (mu_1..mu_m) -> (nu_1..nu_m)
-    from its cached mu_n, which carry the minus branch's (-1)^n.
+    in floats from its cached mu_n, which carry the minus branch's (-1)^n.
 
     With s the branch sign, mu_m = s nu_m^(m+1)/(m+1): on an odd level mu_m
     must have the sign s, and nu_m = sgn(mu_m) ((m+1)|mu_m|)^(1/(m+1)).
     Back-substitution: nu_n = (mu_n - chi_n)/(s nu_m)^n with chi_n = mu_n
     at nu_n = 0.
-    With exact=True all inputs must be Fractions and (m+1)|mu_m| a perfect
-    (m+1)-th power; the round trip is then exact.
     """
     m, sign = closure.m, closure._sign
     mu_values = list(mu_values)
@@ -628,27 +604,21 @@ def burby_invert(closure: BurbyClosure, mu_values: Sequence,
     if m % 2 == 1 and (mu_m < 0) != (sign < 0):
         wrong, right = ("negative", "minus") if sign > 0 else ("positive", "plus")
         raise ValueError(f"{wrong} leading moment on an odd level: select the {right} branch")
-    if exact:
-        if not all(isinstance(v, (int, Fraction)) for v in mu_values):
-            raise ValueError("exact inversion needs rational moment values")
-        mu_values = [Fraction(v) for v in mu_values]
-        nu_m = _nth_root_fraction((m + 1) * abs(mu_values[-1]), m + 1)
-    else:
-        radic = float((m + 1) * abs(mu_m))
-        if not isfinite(radic):
-            raise ValueError(f"leading moment mu_m = {mu_m} overflows: (m+1)|mu_m| = {radic}")
-        nu_m = radic ** (1.0 / (m + 1))
-        # one Newton step: the float power can be an ulp off, and the
-        # back-substitution below amplifies that error
-        nu_m -= (nu_m ** (m + 1) - radic) / ((m + 1) * nu_m ** m)
+    radic = float((m + 1) * abs(mu_m))
+    if not isfinite(radic):
+        raise ValueError(f"leading moment mu_m = {mu_m} overflows: (m+1)|mu_m| = {radic}")
+    nu_m = radic ** (1.0 / (m + 1))
+    # one Newton step: the float power can be an ulp off, and the
+    # back-substitution below amplifies that error
+    nu_m -= (nu_m ** (m + 1) - radic) / ((m + 1) * nu_m ** m)
     if mu_m < 0:
         nu_m = -nu_m
     nu = [0] * (m - 1) + [nu_m]
     for n in range(m - 1, 0, -1):
         point = [0] * n + nu[n:]
-        chi = closure.mu(n).eval(point) if exact else closure.mu_value(n, point)
+        chi = closure.mu_value(n, point)
         nu[n - 1] = (mu_values[n - 1] - chi) / (sign * nu_m) ** n
-    if not exact and not all(map(isfinite, nu)):
+    if not all(map(isfinite, nu)):
         raise ValueError(f"the inversion of mu = {mu_values} is not finite: nu = {nu}")
     return tuple(nu)
 
@@ -745,10 +715,9 @@ class BurbyClosure(ClosureFamily):
                  f"rel err {err:.2e}, bound {bound:.2e}"),
                 *super().identities()]
 
-    def invert(self, mu_values: Sequence, guess: Sequence | None = None,
-               exact: bool = False) -> tuple:
+    def invert(self, mu_values: Sequence, guess: Sequence | None = None) -> tuple:
         """Explicit inversion by `burby_invert`; `guess` is not needed."""
-        return burby_invert(self, mu_values, exact=exact)
+        return burby_invert(self, mu_values)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ inhomogeneity measure gamma_n, the published four-field
 polynomials, the closed form of the Burby moments, the S_n re-centering
 sum, the full bracket metric, the antisymmetry residuals of a bracket,
 the multi-stream invariants, the condition number of the Burby inversion
-by triangular back-substitution, and the general paths of `MultiPoly`
-addition, multiplication, scaling and float and exact evaluation and of
+by triangular back-substitution, the anti-triangular identities that
+make that back-substitution an inversion, and the general paths of
+`MultiPoly` addition, multiplication, scaling and float and exact
+evaluation and of
 the matrix inverse
 and the congruence, which the library's short-cuts past zero operands and unit
 coefficients and its sparse kernels must match, and the waterbag and
@@ -121,6 +123,24 @@ def burby_mu_closed(m: int, n: int) -> MultiPoly:
             exps[idx - 1] += 1
         acc = acc + MultiPoly.monomial(m, exps, Fraction(mult, n + 1))
     return acc
+
+
+def burby_anti_triangular(closure) -> bool:
+    """The identities that let back-substitution invert a level-m Burby
+    closure's cached mu_n, with s its branch sign: mu_m = s nu_m^(m+1)/(m+1),
+    and for n < m mu_n has no term in nu_1..nu_(n-1) and
+    d mu_n/d nu_n = (s nu_m)^n, all as exact polynomial equalities."""
+    m, s = closure.m, closure._sign
+    top = [0] * (m - 1)
+    if closure.mu(m) != MultiPoly.monomial(m, top + [m + 1], Fraction(s, m + 1)):
+        return False
+    for n in range(1, m):
+        mu = closure.mu(n)
+        if any(any(exps[:n - 1]) for exps in mu.terms):
+            return False
+        if mu.diff(n - 1) != MultiPoly.monomial(m, top + [n], s ** n):
+            return False
+    return True
 
 
 def full_metric(closure):

@@ -974,8 +974,9 @@ def test_readme_command_exits_0(line, capsys):
     assert main(shlex.split(line)[1:]) == 0, capsys.readouterr().out
 
 
-# inputs that ended in a traceback (exit 1), printed a nan (exit 0) or
-# named a zero denominator as `Fraction(1, 0)`
+# inputs that ended in a traceback (exit 1), printed a nan (exit 0),
+# named a zero denominator as `Fraction(1, 0)` or, for a --mu value that
+# is not a number, named neither the flag nor the value's role
 @pytest.mark.parametrize("argv, message", [
     (["closure", "show", "--family", "fourfield", "--kappa", "1/0"],
      "error: invalid rational '1/0'\n"),
@@ -995,8 +996,11 @@ def test_readme_command_exits_0(line, capsys):
      "error: the inversion of mu = [1e+308, 1e-300] is not finite: nu = [inf, "),
     (["closure", "eos", "--family", "multidelta", "--mu", "1e300,1e300"],
      "error: no Newton start solves mu = [1e+300, 1e+300]: "),
+    (["closure", "eos", "--family", "multidelta", "--mu", "0.36,abc"],
+     "error: --mu must be a number, got 'abc'\n"),
 ], ids=["kappa-flag", "kappa-verify", "heights-flag", "show-quartic", "eos-quartic",
-        "verify-quartic", "burby-eos-overflow", "burby-eos-inf-nu", "newton-overflow"])
+        "verify-quartic", "burby-eos-overflow", "burby-eos-inf-nu", "newton-overflow",
+        "mu-not-a-number"])
 def test_flag_inputs_that_crashed_exit_2(capsys, argv, message):
     assert main(argv) == 2
     captured = capsys.readouterr()

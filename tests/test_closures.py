@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from hydroclosures import closures
 from hydroclosures.closures import (BurbyClosure, ColdClosure, InversionError,
-                                    _newton_starts, _nth_root_fraction, _solve_float,
+                                    _newton_starts, _solve_float,
                                     FourFieldClosure, GenericClosure, Metric,
                                     MultiDeltaClosure, WaterbagClosure,
-                                    burby_invert, burby_mu, equation_of_state, multidelta_inverse_map,
+                                    burby_mu, equation_of_state, multidelta_inverse_map,
                                     multidelta_normal_map,
                                     newton_invert, waterbag_inverse_map,
                                     waterbag_normal_map,
@@ -24,8 +24,8 @@ from hydroclosures.closures import (BurbyClosure, ColdClosure, InversionError,
 from hydroclosures.moments import DensityError, p_from_mu
 from hydroclosures.poly import MultiPoly
 
-from oracles import (burby_mu_closed, fourfield_family, gamma_n,
-                     inversion_condition_backsub, multidelta_mu_loop, poly_vars,
+from oracles import (burby_anti_triangular, burby_mu_closed, fourfield_family,
+                     gamma_n, inversion_condition_backsub, multidelta_mu_loop, poly_vars,
                      s_from_mu, waterbag_inverse_map_loop, waterbag_mu_loop,
                      waterbag_normal_map_loop, waterbag_s_at_zero_loop, waterbag_s_loop,
                      waterbag_tails_loop)
@@ -342,34 +342,12 @@ def test_level_derivative_structure():
                 assert sum((j + 1) * e for j, e in enumerate(exps)) == n * (m + 1)
 
 
-def test_level_inversion_exact_round_trip():
-    rng = random.Random(11)
-    for m in range(2, 7):
-        for branch in (("plus",) if m % 2 == 0 else ("plus", "minus")):
-            c = BurbyClosure(m, branch=branch)
-            nu = [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(m)]
-            nu[-1] = abs(nu[-1]) + 1
-            if branch == "minus":
-                nu[-1] = -nu[-1]
-            mus = [c.mu(n).eval(nu) for n in range(1, m + 1)]
-            assert c.invert(mus, exact=True) == tuple(nu)
-
-
-def test_nth_root_fraction_exact_beyond_float_range():
-    # 7^600 and 2^900 are both above 1e308, where a float root overflows
-    assert _nth_root_fraction(F(7 ** 600, 2 ** 900), 3) == F(7 ** 200, 2 ** 300)
-    with pytest.raises(ValueError, match="not a perfect 3-th power"):
-        _nth_root_fraction(F(7 ** 600 + 1, 2 ** 900), 3)
-    with pytest.raises(ValueError, match="not a perfect 3-th power"):
-        _nth_root_fraction(F(10 ** 400), 3)
-    for v in range(1, 200):
-        for k in (1, 2, 3, 5):
-            r = round(v ** (1 / k))
-            if r ** k == v:
-                assert _nth_root_fraction(F(v, 1), k) == r
-            else:
-                with pytest.raises(ValueError):
-                    _nth_root_fraction(F(v, 1), k)
+def test_level_moments_are_anti_triangular():
+    # the identities back-substitution rests on, on every level the verify
+    # suite's default range reaches and on both branches
+    for m in range(1, 12):
+        for branch in (("plus", "minus") if m % 2 else ("plus",)):
+            assert burby_anti_triangular(BurbyClosure(m, branch=branch)), (m, branch)
 
 
 def test_level_inversion_float_accuracy():
@@ -421,7 +399,6 @@ def test_burby_invert_rejects_bad_branch():
 def test_burby_invert_reads_the_cached_moments(monkeypatch):
     c = BurbyClosure(11)
     nu, mus, _ = c.sample_round_trip()
-    exact = [c.mu(n).eval(nu) for n in range(1, 12)]
 
     def rebuilt(*args):
         raise AssertionError("burby_mu rebuilt during an inversion")
@@ -429,7 +406,7 @@ def test_burby_invert_reads_the_cached_moments(monkeypatch):
     monkeypatch.setattr(closures, "burby_mu", rebuilt)
     back = c.invert(mus)
     assert max(abs(b - float(v)) / abs(float(v)) for b, v in zip(back, nu)) < 1e-12
-    assert burby_invert(c, exact, exact=True) == tuple(nu)
+    assert burby_anti_triangular(c)
 
 
 @pytest.mark.parametrize("right, wrong, levels", [
