@@ -28,9 +28,9 @@ from . import bracket
 from .closures import (BurbyClosure, ClosureFamily, ColdClosure,
                        FourFieldClosure, GenericClosure, Metric,
                        MultiDeltaClosure, WaterbagClosure, _antidiag_metric,
-                       closed_moments, multidelta_normal_map, require_integer)
+                       closed_moments, multidelta_normal_map)
 from .moments import p_from_mu
-from .poly import MultiPoly
+from .poly import MultiPoly, require_integer
 
 if TYPE_CHECKING:  # for annotations only; the commands import sim themselves
     from . import sim
@@ -335,24 +335,19 @@ def load_config(path, keys) -> dict:
 
 def _build_run(cfg: dict) -> tuple[str, float, float, int, int]:
     """(scheme, dt, t_end, stride, snapshots) of the `integrator` and
-    `output` blocks, checked so that a run takes a step of a known scheme."""
+    `output` blocks, checked as `sim.step_count` checks a run."""
+    from . import sim
     integ, output = cfg["integrator"], cfg.get("output", {})
     _reject_unknown(integ, _INTEGRATOR_KEYS, "integrator")
     _reject_unknown(output, _OUTPUT_KEYS, "output")
     scheme = integ.get("scheme", "rk4")
     dt = _number("integrator dt", integ["dt"])
     t_end = _number("integrator t_end", integ["t_end"])
-    stride = require_integer("output stride", output.get("stride", 1))
+    stride = output.get("stride", 1)
     snapshots = require_integer("output snapshots", output.get("snapshots", 0))
-    if scheme not in ("rk4", "split"):
-        raise ValueError(f"integrator scheme must be 'rk4' or 'split', got {scheme!r}")
-    # a run takes round(t_end / dt) steps; NaN fails every comparison
-    if not (0 < dt < math.inf and 0.5 < t_end / dt < math.inf):
-        raise ValueError("integrator needs a finite dt > 0 and a finite t_end > dt/2, "
-                         f"got dt = {dt}, t_end = {t_end}")
-    if stride < 1 or snapshots < 0:
-        raise ValueError("output needs stride >= 1 and snapshots >= 0, "
-                         f"got stride = {stride}, snapshots = {snapshots}")
+    sim.step_count(scheme, dt, t_end, stride)
+    if snapshots < 0:
+        raise ValueError(f"output needs snapshots >= 0, got snapshots = {snapshots}")
     return scheme, dt, t_end, stride, snapshots
 
 
@@ -489,7 +484,7 @@ def cmd_compare(args) -> int:
     broke = None
     work = sim.Workspace()  # one for both steppers: their steps never overlap
     try:
-        for _ in range(int(round(t_end / dt))):
+        for _ in range(sim.step_count(scheme, dt, t_end)):
             s_f = sim.step(s_f, md, grid, dt, scheme=scheme, work=work)
             s_s = sim.step_streams(s_s, grid, dt, work=work)
             sim.check_wave_breaking(s_s, grid)

@@ -35,18 +35,11 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, isfinite
-from numbers import Integral, Rational
+from numbers import Rational
 from typing import Callable, Sequence
 
 from . import bracket, moments, ratmat
-from .poly import MultiPoly
-
-
-def require_integer(what: str, value):
-    """`value`, which must be an Integral but not a bool: 2.9 is refused, not truncated."""
-    if not isinstance(value, Integral) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
+from .poly import MultiPoly, require_integer
 
 
 class Metric:

@@ -36,7 +36,8 @@ import re
 from collections.abc import Mapping as _MappingABC
 from fractions import Fraction
 from math import gcd, inf, lcm
-from numbers import Rational
+from numbers import Integral, Rational
+from operator import index as _index
 from typing import Iterator, Mapping, Sequence
 
 
@@ -45,24 +46,29 @@ _MASK = (1 << _BITS) - 1
 MAX_DEGREE = _MASK
 
 
-def _pack(exps: tuple[int, ...]) -> int:
-    key = sum(exps)
-    for e in exps:
-        key = (key << _BITS) | e
-    return key
+def require_integer(what: str, value) -> int:
+    """`value` as a Python int; a bool, or a non-Integral such as 2.9, raises ValueError."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return _index(value)
 
 
 def _checked_key(nvars: int, exps) -> int:
-    """The packed key of `exps`, which must be nvars nonnegative ints of
-    total degree at most MAX_DEGREE."""
-    exps = tuple(int(e) for e in exps)
+    """The packed key of `exps`, which must be nvars nonnegative integers of
+    total degree at most MAX_DEGREE; distinct tuples get distinct keys."""
+    exps = tuple(require_integer("exponent", e) for e in exps)
     if len(exps) != nvars:
         raise ValueError(f"exponent tuple {exps} does not match nvars={nvars}")
     if any(e < 0 for e in exps):
         raise ValueError(f"negative exponent in {exps}")
-    if sum(exps) > MAX_DEGREE:
+    key = sum(exps)
+    if key > MAX_DEGREE:
         raise ValueError(f"total degree of {exps} exceeds {MAX_DEGREE}")
-    return _pack(exps)
+    for e in exps:
+        key = (key << _BITS) | e
+    return key
 
 
 def _unpack(key: int, nvars: int) -> tuple[int, ...]:
@@ -90,13 +96,10 @@ class _Terms(_MappingABC):
 
     def __getitem__(self, exps) -> Fraction:
         p = self._poly
-        exps = tuple(exps)
-        if (len(exps) == p.nvars and all(isinstance(e, int) and e >= 0 for e in exps)
-                and sum(exps) <= MAX_DEGREE):
-            num = p._num.get(_pack(exps))
-            if num is not None:
-                return Fraction(num, p._den)
-        raise KeyError(exps)
+        try:
+            return Fraction(p._num[_checked_key(p.nvars, exps)], p._den)
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(exps) from None
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -108,16 +111,9 @@ class MultiPoly:
     __slots__ = ("nvars", "_num", "_den")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Rational] | None = None):
-        nvars = int(nvars)
-        clean: dict[int, Fraction] = {}
-        if terms:
-            for exps, coef in terms.items():
-                key = _checked_key(nvars, exps)
-                c = clean.get(key, 0) + Fraction(coef)
-                if c:
-                    clean[key] = c
-                elif key in clean:
-                    del clean[key]
+        nvars = require_integer("nvars", nvars)
+        clean = {key: c for exps, coef in (terms or {}).items()
+                 for key, c in [(_checked_key(nvars, exps), Fraction(coef))] if c}
         den = lcm(*(c.denominator for c in clean.values()))
         _set_nvars(self, nvars)
         _set_num(self, {k: c.numerator * (den // c.denominator) for k, c in clean.items()})
@@ -138,26 +134,27 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
-        return _wrap(int(nvars), {}, 1)
+        return _wrap(require_integer("nvars", nvars), {}, 1)
 
     @classmethod
     def const(cls, nvars: int, value) -> "MultiPoly":
         c = Fraction(value)
-        return _wrap(int(nvars), {0: c.numerator} if c else {}, c.denominator)
+        return _wrap(require_integer("nvars", nvars), {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
-        nvars = int(nvars)
+        nvars = require_integer("nvars", nvars)
+        index = require_integer("variable index", index)
         if not 0 <= index < nvars:
             raise IndexError(f"variable index {index} out of range for nvars={nvars}")
         # degree 1 in the top field, exponent 1 in the field of `index`
-        key = (1 << _BITS * nvars) | (1 << _BITS * (nvars - 1 - int(index)))
+        key = (1 << _BITS * nvars) | (1 << _BITS * (nvars - 1 - index))
         return _wrap(nvars, {key: 1}, 1)
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coef=1) -> "MultiPoly":
         c = Fraction(coef)
-        nvars = int(nvars)
+        nvars = require_integer("nvars", nvars)
         key = _checked_key(nvars, exps)
         return _wrap(nvars, {key: c.numerator} if c else {}, c.denominator)
 
@@ -299,11 +296,11 @@ class MultiPoly:
         return NotImplemented
 
     def __pow__(self, n: int):
-        if n < 0:
+        k = require_integer("power", n)
+        if k < 0:
             raise ValueError("negative power of a polynomial")
         result = MultiPoly.const(self.nvars, 1)
         base = self
-        k = n
         while k:
             if k & 1:
                 result = result * base

@@ -50,7 +50,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .closures import ClosureFamily, require_integer
+from .closures import ClosureFamily
+from .poly import require_integer
 
 RHO_FLOOR = 1e-12
 WAVE_BREAK_SLOPE = -1e3
@@ -731,12 +732,25 @@ class RunResult:
     final: FieldState
 
 
+def step_count(scheme: str, dt: float, t_end: float, stride: int = 1) -> int:
+    """The steps round(t_end / dt) >= 1 of a run, checked: a known scheme, finite
+    dt > 0 and t_end (NaN fails every test), and a record every `stride` >= 1."""
+    if scheme not in ("rk4", "split"):
+        raise ValueError(f"integrator scheme must be 'rk4' or 'split', got {scheme!r}")
+    if not (0 < dt < math.inf and 0.5 < t_end / dt < math.inf):
+        raise ValueError("integrator needs a finite dt > 0 and a finite t_end > dt/2, "
+                         f"got dt = {dt}, t_end = {t_end}")
+    if require_integer("output stride", stride) < 1:
+        raise ValueError(f"output needs stride >= 1, got stride = {stride}")
+    return round(t_end / dt)
+
+
 def run_fluid(state: FieldState, closure: ClosureFamily, grid: Grid,
               dt: float, t_end: float, scheme: str = "rk4",
               stride: int = 1, on_record=None) -> RunResult:
     """Advance to t_end recording diagnostics every `stride` steps."""
+    nsteps = step_count(scheme, dt, t_end, stride)
     records = [diagnostics(state, closure, grid)]
-    nsteps = int(round(t_end / dt))
     work = Workspace()
     for i in range(nsteps):
         state = step(state, closure, grid, dt, scheme=scheme, work=work)

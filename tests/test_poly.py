@@ -520,3 +520,50 @@ def test_variable_and_monomial_build_canonical_polynomials():
     for exps, message in (((1,), "does not match"), ((1, -1), "negative exponent")):
         with pytest.raises(ValueError, match=message):
             MultiPoly.monomial(2, exps)
+
+
+# a fractional or bool count, index, exponent or power was truncated by
+# int() (monomial(2, [2.7, 0.2], 3) was 3 * v1^2, variable(2, 0.7) was v1)
+# or failed inside the power loop (p ** 2.0)
+NOT_INTEGERS = {
+    "fractional-nvars": (lambda: MultiPoly(2.5, {}), "nvars", 2.5),
+    "fractional-zero": (lambda: MultiPoly.zero(2.9), "nvars", 2.9),
+    "fractional-const": (lambda: MultiPoly.const(1.5, 3), "nvars", 1.5),
+    "bool-nvars": (lambda: MultiPoly.zero(True), "nvars", True),
+    "fractional-variable-nvars": (lambda: MultiPoly.variable(2.5, 0), "nvars", 2.5),
+    "fractional-monomial-nvars": (lambda: MultiPoly.monomial(1.5, [1]), "nvars", 1.5),
+    "fractional-index": (lambda: MultiPoly.variable(2, 0.7), "variable index", 0.7),
+    "bool-index": (lambda: MultiPoly.variable(2, True), "variable index", True),
+    "fractional-exponent": (lambda: MultiPoly(1, {(1.5,): 1}), "exponent", 1.5),
+    "fractional-monomial": (lambda: MultiPoly.monomial(2, [2.7, 0.2], 3), "exponent", 2.7),
+    "bool-exponent": (lambda: MultiPoly(2, {(0, True): 1}), "exponent", True),
+    "zero-term-exponent": (lambda: MultiPoly(1, {(0.5,): 0}), "exponent", 0.5),
+    "float-power": (lambda: MultiPoly.variable(2, 0) ** 2.0, "power", 2.0),
+    "bool-power": (lambda: MultiPoly.variable(2, 0) ** True, "power", True),
+}
+
+
+@pytest.mark.parametrize("case", NOT_INTEGERS)
+def test_non_integer_counts_indices_exponents_and_powers_are_refused(case):
+    build, what, value = NOT_INTEGERS[case]
+    with pytest.raises(ValueError, match=f"^{what} must be an integer, got {value!r}$"):
+        build()
+
+
+def test_numpy_integers_are_integers():
+    x = MultiPoly.variable(np.int64(2), np.int64(1))
+    assert x == MultiPoly.variable(2, 1)
+    assert MultiPoly.monomial(2, [np.int64(2), 0]) == MultiPoly.monomial(2, [2, 0])
+    assert x ** np.int64(3) == x ** 3
+    # a numpy exponent packs as a Python int, so no field of the key overflows
+    p = MultiPoly(3, {(np.int64(40000), np.int64(25535), np.int64(0)): 1})
+    assert p.total_degree() == 65535 and p.terms[(40000, 25535, 0)] == 1
+
+
+def test_terms_lookup_takes_only_integer_exponents():
+    p = MultiPoly.variable(2, 1)
+    assert (0, 1) in p.terms and (0, np.int64(1)) in p.terms
+    for key in ((0, True), (0, 1.0), (0,), (0, -1), 1, "01"):
+        assert key not in p.terms
+        with pytest.raises(KeyError):
+            p.terms[key]

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -21,7 +22,8 @@ from hydroclosures.sim import (RHO_FLOOR, FieldState, Grid, SimulationError,
                                check_wave_breaking, diagnostics,
                                electric_potential, poisson_solve, rhs_fluid,
                                rhs_streams, run_fluid, single_mode_state, step,
-                               step_streams, two_stream_state, write_snapshot)
+                               step_count, step_streams, two_stream_state,
+                               write_snapshot)
 
 from oracles import stream_diagnostics
 
@@ -55,6 +57,48 @@ def test_grid_validation():
         with pytest.raises(ValueError, match="nx"):
             Grid(L=TWO_PI, nx=nx)
     assert Grid(L=TWO_PI, nx=np.int64(64)).x.shape == (64,)
+
+
+# run settings that `run_fluid` took without a word: a negative dt or a
+# t_end below dt/2 ran no step and returned one record at t = 0, a zero dt
+# or stride divided by zero, a NaN dt or an infinite t_end failed to round
+# to a step count, and a stride of 1.5 recorded every third step
+BAD_RUNS = {
+    "negative-dt": ({"dt": -0.01}, "integrator needs a finite dt > 0"),
+    "zero-dt": ({"dt": 0.0}, "integrator needs a finite dt > 0"),
+    "nan-dt": ({"dt": math.nan}, "integrator needs a finite dt > 0"),
+    "infinite-dt": ({"dt": math.inf}, "integrator needs a finite dt > 0"),
+    "short-t_end": ({"dt": 0.01, "t_end": 0.004}, "integrator needs a finite dt > 0"),
+    "negative-t_end": ({"t_end": -1.0}, "integrator needs a finite dt > 0"),
+    "infinite-t_end": ({"t_end": math.inf}, "integrator needs a finite dt > 0"),
+    "bogus-scheme": ({"scheme": "bogus"}, "integrator scheme must be 'rk4' or 'split'"),
+    "zero-stride": ({"stride": 0}, "output needs stride >= 1, got stride = 0"),
+    "fractional-stride": ({"stride": 1.5}, "output stride must be an integer, got 1.5"),
+    "bool-stride": ({"stride": True}, "output stride must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_RUNS)
+def test_run_fluid_refuses_bad_settings_before_a_step(monkeypatch, case):
+    import hydroclosures.sim as sim
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a bad run took a step or a record")
+
+    grid, c = Grid(L=TWO_PI, nx=16), ColdClosure()
+    state = single_mode_state(grid, c)
+    monkeypatch.setattr(sim, "step", no_work)
+    monkeypatch.setattr(sim, "diagnostics", no_work)
+    settings, message = BAD_RUNS[case]
+    run = {"dt": 0.01, "t_end": 1.0, "scheme": "rk4", "stride": 1, **settings}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_fluid(state, c, grid, **run)
+
+
+def test_step_count_rounds_t_end_over_dt():
+    assert step_count("rk4", 0.01, 0.05) == 5
+    assert step_count("split", 0.01, 0.006, stride=np.int64(3)) == 1
+    assert step_count("rk4", 0.25, 1.1) == 4
 
 
 def test_poisson_analytic_mode():
