@@ -73,11 +73,8 @@ class Report:
             print(json.dumps(doc, indent=2))
         else:
             for c in self.checks:
-                mark = "PASS" if c["ok"] else "FAIL"
-                line = f"[{mark}] {c['name']}"
-                if c["detail"] and not c["ok"]:
-                    line += f": {c['detail']}"
-                print(line)
+                detail = f": {c['detail']}" if c["detail"] and not c["ok"] else ""
+                print(f"[{'PASS' if c['ok'] else 'FAIL'}] {c['name']}{detail}")
             print(f"{'OK' if self.ok else 'FAILED'} "
                   f"({sum(c['ok'] for c in self.checks)}/{len(self.checks)} checks)")
         return 0 if self.ok else 1
@@ -189,8 +186,7 @@ def _reject_unknown(d: dict, allowed, where: str):
     """Refuse `d` unless it is an object whose keys are among `allowed`."""
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be an object, got {d!r}")
-    extra = set(d) - set(allowed)
-    if extra:
+    if extra := set(d) - set(allowed):
         raise ValueError(f"unknown {where} keys: {sorted(extra)}")
 
 
@@ -198,9 +194,7 @@ def _spec_from_args(args) -> dict:
     """The closure spec of the family flags given, each under the config key
     of its name: `closure_from_spec` refuses a flag the family does not
     take as it refuses that key."""
-    flags = {"M": args.M, "level": args.level, "branch": args.branch, "kappa": args.kappa,
-             "heights": None if args.heights is None else args.heights.split(","),
-             "mu2": args.mu2, "metric": args.metric}
+    flags = {k: getattr(args, k) for keys in _FAMILY_KEYS.values() for k in keys}
     return {"family": args.family, **{k: v for k, v in flags.items() if v is not None}}
 
 
@@ -318,37 +312,43 @@ def cmd_closure(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-_SIMULATE_KEYS = ("grid", "closure", "initial", "integrator", "output")
-_COMPARE_KEYS = ("grid", "streams", "integrator", "tolerance")
-_GRID_KEYS = ("L", "nx", "method")
-_INTEGRATOR_KEYS = ("scheme", "dt", "t_end")
-_INITIAL_KEYS = ("type", "n0", "eps", "u0", "nu_base", "nu_eps")
-_OUTPUT_KEYS = ("stride", "snapshots")
+
+def _as_is(name: str, value):
+    """`value` unread: the library checks it where it takes it."""
+    return value
 
 
-def load_config(path, keys) -> dict:
-    """The JSON config at `path`; its top-level keys must be among `keys`."""
-    cfg = json.loads(Path(path).read_text())
-    _reject_unknown(cfg, keys, "config")
-    return cfg
+def _read(block: str, cfg, key: str | None = None):
+    """Read the config block `cfg` by its `_CONFIG` table: with `key`, that key by its
+    reader, named "<block> <key>" (the bare key at a command's top level); without, `cfg`
+    once its keys are checked, a block read whole, a top level left to be read by key."""
+    top = block in ("simulate", "compare")
+    where = "config" if top else block
+    if key is None:
+        _reject_unknown(cfg, _CONFIG[block], where)
+        return cfg if top else {key: _read(block, cfg, key) for key in _CONFIG[block]}
+    reader, default = _CONFIG[block][key]
+    if key not in cfg and default is ...:
+        raise ValueError(f"missing {where} key {key!r}")
+    return reader(key if top else f"{block} {key}", cfg.get(key, default))
 
 
-def _build_run(cfg: dict) -> tuple[str, float, float, int, int]:
-    """(scheme, dt, t_end, stride, snapshots) of the `integrator` and
-    `output` blocks, checked as `sim.step_count` checks a run."""
-    from . import sim
-    integ, output = cfg["integrator"], cfg.get("output", {})
-    _reject_unknown(integ, _INTEGRATOR_KEYS, "integrator")
-    _reject_unknown(output, _OUTPUT_KEYS, "output")
-    scheme = integ.get("scheme", "rk4")
-    dt = _number("integrator dt", integ["dt"])
-    t_end = _number("integrator t_end", integ["t_end"])
-    stride = output.get("stride", 1)
-    snapshots = require_integer("output snapshots", output.get("snapshots", 0))
-    sim.step_count(scheme, dt, t_end, stride)
-    if snapshots < 0:
-        raise ValueError(f"output needs snapshots >= 0, got snapshots = {snapshots}")
-    return scheme, dt, t_end, stride, snapshots
+# Every key of the simulate and compare configs, {block: {key: (reader, default)}}.
+# An absent key's default is read too; a key whose default is `...` is required.
+# What `_as_is` passes on, the library checks: `sim.Grid`, `sim.step_count`,
+# `closure_from_spec` and `_build_initial`.
+_CONFIG = {
+    "simulate": {"grid": (_read, ...), "closure": (_as_is, ...), "initial": (_read, {}),
+                 "integrator": (_read, ...), "output": (_read, {})},
+    "compare": {"grid": (_read, ...), "streams": (_read, {}), "integrator": (_read, ...),
+                "tolerance": (_number, 1e-6)},
+    "grid": {"L": (_number, ...), "nx": (_as_is, ...), "method": (_as_is, "spectral")},
+    "initial": {"type": (_as_is, "single_mode"), "n0": (_number, 1.0), "eps": (_number, 1e-3),
+                "u0": (_number, 0.0), "nu_base": (_numbers, []), "nu_eps": (_numbers, [])},
+    "integrator": {"scheme": (_as_is, "rk4"), "dt": (_number, ...), "t_end": (_number, ...)},
+    "output": {"stride": (_as_is, 1), "snapshots": (require_integer, 0)},
+    "streams": {"n0": (_number, 1.0), "v0": (_number, 0.2), "eps": (_number, 1e-3)},
+}
 
 
 @contextlib.contextmanager
@@ -364,11 +364,9 @@ def _float_errors(block: str):
         raise FloatingPointError(f"{block}: {e}") from None
 
 
-def _build_grid(spec: dict) -> sim.Grid:
+def _build_grid(**spec) -> sim.Grid:
     from . import sim
-    _reject_unknown(spec, _GRID_KEYS, "grid")
-    grid = sim.Grid(L=_number("grid L", spec["L"]), nx=spec["nx"],
-                    method=spec.get("method", "spectral"))
+    grid = sim.Grid(**spec)
     with _float_errors("grid"):
         # what L alone decides: the starts' cosine mode (a huge L overflows
         # its phase) and the spectral tables (a tiny one overflows k^2)
@@ -376,19 +374,12 @@ def _build_grid(spec: dict) -> sim.Grid:
     return grid
 
 
-def _build_initial(spec: dict, grid: sim.Grid, closure: ClosureFamily) -> sim.FieldState:
+def _build_initial(grid: sim.Grid, closure: ClosureFamily, type: str, **start) -> sim.FieldState:
     from . import sim
-    _reject_unknown(spec, _INITIAL_KEYS, "initial")
-    if spec.get("type", "single_mode") != "single_mode":
-        raise ValueError(f"unknown initial condition {spec.get('type')!r}")
+    if type != "single_mode":
+        raise ValueError(f"unknown initial condition {type!r}")
     with _float_errors("initial"):
-        return _checked_start(sim.single_mode_state(
-            grid, closure,
-            n0=_number("initial n0", spec.get("n0", 1.0)),
-            eps=_number("initial eps", spec.get("eps", 1e-3)),
-            u0=_number("initial u0", spec.get("u0", 0.0)),
-            nu_base=_numbers("initial nu_base", spec.get("nu_base", [])),
-            nu_eps=_numbers("initial nu_eps", spec.get("nu_eps", []))))
+        return _checked_start(sim.single_mode_state(grid, closure, **start))
 
 
 def _checked_start(state: sim.FieldState) -> sim.FieldState:
@@ -402,16 +393,13 @@ def _checked_start(state: sim.FieldState) -> sim.FieldState:
     return state
 
 
-def _build_streams(spec: dict, grid: sim.Grid) -> tuple[sim.StreamState, sim.FieldState]:
+def _build_streams(grid: sim.Grid, n0: float, v0: float, eps: float):
     """The two-stream state of the `streams` block, whose stream densities
     n0 (1 +- eps cos(2 pi x / L)) / 2 must be positive (NaN fails every test),
     and the multi-delta fluid state it maps to."""
     import numpy as np
 
     from . import sim
-    _reject_unknown(spec, ("n0", "v0", "eps"), "streams")
-    n0, v0, eps = (_number(f"streams {key}", spec.get(key, default))
-                   for key, default in (("n0", 1.0), ("v0", 0.2), ("eps", 1e-3)))
     if not (0 < n0 < math.inf and math.isfinite(v0) and abs(eps) < 1):
         raise ValueError("streams need a finite n0 > 0, a finite v0 and |eps| < 1, "
                          f"got n0 = {n0}, v0 = {v0}, eps = {eps}")
@@ -425,11 +413,15 @@ def cmd_simulate(args) -> int:
     from . import sim
     rep = Report("simulate")
     with _refuse("config error"):
-        cfg = load_config(args.config, _SIMULATE_KEYS)
-        grid = _build_grid(cfg["grid"])
-        closure = closure_from_spec(cfg["closure"])
-        state = _build_initial(cfg.get("initial", {}), grid, closure)
-        scheme, dt, t_end, stride, snapshots = _build_run(cfg)
+        cfg = _read("simulate", json.loads(Path(args.config).read_text()))
+        grid = _build_grid(**_read("simulate", cfg, "grid"))
+        closure = closure_from_spec(_read("simulate", cfg, "closure"))
+        state = _build_initial(grid, closure, **_read("simulate", cfg, "initial"))
+        run = _read("simulate", cfg, "integrator")
+        stride, snapshots = map(_read("simulate", cfg, "output").get, ("stride", "snapshots"))
+        sim.step_count(**run, stride=stride)
+        if snapshots < 0:
+            raise ValueError(f"output needs snapshots >= 0, got snapshots = {snapshots}")
     outdir = _out_dir(args.out, "snapshots")
     snapdir = outdir / "snapshots"
     count = [0]
@@ -440,8 +432,7 @@ def cmd_simulate(args) -> int:
             sim.write_snapshot(snapdir / f"snap_{count[0]:06d}.npz", s)
 
     try:
-        result = sim.run_fluid(state, closure, grid, dt=dt, t_end=t_end,
-                               scheme=scheme, stride=stride, on_record=on_record)
+        result = sim.run_fluid(state, closure, grid, **run, stride=stride, on_record=on_record)
     except sim.SimulationError as e:
         rep.add("run completed", False, str(e))
         return rep.emit(args.json, outdir)
@@ -472,11 +463,12 @@ def cmd_compare(args) -> int:
     from . import sim
     rep = Report("compare")
     with _refuse("config error"):
-        cfg = load_config(args.config, _COMPARE_KEYS)
-        grid = _build_grid(cfg["grid"])
-        s_s, s_f = _build_streams(cfg.get("streams", {}), grid)
-        scheme, dt, t_end, _, _ = _build_run(cfg)
-        tol = _number("tolerance", cfg.get("tolerance", 1e-6))
+        cfg = _read("compare", json.loads(Path(args.config).read_text()))
+        grid = _build_grid(**_read("compare", cfg, "grid"))
+        s_s, s_f = _build_streams(grid, **_read("compare", cfg, "streams"))
+        run = _read("compare", cfg, "integrator")
+        nsteps = sim.step_count(**run)
+        tol = _read("compare", cfg, "tolerance")
         if not 0 < tol < math.inf:
             raise ValueError(f"tolerance must be finite and > 0, got {tol}")
     outdir = _out_dir(args.out)
@@ -484,9 +476,9 @@ def cmd_compare(args) -> int:
     broke = None
     work = sim.Workspace()  # one for both steppers: their steps never overlap
     try:
-        for _ in range(sim.step_count(scheme, dt, t_end)):
-            s_f = sim.step(s_f, md, grid, dt, scheme=scheme, work=work)
-            s_s = sim.step_streams(s_s, grid, dt, work=work)
+        for _ in range(nsteps):
+            s_f = sim.step(s_f, md, grid, run["dt"], scheme=run["scheme"], work=work)
+            s_s = sim.step_streams(s_s, grid, run["dt"], work=work)
             sim.check_wave_breaking(s_s, grid)
     except sim.WaveBreakError as e:
         broke = str(e)  # the comparison up to the break still holds
@@ -518,7 +510,8 @@ def _add_family_flags(p):
     p.add_argument("--level", type=int, help="level m (burby)")
     p.add_argument("--levels", help="level range lo..hi (burby)")
     p.add_argument("--M", type=int, help="stream count (multidelta)")
-    p.add_argument("--heights", help="comma-separated waterbag heights")
+    p.add_argument("--heights", type=lambda v: v.split(","),
+                   help="comma-separated waterbag heights")
     p.add_argument("--kappa", help="four-field parameter")
     p.add_argument("--mu2", help="generating cubic, e.g. 'nu1^2*nu2'")
     p.add_argument("--metric", help="metric rows, e.g. '0,1;1,0'")
@@ -542,17 +535,13 @@ def main(argv=None) -> int:
     p.add_argument("--mu", help="observed moments mu_1..mu_(N-2), comma-separated")
     p.set_defaults(fn=cmd_closure)
 
-    p = sub.add_parser("simulate", help="run a configured simulation")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("compare", help="fluid vs multi-stream oracle comparison")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_compare)
+    for name, fn, text in (("simulate", cmd_simulate, "run a configured simulation"),
+                           ("compare", cmd_compare, "fluid vs multi-stream oracle comparison")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", required=name == "simulate")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(fn=fn)
 
     args = ap.parse_args(argv)
     try:

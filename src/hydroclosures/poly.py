@@ -55,6 +55,14 @@ def require_integer(what: str, value) -> int:
     return _index(value)
 
 
+def _count(nvars) -> int:
+    """`nvars` as a variable count: an integer >= 0, by `require_integer`."""
+    nvars = require_integer("nvars", nvars)
+    if nvars < 0:
+        raise ValueError(f"nvars must be >= 0, got {nvars}")
+    return nvars
+
+
 def _checked_key(nvars: int, exps) -> int:
     """The packed key of `exps`, which must be nvars nonnegative integers of
     total degree at most MAX_DEGREE; distinct tuples get distinct keys."""
@@ -111,7 +119,7 @@ class MultiPoly:
     __slots__ = ("nvars", "_num", "_den")
 
     def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Rational] | None = None):
-        nvars = require_integer("nvars", nvars)
+        nvars = _count(nvars)
         clean = {key: c for exps, coef in (terms or {}).items()
                  for key, c in [(_checked_key(nvars, exps), Fraction(coef))] if c}
         den = lcm(*(c.denominator for c in clean.values()))
@@ -134,16 +142,16 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
-        return _wrap(require_integer("nvars", nvars), {}, 1)
+        return _wrap(_count(nvars), {}, 1)
 
     @classmethod
     def const(cls, nvars: int, value) -> "MultiPoly":
         c = Fraction(value)
-        return _wrap(require_integer("nvars", nvars), {0: c.numerator} if c else {}, c.denominator)
+        return _wrap(_count(nvars), {0: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "MultiPoly":
-        nvars = require_integer("nvars", nvars)
+        nvars = _count(nvars)
         index = require_integer("variable index", index)
         if not 0 <= index < nvars:
             raise IndexError(f"variable index {index} out of range for nvars={nvars}")
@@ -154,7 +162,7 @@ class MultiPoly:
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coef=1) -> "MultiPoly":
         c = Fraction(coef)
-        nvars = require_integer("nvars", nvars)
+        nvars = _count(nvars)
         key = _checked_key(nvars, exps)
         return _wrap(nvars, {key: c.numerator} if c else {}, c.denominator)
 
@@ -449,6 +457,8 @@ class MultiPoly:
         Any other run of signs, a sign right after '*' and an empty factor
         are rejected with ValueError rather than guessed at.
         """
+        if nvars is not None:
+            nvars = _count(nvars)
         name_to_idx = None
         if varnames is not None:
             name_to_idx = {n: i for i, n in enumerate(varnames)}

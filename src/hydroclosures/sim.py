@@ -514,6 +514,9 @@ def step_rk4(state: FieldState, closure: ClosureFamily, grid: Grid,
 
 def step_streams(state: StreamState, grid: Grid, dt: float,
                  work: Workspace = _FRESH) -> StreamState:
+    if not 0 < dt < math.inf:  # NaN fails the test too
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+
     def rhs(s, out):
         return rhs_streams(StreamState(*s, state.n0, state.t), grid, work=work, out=out)
 
@@ -672,8 +675,8 @@ def step(state: FieldState, closure: ClosureFamily, grid: Grid, dt: float,
          scheme: str = "rk4", work: Workspace = _FRESH) -> FieldState:
     """One step of `scheme`. A run hands the same `work` to every step; the
     returned state is always a fresh array."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < math.inf:  # NaN fails the test too
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     bound = cfl_dt(state, closure, grid)
     if dt > bound:
         warnings.warn(f"dt={dt} exceeds CFL estimate {bound:.3g}", stacklevel=2)

@@ -832,6 +832,94 @@ def test_commands_reject_the_other_commands_keys(tmp_path, capsys, command, key,
     assert err.startswith("config error: unknown config keys") and key in err
 
 
+# a missing required key was a bare KeyError, `config error: 'dt'`, that
+# named neither its block nor what was wrong
+@pytest.mark.parametrize("command, block, key", [
+    ("simulate", None, "grid"), ("simulate", None, "closure"),
+    ("simulate", None, "integrator"), ("compare", None, "integrator"),
+    ("simulate", "grid", "L"), ("compare", "grid", "nx"),
+    ("simulate", "integrator", "dt"), ("compare", "integrator", "t_end"),
+])
+def test_missing_keys_name_their_block(tmp_path, capsys, command, block, key):
+    cfg = json.loads(json.dumps(COMPARE_CONFIG if command == "compare" else COLD_CONFIG))
+    del (cfg[block] if block else cfg)[key]
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: missing {block or 'config'} key {key!r}\n"
+    assert not out.exists()
+
+
+# two faults: the one in the block built first is reported, whether it is
+# found by the reader (a type) or by the library (a grid, a run, a start)
+@pytest.mark.parametrize("command, faults, message", [
+    ("compare", {"grid": {"L": 0}, "tolerance": "fast"}, "domain length L must be"),
+    ("compare", {"streams": {"n0": 0}, "integrator": {"dt": "fast"}}, "streams need a finite"),
+    ("simulate", {"grid": {"nx": 4}, "closure": {"family": "quartic"}}, "need at least 8"),
+    ("simulate", {"initial": {"n0": 0}, "integrator": {"dt": True}}, "initial state: "),
+    ("simulate", {"integrator": {"dt": -1}, "output": {"snapshots": -1}}, "integrator needs"),
+])
+def test_blocks_are_checked_in_the_order_they_are_built(tmp_path, capsys, command, faults,
+                                                         message):
+    cfg = json.loads(json.dumps(COMPARE_CONFIG if command == "compare" else COLD_CONFIG))
+    for key, fault in faults.items():
+        cfg[key] = {**cfg[key], **fault} if isinstance(fault, dict) else fault
+    assert main([command, "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+CONFIG_DOC = (ROOT / "docs" / "config.md").read_text()
+# {block: text} of each "## `block`" section of docs/config.md
+DOC_PARTS = re.split(r"^## `(\w+)`.*$", CONFIG_DOC, flags=re.M)
+DOC_SECTIONS = dict(zip(DOC_PARTS[1::2], DOC_PARTS[2::2]))
+COMMANDS = ("simulate", "compare")
+
+
+def test_config_doc_lists_the_config_table():
+    # the top-level table: each key, the commands that take it, and whether
+    # it is required
+    rows = re.findall(r"^\| `(\w+)` +\| ([\w, ]+?) +\| (yes|no) +\|", CONFIG_DOC, re.M)
+    assert {key: (used, required) for key, used, required in rows} == {
+        key: (", ".join(c for c in COMMANDS if key in cli._CONFIG[c]),
+              "yes" if cli._CONFIG[c][key][1] is ... else "no")
+        for c in COMMANDS for key in cli._CONFIG[c]}
+    # each block's section lists its keys as bullets: "- `dt`, `t_end` ..."
+    blocks = set(cli._CONFIG) - set(COMMANDS)
+    assert blocks == {key for c in COMMANDS for key, (reader, _) in cli._CONFIG[c].items()
+                      if reader is cli._read}
+    for block in blocks:
+        heads = re.findall(r"^- ((?:`\w+`(?:, | / )?)+)", DOC_SECTIONS[block], re.M)
+        assert {key for head in heads for key in re.findall(r"`(\w+)`", head)} \
+            == set(cli._CONFIG[block]), block
+
+
+@pytest.mark.parametrize("block", ["grid", "closure", "initial", "integrator", "output",
+                                   "streams"])
+def test_config_doc_examples_read_and_build(block):
+    from hydroclosures import sim
+    # each example is an object from a "{" that starts a line to a "}" that ends one
+    examples = [json.loads(text) for code in re.findall(r"```json\n(.*?)```",
+                                                         DOC_SECTIONS[block], re.S)
+                for text in re.findall(r"^\{.*?\}$", code, re.M | re.S)]
+    assert examples
+    grid = sim.Grid(L=6.283185307179586, nx=64)
+    for spec in examples:
+        if block == "closure":
+            closure_from_spec(spec)
+            continue
+        values = cli._read(block, spec)
+        if block == "grid":
+            cli._build_grid(**values)
+        elif block == "initial":
+            cli._build_initial(grid, closure_from_spec({"family": "burby"}), **values)
+        elif block == "integrator":
+            sim.step_count(**values)
+        elif block == "output":
+            sim.step_count("rk4", 0.01, 1.0, values["stride"])
+        else:
+            cli._build_streams(grid, **values)
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare"])
 def test_missing_config_file_exits_2(tmp_path, capsys, command):
     # a FileNotFoundError traceback, exit 1, before

@@ -550,6 +550,26 @@ def test_non_integer_counts_indices_exponents_and_powers_are_refused(case):
         build()
 
 
+# negative variable counts that built, and failed far from the cause:
+# to_text() raised "varnames length mismatch"
+NEGATIVE_COUNTS = {
+    "constructor": (lambda: MultiPoly(-2, {}), -2),
+    "zero": (lambda: MultiPoly.zero(-1), -1),
+    "const": (lambda: MultiPoly.const(-1, 3), -1),
+    "variable": (lambda: MultiPoly.variable(-1, 0), -1),
+    "monomial": (lambda: MultiPoly.monomial(-1, []), -1),
+    "parse": (lambda: MultiPoly.parse("3", nvars=-1), -1),
+    "parse-with-variable": (lambda: MultiPoly.parse("x1", nvars=-2), -2),
+}
+
+
+@pytest.mark.parametrize("case", NEGATIVE_COUNTS)
+def test_negative_variable_counts_are_refused(case):
+    build, count = NEGATIVE_COUNTS[case]
+    with pytest.raises(ValueError, match=f"^nvars must be >= 0, got {count}$"):
+        build()
+
+
 def test_numpy_integers_are_integers():
     x = MultiPoly.variable(np.int64(2), np.int64(1))
     assert x == MultiPoly.variable(2, 1)

@@ -101,6 +101,23 @@ def test_step_count_rounds_t_end_over_dt():
     assert step_count("rk4", 0.25, 1.1) == 4
 
 
+# step sizes that `step` let through to a misleading "non-finite field
+# values" failure (NaN; inf after a CFL warning and a numpy RuntimeWarning)
+# and that `step_streams` did not check at all
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("stepper", ["step", "step_streams"])
+def test_steppers_refuse_a_dt_that_is_not_finite_and_positive(stepper, dt):
+    grid, c = Grid(L=TWO_PI, nx=16), ColdClosure()
+    fluid, streams = single_mode_state(grid, c), two_stream_state(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any work or warning
+        with pytest.raises(ValueError, match=f"^dt must be finite and > 0, got {dt}$"):
+            if stepper == "step":
+                step(fluid, c, grid, dt)
+            else:
+                step_streams(streams, grid, dt)
+
+
 def test_poisson_analytic_mode():
     grid = Grid(L=TWO_PI, nx=64)
     n0, eps = 1.0, 1e-3
