@@ -1,8 +1,13 @@
 """Command-line front end: verify | closure | simulate | compare.
 
-Every subcommand produces a Report (JSON schema 2) and exits 0 iff all
-checks passed. Everything in a report but its `timings` is deterministic.
-Simulation/config schema is documented in docs/config.md.
+`verify`, `simulate` and `compare` produce a Report (JSON schema 2) and
+exit 0 iff all checks passed; `closure show|casimir|eos` print text and
+take no `--json`. Everything in a report but its `timings` is
+deterministic. Simulation/config schema is documented in docs/config.md.
+
+`main(argv)` may be called many times in one process (the benchmark's
+child process and the tests do): it builds the argument parser on its
+first call, not at import, and parses each argv into a fresh namespace.
 
 Only `simulate` and `compare` import the solver (`sim`) and numpy, inside
 the functions that use them; `verify` and `closure` run on the exact
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -379,15 +385,20 @@ def _build_initial(grid: sim.Grid, closure: ClosureFamily, type: str, **start) -
     if type != "single_mode":
         raise ValueError(f"unknown initial condition {type!r}")
     with _float_errors("initial"):
-        return _checked_start(sim.single_mode_state(grid, closure, **start))
+        return _checked_start(sim.single_mode_state(grid, closure, **start), closure, grid)
 
 
-def _checked_start(state: sim.FieldState) -> sim.FieldState:
-    """`state`, once it passes the solver's own state check, which would
-    otherwise fail the run at its first step."""
+def _checked_start(state: sim.FieldState, closure: ClosureFamily,
+                   grid: sim.Grid) -> sim.FieldState:
+    """`state`, once it passes the solver's own state check and its first
+    record and rates are computed, all of which would otherwise fail the
+    run at its first step. Called inside `_float_errors`, so that a start
+    whose record or rates overflow float64 is refused, not warned about."""
     from . import sim
     try:
         sim._check_state(state)
+        sim.diagnostics(state, closure, grid)
+        sim.rhs_fluid(state, closure, grid)
     except sim.SimulationError as e:
         raise ValueError(f"initial state: {e}") from None
     return state
@@ -396,7 +407,7 @@ def _checked_start(state: sim.FieldState) -> sim.FieldState:
 def _build_streams(grid: sim.Grid, n0: float, v0: float, eps: float):
     """The two-stream state of the `streams` block, whose stream densities
     n0 (1 +- eps cos(2 pi x / L)) / 2 must be positive (NaN fails every test),
-    and the multi-delta fluid state it maps to."""
+    the two-stream multi-delta closure and the fluid state it maps to."""
     import numpy as np
 
     from . import sim
@@ -406,7 +417,9 @@ def _build_streams(grid: sim.Grid, n0: float, v0: float, eps: float):
     with _float_errors("streams"):
         s_s = sim.two_stream_state(grid, n0=n0, v0=v0, eps=eps)
         rho, u, xi, eta = multidelta_normal_map(list(s_s.a), list(s_s.v))
-        return s_s, _checked_start(sim.FieldState(rho, u, np.array([xi[0], eta[0]]), s_s.n0))
+        md = MultiDeltaClosure(2)
+        s_f = sim.FieldState(rho, u, np.array([xi[0], eta[0]]), s_s.n0)
+        return s_s, md, _checked_start(s_f, md, grid)
 
 
 def cmd_simulate(args) -> int:
@@ -465,14 +478,13 @@ def cmd_compare(args) -> int:
     with _refuse("config error"):
         cfg = _read("compare", json.loads(Path(args.config).read_text()))
         grid = _build_grid(**_read("compare", cfg, "grid"))
-        s_s, s_f = _build_streams(grid, **_read("compare", cfg, "streams"))
+        s_s, md, s_f = _build_streams(grid, **_read("compare", cfg, "streams"))
         run = _read("compare", cfg, "integrator")
         nsteps = sim.step_count(**run)
         tol = _read("compare", cfg, "tolerance")
         if not 0 < tol < math.inf:
             raise ValueError(f"tolerance must be finite and > 0, got {tol}")
     outdir = _out_dir(args.out)
-    md = MultiDeltaClosure(2)
     broke = None
     work = sim.Workspace()  # one for both steppers: their steps never overlap
     try:
@@ -518,7 +530,10 @@ def _add_family_flags(p):
     p.add_argument("--branch", choices=["plus", "minus"], help="odd-level branch (burby)")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call and shared
+    by every later `main` call of the process."""
     ap = argparse.ArgumentParser(prog="hydroclosures")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -543,7 +558,11 @@ def main(argv=None) -> int:
         p.add_argument("--json", action="store_true")
         p.set_defaults(fn=fn)
 
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         rc = args.fn(args)
         sys.stdout.flush()

@@ -640,7 +640,8 @@ BAD_INITIALS = {
 # it named numpy's operation alone ("config error: overflow encountered in
 # multiply"), so the user had to guess which value was at fault
 FLOAT_ERROR_BLOCKS = {"huge-L": "grid", "tiny-L": "grid", "subnormal-dx-L": "grid",
-                      "huge-n0": "initial", "huge-v0": "streams", "huge-stream-n0": "streams"}
+                      "huge-n0": "initial", "huge-v0": "streams", "huge-stream-n0": "streams",
+                      "overflowing-v0": "streams"}
 
 
 def config_error_prefix(case: str) -> str:
@@ -786,6 +787,9 @@ BAD_STREAMS = {
     # finite, but a numpy overflow warning came first (v0), or a FAIL report (n0)
     "huge-v0": {"v0": 1e308},
     "huge-stream-n0": {"n0": 1e308},
+    # finite, and so is the fluid state, but its first rates overflow: numpy's
+    # warnings, then a FAIL report ("density fell below 1e-12 at t=0.0")
+    "overflowing-v0": {"v0": 1e200},
 }
 BAD_TOLERANCES = {
     "inf-tolerance": float("inf"),
@@ -811,6 +815,37 @@ def test_compare_rejects_bad_integrator(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(config_error_prefix(case))
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+# simulate starts that pass the state check, every field finite, but whose
+# first record or rates overflow float64: numpy's warnings, then a FAIL
+# report ("non-finite field values at t=0.0") and exit 1
+OVERFLOWING_STARTS = {
+    "burby-nu_eps": {
+        "grid": {"L": 6.283185307179586, "nx": 8, "method": "fd2"},
+        "closure": {"family": "burby", "level": 2},
+        "initial": {"eps": 1e-5, "nu_base": [0.05, 0.5], "nu_eps": [1e308, 1e-6]},
+        "integrator": {"scheme": "split", "dt": 0.01, "t_end": 0.05}},
+    "fourfield-kappa": {
+        "grid": {"L": 6.283185307179586, "nx": 8},
+        "closure": {"family": "fourfield", "kappa": 1e308},
+        "initial": {"nu_base": [0.1, 0.2]},
+        "integrator": {"dt": 0.05, "t_end": 0.25}},
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_STARTS)
+def test_overflowing_starts_are_config_errors(tmp_path, capsys, case):
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", write_config(tmp_path, OVERFLOWING_STARTS[case]),
+                     "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: initial: ")
     assert captured.err.count("\n") == 1
     assert not out.exists()
 
@@ -1017,6 +1052,47 @@ def test_compare_reports_a_failing_step(tmp_path, capsys):
     assert [(c["name"], c["ok"]) for c in report["checks"]] == [("run completed", False)]
     assert report["checks"][0]["detail"] == "density fell below 1e-12 at t=0.0"
     assert "[FAIL] run completed: density fell below" in capsys.readouterr().out
+
+
+def _run_captured(argv) -> tuple:
+    """(exit code, stdout, stderr) of `main(argv)`; an argparse refusal's
+    SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_many_commands_in_one_process(tmp_path):
+    # main parses each argv into a fresh namespace on the process's one
+    # parser: no flag value, default or refused parse of one call reaches
+    # the next, so each call gives what it gives on a parser of its own
+    run = {"scheme": "rk4", "dt": 0.05, "t_end": 0.25}
+    simulate = write_config(tmp_path, {**COLD_CONFIG, "integrator": run}, "simulate.json")
+    compare = write_config(tmp_path, {**COMPARE_CONFIG, "integrator": run}, "compare.json")
+    sequence = [
+        ["verify", "--family", "burby", "--levels", "1..2"],
+        ["verify", "--family", "burby", "--level", "3"],
+        ["closure", "eos", "--family", "burby", "--level", "2", "--mu", "0.33,2.667"],
+        ["closure", "eos", "--family", "burby", "--level", "2"],
+        ["verify", "--family", "nope"],
+        ["simulate", "--config", simulate, "--out", str(tmp_path / "sim")],
+        ["compare", "--config", compare],
+    ]
+    cli._parser.cache_clear()
+    shared = [_run_captured(argv) for argv in sequence]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(_run_captured(argv))
+    assert [rc for rc, _, _ in shared] == [0, 0, 0, 2, 2, 0, 0]
+    assert shared == fresh
+    assert shared[3][2] == "error: eos needs --mu\n"
+    assert "invalid choice: 'nope'" in shared[4][2]
 
 
 def test_branch_flag(capsys):

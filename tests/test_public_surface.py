@@ -114,19 +114,23 @@ def test_exact_commands_never_import_the_solver():
     # verify and closure run on the exact engine; numpy and sim belong to
     # simulate and compare, and loading them would double start-up. The
     # waterbag certificate is verify's alone: importing cli leaves it out.
+    # Importing cli builds no argument parser either: the first main call
+    # builds it, and every later call of the process reuses it.
     script = (
         "import contextlib, io, json, sys\n"
         "from hydroclosures import cli\n"
-        "at_start = 'hydroclosures.certificate' in sys.modules\n"
+        "at_start = ['hydroclosures.certificate' in sys.modules,\n"
+        "            cli._parser.cache_info().currsize]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [cli.main(argv) for argv in {EXACT_COMMANDS!r}]\n"
-        "print(json.dumps([codes, at_start,\n"
+        "print(json.dumps([codes, at_start, cli._parser.cache_info().misses,\n"
         "                  sorted({'numpy', 'hydroclosures.sim'} & set(sys.modules))]))\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run([*PYTHON, "-c", script], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    codes, at_start, loaded = json.loads(run.stdout)
+    codes, at_start, builds, loaded = json.loads(run.stdout)
     assert codes == [0] * len(EXACT_COMMANDS)
-    assert not at_start
+    assert at_start == [False, 0]
+    assert builds == 1
     assert loaded == []

@@ -144,7 +144,9 @@ def test_compare_final_state_bit_identical():
 def test_benchmark_tracer_wraps_and_restores(tmp_path):
     """perfbench/tracing.py looks up sim, poly and numpy names eagerly, so a
     rename breaks `--trace 1`; traced runs keep their bits and count the
-    work of one burby-2 split run: 20 steps, 5 diagnostics records."""
+    work of one burby-2 split run: 20 steps, 5 diagnostics records, and the
+    one record and one set of fluid rates that `simulate` computes to check
+    its start."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import tracing
@@ -165,10 +167,12 @@ def test_benchmark_tracer_wraps_and_restores(tmp_path):
     assert calls["sim.step"] == 20
     # per step the macro flow takes 4 rk4 stages and solves for phi in
     # each; the 16 micro stages (2 fields, 2 half steps, 4 stages) need
-    # none; each record solves for E once
-    assert calls["sim.field_solve"] == 20 * 4 + 5
-    # one batched derivative per stage
-    assert calls["sim.deriv"] == 20 * (4 + 16)
+    # none; each record solves for E once; the start check takes one
+    # record and one set of rates, each with one field solve
+    assert calls["sim.field_solve"] == 20 * 4 + 5 + 2
+    assert calls["sim.diagnostics"] == 5 + 1
+    # one batched derivative per stage, and one for the start's rates
+    assert calls["sim.deriv"] == 20 * (4 + 16) + 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -200,7 +204,8 @@ def test_benchmark_tracer_times_every_inversion(argv):
 def test_traced_split_routes_every_stage_through_split_derivs(tmp_path):
     """Every macro and micro stage of a split step calls `_split_derivs`, so
     the traced `sim.rhs` count keeps its meaning: one burby-2 split run of
-    20 steps takes 4 macro and 16 micro stages per step."""
+    20 steps takes 4 macro and 16 micro stages per step, after the one set
+    of fluid rates that `simulate` computes to check its start."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         import tracing
@@ -212,7 +217,7 @@ def test_traced_split_routes_every_stage_through_split_derivs(tmp_path):
         simulate_digest(tmp_path, "burby2-split-spectral")
     finally:
         tracer.uninstall()
-    assert tracer.summary()["calls"]["sim.rhs"] == 20 * (4 + 16)
+    assert tracer.summary()["calls"]["sim.rhs"] == 20 * (4 + 16) + 1
 
 
 if __name__ == "__main__":
