@@ -393,12 +393,16 @@ def _checked_start(state: sim.FieldState, closure: ClosureFamily,
     """`state`, once it passes the solver's own state check and its first
     record and rates are computed, all of which would otherwise fail the
     run at its first step. Called inside `_float_errors`, so that a start
-    whose record or rates overflow float64 is refused, not warned about."""
+    whose record or rates overflow float64 is refused in config terms."""
     from . import sim
     try:
         sim._check_state(state)
-        sim.diagnostics(state, closure, grid)
-        sim.rhs_fluid(state, closure, grid)
+        try:
+            sim.diagnostics(state, closure, grid)
+            sim.rhs_fluid(state, closure, grid)
+        except FloatingPointError:  # numpy's message names one of its loops
+            raise FloatingPointError("the start's first record or rates are not finite in "
+                                     "float64: a closure or block value is too large") from None
     except sim.SimulationError as e:
         raise ValueError(f"initial state: {e}") from None
     return state

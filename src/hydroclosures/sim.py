@@ -14,10 +14,10 @@ enters dH/drho before dH/drho is differentiated.
 A run (`run_fluid`, the CLI's `compare`) makes one `Workspace` and hands it
 to every step. It holds the full-grid temporaries of a step: the rk4 stage
 state, the one rate buffer that stages 2 to 4 share, the batched-derivative
-input, the complex spectra and the split scheme's buffers. A long run then
-does not hand these pages back to the allocator and fault them in again on
-every stage. The rate of stage 1 takes the rk4 update in place, so it is a
-fresh array: the state a step returns. A call given no workspace
+input, the complex spectra and the split scheme's 2 nv + 14 rows. A long
+run then does not hand these pages back to the allocator and fault them in
+again on every stage. The rate of stage 1 takes the rk4 update in place, so
+it is a fresh array: the state a step returns. A call given no workspace
 allocates each temporary where it is used.
 At small nx a step costs numpy calls, not arithmetic, so the rk4 updates
 run once on the block of the state's rows, not once per field, and the
@@ -535,31 +535,27 @@ def _split_pack(state: FieldState, tab: _ClosureTables):
     """(rho, u, nu) -> flat extensive variables (rho, psi, mtil)."""
     mu1 = tab.mu1(list(state.nu))
     psi = state.u - state.rho * mu1
-    m = state.rho * state.nu                       # (nv, nx)
-    mtil = tab.T.T @ m if tab.nv else m
+    mtil = tab.T.T @ (state.rho * state.nu)
     return state.rho.copy(), psi, mtil
 
 
 def _split_unpack(rho, psi, mtil, tab: _ClosureTables, n0, t) -> FieldState:
-    m = tab.Tinv.T @ mtil if tab.nv else mtil
-    nu = m / rho
+    nu = tab.Tinv.T @ mtil
+    nu /= rho
     u = psi + rho * tab.mu1(list(nu))
     return FieldState(rho, u, nu, n0, t)
 
 
 class _SplitWork:
-    """The full-grid buffers of one split step, taken from the workspace
-    `ws`. Every stage of every sub-flow fills them in place."""
+    """The full-grid buffers of one split step, 2 nv + 7 rows of the
+    workspace `ws`, filled in place by every stage of every sub-flow."""
 
     def __init__(self, nv: int, nx: int, ws: Workspace = _FRESH):
         buf = ws.buf
-        self.mt = buf("split.mt", (nv, nx))           # mtil with the advanced row
-        self.m = buf("split.m", (nv, nx))
-        self.nu = buf("split.nu", (nv, nx))
+        self.nu = buf("split.nu", (nv, nx))           # the stage's nu, then Tinv dH/dm
         self.nuv = list(self.nu)                      # its rows, as the evaluators take them
-        self.u, self.two_mu1, self.half_rho2, self.tmp = buf("split.rows", (4, nx))
+        self.u, self.two_mu1, self.half_rho2, self.tmp, self.base = buf("split.rows", (5, nx))
         self.dH_m = buf("split.dH_m", (nv, nx))
-        self.dH_mtil = buf("split.dH_mtil", (nv, nx))
         self.dH_flat = buf("split.dH_flat", (2, nx))  # (dH/dpsi = rho u, dH/drho)
 
     def begin_micro(self, rho, tab: _ClosureTables, a: int):
@@ -581,14 +577,13 @@ def _split_derivs(rho, psi, mtil, tab: _ClosureTables, n0, grid: Grid,
       dH/drho|psi,m = u^2/2 - rho u mu1 + (rho^2/2)(gamma_2 + mu_1^2) + phi
       dH/dm_k = rho u dmu1/dnu_k + (rho^2/2)(dmu2/dnu_k - 2 mu1 dmu1/dnu_k)
 
-    The result is a view of `work`, valid until the next call. A micro row
-    needs `work.begin_micro(rho, tab, a)` first, once per flow; it
-    evaluates dH/dm_k only where Tinv[a, k] != 0, and the product stays
-    the full Tinv @ dH/dm.
+    The result is a view of `work` (a micro row is a row of `work.nu`), valid
+    until the next call. A micro row needs `work.begin_micro(rho, tab, a)`
+    first, once per flow; it evaluates dH/dm_k only where Tinv[a, k] != 0,
+    and takes the full product Tinv @ dH/dm: row a alone may round differently.
     """
-    if tab.nv:
-        np.matmul(tab.Tinv.T, mtil, out=work.m)
-        np.divide(work.m, rho, out=work.nu)
+    np.matmul(tab.Tinv.T, mtil, out=work.nu)
+    work.nu /= rho
     nuv = work.nuv
     mu1 = tab.mu1(nuv)
     u = np.multiply(rho, mu1, out=work.u)
@@ -606,7 +601,7 @@ def _split_derivs(rho, psi, mtil, tab: _ClosureTables, n0, grid: Grid,
             np.subtract(tab.dmu2[k](nuv), tmp, out=tmp)
             tmp *= half_rho2
             row += tmp
-        return np.matmul(tab.Tinv, work.dH_m, out=work.dH_mtil)[micro]
+        return np.matmul(tab.Tinv, work.dH_m, out=work.nu)[micro]
     np.square(rho, out=half_rho2)
     half_rho2 *= 0.5
     phi = electric_potential(rho, n0, grid)
@@ -630,7 +625,8 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
       A_a (one per diagonal metric entry): dmtil_a/dt = -D_a d_x(dH/dmtil_a)
     ordered A_1..A_nv (dt/2), B (dt), A_nv..A_1 (dt/2).  Every sub-flow is
     in flux form, so each integral(mtil_a), integral(rho), integral(psi)
-    telescopes to round-off.
+    telescopes to round-off. A_a writes each stage's row into mtil[a], the
+    step's own packed array, and keeps a copy of its start row alone.
     """
     tab = closure.derived(_ClosureTables)
     nx = grid.nx
@@ -641,17 +637,17 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
     k = work.buf(("split", "k"), (2, nx))
 
     def flow_micro(a: int, h: float):
-        sw.mt[...] = mtil
+        sw.base[...] = mtil[a]
         sw.begin_micro(rho, tab, a)
 
         def rhs(s, out):
-            sw.mt[a] = s[0]
-            grid.deriv(_split_derivs(rho, psi, sw.mt, tab, state.n0, grid, sw, micro=a),
+            mtil[a] = s[0]  # the packed state of the stage
+            grid.deriv(_split_derivs(rho, psi, mtil, tab, state.n0, grid, sw, micro=a),
                        out=out, work=work)
             out *= -tab.D[a]
             return [out]
 
-        mtil[a] = _rk4([mtil[a]], rhs, h, stage, k[0])
+        mtil[a] = _rk4([sw.base], rhs, h, stage, k[0])
 
     def flow_macro(h: float):
         def rhs(s, out):

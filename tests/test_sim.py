@@ -504,9 +504,11 @@ def test_single_mode_state_checks_normal_variable_lists():
     assert single_mode_state(grid, ColdClosure()).nu.shape == (0, 32)
 
 
-def _burby2_state(grid):
-    return single_mode_state(grid, BurbyClosure(2), eps=1e-3, nu_base=[0.05, 0.5],
-                             nu_eps=[1e-4, 1e-4])
+def _burby_state(grid, level=2):
+    """The benchmark's burby start: nu_base (0.05, 0.5) for level 2 and
+    (0.05, 0.5, 0.05, 0.5) for level 4."""
+    return single_mode_state(grid, BurbyClosure(level), eps=1e-3,
+                             nu_base=[0.05, 0.5] * (level // 2), nu_eps=[1e-4] * level)
 
 
 def _copies(state):
@@ -525,7 +527,7 @@ def test_returned_states_survive_later_steps(scheme, method):
     own array: the caller may keep it while the run goes on."""
     grid = Grid(L=TWO_PI, nx=32, method=method)
     c = BurbyClosure(2)
-    state, work, kept = _burby2_state(grid), Workspace(), []
+    state, work, kept = _burby_state(grid), Workspace(), []
     for _ in range(4):
         state = step(state, c, grid, 0.01, scheme=scheme, work=work)
         kept.append((state, _copies(state)))
@@ -533,11 +535,25 @@ def test_returned_states_survive_later_steps(scheme, method):
     assert not np.shares_memory(kept[0][0].rho, kept[1][0].rho)
 
     recorded = []
-    result = run_fluid(_burby2_state(grid), c, grid, dt=0.01, t_end=0.05,
+    result = run_fluid(_burby_state(grid), c, grid, dt=0.01, t_end=0.05,
                        scheme=scheme, on_record=lambda s, rec:
                        recorded.append((s, _copies(s))))
     assert len(recorded) == 5 and recorded[-1][0] is result.final
     assert all(_unchanged(s, copies) for s, copies in recorded)
+
+
+@pytest.mark.parametrize("level", [2, 4])
+@pytest.mark.parametrize("with_work", [True, False], ids=["workspace", "fresh"])
+def test_a_split_step_leaves_the_callers_state_alone(level, with_work):
+    """The micro flows write their stage rows into the packed mtil; the
+    state a split step was given keeps every bit."""
+    grid = Grid(L=TWO_PI, nx=32)
+    state = _burby_state(grid, level)
+    copies = _copies(state)
+    kwargs = {"work": Workspace()} if with_work else {}
+    for _ in range(2):
+        step(state, BurbyClosure(level), grid, 0.01, scheme="split", **kwargs)
+    assert _unchanged(state, copies)
 
 
 def test_stream_states_survive_later_steps():
@@ -551,7 +567,7 @@ def test_stream_states_survive_later_steps():
 
 def test_calls_without_a_workspace_return_fresh_arrays():
     grid = Grid(L=TWO_PI, nx=32)
-    state = _burby2_state(grid)
+    state = _burby_state(grid)
     f = np.sin(grid.x)
     for g in (grid, Grid(L=TWO_PI, nx=32, method="fd2")):
         assert not np.shares_memory(g.deriv(f), g.deriv(f))
@@ -616,26 +632,33 @@ def test_a_stream_step_takes_the_same_transforms(monkeypatch):
 
 
 # Bytes one more step may take beyond what it holds when it starts, in
-# full-grid rows (8 nx bytes), at nx = 4096 for burby 2. With a workspace:
-# the fresh state (rk4: k1, 6 rows of which 2 are scratch; split: the
-# packed and unpacked states), a few rows that the compiled closure
-# evaluators return, and for rk4 a 320 KB (10-row) buffer that numpy's
-# ufunc iterator takes for the in-place multiply of its batch of 6 spectra
-# by ik. Measured: 19.2 rows (rk4) and 10.1 (split); a step that allocates
-# all its temporaries, as every step did before workspaces, takes 52.2 and
-# 32.2.
-STEADY_STEP_ROWS = 24
+# full-grid rows (8 nx bytes), at nx = 4096 for burby 2 and, split only,
+# burby 4. With a workspace: the fresh state (rk4: k1, 2 + 2 nv rows of
+# which nv are scratch; split: the packed and unpacked states), a few rows
+# that the compiled closure evaluators return, and for rk4 a 320 KB
+# (10-row) buffer that numpy's ufunc iterator takes for the in-place
+# multiply of its batch of 6 spectra by ik. Measured: 19.2 rows (rk4),
+# 10.2 (split) and 13.1 (burby 4 split; 17.1 while `_split_unpack` kept
+# T^-t mtil beside nu); a step that allocates all its temporaries, as every
+# step did before workspaces, takes 52.2 and 32.2 for burby 2.
+STEADY_STEP_ROWS = {("rk4", 2): 24, ("split", 2): 24, ("split", 4): 13.5}
 # Without a workspace a step allocates each temporary where it is used,
 # and takes no more than a step did before workspaces (52.2 and 32.2 rows;
 # the rest of the half row leaves room for a few KB of Python objects).
 NO_WORKSPACE_STEP_ROWS = {"rk4": 52.5, "split": 32.5}
 
 
-def _step_rows(scheme, work=None) -> float:
+def _case_ids(table) -> list:
+    """Test ids of the (scheme, burby level) cases: a burby 2 case by its
+    scheme alone."""
+    return [scheme if level == 2 else f"{scheme}-burby{level}" for scheme, level in table]
+
+
+def _step_rows(scheme, work=None, level=2) -> float:
     grid = Grid(L=TWO_PI, nx=4096)
-    c = BurbyClosure(2)
+    c = BurbyClosure(level)
     kwargs = {} if work is None else {"work": work}
-    state = step(_burby2_state(grid), c, grid, 1e-4, scheme=scheme, **kwargs)
+    state = step(_burby_state(grid, level), c, grid, 1e-4, scheme=scheme, **kwargs)
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
@@ -646,13 +669,13 @@ def _step_rows(scheme, work=None) -> float:
     return (peak - held) / (8 * grid.nx)
 
 
-@pytest.mark.parametrize("scheme", ["rk4", "split"])
-def test_a_steady_step_allocates_no_workspace(scheme):
+@pytest.mark.parametrize("scheme, level", STEADY_STEP_ROWS, ids=_case_ids(STEADY_STEP_ROWS))
+def test_a_steady_step_allocates_no_workspace(scheme, level):
     work = Workspace()
-    assert _step_rows(scheme, work) <= STEADY_STEP_ROWS
+    assert _step_rows(scheme, work, level) <= STEADY_STEP_ROWS[scheme, level]
     # the run's first step made every buffer; a later step adds none
     buffers = dict(work._bufs)
-    _step_rows(scheme, work)
+    _step_rows(scheme, work, level)
     assert work._bufs.keys() == buffers.keys()
     assert all(work._bufs[key] is a for key, a in buffers.items())
 
@@ -663,18 +686,22 @@ def test_a_step_without_a_workspace_allocates_no_more_than_before(scheme):
 
 
 # Full-grid rows (a spectrum row of nx/2 + 1 complex numbers counts as one)
-# that a run's workspace holds after one step of burby 2 at nx = 4096. Each
-# rk4 keeps its stage state and one rate buffer that stages 2 to 4 share:
-# for rk4, 4 stage and 6 rate rows beside rhs_fluid's 17; for split, 2 stage
-# and 2 rate rows, whose first rows the micro flows take, beside its other
-# buffers' 19. Measured 27 and 23; a rate buffer per stage holds 39 and 34.
-WORKSPACE_ROWS = {"rk4": 27, "split": 25}
+# that a run's workspace holds after one step at nx = 4096. Each rk4 keeps
+# its stage state and one rate buffer that stages 2 to 4 share: for rk4
+# (burby 2), 4 stage and 6 rate rows beside rhs_fluid's 17; for split, 2
+# stage and 2 rate rows, whose first rows the micro flows take, beside the
+# 2 nv + 7 rows of `_SplitWork` and 3 spectrum rows: 2 nv + 14 in all.
+# Measured 27, 18 (burby 2 split) and 22 (burby 4 split); a rate buffer per
+# stage holds 39 for rk4, and a split step that kept nv-row buffers of m,
+# dH/dmtil and a copy of mtil held 23 and 33.
+WORKSPACE_ROWS = {("rk4", 2): 27, ("split", 2): 18, ("split", 4): 22}
 
 
-@pytest.mark.parametrize("scheme", ["rk4", "split"])
-def test_a_workspace_holds_one_rate_buffer_per_rk4(scheme):
+@pytest.mark.parametrize("scheme, level", WORKSPACE_ROWS, ids=_case_ids(WORKSPACE_ROWS))
+def test_a_workspace_holds_one_rate_buffer_per_rk4(scheme, level):
     grid = Grid(L=TWO_PI, nx=4096)
     work = Workspace()
-    step(_burby2_state(grid), BurbyClosure(2), grid, 1e-4, scheme=scheme, work=work)
+    step(_burby_state(grid, level), BurbyClosure(level), grid, 1e-4, scheme=scheme,
+         work=work)
     rows = sum(a.size // a.shape[-1] for a in work._bufs.values())
-    assert rows <= WORKSPACE_ROWS[scheme]
+    assert rows <= WORKSPACE_ROWS[scheme, level]
