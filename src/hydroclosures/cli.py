@@ -433,7 +433,8 @@ def cmd_simulate(args) -> int:
         cfg = _read("simulate", json.loads(Path(args.config).read_text()))
         grid = _build_grid(**_read("simulate", cfg, "grid"))
         closure = closure_from_spec(_read("simulate", cfg, "closure"))
-        state = _build_initial(grid, closure, **_read("simulate", cfg, "initial"))
+        # the start's one reference, which the run takes, so that step 1 frees it
+        start = [_build_initial(grid, closure, **_read("simulate", cfg, "initial"))]
         run = _read("simulate", cfg, "integrator")
         stride, snapshots = map(_read("simulate", cfg, "output").get, ("stride", "snapshots"))
         sim.step_count(**run, stride=stride)
@@ -449,7 +450,9 @@ def cmd_simulate(args) -> int:
             sim.write_snapshot(snapdir / f"snap_{count[0]:06d}.npz", s)
 
     try:
-        result = sim.run_fluid(state, closure, grid, **run, stride=stride, on_record=on_record)
+        # positional: the argument tuple of a ** call would hold the start to the end
+        result = sim.run_fluid(start.pop(), closure, grid, run["dt"], run["t_end"],
+                               run["scheme"], stride, on_record)
     except sim.SimulationError as e:
         rep.add("run completed", False, str(e))
         return rep.emit(args.json, outdir)

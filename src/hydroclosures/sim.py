@@ -14,11 +14,15 @@ enters dH/drho before dH/drho is differentiated.
 A run (`run_fluid`, the CLI's `compare`) makes one `Workspace` and hands it
 to every step. It holds the full-grid temporaries of a step: the rk4 stage
 state, the one rate buffer that stages 2 to 4 share, the batched-derivative
-input, the complex spectra and the split scheme's 2 nv + 14 rows. A long
+input, which takes its own derivative, the field solve's row, the complex
+spectra and the split scheme's 2 nv + 14 rows. For rk4 on N = nv + 2 fields
+that is 6 N - 2 rows, as a rate block has the state's N rows alone. A long
 run then does not hand these pages back to the allocator and fault them in
 again on every stage. The rate of stage 1 takes the rk4 update in place, so
 it is a fresh array: the state a step returns. A call given no workspace
-allocates each temporary where it is used.
+allocates each temporary where it is used. `run_fluid` keeps no reference
+to its start past step 1, so a caller that hands over its only one (as
+`simulate` does) frees the start then.
 At small nx a step costs numpy calls, not arithmetic, so the rk4 updates
 run once on the block of the state's rows, not once per field, and the
 split scheme's micro flow a computes what rho and psi fix (rho^2/2, the
@@ -79,9 +83,9 @@ class Workspace:
     """The full-grid scratch buffers of one run, made on first use and
     reused by every later step.
 
-    A buffer is found by its name and shape, so steppers of different sizes
-    can share a workspace (`compare` runs its fluid and its stream stepper
-    on one). A step reads nothing that an earlier step left here. Not
+    A buffer is found by its name, shape and dtype (as the caller spells
+    it), so steppers of different sizes can share a workspace (`compare`
+    runs its fluid and its stream stepper on one). A step reads nothing that an earlier step left here. Not
     thread-safe: calls that run at the same time must not share one. The
     buffers live here, never on the shared `Grid` or closure tables."""
 
@@ -90,7 +94,7 @@ class Workspace:
 
     def buf(self, name: str | tuple, shape: tuple, dtype=float) -> np.ndarray:
         """The buffer `name` of `shape`, made (uninitialized) on first use."""
-        key = (name, shape)
+        key = (name, shape, dtype)
         a = self._bufs.get(key)
         if a is None:
             a = self._bufs[key] = np.empty(shape, dtype)
@@ -165,14 +169,17 @@ class Grid:
         Given `field_op`, the last row of a 2-D `f` is a neutral source
         instead, and the last row of the result its field (`_spectral`),
         which fd2 takes alone through the transform. The result goes to
-        `out` (a fresh array if None), and the spectrum to `work`."""
+        `out` (a fresh array if None), which may be `f` itself, and the
+        spectrum to `work`. In place, fd2 takes its two edge columns before
+        the interior overwrites them, and numpy buffers the interior's
+        overlapping operand: the same differences, bit for bit."""
         if self.method == "spectral":
             return self._spectral(f, out, work, field_op)
         df = np.empty_like(f) if out is None else out
         g, d = (f, df) if field_op is None else (f[:-1], df[:-1])
+        edges = np.subtract(g[..., 1::-1], g[..., :-3:-1])  # g_1 - g_-1, g_0 - g_-2
         np.subtract(g[..., 2:], g[..., :-2], out=d[..., 1:-1])
-        np.subtract(g[..., 1], g[..., -1], out=d[..., 0])
-        np.subtract(g[..., 0], g[..., -2], out=d[..., -1])
+        d[..., ::self.nx - 1] = edges  # the first and the last column
         d /= 2 * self.dx
         if field_op is not None:
             self._spectral(f[-1:], df[-1:], work, field_op)
@@ -254,9 +261,13 @@ def poisson_solve(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
     return grid._spectral(_neutral_source(rho, n0)[None], field_op=grid.ik[1:])[0]
 
 
-def electric_potential(rho: np.ndarray, n0: float, grid: Grid) -> np.ndarray:
-    """phi with d^2phi/dx^2 = -(rho - n0), E = -dphi/dx, zero mean."""
-    return grid._spectral(_neutral_source(rho, n0)[None], field_op=grid.k2)[0]
+def electric_potential(rho: np.ndarray, n0: float, grid: Grid,
+                       work: Workspace = _FRESH) -> np.ndarray:
+    """phi with d^2phi/dx^2 = -(rho - n0), E = -dphi/dx, zero mean: the row
+    of `work`'s buffer "field", where the transform overwrites its source,
+    valid until the next call."""
+    src = _neutral_source(rho, n0, out=work.buf("field", (1, grid.nx)))
+    return grid._spectral(src, src, work, field_op=grid.k2)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +331,10 @@ def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid, *,
     with dH/drho = u^2/2 + (3/2) rho^2 (mu_2 - mu_1^2) + phi and
     dH/dnu_l = (1/2) rho^3 (dmu_2/dnu_l - 2 mu_1 dmu_1/dnu_l).
 
-    The three rates are the first 2 + nv rows of `out` (fresh if None), a
-    (2 + 2 nv, nx) array whose other rows are scratch; the temporaries
-    are buffers of `work`.
+    The three rates are the rows of `out` (fresh if None), a (2 + nv, nx)
+    array; the temporaries are buffers of `work`. The batched derivative's
+    2 + 2 nv input rows take their own derivative in place, and the rates
+    are formed from them in `out`.
     """
     _check_state(state)
     tab = closure.derived(_ClosureTables)
@@ -330,30 +342,35 @@ def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid, *,
     nv, nx = tab.nv, grid.nx
     nuv = list(nu)
     mu1 = tab.mu1(nuv)
-    mu2 = tab.mu2(nuv)
-    phi = electric_potential(rho, state.n0, grid)
+    out = np.empty((2 + nv, nx)) if out is None else out
     # the batched derivative input: rho u, dH/drho, the nu_k and the fluxes
     # g_kl (dH/dnu_l) / rho, each written in place
     X = work.buf("rhs.X", (2 + 2 * nv, nx))
     rho_u, dH_drho, fluxes = X[0], X[1], X[2 + nv:]
-    tmp = work.buf("rhs.tmp", (nx,))
+    # the field solve's row, scratch before phi is solved in it and after
+    # phi is added
+    tmp = work.buf("field", (1, nx))[0]
     np.multiply(rho, u, out=rho_u)
     np.square(rho, out=tmp)
     tmp *= 1.5
     # dH/drho holds mu_2 - mu_1^2 until it is written
-    tmp *= np.subtract(mu2, np.square(mu1, out=dH_drho), out=dH_drho)
+    tmp *= np.subtract(tab.mu2(nuv), np.square(mu1, out=dH_drho), out=dH_drho)
     np.square(u, out=dH_drho)
     dH_drho *= 0.5
     dH_drho += tmp
-    dH_drho += phi
+    dH_drho += electric_potential(rho, state.n0, grid, work)
+    # the rate rows are scratch until the rates are formed: (1/2) rho^3 and
+    # 2 mu1 in the first two, and dH/dnu in the nu rows, whose rate is
+    # written after the force has read it
+    drho, du, dnu = out[0], out[1], out[2:]
     if nv:
         X[2:2 + nv] = nu
         # dH/dnu_l = (1/2 rho^3)(dmu2/dnu_l - (2 mu1) dmu1/dnu_l)
-        dH_dnu = work.buf("rhs.dH_dnu", (nv, nx))
-        half_rho3, two_mu1 = work.buf("rhs.rows", (2, nx))
+        dH_dnu, half_rho3, two_mu1 = dnu, drho, du
         np.power(rho, 3, out=half_rho3)
         half_rho3 *= 0.5
         np.multiply(2.0, mu1, out=two_mu1)
+        del mu1  # a full row, not held through the evaluations below
         for l in range(nv):
             np.multiply(two_mu1, tab.dmu1[l](nuv), out=tmp)
             np.subtract(tab.dmu2[l](nuv), tmp, out=dH_dnu[l])
@@ -361,19 +378,19 @@ def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid, *,
         for k in range(nv):
             np.einsum("l,lx->x", tab.g[k], dH_dnu, out=fluxes[k])
         fluxes /= rho
-    # d holds d_x of X; its rows become (drho/dt, du/dt, dnu/dt) in place
-    d = grid.deriv(X, out=out, work=work)
-    drho, du, dxnu, dflux = d[0], d[1], d[2:2 + nv], d[2 + nv:]
-    np.negative(d[:2], out=d[:2])
+    # X becomes d_x X, from which the rates are formed
+    grid.deriv(X, out=X, work=work)
+    dxnu, dflux = X[2:2 + nv], X[2 + nv:]
+    np.negative(X[:2], out=out[:2])
     if nv:
         dH_dnu *= dxnu
         force = np.add.reduce(dH_dnu, axis=0, out=tmp)
         force /= rho
         du += force
-        dxnu *= np.negative(u, out=half_rho3)
+        np.multiply(dxnu, np.negative(u, out=tmp), out=dnu)
         dflux /= rho
-        dxnu -= dflux
-    return drho, du, dxnu
+        dnu -= dflux
+    return drho, du, dnu
 
 
 def rhs_streams(state: StreamState, grid: Grid, *, work: Workspace = _FRESH,
@@ -457,10 +474,11 @@ def _rk4(y: list[np.ndarray], rhs, dt: float, stage: np.ndarray,
     """One classical rk4 step, y + (dt/6)(a + 2b + 2c + d).
 
     `y` lists the fields of the state. Stacked flat in order, they are the
-    leading entries of a rate block of k's shape, whose other entries are
-    scratch. `rhs(s, out)` writes the rate at the fields `s` to the block
-    `out`, returns it as views of `out` shaped as the fields, and keeps no
-    reference to `s`. Stage 1 writes a fresh block a, which takes the
+    leading entries of a rate block of k's shape: all of it for the fluid
+    model, whose rates have the state's 2 + nv rows, and all but the
+    scratch row of E for the stream model. `rhs(s, out)` writes the rate at
+    the fields `s` to the block `out`, returns it as views of `out` shaped
+    as the fields, and keeps no reference to `s`. Stage 1 writes a fresh block a, which takes the
     update in place and is returned. Stages 2 to 4 share the rate buffer
     `k`, so each of b, c and d is folded into a as soon as it is made,
     after the next stage state is built from it. The three stage states
@@ -503,9 +521,9 @@ def step_rk4(state: FieldState, closure: ClosureFamily, grid: Grid,
                          work=work, out=out)
 
     nv = len(state.nu)
-    # the state's rows, then rhs_fluid's scratch rows
+    # the state's rows, which are rhs_fluid's rate rows too
     stage = work.buf(("rk4", "stage"), (2 + nv, grid.nx))
-    k = work.buf(("rk4", "k"), (2 + 2 * nv, grid.nx))
+    k = work.buf(("rk4", "k"), (2 + nv, grid.nx))
     a = _rk4([state.rho, state.u, state.nu], rhs, dt, stage, k)
     new = FieldState(a[0], a[1], a[2:2 + nv], state.n0, state.t + dt)
     _check_state(new)
@@ -531,30 +549,39 @@ def step_streams(state: StreamState, grid: Grid, dt: float,
     return new
 
 
-def _split_pack(state: FieldState, tab: _ClosureTables):
-    """(rho, u, nu) -> flat extensive variables (rho, psi, mtil)."""
+def _split_pack(state: FieldState, tab: _ClosureTables, work: _SplitWork):
+    """(rho, u, nu) -> flat extensive variables (rho, psi, mtil), fresh
+    arrays; rho nu is formed in `work.nu`."""
     mu1 = tab.mu1(list(state.nu))
     psi = state.u - state.rho * mu1
-    mtil = tab.T.T @ (state.rho * state.nu)
+    mtil = tab.T.T @ np.multiply(state.rho, state.nu, out=work.nu)
     return state.rho.copy(), psi, mtil
 
 
-def _split_unpack(rho, psi, mtil, tab: _ClosureTables, n0, t) -> FieldState:
-    nu = tab.Tinv.T @ mtil
+def _split_unpack(rho, psi, mtil, tab: _ClosureTables, n0, t,
+                  work: _SplitWork) -> FieldState:
+    """The state of the flat variables, built in their own arrays: nu in
+    mtil, through `work.nu`, and u in psi."""
+    nu = mtil
+    nu[...] = np.matmul(tab.Tinv.T, mtil, out=work.nu)
     nu /= rho
-    u = psi + rho * tab.mu1(list(nu))
-    return FieldState(rho, u, nu, n0, t)
+    psi += np.multiply(rho, tab.mu1(list(nu)), out=work.tmp)
+    return FieldState(rho, psi, nu, n0, t)
 
 
 class _SplitWork:
     """The full-grid buffers of one split step, 2 nv + 7 rows of the
-    workspace `ws`, filled in place by every stage of every sub-flow."""
+    workspace `ws`, filled in place by every stage of every sub-flow. The
+    macro flow's field solve takes its row and spectrum from `ws` too."""
 
     def __init__(self, nv: int, nx: int, ws: Workspace = _FRESH):
+        self.ws = ws
         buf = ws.buf
         self.nu = buf("split.nu", (nv, nx))           # the stage's nu, then Tinv dH/dm
         self.nuv = list(self.nu)                      # its rows, as the evaluators take them
-        self.u, self.two_mu1, self.half_rho2, self.tmp, self.base = buf("split.rows", (5, nx))
+        self.u, self.two_mu1, self.half_rho2, self.tmp = buf("split.rows", (4, nx))
+        # a micro flow's start row, which the macro flow's field solve takes
+        self.base = buf("field", (1, nx))[0]
         self.dH_m = buf("split.dH_m", (nv, nx))
         self.dH_flat = buf("split.dH_flat", (2, nx))  # (dH/dpsi = rho u, dH/drho)
 
@@ -593,6 +620,7 @@ def _split_derivs(rho, psi, mtil, tab: _ClosureTables, n0, grid: Grid,
     half_rho2, tmp = work.half_rho2, work.tmp
     if micro is not None:
         two_mu1 = np.multiply(2.0, mu1, out=work.two_mu1)
+        del mu1  # a full row, not held through the evaluations below
         for k in tab.live[micro]:
             row = work.dH_m[k]
             dmu1 = tab.dmu1[k](nuv)
@@ -604,7 +632,7 @@ def _split_derivs(rho, psi, mtil, tab: _ClosureTables, n0, grid: Grid,
         return np.matmul(tab.Tinv, work.dH_m, out=work.nu)[micro]
     np.square(rho, out=half_rho2)
     half_rho2 *= 0.5
-    phi = electric_potential(rho, n0, grid)
+    phi = electric_potential(rho, n0, grid, work.ws)
     np.square(u, out=dH_rho)
     dH_rho *= 0.5
     dH_rho -= np.multiply(rho_u, mu1, out=tmp)
@@ -630,8 +658,8 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
     """
     tab = closure.derived(_ClosureTables)
     nx = grid.nx
-    rho, psi, mtil = _split_pack(state, tab)
     sw = _SplitWork(tab.nv, nx, work)
+    rho, psi, mtil = _split_pack(state, tab, sw)
     # the macro flow's two rows; a micro flow takes the first
     stage = work.buf(("split", "stage"), (2, nx))
     k = work.buf(("split", "k"), (2, nx))
@@ -642,8 +670,9 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
 
         def rhs(s, out):
             mtil[a] = s[0]  # the packed state of the stage
-            grid.deriv(_split_derivs(rho, psi, mtil, tab, state.n0, grid, sw, micro=a),
-                       out=out, work=work)
+            # as a one-row batch, so that it shares the field solve's spectrum buffer
+            grid.deriv(_split_derivs(rho, psi, mtil, tab, state.n0, grid, sw, micro=a)[None],
+                       out=out[None], work=work)
             out *= -tab.D[a]
             return [out]
 
@@ -662,7 +691,7 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
     for a in range(tab.nv - 1, -1, -1):
         flow_micro(a, 0.5 * dt)
 
-    new = _split_unpack(rho, psi, mtil, tab, state.n0, state.t + dt)
+    new = _split_unpack(rho, psi, mtil, tab, state.n0, state.t + dt, sw)
     _check_state(new)
     return new
 
@@ -747,7 +776,8 @@ def step_count(scheme: str, dt: float, t_end: float, stride: int = 1) -> int:
 def run_fluid(state: FieldState, closure: ClosureFamily, grid: Grid,
               dt: float, t_end: float, scheme: str = "rk4",
               stride: int = 1, on_record=None) -> RunResult:
-    """Advance to t_end recording diagnostics every `stride` steps."""
+    """Advance to t_end recording diagnostics every `stride` steps. No
+    reference to `state` is kept past step 1."""
     nsteps = step_count(scheme, dt, t_end, stride)
     records = [diagnostics(state, closure, grid)]
     work = Workspace()

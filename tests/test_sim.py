@@ -1,6 +1,9 @@
 """Fluid solver, kinetic oracle, and conservation behavior."""
 
+import contextlib
 import gc
+import io
+import json
 import math
 import re
 import tracemalloc
@@ -11,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hydroclosures import cli
 from hydroclosures.closures import (BurbyClosure, ColdClosure,
                                     MultiDeltaClosure, WaterbagClosure,
                                     multidelta_normal_map)
@@ -489,6 +493,38 @@ def test_grid_operators_built_once_and_read_only():
         assert np.array_equal(d[1], g.deriv(f[1]))
 
 
+@pytest.mark.parametrize("rows", ["1-D", "2-D", "2-D-with-field"])
+@pytest.mark.parametrize("method", ["spectral", "fd2"])
+def test_grid_derivative_in_place_is_bit_identical(method, rows):
+    grid = Grid(L=TWO_PI, nx=32, method=method)
+    x = grid.x
+    f = np.array([np.sin(2.0 * x) + 0.3 * np.cos(5.0 * x), np.exp(np.cos(x)),
+                  0.2 * np.cos(3.0 * x) + 0.1 * np.sin(x)])
+    f = f[0] if rows == "1-D" else f
+    field_op = grid.ik[1:] if rows == "2-D-with-field" else None
+    expected = grid.deriv(f, field_op=field_op)
+    if method == "fd2":  # central differences, the edges wrapped
+        g = f if field_op is None else f[:-1]
+        d = (np.roll(g, -1, axis=-1) - np.roll(g, 1, axis=-1)) / (2 * grid.dx)
+        assert d.tobytes() == (expected if field_op is None else expected[:-1]).tobytes()
+    for work in (Workspace(), None):
+        g = f.copy()
+        kwargs = {} if work is None else {"work": work}
+        assert grid.deriv(g, out=g, field_op=field_op, **kwargs) is g
+        assert g.tobytes() == expected.tobytes()
+
+
+def test_a_workspace_finds_a_buffer_by_name_shape_and_dtype():
+    work = Workspace()
+    a = work.buf("x", (2, 8))
+    assert work.buf("x", (2, 8)) is a
+    # the same name and shape in another dtype returned the float buffer
+    c = work.buf("x", (2, 8), complex)
+    assert c is not a and c.dtype == complex and c.shape == (2, 8)
+    assert work.buf("x", (2, 8), complex) is c
+    assert work.buf("x", (16,)) is not a and work.buf("y", (2, 8)) is not a
+
+
 def test_single_mode_state_checks_normal_variable_lists():
     grid = Grid(L=TWO_PI, nx=32)
     c = BurbyClosure(2)
@@ -633,19 +669,24 @@ def test_a_stream_step_takes_the_same_transforms(monkeypatch):
 
 # Bytes one more step may take beyond what it holds when it starts, in
 # full-grid rows (8 nx bytes), at nx = 4096 for burby 2 and, split only,
-# burby 4. With a workspace: the fresh state (rk4: k1, 2 + 2 nv rows of
-# which nv are scratch; split: the packed and unpacked states), a few rows
-# that the compiled closure evaluators return, and for rk4 a 320 KB
-# (10-row) buffer that numpy's ufunc iterator takes for the in-place
-# multiply of its batch of 6 spectra by ik. Measured: 19.2 rows (rk4),
-# 10.2 (split) and 13.1 (burby 4 split; 17.1 while `_split_unpack` kept
-# T^-t mtil beside nu); a step that allocates all its temporaries, as every
-# step did before workspaces, takes 52.2 and 32.2 for burby 2.
-STEADY_STEP_ROWS = {("rk4", 2): 24, ("split", 2): 24, ("split", 4): 13.5}
-# Without a workspace a step allocates each temporary where it is used,
-# and takes no more than a step did before workspaces (52.2 and 32.2 rows;
-# the rest of the half row leaves room for a few KB of Python objects).
-NO_WORKSPACE_STEP_ROWS = {"rk4": 52.5, "split": 32.5}
+# burby 4. With a workspace: the fresh state (rk4: the 2 + nv rate rows of
+# stage 1, which take the update; split: the packed state, whose arrays
+# the unpacked state takes over), a few rows that the compiled closure
+# evaluators return, and for rk4 a 320 KB (10-row) buffer that numpy's ufunc
+# iterator takes for the in-place multiply of its batch of 6 spectra by ik
+# (at this nx; at nx = 16384 a row is longer than the iterator's buffer,
+# and it takes none). Measured: 14.2 rows (rk4), 8.1 (split) and 11.2
+# (burby 4 split). They were 19.2, 10.2 and 13.1 while rk4's rate blocks
+# had 2 nv + 2 rows, the field solve made three fresh rows per stage and
+# `_split_unpack` made nu and u fresh; a step that allocates all its
+# temporaries, as every step did before workspaces, takes 52.2 and 32.2
+# for burby 2.
+STEADY_STEP_ROWS = {("rk4", 2): 14.5, ("split", 2): 8.5, ("split", 4): 11.5}
+# Without a workspace a step allocates each temporary where it is used.
+# Measured: 35.2 rows (rk4) and 25.2 (split), against 46.2 and 25.2 before
+# the changes above (the rest of the bound leaves room for a few KB of
+# Python objects).
+NO_WORKSPACE_STEP_ROWS = {"rk4": 35.5, "split": 25.5}
 
 
 def _case_ids(table) -> list:
@@ -687,14 +728,19 @@ def test_a_step_without_a_workspace_allocates_no_more_than_before(scheme):
 
 # Full-grid rows (a spectrum row of nx/2 + 1 complex numbers counts as one)
 # that a run's workspace holds after one step at nx = 4096. Each rk4 keeps
-# its stage state and one rate buffer that stages 2 to 4 share: for rk4
-# (burby 2), 4 stage and 6 rate rows beside rhs_fluid's 17; for split, 2
-# stage and 2 rate rows, whose first rows the micro flows take, beside the
-# 2 nv + 7 rows of `_SplitWork` and 3 spectrum rows: 2 nv + 14 in all.
-# Measured 27, 18 (burby 2 split) and 22 (burby 4 split); a rate buffer per
-# stage holds 39 for rk4, and a split step that kept nv-row buffers of m,
-# dH/dmtil and a copy of mtil held 23 and 33.
-WORKSPACE_ROWS = {("rk4", 2): 27, ("split", 2): 18, ("split", 4): 22}
+# its stage state and one rate buffer that stages 2 to 4 share. For rk4
+# (burby 2): 4 stage and 4 rate rows, rhs_fluid's 6 derivative rows, which
+# take their own derivative, the field solve's row, which rhs_fluid uses as
+# scratch besides, and 7 spectrum rows: 22, where 27 were held while the
+# rate buffer had 2 + 2 nv rows and rhs_fluid kept dH/dnu, (1/2) rho^3,
+# 2 mu1 and a scratch row of its own. For split: 2 stage and 2 rate rows,
+# whose first rows the micro flows take, beside the 2 nv + 7 rows of
+# `_SplitWork` (one of them the field solve's) and 3 spectrum rows (a micro
+# row's and the field's are one): 2 nv + 14 in all. Measured 22, 18 (burby
+# 2 split) and 22 (burby 4 split); a rate buffer per stage held 39 for rk4,
+# and a split step that kept nv-row buffers of m, dH/dmtil and a copy of
+# mtil held 23 and 33.
+WORKSPACE_ROWS = {("rk4", 2): 22, ("split", 2): 18, ("split", 4): 22}
 
 
 @pytest.mark.parametrize("scheme, level", WORKSPACE_ROWS, ids=_case_ids(WORKSPACE_ROWS))
@@ -705,3 +751,68 @@ def test_a_workspace_holds_one_rate_buffer_per_rk4(scheme, level):
          work=work)
     rows = sum(a.size // a.shape[-1] for a in work._bufs.values())
     assert rows <= WORKSPACE_ROWS[scheme, level]
+
+
+def _simulate_argv(tmp_path, scheme, level, nx=4096, steps=5) -> list:
+    """A `simulate` command line of a short run from the burby start of
+    `_burby_state`, writing its config under `tmp_path`."""
+    cfg = {"grid": {"L": TWO_PI, "nx": nx},
+           "closure": {"family": "burby", "level": level},
+           "initial": {"eps": 1e-3, "nu_base": [0.05, 0.5] * (level // 2),
+                       "nu_eps": [1e-4] * level},
+           "integrator": {"scheme": scheme, "dt": 1e-4, "t_end": steps * 1e-4}}
+    path = tmp_path / f"{scheme}-burby{level}.json"
+    path.write_text(json.dumps(cfg))
+    return ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
+# Bytes a whole `simulate` command takes beyond what the process holds when
+# it starts, in full-grid rows, at nx = 4096 with 5 steps: the second
+# command of the process, so without one-time set-up such as numpy's FFT
+# plans. Measured 43.7 rows (burby 2 rk4) and 46.8 (burby 4 split), where
+# they were 59.7 and 50.9 while the command held its start to the end of
+# the run and rk4's rate blocks had 2 nv + 2 rows.
+SIMULATE_ROWS = {("rk4", 2): 44.5, ("split", 4): 47.5}
+
+
+@pytest.mark.parametrize("scheme, level", SIMULATE_ROWS, ids=_case_ids(SIMULATE_ROWS))
+def test_a_simulate_command_peaks_within_its_rows(tmp_path, scheme, level):
+    argv = _simulate_argv(tmp_path, scheme, level)
+    assert _quiet_main(argv) == 0
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        assert _quiet_main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - held) / (8 * 4096) <= SIMULATE_ROWS[scheme, level]
+
+
+@pytest.mark.parametrize("scheme, level", SIMULATE_ROWS, ids=_case_ids(SIMULATE_ROWS))
+def test_a_simulate_command_frees_its_start_after_step_1(tmp_path, monkeypatch,
+                                                          scheme, level):
+    """Once step 1 is done, no reference to the start state is left: the
+    command hands its one reference to the run, which lets it go."""
+    import hydroclosures.sim as sim
+    build, step_ = cli._build_initial, sim.step
+    refs, alive = [], []
+
+    def built(*args, **kwargs):
+        state = build(*args, **kwargs)
+        refs.extend(weakref.ref(a) for a in (state, state.rho, state.u, state.nu))
+        return state
+
+    def stepped(*args, **kwargs):
+        alive.append([ref() is not None for ref in refs])
+        return step_(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_build_initial", built)
+    monkeypatch.setattr(sim, "step", stepped)
+    assert _quiet_main(_simulate_argv(tmp_path, scheme, level, nx=32, steps=3)) == 0
+    assert alive == [[True] * 4, [False] * 4, [False] * 4]
