@@ -20,7 +20,7 @@ streams = two_stream_state(grid, n0=1.0, v0=0.2, eps=1e-3)
 
 rho, u, xi, eta = multidelta_normal_map(list(streams.a), list(streams.v))
 closure = MultiDeltaClosure(2)
-fluid = FieldState(rho, u, np.array([xi[0], eta[0]]), streams.n0)
+fluid = FieldState(np.array([rho, u, xi[0], eta[0]]), streams.n0)
 
 rec0 = diagnostics(fluid, closure, grid)
 dt, t_end = 0.002, 1.0

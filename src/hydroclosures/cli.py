@@ -422,7 +422,7 @@ def _build_streams(grid: sim.Grid, n0: float, v0: float, eps: float):
         s_s = sim.two_stream_state(grid, n0=n0, v0=v0, eps=eps)
         rho, u, xi, eta = multidelta_normal_map(list(s_s.a), list(s_s.v))
         md = MultiDeltaClosure(2)
-        s_f = sim.FieldState(rho, u, np.array([xi[0], eta[0]]), s_s.n0)
+        s_f = sim.FieldState(np.array([rho, u, xi[0], eta[0]]), s_s.n0)
         return s_s, md, _checked_start(s_f, md, grid)
 
 

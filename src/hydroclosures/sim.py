@@ -11,23 +11,24 @@ derivative and field solve on it. Derivatives of several fields are taken
 in one batched call. The stream model adds E after its derivative, so its
 field is one more row of that call; the fluid model's cannot be, as phi
 enters dH/drho before dH/drho is differentiated.
+A state is one float64 block: a fluid state the N = nv + 2 rows rho, u,
+nu_1..nu_nv, a stream state the 2M rows a_k, v_k; its fields are views of
+it. At small nx a step costs numpy calls, not arithmetic, so the rk4
+updates and the state check run once on the block, not once per field.
 A run (`run_fluid`, the CLI's `compare`) makes one `Workspace` and hands it
-to every step. It holds the full-grid temporaries of a step: the rk4 stage
+to every step. It holds the full-grid temporaries of a step, so that a long
+run does not fault their pages in again on every stage: the rk4 stage
 state, the one rate buffer that stages 2 to 4 share, the batched-derivative
 input, which takes its own derivative, the field solve's row, the complex
-spectra and the split scheme's 2 nv + 14 rows. For rk4 on N = nv + 2 fields
-that is 6 N - 2 rows, as a rate block has the state's N rows alone. A long
-run then does not hand these pages back to the allocator and fault them in
-again on every stage. The rate of stage 1 takes the rk4 update in place, so
-it is a fresh array: the state a step returns. A call given no workspace
+spectra and the split scheme's 2 nv + 14 rows; for rk4 that is 6 N - 2
+rows. The rate block of stage 1 takes the rk4 update in place: it is the
+fresh block of the state a step returns. A call given no workspace
 allocates each temporary where it is used. `run_fluid` keeps no reference
 to its start past step 1, so a caller that hands over its only one (as
-`simulate` does) frees the start then.
-At small nx a step costs numpy calls, not arithmetic, so the rk4 updates
-run once on the block of the state's rows, not once per field, and the
-split scheme's micro flow a computes what rho and psi fix (rho^2/2, the
-zero rows of dH/dm) once per flow. It evaluates dH/dm_k only for the k
-with Tinv[a, k] != 0, the rows its own derivative reads.
+`simulate` does) frees the start then. The split scheme's micro flow a
+computes what rho and psi fix (rho^2/2, the zero rows of dH/dm) once per
+flow, and evaluates dH/dm_k only for the k with Tinv[a, k] != 0, the rows
+its own derivative reads.
 
 Two time steppers:
 
@@ -85,9 +86,10 @@ class Workspace:
 
     A buffer is found by its name, shape and dtype (as the caller spells
     it), so steppers of different sizes can share a workspace (`compare`
-    runs its fluid and its stream stepper on one). A step reads nothing that an earlier step left here. Not
-    thread-safe: calls that run at the same time must not share one. The
-    buffers live here, never on the shared `Grid` or closure tables."""
+    runs its fluid and its stream stepper on one). A step reads nothing
+    that an earlier step left here. Not thread-safe: calls that run at the
+    same time must not share one. The buffers live here, never on the
+    shared `Grid` or closure tables."""
 
     def __init__(self):
         self._bufs: dict = {}
@@ -212,20 +214,40 @@ class Grid:
 
 
 @dataclass
-class FieldState:
-    rho: np.ndarray           # (nx,)
-    u: np.ndarray             # (nx,)
-    nu: np.ndarray            # (N-2, nx)
+class _BlockState:
+    """One float64 (rows, nx) block at time t, with background density n0. An
+    integer or narrower float block is converted; any other dtype, a block
+    not 2-D or one of under 2 rows is refused."""
+    block: np.ndarray
     n0: float
     t: float = 0.0
 
+    def __post_init__(self):
+        a, kind = np.asarray(self.block), type(self).__name__
+        if not np.can_cast(a.dtype, np.float64):
+            raise ValueError(f"a {kind} block needs a real dtype, got dtype {a.dtype}")
+        if a.ndim != 2 or len(a) < 2:
+            raise ValueError(f"a {kind} block needs shape (rows >= 2, nx), got {a.shape}")
+        self.block = a.astype(np.float64, copy=False)
 
-@dataclass
-class StreamState:
-    a: np.ndarray             # (M, nx) stream densities
-    v: np.ndarray             # (M, nx) stream velocities
-    n0: float
-    t: float = 0.0
+
+class FieldState(_BlockState):
+    """A fluid state: the N rows rho, u, nu_1..nu_{N-2}, viewed as `rho`, `u`, `nu`."""
+    rho = property(lambda self: self.block[0])
+    u = property(lambda self: self.block[1])
+    nu = property(lambda self: self.block[2:])
+
+
+class StreamState(_BlockState):
+    """M cold streams: 2M rows, the densities `a`, then the velocities `v`."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.block) % 2:
+            raise ValueError(f"a StreamState block needs 2M rows, got {len(self.block)}")
+
+    a = property(lambda self: self.block[:len(self.block) // 2])
+    v = property(lambda self: self.block[len(self.block) // 2:])
 
 
 @dataclass(frozen=True)
@@ -281,8 +303,7 @@ class _ClosureTables:
     closure's memo by `closure.derived`; they hold no reference back to it."""
 
     def __init__(self, closure: ClosureFamily):
-        nv = closure.nu_count
-        self.nv = nv
+        self.nv = nv = closure.nu_count
         # g and the split scheme's frame: the metric's one exact congruence
         # T^t g T = diag(d), and T^-1
         m = closure.metric
@@ -299,19 +320,25 @@ class _ClosureTables:
         self.dead = [np.flatnonzero(row == 0.0) for row in self.Tinv]
 
 
+def _tables(state: FieldState, closure: ClosureFamily) -> _ClosureTables:
+    """The closure's tables, once `state` has the closure's N rows."""
+    rows = len(state.block)
+    if rows != closure.N:
+        raise ValueError(f"the state has {rows} rows, but {closure.name} needs N = {closure.N}")
+    return closure.derived(_ClosureTables)
+
+
 def _check_state(state: FieldState):
-    rho, u, nu = state.rho, state.u, state.nu
     # a quick pass: a NaN in rho makes min(rho) NaN, and a NaN or inf
-    # anywhere makes the sum of the values non-finite. The sums are numpy
-    # reductions, not a BLAS dot, which may spread a large grid over
+    # anywhere makes the block's sum non-finite. The sum is a numpy
+    # reduction, not a BLAS dot, which may spread a large grid over
     # threads. A sum of finite values can overflow (numpy warns then), so
     # when the quick pass fails, the exact tests below decide.
-    if rho.min() >= RHO_FLOOR and math.isfinite(
-            float(rho.sum()) + float(u.sum()) + float(nu.sum())):
+    if state.rho.min() >= RHO_FLOOR and math.isfinite(state.block.sum()):
         return
-    if np.any(rho < RHO_FLOOR):
+    if np.any(state.rho < RHO_FLOOR):
         raise SimulationError(f"density fell below {RHO_FLOOR} at t={state.t}")
-    if not (np.isfinite(rho).all() and np.isfinite(u).all() and np.isfinite(nu).all()):
+    if not np.isfinite(state.block).all():
         raise SimulationError(f"non-finite field values at t={state.t}")
 
 
@@ -336,8 +363,8 @@ def rhs_fluid(state: FieldState, closure: ClosureFamily, grid: Grid, *,
     2 + 2 nv input rows take their own derivative in place, and the rates
     are formed from them in `out`.
     """
+    tab = _tables(state, closure)
     _check_state(state)
-    tab = closure.derived(_ClosureTables)
     rho, u, nu = state.rho, state.u, state.nu
     nv, nx = tab.nv, grid.nx
     nuv = list(nu)
@@ -434,19 +461,20 @@ def check_wave_breaking(state: StreamState, grid: Grid):
 def diagnostics(state: FieldState, closure: ClosureFamily, grid: Grid) -> DiagnosticRecord:
     """The record of `state`, with the energy
     H = (1/2) integral [rho u^2 + rho^3 (mu_2 - mu_1^2) + E^2] dx."""
-    tab = closure.derived(_ClosureTables)
-    nuv = list(state.nu)
+    tab = _tables(state, closure)
+    rho, u, nu = state.rho, state.u, state.nu
+    nuv = list(nu)
     mu1 = tab.mu1(nuv)
-    E = poisson_solve(state.rho, state.n0, grid)
-    psi = state.u - state.rho * mu1
-    dens = state.rho * state.u ** 2 + state.rho ** 3 * (tab.mu2(nuv) - mu1 ** 2) + E ** 2
+    E = poisson_solve(rho, state.n0, grid)
+    psi = u - rho * mu1
+    dens = rho * u ** 2 + rho ** 3 * (tab.mu2(nuv) - mu1 ** 2) + E ** 2
     return DiagnosticRecord(
         t=state.t,
         H=0.5 * grid.integral(dens),
-        C_mass=grid.integral(state.rho),
+        C_mass=grid.integral(rho),
         C_psi=grid.integral(psi),
-        C_nu=tuple(grid.integral(state.rho * state.nu[k]) for k in range(tab.nv)),
-        momentum=grid.integral(state.rho * state.u),
+        C_nu=tuple(grid.integral(rho * nu_k) for nu_k in nu),
+        momentum=grid.integral(rho * u),
         field_energy=0.5 * grid.integral(E ** 2),
     )
 
@@ -454,7 +482,7 @@ def diagnostics(state: FieldState, closure: ClosureFamily, grid: Grid) -> Diagno
 def cfl_dt(state: FieldState, closure: ClosureFamily, grid: Grid) -> float:
     """Time-step bound 0.4 dx / max|u +- c| with the thermal-speed estimate
     c^2 = 3 rho^2 (mu_2 - mu_1^2), capped by 0.4 / omega_p."""
-    tab = closure.derived(_ClosureTables)
+    tab = _tables(state, closure)
     nuv = list(state.nu)
     s2 = tab.mu2(nuv) - tab.mu1(nuv) ** 2
     c = np.sqrt(np.maximum(3.0 * state.rho ** 2 * s2, 0.0))
@@ -469,63 +497,45 @@ def cfl_dt(state: FieldState, closure: ClosureFamily, grid: Grid) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rk4(y: list[np.ndarray], rhs, dt: float, stage: np.ndarray,
+def _rk4(y: np.ndarray, rhs, dt: float, stage: np.ndarray,
          k: np.ndarray) -> np.ndarray:
-    """One classical rk4 step, y + (dt/6)(a + 2b + 2c + d).
+    """One classical rk4 step of the block `y`, y + (dt/6)(a + 2b + 2c + d).
 
-    `y` lists the fields of the state. Stacked flat in order, they are the
-    leading entries of a rate block of k's shape: all of it for the fluid
-    model, whose rates have the state's 2 + nv rows, and all but the
-    scratch row of E for the stream model. `rhs(s, out)` writes the rate at
-    the fields `s` to the block `out`, returns it as views of `out` shaped
-    as the fields, and keeps no reference to `s`. Stage 1 writes a fresh block a, which takes the
-    update in place and is returned. Stages 2 to 4 share the rate buffer
-    `k`, so each of b, c and d is folded into a as soon as it is made,
-    after the next stage state is built from it. The three stage states
-    share the leading entries of the buffer `stage`. Every update runs
-    once on the state's share of the blocks; only the fields of y are
-    added one by one."""
-    size = sum(yj.size for yj in y)
-    k_y, s_y = k.reshape(-1)[:size], stage.reshape(-1)[:size]
-    s, start = [], 0
-    for yj in y:  # the stage state's fields, views of s_y
-        s.append(s_y[start:start + yj.size].reshape(yj.shape))
-        start += yj.size
+    `rhs(s, out)` writes the rate at the block `s` to the leading rows of a
+    block `out` of k's shape (the stream model's has one scratch row of E
+    more) and keeps no reference to `s`. Stage 1 writes a fresh block a,
+    whose rows of y take the update in place and are returned. Stages 2 to 4
+    share the rate buffer `k`: each of b, c and d is folded into a once the
+    next stage state, h r + y in `stage`, is built. Each update is one call."""
+    n = len(y)
+    a = np.empty_like(k)
+    a_y, k_y = a[:n], k[:n]
 
     def at(r, h):  # the stage state y + h*r
-        np.multiply(h, r, out=s_y)
-        for sj, yj in zip(s, y):
-            sj += yj
-        return s
+        return np.add(np.multiply(h, r, out=stage), y, out=stage)
 
-    a = np.empty_like(k)
-    a_fields = rhs(y, a)
-    a_y = a.reshape(-1)[:size]
+    rhs(y, a)
     rhs(at(a_y, 0.5 * dt), k)  # b
     for h in (0.5 * dt, dt):  # c, then d
         at(k_y, h)
         k_y *= 2  # a += 2 k, before k is overwritten
         a_y += k_y
-        rhs(s, k)
+        rhs(stage, k)
     a_y += k_y
     a_y *= dt / 6.0
-    for aj, yj in zip(a_fields, y):
-        aj += yj
-    return a
+    a_y += y
+    return a_y
 
 
 def step_rk4(state: FieldState, closure: ClosureFamily, grid: Grid,
              dt: float, work: Workspace = _FRESH) -> FieldState:
     def rhs(s, out):
-        return rhs_fluid(FieldState(*s, state.n0, state.t), closure, grid,
-                         work=work, out=out)
+        rhs_fluid(FieldState(s, state.n0, state.t), closure, grid, work=work, out=out)
 
-    nv = len(state.nu)
     # the state's rows, which are rhs_fluid's rate rows too
-    stage = work.buf(("rk4", "stage"), (2 + nv, grid.nx))
-    k = work.buf(("rk4", "k"), (2 + nv, grid.nx))
-    a = _rk4([state.rho, state.u, state.nu], rhs, dt, stage, k)
-    new = FieldState(a[0], a[1], a[2:2 + nv], state.n0, state.t + dt)
+    shape = state.block.shape
+    new = FieldState(_rk4(state.block, rhs, dt, work.buf(("rk4", "stage"), shape),
+                          work.buf(("rk4", "k"), shape)), state.n0, state.t + dt)
     _check_state(new)
     return new
 
@@ -536,37 +546,36 @@ def step_streams(state: StreamState, grid: Grid, dt: float,
         raise ValueError(f"dt must be finite and > 0, got {dt}")
 
     def rhs(s, out):
-        return rhs_streams(StreamState(*s, state.n0, state.t), grid, work=work, out=out)
+        rhs_streams(StreamState(s, state.n0, state.t), grid, work=work, out=out)
 
-    M = len(state.a)
     # the rows of a and v, then rhs_streams' row of E
-    stage = work.buf(("rk4", "stage"), (2 * M, grid.nx))
-    k = work.buf(("rk4", "k"), (2 * M + 1, grid.nx))
-    r = _rk4([state.a, state.v], rhs, dt, stage, k)
-    new = StreamState(r[:M], r[M:2 * M], state.n0, state.t + dt)
-    if not np.isfinite(r[:2 * M]).all():
+    rows, nx = state.block.shape
+    new = StreamState(_rk4(state.block, rhs, dt, work.buf(("rk4", "stage"), (rows, nx)),
+                           work.buf(("rk4", "k"), (rows + 1, nx))),
+                      state.n0, state.t + dt)
+    if not np.isfinite(new.block).all():
         raise SimulationError(f"non-finite stream values at t={new.t}")
     return new
 
 
-def _split_pack(state: FieldState, tab: _ClosureTables, work: _SplitWork):
-    """(rho, u, nu) -> flat extensive variables (rho, psi, mtil), fresh
-    arrays; rho nu is formed in `work.nu`."""
-    mu1 = tab.mu1(list(state.nu))
-    psi = state.u - state.rho * mu1
-    mtil = tab.T.T @ np.multiply(state.rho, state.nu, out=work.nu)
-    return state.rho.copy(), psi, mtil
+def _split_pack(state: FieldState, tab: _ClosureTables, work: _SplitWork) -> np.ndarray:
+    """(rho, u, nu) -> the step's one fresh block of the flat extensive
+    variables, rows rho, psi and mtil, built in place through `work`."""
+    packed = state.block.copy()
+    rho, psi, nu = packed[0], packed[1], packed[2:]
+    psi -= np.multiply(rho, tab.mu1(list(nu)), out=work.tmp)
+    np.matmul(tab.T.T, np.multiply(rho, nu, out=work.nu), out=nu)
+    return packed
 
 
-def _split_unpack(rho, psi, mtil, tab: _ClosureTables, n0, t,
-                  work: _SplitWork) -> FieldState:
-    """The state of the flat variables, built in their own arrays: nu in
-    mtil, through `work.nu`, and u in psi."""
-    nu = mtil
-    nu[...] = np.matmul(tab.Tinv.T, mtil, out=work.nu)
+def _split_unpack(packed: np.ndarray, tab: _ClosureTables, n0, t, work: _SplitWork) -> FieldState:
+    """The state of the flat variables `packed`, built in place: nu in the
+    mtil rows, through `work.nu`, and u in psi."""
+    rho, psi, nu = packed[0], packed[1], packed[2:]
+    nu[...] = np.matmul(tab.Tinv.T, nu, out=work.nu)
     nu /= rho
     psi += np.multiply(rho, tab.mu1(list(nu)), out=work.tmp)
-    return FieldState(rho, psi, nu, n0, t)
+    return FieldState(packed, n0, t)
 
 
 class _SplitWork:
@@ -653,13 +662,14 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
       A_a (one per diagonal metric entry): dmtil_a/dt = -D_a d_x(dH/dmtil_a)
     ordered A_1..A_nv (dt/2), B (dt), A_nv..A_1 (dt/2).  Every sub-flow is
     in flux form, so each integral(mtil_a), integral(rho), integral(psi)
-    telescopes to round-off. A_a writes each stage's row into mtil[a], the
-    step's own packed array, and keeps a copy of its start row alone.
+    telescopes to round-off. The flows advance rows of the step's one packed
+    block in place; A_a keeps a copy of its start row alone.
     """
-    tab = closure.derived(_ClosureTables)
+    tab = _tables(state, closure)
     nx = grid.nx
     sw = _SplitWork(tab.nv, nx, work)
-    rho, psi, mtil = _split_pack(state, tab, sw)
+    packed = _split_pack(state, tab, sw)
+    rho, psi, mtil = packed[0], packed[1], packed[2:]
     # the macro flow's two rows; a micro flow takes the first
     stage = work.buf(("split", "stage"), (2, nx))
     k = work.buf(("split", "k"), (2, nx))
@@ -672,18 +682,17 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
             mtil[a] = s[0]  # the packed state of the stage
             # as a one-row batch, so that it shares the field solve's spectrum buffer
             grid.deriv(_split_derivs(rho, psi, mtil, tab, state.n0, grid, sw, micro=a)[None],
-                       out=out[None], work=work)
+                       out=out, work=work)
             out *= -tab.D[a]
-            return [out]
 
-        mtil[a] = _rk4([sw.base], rhs, h, stage, k[0])
+        mtil[a] = _rk4(sw.base[None], rhs, h, stage[:1], k[:1])[0]
 
     def flow_macro(h: float):
         def rhs(s, out):
             grid.deriv(_split_derivs(*s, mtil, tab, state.n0, grid, sw), out=out, work=work)
-            return np.negative(out, out=out)
+            np.negative(out, out=out)
 
-        rho[...], psi[...] = _rk4([rho, psi], rhs, h, stage, k)
+        packed[:2] = _rk4(packed[:2], rhs, h, stage, k)
 
     for a in range(tab.nv):
         flow_micro(a, 0.5 * dt)
@@ -691,7 +700,7 @@ def step_split(state: FieldState, closure: ClosureFamily, grid: Grid,
     for a in range(tab.nv - 1, -1, -1):
         flow_micro(a, 0.5 * dt)
 
-    new = _split_unpack(rho, psi, mtil, tab, state.n0, state.t + dt, sw)
+    new = _split_unpack(packed, tab, state.n0, state.t + dt, sw)
     _check_state(new)
     return new
 
@@ -731,22 +740,19 @@ def single_mode_state(grid: Grid, closure: ClosureFamily, n0: float = 1.0,
             raise ValueError(f"{name} needs {nv} values for {closure.name} "
                              f"(or none), got {len(values)}")
     c = grid.mode
-    rho = n0 * (1.0 + eps * c)
-    u = np.full(grid.nx, float(u0))
-    nu_base = nu_base or [0.0] * nv
-    nu_eps = nu_eps or [0.0] * nv
-    nu = np.array([nu_base[k] + nu_eps[k] * c for k in range(nv)]) \
-        if nv else np.zeros((0, grid.nx))
-    return FieldState(rho, u, nu, n0)
+    block = np.empty((2 + nv, grid.nx))
+    block[0], block[1] = n0 * (1.0 + eps * c), float(u0)
+    for k, (base, e) in enumerate(zip(nu_base or [0.0] * nv, nu_eps or [0.0] * nv)):
+        block[2 + k] = base + e * c
+    return FieldState(block, n0)
 
 
 def two_stream_state(grid: Grid, n0: float = 1.0, v0: float = 0.5,
                      eps: float = 1e-3) -> StreamState:
     """Two symmetric counter-propagating streams with a small density mode."""
     c = grid.mode
-    a = np.array([0.5 * n0 * (1.0 + eps * c), 0.5 * n0 * (1.0 - eps * c)])
-    v = np.array([np.full(grid.nx, v0), np.full(grid.nx, -v0)])
-    return StreamState(a, v, n0)
+    return StreamState(np.array([0.5 * n0 * (1.0 + eps * c), 0.5 * n0 * (1.0 - eps * c),
+                                 np.full(grid.nx, v0), np.full(grid.nx, -v0)]), n0)
 
 
 # ---------------------------------------------------------------------------
@@ -803,5 +809,5 @@ def write_diagnostics_csv(path, records: list[DiagnosticRecord]):
 
 
 def write_snapshot(path, state: FieldState):
-    np.savez(path, format_version=1, nx=state.rho.size, N=len(state.nu) + 2, t=state.t,
+    np.savez(path, format_version=1, nx=state.rho.size, N=len(state.block), t=state.t,
              rho=state.rho, u=state.u, nu=state.nu, n0=state.n0)

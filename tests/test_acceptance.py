@@ -150,7 +150,7 @@ def test_criterion_8_oracle_equivalence():
     sst = two_stream_state(grid, n0=1.0, v0=0.2, eps=1e-3)
     rho, u, xi, eta = multidelta_normal_map(list(sst.a), list(sst.v))
     c = MultiDeltaClosure(2)
-    fst = FieldState(rho, u, np.array([xi[0], eta[0]]), sst.n0)
+    fst = FieldState(np.array([rho, u, xi[0], eta[0]]), sst.n0)
     dt = 0.002
     for _ in range(int(round(1.0 / dt))):
         fst = step(fst, c, grid, dt)

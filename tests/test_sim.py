@@ -20,7 +20,7 @@ from hydroclosures.closures import (BurbyClosure, ColdClosure,
                                     multidelta_normal_map)
 from hydroclosures.moments import p_from_mu
 from hydroclosures.sim import (RHO_FLOOR, FieldState, Grid, SimulationError,
-                               _check_state, _ClosureTables, _split_derivs,
+                               StreamState, _check_state, _ClosureTables, _split_derivs,
                                _SplitWork,
                                WaveBreakError, Workspace, cfl_dt,
                                check_wave_breaking, diagnostics,
@@ -252,7 +252,7 @@ def test_stream_oracle_matches_two_delta_fluid():
     sst = two_stream_state(grid, n0=1.0, v0=0.2, eps=1e-3)
     rho, u, xi, eta = multidelta_normal_map(list(sst.a), list(sst.v))
     c = MultiDeltaClosure(2)
-    fst = FieldState(rho, u, np.array([xi[0], eta[0]]), sst.n0)
+    fst = FieldState(np.array([rho, u, xi[0], eta[0]]), sst.n0)
     dt, nsteps = 0.002, 250
     for _ in range(nsteps):
         fst = step(fst, c, grid, dt)
@@ -281,7 +281,7 @@ def test_wave_breaking_detection():
     grid = Grid(L=TWO_PI, nx=64)
     a = np.full((1, grid.nx), 1.0)
     v = 2000.0 * np.cos(grid.x)[None, :]
-    state = type(two_stream_state(grid))(a=a, v=v, n0=1.0)
+    state = StreamState(np.concatenate([a, v]), n0=1.0)
     with pytest.raises(WaveBreakError):
         check_wave_breaking(state, grid)
 
@@ -378,6 +378,59 @@ def test_check_state_without_normal_variables():
     state.u[0] = np.inf
     with pytest.raises(SimulationError, match="non-finite field values"):
         _check_state(state)
+
+
+def _int_block(nx=16):
+    """An integer burby 2 block: rho (10, 12, 14, 12, ...) about n0 = 12, u
+    = 0 and nu = (0, 1)."""
+    return np.array([np.tile([10, 12, 14, 12], nx // 4), np.zeros(nx, int),
+                     np.zeros(nx, int), np.ones(nx, int)])
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "split"])
+def test_an_integer_start_steps_as_its_float_start(scheme):
+    """A state stores its block as float64: the split step once packed an
+    integer rho as integers, which truncated every update of it."""
+    grid, c = Grid(L=TWO_PI, nx=16), BurbyClosure(2)
+    start = FieldState(_int_block(), 12)
+    assert start.block.dtype == np.float64
+    got = step(start, c, grid, 1e-3, scheme=scheme)
+    want = step(FieldState(_int_block().astype(float), 12.0), c, grid, 1e-3, scheme=scheme)
+    assert got.block.dtype == np.float64
+    assert np.array_equal(got.block, want.block)
+
+
+@pytest.mark.parametrize("kind", [FieldState, StreamState])
+@pytest.mark.parametrize("block, message", [
+    (np.ones((4, 16), complex), "dtype complex128"),
+    (np.ones((4, 16), object), "dtype object"),
+    (np.ones(16), r"shape \(rows >= 2, nx\), got \(16,\)"),
+    (np.ones((1, 16)), r"got \(1, 16\)"),
+    (np.ones((4, 2, 16)), r"got \(4, 2, 16\)"),
+], ids=["complex", "object", "1-D", "one-row", "3-D"])
+def test_a_state_refuses_a_block_of_the_wrong_dtype_or_shape(kind, block, message):
+    with pytest.raises(ValueError, match=message):
+        kind(block, 1.0)
+
+
+def test_a_stream_state_refuses_an_odd_row_count():
+    with pytest.raises(ValueError, match="needs 2M rows, got 3"):
+        StreamState(np.ones((3, 16)), 1.0)
+
+
+@pytest.mark.parametrize("level", [4, 1], ids=["too-many-rows", "too-few-rows"])
+def test_a_state_whose_rows_are_not_the_closures_N_is_refused(level):
+    """Burby 4's 6 rows under burby 2 once gave a record of the first two nu
+    rows and a broadcast error in the steps; burby 1's 3 rows an IndexError."""
+    grid, c = Grid(L=TWO_PI, nx=16), BurbyClosure(2)
+    state = single_mode_state(grid, BurbyClosure(level), eps=1e-3,
+                              nu_base=[0.05, 0.5, 0.05, 0.5][:level])
+    message = re.escape(f"the state has {level + 2} rows, but {c.name} needs N = 4")
+    for call in (lambda: step(state, c, grid, 1e-3, scheme="rk4"),
+                 lambda: step(state, c, grid, 1e-3, scheme="split"),
+                 lambda: rhs_fluid(state, c, grid), lambda: diagnostics(state, c, grid)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def _micro_rows_reference(rho, psi, mtil, tab):
@@ -601,6 +654,27 @@ def test_stream_states_survive_later_steps():
     assert all(np.array_equal(s.a, a) and np.array_equal(s.v, v) for s, a, v in kept)
 
 
+@pytest.mark.parametrize("stepper", ["rk4", "split", "streams"])
+def test_a_step_leaves_its_input_alone_and_returns_a_fresh_block(stepper):
+    grid, work = Grid(L=TWO_PI, nx=32), Workspace()
+    if stepper == "streams":
+        state = two_stream_state(grid, v0=0.3)
+
+        def advance(s):
+            return step_streams(s, grid, 0.01, work=work)
+    else:
+        state = _burby_state(grid)
+
+        def advance(s):
+            return step(s, BurbyClosure(2), grid, 0.01, scheme=stepper, work=work)
+    start = state.block.copy()
+    new = advance(state)
+    assert np.array_equal(state.block, start)
+    newer = advance(new)
+    for block in (state.block, newer.block, *work._bufs.values()):
+        assert not np.shares_memory(new.block, block)
+
+
 def test_calls_without_a_workspace_return_fresh_arrays():
     grid = Grid(L=TWO_PI, nx=32)
     state = _burby_state(grid)
@@ -805,7 +879,8 @@ def test_a_simulate_command_frees_its_start_after_step_1(tmp_path, monkeypatch,
 
     def built(*args, **kwargs):
         state = build(*args, **kwargs)
-        refs.extend(weakref.ref(a) for a in (state, state.rho, state.u, state.nu))
+        # rho, u and nu are fresh views of the block, made on each access
+        refs.extend(weakref.ref(a) for a in (state, state.block))
         return state
 
     def stepped(*args, **kwargs):
@@ -815,4 +890,4 @@ def test_a_simulate_command_frees_its_start_after_step_1(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "_build_initial", built)
     monkeypatch.setattr(sim, "step", stepped)
     assert _quiet_main(_simulate_argv(tmp_path, scheme, level, nx=32, steps=3)) == 0
-    assert alive == [[True] * 4, [False] * 4, [False] * 4]
+    assert alive == [[True] * 2, [False] * 2, [False] * 2]

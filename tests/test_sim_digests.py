@@ -119,7 +119,7 @@ def compare_digest() -> str:
     sst = sim.two_stream_state(grid, n0=1.0, v0=0.2, eps=1e-3)
     md = MultiDeltaClosure(2)
     rho, u, xi, eta = multidelta_normal_map(list(sst.a), list(sst.v))
-    fst = sim.FieldState(rho, u, np.array([xi[0], eta[0]]), sst.n0)
+    fst = sim.FieldState(np.array([rho, u, xi[0], eta[0]]), sst.n0)
     for _ in range(25):
         fst = sim.step(fst, md, grid, 0.002)
         sst = sim.step_streams(sst, grid, 0.002)
